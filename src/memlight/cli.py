@@ -124,16 +124,23 @@ def cmd_index(args) -> int:
         raise ValueError("empty text")
     started = time.perf_counter()
     text = Text.from_bytes(text_bytes)
+    rev = text.reversed()
     sa_fwd = build_suffix_structures(text)
-    sa_rev = build_suffix_structures(text.reversed())
+    sa_rev = build_suffix_structures(rev)
+    sorted_at = time.perf_counter()
     fm_fwd = build_fm(text, args.sample_rate, sa=sa_fwd)
-    fm_rev = build_fm(text.reversed(), args.sample_rate, sa=sa_rev)
+    fm_rev = build_fm(rev, args.sample_rate, sa=sa_rev)
+    built_at = time.perf_counter()
     paths = IndexPaths.at(args.output)
     fm_fwd.save(paths.fwd)
     fm_rev.save(paths.rev)
     _save_support(paths.sup, text, sa_fwd, sa_rev)
-    elapsed = time.perf_counter() - started
-    print(f"n={text.n}\tsigma={text.alphabet.size}\tbuild_seconds={elapsed:.3f}")
+    done_at = time.perf_counter()
+    print(f"n={text.n}\tsigma={text.alphabet.size}"
+          f"\tbuild_seconds={done_at - started:.3f}"
+          f"\tsort_seconds={sorted_at - started:.3f}"
+          f"\tfm_seconds={built_at - sorted_at:.3f}"
+          f"\twrite_seconds={done_at - built_at:.3f}")
     return EXIT_OK
 
 

@@ -14,30 +14,61 @@ import numpy as np
 from .sequence import MemRecord, Pattern, Text
 
 
+def _packed_prefix_key(ext: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each suffix's first h symbols packed into one int64, and h.
+
+    Symbols are shifted so the sentinel is 0 and the rest are positive; h is
+    as many as fit in 62 bits.  The zero padding past the end cannot cause a
+    tie: the sentinel, the only other 0, is unique.
+    """
+    n = ext.size
+    vals = ext.astype(np.int64) - int(ext.min())
+    bits = max(int(vals.max()).bit_length(), 1)
+    h = max(min(62 // bits, n), 1)
+    key = np.zeros(n, dtype=np.int64)
+    for j in range(h):
+        key <<= bits
+        key[: n - j] |= vals[j:]
+    return key, h
+
+
 def _suffix_sort(ext: np.ndarray) -> np.ndarray:
-    """Suffix array of an int sequence by prefix doubling, O(n log^2 n) worst case.
+    """Suffix array of an int sequence by prefix doubling over unresolved groups.
 
     The input must end in a unique smallest value (the sentinel), which makes
     all suffixes distinct and guarantees termination.
+
+    One sort on a packed key of the first h symbols groups the suffixes by
+    their h-prefix.  A suffix's rank is the row its group starts at.  The
+    round from k to 2k symbols sorts only the rows still in groups of size
+    > 1, by (rank of p, rank of p + k), and writes them back into the same
+    rows; rows already resolved are never sorted again (Larsson & Sadakane,
+    "Faster suffix sorting", TCS 2007).  So the cost depends on the longest
+    repeat: about log2(longest repeat / h) rounds, each over only the
+    suffixes whose k-prefix still repeats.
     """
     n = ext.size
-    rank = ext.astype(np.int64)
-    k = 1
+    key, h = _packed_prefix_key(ext)
+    sa = np.argsort(key)
+    key = key[sa]
+    rank = np.empty(n, dtype=np.int64)
+    rows, p, k = np.arange(n), sa, h
     while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        if k < n:
-            key2[:-k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        r1 = rank[order]
-        r2 = key2[order]
-        changed = np.empty(n, dtype=bool)
-        changed[0] = False
-        changed[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-        new = np.cumsum(changed)
-        if new[-1] == n - 1:
-            return order.astype(np.int64)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = new
+        # rows: unresolved rows, ascending; p = sa[rows]; key: their sort keys
+        starts = np.ones(rows.size + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=starts[1:-1])
+        rank[p] = np.maximum.accumulate(np.where(starts[:-1], rows, 0))
+        rows = rows[~(starts[:-1] & starts[1:])]
+        if rows.size == 0:
+            return sa
+        # an unresolved suffix shares its first k symbols with another one,
+        # and the sentinel is unique, so p + k stays inside the text; sorting
+        # by rank first keeps each group in its own rows
+        p = sa[rows]
+        key = rank[p] * n + rank[p + k]
+        order = np.argsort(key, kind="stable")
+        p, key = p[order], key[order]
+        sa[rows] = p
         k *= 2
 
 
@@ -51,7 +82,7 @@ def _common_prefix_len(a: bytes, b: bytes) -> int:
 
 
 class SuffixArray:
-    """Suffix array of a text plus sentinel, with lazy inverse and LCP arrays.
+    """Suffix array of a text plus sentinel, with a lazy inverse.
 
     Suffix order includes the empty sentinel suffix at rank 0.  The sentinel
     is a value below every alphabet code and takes no part in matching.
@@ -59,11 +90,10 @@ class SuffixArray:
 
     def __init__(self, text: Text, sa: np.ndarray | None = None):
         self.text = text
-        ext = np.empty(text.n + 1, dtype=np.int32)
-        ext[: text.n] = text.data
-        ext[text.n] = -1
-        self._ext = ext
         if sa is None:
+            ext = np.empty(text.n + 1, dtype=np.int32)
+            ext[: text.n] = text.data
+            ext[text.n] = -1
             sa = _suffix_sort(ext)
         else:
             sa = np.ascontiguousarray(sa, dtype=np.int64)
@@ -83,29 +113,6 @@ class SuffixArray:
         inv[self.sa] = np.arange(self.sa.size)
         inv.setflags(write=False)
         return inv
-
-    @cached_property
-    def lcp(self) -> np.ndarray:
-        """lcp[k] = common prefix length of the suffixes ranked k-1 and k; lcp[0] = 0."""
-        ext = self._ext.tolist()
-        sa = self.sa.tolist()
-        isa = self.isa.tolist()
-        n = len(ext)
-        out = np.zeros(n, dtype=np.int64)
-        k = 0
-        for i in range(n):
-            r = isa[i]
-            if r == 0:
-                k = 0
-                continue
-            j = sa[r - 1]
-            while i + k < n and j + k < n and ext[i + k] == ext[j + k]:
-                k += 1
-            out[r] = k
-            if k:
-                k -= 1
-        out.setflags(write=False)
-        return out
 
     # -- binary searches over suffix order ---------------------------------
 

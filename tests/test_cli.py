@@ -30,6 +30,15 @@ def test_index_prints_dimensions(tmp_path, capsys):
     assert out.startswith("n=12\tsigma=4")
 
 
+def test_index_reports_build_phases(tmp_path, capsys):
+    text = tmp_path / "t.txt"
+    text.write_bytes(DEMO_TEXT)
+    assert main(["index", str(text), "--raw", "-o", str(tmp_path / "x")]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    for name in ("build_seconds", "sort_seconds", "fm_seconds", "write_seconds"):
+        assert float(fields[name]) >= 0
+
+
 @pytest.mark.parametrize("backend", ["fm", "lce"])
 def test_mems_threshold_four(demo_files, capsys, backend):
     _, pattern, prefix = demo_files

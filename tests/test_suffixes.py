@@ -21,15 +21,20 @@ def spans_1based(mems):
     (b"banana", [6, 5, 3, 1, 0, 4, 2]),
     (b"aaaa", [4, 3, 2, 1, 0]),
     (b"b", [1, 0]),
+    (b"ab", [2, 0, 1]),
+    (b"ba", [2, 1, 0]),
+    # all-equal texts around the packed first key's 62 symbols
+    *[(b"a" * n, list(range(n, -1, -1))) for n in (61, 62, 63, 64, 500)],
 ])
 def test_suffix_array_known_values(raw, expected_sa):
     sa = build_suffix_structures(Text.from_bytes(raw))
     assert sa.sa.tolist() == expected_sa
 
 
-def test_lcp_known_values():
-    sa = build_suffix_structures(Text.from_bytes(b"aaaa"))
-    assert sa.lcp.tolist() == [0, 0, 1, 2, 3]
+def brute_force_order(text):
+    # sentinel sorts before everything, so rank suffixes by (bytes, -pos)
+    codes = text.code_bytes
+    return sorted(range(text.n + 1), key=lambda p: (codes[p:], -p))
 
 
 @given(st.binary(min_size=1, max_size=500))
@@ -37,27 +42,41 @@ def test_lcp_known_values():
 def test_suffix_array_matches_brute_force_sort(raw):
     text = Text.from_bytes(raw)
     sa = build_suffix_structures(text)
-    # sentinel sorts before everything, so rank suffixes by (bytes, -pos)
-    codes = text.code_bytes
-    expected = sorted(range(text.n + 1), key=lambda p: (codes[p:], -p))
-    assert sa.sa.tolist() == expected
+    assert sa.sa.tolist() == brute_force_order(text)
     inv = sa.isa
     assert all(inv[sa.sa[k]] == k for k in range(text.n + 1))
 
 
-@given(st.binary(min_size=2, max_size=200))
-@settings(max_examples=60, deadline=None)
-def test_lcp_matches_direct_comparison(raw):
-    text = Text.from_bytes(raw)
-    sa = build_suffix_structures(text)
+@given(st.binary(min_size=1, max_size=5), st.integers(1, 300),
+       st.integers(0, 300), st.binary(max_size=1))
+@settings(max_examples=80, deadline=None)
+def test_suffix_array_periodic_texts(period, length, at, change):
+    # long repeats need many doubling rounds; `change` may break the period once
+    raw = bytearray((period * length)[:length])
+    raw[at % length : at % length + len(change)] = change
+    text = Text.from_bytes(bytes(raw))
+    assert build_suffix_structures(text).sa.tolist() == brute_force_order(text)
+
+
+@given(st.permutations(range(256)), st.binary(max_size=150))
+@settings(max_examples=30, deadline=None)
+def test_suffix_array_full_byte_alphabet(symbols, tail):
+    # code 255 present: the packed first key holds the fewest symbols
+    text = Text.from_bytes(bytes(symbols) + tail + tail)
+    assert text.alphabet.size == 256
+    assert build_suffix_structures(text).sa.tolist() == brute_force_order(text)
+
+
+def test_suffix_array_long_internal_copy():
+    rng = np.random.default_rng(2024)
+    raw = bytearray(b"ab"[c] for c in rng.integers(0, 2, 20_000))
+    raw[12_000:17_000] = raw[3_000:8_000]
+    text = Text.from_bytes(bytes(raw))
+    sa = build_suffix_structures(text).sa.tolist()
+    assert sorted(sa) == list(range(text.n + 1))
+    # as sentinel-terminated strings, a proper prefix sorts first
     codes = text.code_bytes
-    for k in range(1, text.n + 1):
-        a, b = codes[sa.sa[k - 1]:], codes[sa.sa[k]:]
-        direct = 0
-        while direct < min(len(a), len(b)) and a[direct] == b[direct]:
-            direct += 1
-        assert sa.lcp[k] == direct
-    assert sa.lcp[0] == 0
+    assert all(codes[a:] < codes[b:] for a, b in zip(sa, sa[1:]))
 
 
 # -- match pointers ------------------------------------------------------------
