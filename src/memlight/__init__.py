@@ -15,9 +15,9 @@ from .suffixes import (MatchPointers, SuffixArray, brute_force_mems,
                        count_occurrences)
 from .lce import MODULUS, FingerprintLce, FingerprintTable, NaiveLce
 from .fm import BwtInterval, FmIndex, IndexFormatError, build_fm, invert_bwt
-from .finders import (FinderConfig, FinderResult, find_all_mems,
-                      find_all_mems_fm, find_in_raw, find_long_mems_fm,
-                      find_long_mems_lce, longest_common_substring)
+from .finders import (FinderResult, find_all_mems, find_all_mems_fm,
+                      find_in_raw, find_long_mems_fm, find_long_mems_lce,
+                      longest_common_substring)
 from .experiment import (ComparisonReport, ExperimentSpec, LengthHistogramRow,
                          classify_mems, generate_instance, make_cyclic_text,
                          run_comparison)
@@ -30,7 +30,7 @@ __all__ = [
     "build_suffix_structures", "compute_match_pointers", "count_occurrences",
     "MODULUS", "FingerprintLce", "FingerprintTable", "NaiveLce",
     "BwtInterval", "FmIndex", "IndexFormatError", "build_fm", "invert_bwt",
-    "FinderConfig", "FinderResult", "find_all_mems", "find_all_mems_fm",
+    "FinderResult", "find_all_mems", "find_all_mems_fm",
     "find_in_raw", "find_long_mems_fm", "find_long_mems_lce",
     "longest_common_substring",
     "ComparisonReport", "ExperimentSpec", "LengthHistogramRow",

@@ -3,92 +3,51 @@
 from __future__ import annotations
 
 import argparse
-import struct
 import sys
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .experiment import ExperimentSpec, run_comparison
 from .fasta import read_fasta
-from .finders import (FinderConfig, find_in_raw, find_long_mems_fm,
-                      find_long_mems_lce, longest_common_substring)
+from .finders import (find_all_mems_fm, find_in_raw, find_long_mems_fm,
+                      longest_common_substring)
 from .fm import FmIndex, IndexFormatError, build_fm
-from .sequence import Alphabet, Pattern, Text, split_by_foreign_chars
-from .suffixes import SuffixArray, build_suffix_structures, compute_match_pointers
-from .lce import NaiveLce
-
-SUP_MAGIC = b"MEMLSUP1"
+from .sequence import Text
+from .suffixes import build_suffix_structures
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INDEX = 3
 
 
-# -- support file (text + both suffix arrays, for the lce backend) ----------
-
-def _save_support(path: Path, text: Text, sa_fwd: SuffixArray, sa_rev: SuffixArray) -> None:
-    parts = [SUP_MAGIC,
-             struct.pack("<2Q", text.n, text.alphabet.size),
-             text.alphabet.symbols,
-             text.data.tobytes(),
-             sa_fwd.sa.astype("<i8").tobytes(),
-             sa_rev.sa.astype("<i8").tobytes()]
-    body = b"".join(parts)
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-
-
-def _load_support(path: Path) -> tuple[Text, SuffixArray, SuffixArray]:
-    data = path.read_bytes()
-    if data[:8] != SUP_MAGIC:
-        raise IndexFormatError("not a memlight support file")
-    if len(data) < 8 + 16 + 4:
-        raise IndexFormatError("truncated support file")
-    n, sigma = struct.unpack_from("<2Q", data, 8)
-    if n < 1 or not 1 <= sigma <= 256:
-        raise IndexFormatError("support file header is inconsistent")
-    expected = 8 + 16 + sigma + n + 2 * (n + 1) * 8 + 4
-    if len(data) != expected:
-        raise IndexFormatError("truncated support file")
-    if zlib.crc32(data[:-4]) != struct.unpack_from("<I", data, len(data) - 4)[0]:
-        raise IndexFormatError("support file checksum mismatch")
-    off = 24
-    alphabet = Alphabet(data[off : off + sigma])
-    off += sigma
-    codes = np.frombuffer(data, dtype=np.uint8, count=n, offset=off)
-    off += n
-    sa_f = np.frombuffer(data, dtype="<i8", count=n + 1, offset=off).astype(np.int64)
-    off += (n + 1) * 8
-    sa_r = np.frombuffer(data, dtype="<i8", count=n + 1, offset=off).astype(np.int64)
-    text = Text(alphabet, codes)
-    return text, SuffixArray(text, sa_f), SuffixArray(text.reversed(), sa_r)
-
-
 @dataclass
 class IndexPaths:
     fwd: Path
     rev: Path
-    sup: Path
 
     @classmethod
     def at(cls, prefix: str) -> "IndexPaths":
-        return cls(Path(prefix + ".fwd.memidx"), Path(prefix + ".rev.memidx"),
-                   Path(prefix + ".sup.memsup"))
+        return cls(Path(prefix + ".fwd.memidx"), Path(prefix + ".rev.memidx"))
+
+    def load(self) -> tuple[FmIndex, FmIndex]:
+        return FmIndex.load(self.fwd), FmIndex.load(self.rev)
 
 
 # -- input reading -----------------------------------------------------------
 
+def _read_raw(path: Path) -> bytes:
+    """The file's bytes minus one trailing newline, as `--raw` promises."""
+    data = path.read_bytes()
+    for end in (b"\r\n", b"\n"):
+        if data.endswith(end):
+            return data[: -len(end)]
+    return data
+
+
 def _read_text_input(path: Path, raw: bool, concat_sep: bool) -> bytes:
     if raw:
-        data = path.read_bytes()
-        if data.endswith(b"\r\n"):
-            data = data[:-2]
-        elif data.endswith(b"\n"):
-            data = data[:-1]
-        return data
+        return _read_raw(path)
     records = read_fasta(path)
     if not records:
         raise ValueError("empty text")
@@ -107,12 +66,7 @@ def _read_text_input(path: Path, raw: bool, concat_sep: bool) -> bytes:
 
 def _read_pattern_inputs(path: Path, raw: bool) -> list[tuple[str, bytes]]:
     if raw:
-        data = path.read_bytes()
-        if data.endswith(b"\r\n"):
-            data = data[:-2]
-        elif data.endswith(b"\n"):
-            data = data[:-1]
-        return [(path.stem, data)]
+        return [(path.stem, _read_raw(path))]
     return [(r.id, r.sequence) for r in read_fasta(path)]
 
 
@@ -134,7 +88,6 @@ def cmd_index(args) -> int:
     paths = IndexPaths.at(args.output)
     fm_fwd.save(paths.fwd)
     fm_rev.save(paths.rev)
-    _save_support(paths.sup, text, sa_fwd, sa_rev)
     done_at = time.perf_counter()
     print(f"n={text.n}\tsigma={text.alphabet.size}"
           f"\tbuild_seconds={done_at - started:.3f}"
@@ -151,69 +104,37 @@ def _locate_forward(rev_index: FmIndex, interval, length: int) -> list[int]:
 
 
 def cmd_mems(args) -> int:
-    config = FinderConfig(min_len=1 if args.all else args.min_mem_length,
-                          backend=args.backend,
-                          report_intervals=args.intervals,
-                          locate=args.locate)
-    if config.report_intervals and config.backend != "fm":
-        raise ValueError("interval reporting requires the fm backend")
-    paths = IndexPaths.at(args.index)
     patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
+    fm_fwd, fm_rev = IndexPaths.at(args.index).load()
 
-    if config.backend == "fm":
-        fm_fwd = FmIndex.load(paths.fwd)
-        fm_rev = FmIndex.load(paths.rev)
-        alphabet = fm_fwd.alphabet
+    def finder(sub):
+        if args.all:
+            return find_all_mems_fm(sub, fm_fwd, fm_rev, report_intervals=True)
+        return find_long_mems_fm(sub, fm_fwd, fm_rev, args.min_mem_length,
+                                 report_intervals=True)
 
-        def finder(sub: Pattern):
-            return find_long_mems_fm(sub, fm_fwd, fm_rev, config.min_len,
-                                     report_intervals=True)
-
-        for rid, raw in patterns:
-            result = find_in_raw(raw, alphabet, finder)
-            for mem in result.mems:
-                fields = [rid, str(mem.start + 1), str(mem.start + mem.length),
-                          str(mem.length), str(mem.bwt_interval.width)]
-                if config.report_intervals:
-                    fields.append(f"{mem.bwt_interval.lo}:{mem.bwt_interval.hi}")
-                if config.locate:
-                    pos = _locate_forward(fm_rev, mem.bwt_interval, mem.length)
-                    fields.extend(str(p + 1) for p in pos)
-                print("\t".join(fields))
-    else:
-        text, sa_fwd, sa_rev = _load_support(paths.sup)
-        alphabet = text.alphabet
-        for rid, raw in patterns:
-            for offset, sub in split_by_foreign_chars(raw, alphabet):
-                pointers = compute_match_pointers(sub, text, sa_fwd, sa_rev)
-                result = find_long_mems_lce(sub, pointers, NaiveLce(text, sub),
-                                            config.min_len)
-                for mem in result.mems:
-                    start = mem.start + offset
-                    positions = sa_fwd.occurrences(sub.data[mem.start : mem.end])
-                    fields = [rid, str(start + 1), str(start + mem.length),
-                              str(mem.length), str(len(positions))]
-                    if config.locate:
-                        fields.extend(str(p + 1) for p in positions)
-                    print("\t".join(fields))
+    for rid, raw in patterns:
+        for mem in find_in_raw(raw, fm_fwd.alphabet, finder).mems:
+            iv = mem.bwt_interval
+            fields = [rid, str(mem.start + 1), str(mem.end), str(mem.length),
+                      str(iv.width)]
+            if args.intervals:
+                fields.append(f"{iv.lo}:{iv.hi}")
+            if args.locate:
+                fields.extend(str(p + 1) for p in _locate_forward(fm_rev, iv, mem.length))
+            print("\t".join(fields))
     return EXIT_OK
 
 
 def cmd_lcs(args) -> int:
-    paths = IndexPaths.at(args.index)
-    fm_fwd = FmIndex.load(paths.fwd)
-    fm_rev = FmIndex.load(paths.rev)
     patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
+    fm_fwd, fm_rev = IndexPaths.at(args.index).load()
     for rid, raw in patterns:
-        best = None
-        best_start = -1
-        for offset, sub in split_by_foreign_chars(raw, fm_fwd.alphabet):
-            result = longest_common_substring(sub, fm_fwd, fm_rev)
-            if result.mems and (best is None or result.mems[0].length > best.length):
-                best = result.mems[0]
-                best_start = best.start + offset
-        if best is not None:
-            print(f"{rid}\t{best_start + 1}\t{best_start + best.length}\t"
+        result = find_in_raw(raw, fm_fwd.alphabet,
+                             lambda sub: longest_common_substring(sub, fm_fwd, fm_rev))
+        if result.mems:
+            best = max(result.mems, key=lambda mem: mem.length)  # the leftmost maximum
+            print(f"{rid}\t{best.start + 1}\t{best.end}\t"
                   f"{best.length}\t{best.bwt_interval.width}")
     return EXIT_OK
 
@@ -230,6 +151,15 @@ def cmd_experiment(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _min_length(value: str) -> int:
+    # checked here too: a file whose patterns are all foreign bytes never
+    # reaches the finders, which check it for library callers
+    length = int(value)
+    if length < 1:
+        raise argparse.ArgumentTypeError("minimum MEM length must be at least 1")
+    return length
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,13 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index", help="index path prefix")
     p.add_argument("patterns", help="pattern file (FASTA by default)")
     p.add_argument("-L", "--L", "--min-mem-length", dest="min_mem_length",
-                   type=int, default=1)
-    p.add_argument("--backend", choices=("lce", "fm"), default="fm")
-    p.add_argument("--all", action="store_true", help="report every MEM (L=1)")
+                   type=_min_length, default=1)
+    p.add_argument("--all", action="store_true", help="report every MEM (full scan)")
     p.add_argument("--locate", action="store_true",
                    help="append 1-based occurrence positions")
     p.add_argument("--intervals", action="store_true",
-                   help="append suffix-order interval (fm backend)")
+                   help="append the suffix-order interval")
     p.add_argument("--raw", action="store_true")
     p.set_defaults(func=cmd_mems)
 

@@ -10,25 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fm import FmIndex
-from .sequence import Alphabet, MemRecord, Pattern, QueryStats
+from .sequence import (Alphabet, MemRecord, Pattern, QueryStats,
+                       split_by_foreign_chars)
 from .suffixes import MatchPointers
-
-
-@dataclass(frozen=True)
-class FinderConfig:
-    """Query-time options, mostly a CLI-to-library bridge."""
-
-    min_len: int = 1
-    backend: str = "fm"  # "lce" or "fm"
-    report_intervals: bool = False
-    locate: bool = False
-
-    def __post_init__(self):
-        if self.min_len < 1:
-            raise ValueError("minimum MEM length must be at least 1")
-        if self.backend not in ("lce", "fm"):
-            raise ValueError(f"unknown backend: {self.backend}")
 
 
 @dataclass
@@ -110,24 +97,29 @@ def _fm_codes(pattern: Pattern) -> tuple[list[int], list[int]]:
     return codes, codes[::-1]
 
 
-def _check_paired(fwd_index: FmIndex, rev_index: FmIndex) -> None:
+def _check_paired(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex) -> None:
     if fwd_index.alphabet != rev_index.alphabet:
         raise ValueError("forward and reverse indexes use different alphabets")
+    if fwd_index.n != rev_index.n or not np.array_equal(fwd_index._c, rev_index._c):
+        raise ValueError("forward and reverse indexes describe different texts")
+    if pattern.alphabet != fwd_index.alphabet:
+        raise ValueError("pattern alphabet differs from the index alphabet")
 
 
-def find_long_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
-                      min_len: int, report_intervals: bool = False) -> FinderResult:
-    """Deterministic thresholded finder using only backward stepping.
+def _thresholded_scan(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
+                      min_len: int, longest: bool,
+                      report_intervals: bool) -> FinderResult:
+    """The thresholded loop shared by find_long_mems_fm and longest_common_substring.
 
-    Same output as find_long_mems_lce.  The backward probe of the current
-    window comes from the text index; the forward extension of a confirmed
-    MEM comes from searching the reversed pattern in the reversed-text
-    index, whose final interval (rows of the reversed MEM) is attached to
-    the record when requested.
+    The backward probe of the current length-min_len window comes from the
+    text index; a window whose whole suffix matches pins a MEM at the window
+    start, found by searching the reversed pattern in the reversed-text
+    index.  In longest mode that MEM is at least min_len long, so it replaces
+    the single kept MEM and the threshold rises to one above its length.
     """
     if min_len < 1:
         raise ValueError("minimum length must be at least 1")
-    _check_paired(fwd_index, rev_index)
+    _check_paired(pattern, fwd_index, rev_index)
     result = FinderResult()
     stats = result.stats
     m = pattern.m
@@ -141,20 +133,33 @@ def find_long_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
         k = j - suffix_len + 1
         if k > i:
             i = k
+            continue
+        stats.lcp_queries += 1
+        length, iv = rev_index.backward_search_prefix(rcodes, m - i, stats)
+        mem = MemRecord(i, length, bwt_interval=iv if report_intervals else None)
+        if longest:
+            result.mems = [mem]
+            min_len = length + 1
         else:
-            stats.lcp_queries += 1
-            length, iv = rev_index.backward_search_prefix(rcodes, m - i, stats)
-            j = i + length - 1
-            result.mems.append(
-                MemRecord(i, length, bwt_interval=iv if report_intervals else None)
-            )
-            if j < m - 1:
-                stats.lcs_queries += 1
-                back, _ = fwd_index.backward_search_prefix(codes, j + 2, stats)
-                i = j - back + 2
-            else:
-                break
+            result.mems.append(mem)
+        j = i + length - 1
+        if j == m - 1:
+            break
+        stats.lcs_queries += 1
+        back, _ = fwd_index.backward_search_prefix(codes, j + 2, stats)
+        i = j - back + 2
     return result
+
+
+def find_long_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
+                      min_len: int, report_intervals: bool = False) -> FinderResult:
+    """Deterministic thresholded finder using only backward stepping.
+
+    Same output as find_long_mems_lce.  When requested, each record carries
+    the interval of the reversed MEM in the reversed-text index.
+    """
+    return _thresholded_scan(pattern, fwd_index, rev_index, min_len,
+                             longest=False, report_intervals=report_intervals)
 
 
 def find_all_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
@@ -164,7 +169,7 @@ def find_all_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
     Pattern symbols absent from the text extend nothing and are skipped one
     position at a time, so unsplit patterns degrade gracefully.
     """
-    _check_paired(fwd_index, rev_index)
+    _check_paired(pattern, fwd_index, rev_index)
     result = FinderResult()
     stats = result.stats
     m = pattern.m
@@ -197,38 +202,8 @@ def longest_common_substring(pattern: Pattern, fwd_index: FmIndex,
     length found so far, so every confirmed window strictly improves on the
     current best and everything shorter is skipped wholesale.
     """
-    _check_paired(fwd_index, rev_index)
-    result = FinderResult()
-    stats = result.stats
-    m = pattern.m
-    codes, rcodes = _fm_codes(pattern)
-    best: MemRecord | None = None
-    min_len = 1
-    i = 0
-    while i <= m - min_len:
-        stats.loop_iterations += 1
-        j = i + min_len - 1
-        stats.lcs_queries += 1
-        suffix_len, _ = fwd_index.backward_search_prefix(codes, j + 1, stats)
-        k = j - suffix_len + 1
-        if k > i:
-            i = k
-        else:
-            stats.lcp_queries += 1
-            length, iv = rev_index.backward_search_prefix(rcodes, m - i, stats)
-            if best is None or length > best.length:
-                best = MemRecord(i, length, bwt_interval=iv)
-            min_len = best.length + 1
-            j = i + length - 1
-            if j < m - 1:
-                stats.lcs_queries += 1
-                back, _ = fwd_index.backward_search_prefix(codes, j + 2, stats)
-                i = j - back + 2
-            else:
-                break
-    if best is not None:
-        result.mems.append(best)
-    return result
+    return _thresholded_scan(pattern, fwd_index, rev_index, 1, longest=True,
+                             report_intervals=True)
 
 
 def find_in_raw(raw_pattern: bytes, alphabet: Alphabet, finder) -> FinderResult:
@@ -237,8 +212,6 @@ def find_in_raw(raw_pattern: bytes, alphabet: Alphabet, finder) -> FinderResult:
     `finder` maps a Pattern to a FinderResult; starts are shifted back into
     original-pattern coordinates and work counters are summed.
     """
-    from .sequence import split_by_foreign_chars
-
     merged = FinderResult()
     for offset, sub in split_by_foreign_chars(raw_pattern, alphabet):
         part = finder(sub)

@@ -1,9 +1,10 @@
 """FM-index over a text: counting backward search, locating, and serialization.
 
-The index stores the BWT of text plus sentinel, cumulative symbol counts,
-blocked per-symbol rank checkpoints, and a sampled suffix array for
-locating.  Backward search reports how many characters of a query prefix
-matched, which is the single primitive the deterministic MEM finder needs.
+The index stores the BWT of text plus sentinel and a sampled suffix array
+for locating; cumulative symbol counts and blocked per-symbol rank
+checkpoints are derived from the BWT when the index is built or loaded.
+Backward search reports how many characters of a query prefix matched,
+which is the single primitive the deterministic MEM finder needs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import numpy as np
 from .sequence import Alphabet, Pattern, QueryStats, Text
 from .suffixes import SuffixArray, build_suffix_structures
 
-MAGIC = b"MEMLIDX1"
+MAGIC = b"MEMLIDX2"
+_OLD_MAGIC = b"MEMLIDX1"
+_HEADER = struct.Struct("<3Q")  # n, alphabet size, sample rate
 _SENTINEL = -1
 _BLOCK = 64
 
@@ -39,38 +42,43 @@ class BwtInterval:
     def width(self) -> int:
         return self.hi - self.lo
 
-    @property
-    def is_empty(self) -> bool:
-        return self.lo >= self.hi
+
+def _rank_checkpoints(bwt: np.ndarray, sigma: int) -> np.ndarray:
+    """occ[b, c] counts symbol c in the first b * _BLOCK rows of the BWT."""
+    nblocks = -(-bwt.size // _BLOCK)
+    # one count per (block, symbol + 1); column 0 takes the sentinel
+    key = np.arange(bwt.size, dtype=np.int64) // _BLOCK * (sigma + 1) + bwt + 1
+    counts = np.bincount(key, minlength=nblocks * (sigma + 1)).reshape(nblocks, sigma + 1)
+    occ = np.zeros((nblocks + 1, sigma), dtype=np.int64)
+    np.cumsum(counts[:, 1:], axis=0, out=occ[1:])
+    return occ
 
 
 class FmIndex:
     """Immutable backward-search index; concurrent queries are safe.
 
     Query stats are owned by the caller and passed in explicitly, keeping
-    the index itself stateless.
+    the index itself stateless.  Construction validates the BWT and the
+    suffix-array samples, so a file that loads cannot locate outside the text.
     """
 
     def __init__(self, alphabet: Alphabet, bwt: np.ndarray, sample_rate: int,
-                 marks: np.ndarray, sample_values: np.ndarray,
-                 occ_blocks: np.ndarray | None = None, block_size: int = _BLOCK):
+                 marks: np.ndarray, sample_values: np.ndarray):
         self.alphabet = alphabet
         self.n = bwt.size - 1
         self.s = sample_rate
         self._bwt = np.ascontiguousarray(bwt, dtype=np.int16)
         self._bwt.setflags(write=False)
-        self._block = block_size
         sigma = alphabet.size
         if int(self._bwt.max()) >= sigma or int(self._bwt.min()) < -1:
             raise IndexFormatError("BWT symbols out of range for the alphabet")
-        counts = np.bincount(self._bwt[self._bwt >= 0], minlength=sigma)
+        self._occ = _rank_checkpoints(self._bwt, sigma)
+        if int(self._occ[-1].sum()) != self.n:
+            raise IndexFormatError("BWT must hold exactly one sentinel")
         c = np.empty(sigma + 1, dtype=np.int64)
         c[0] = 1  # row 0 is the sentinel suffix
-        c[1:] = 1 + np.cumsum(counts)
+        c[1:] = 1 + np.cumsum(self._occ[-1])
         self._c = c
-        if occ_blocks is None:
-            occ_blocks = self._build_occ(self._bwt, sigma, block_size)
-        self._occ = np.ascontiguousarray(occ_blocks, dtype=np.int64)
         self._marks = np.ascontiguousarray(marks, dtype=bool)
         self._marks_cum = np.concatenate(
             ([0], np.cumsum(self._marks, dtype=np.int64))
@@ -78,24 +86,19 @@ class FmIndex:
         self._samples = np.ascontiguousarray(sample_values, dtype=np.int64)
         if int(self._marks_cum[-1]) != self._samples.size:
             raise IndexFormatError("sample table does not match its row marks")
-
-    @staticmethod
-    def _build_occ(bwt: np.ndarray, sigma: int, block: int) -> np.ndarray:
-        nrows = bwt.size
-        nblocks = -(-nrows // block)
-        occ = np.zeros((nblocks + 1, sigma), dtype=np.int64)
-        rows = np.arange(nrows)
-        valid = bwt >= 0
-        np.add.at(occ, (rows[valid] // block + 1, bwt[valid].astype(np.int64)), 1)
-        return np.cumsum(occ, axis=0)
+        if not np.array_equal(np.sort(self._samples),
+                              np.arange(0, self.n + 1, sample_rate)):
+            raise IndexFormatError(
+                "suffix-array samples are not the multiples of the sample rate"
+            )
 
     # -- queries ------------------------------------------------------------
 
     def rank(self, symbol: int, prefix_len: int) -> int:
         """Occurrences of symbol in the first prefix_len BWT rows."""
-        blk = prefix_len // self._block
+        blk = prefix_len // _BLOCK
         base = int(self._occ[blk, symbol])
-        start = blk * self._block
+        start = blk * _BLOCK
         if start == prefix_len:
             return base
         return base + int(np.count_nonzero(self._bwt[start:prefix_len] == symbol))
@@ -161,6 +164,8 @@ class FmIndex:
                 if steps > self.n:
                     raise IndexFormatError("suffix-array samples are unreachable")
             pos = int(self._samples[self._marks_cum[r]]) + steps
+            if pos > self.n:
+                raise IndexFormatError("suffix-array samples point past the text")
             if pos != self.n:
                 out.append(pos)
         return sorted(out)
@@ -168,14 +173,12 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        parts = [MAGIC]
-        parts.append(struct.pack("<5Q", self.n, self.alphabet.size, self.s,
-                                 self._block, self._samples.size))
-        parts.append(self.alphabet.symbols)
-        parts.append(self._bwt.astype("<i2").tobytes())
-        parts.append(self._occ.astype("<i8").tobytes())
-        parts.append(np.packbits(self._marks, bitorder="little").tobytes())
-        parts.append(self._samples.astype("<i8").tobytes())
+        parts = [MAGIC,
+                 _HEADER.pack(self.n, self.alphabet.size, self.s),
+                 self.alphabet.symbols,
+                 self._bwt.astype("<i2").tobytes(),
+                 np.packbits(self._marks, bitorder="little").tobytes(),
+                 self._samples.astype("<i8").tobytes()]
         body = b"".join(parts)
         return body + struct.pack("<I", zlib.crc32(body))
 
@@ -184,18 +187,21 @@ class FmIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FmIndex":
+        if data[:8] == _OLD_MAGIC:
+            raise IndexFormatError(
+                "index is in the old MEMLIDX1 format; rebuild it with `memlight index`"
+            )
         if data[:8] != MAGIC:
             raise IndexFormatError("not a memlight index")
-        if len(data) < 8 + 40 + 4:
+        if len(data) < 8 + _HEADER.size + 4:
             raise IndexFormatError("truncated index file")
-        n, sigma, s, block, n_samples = struct.unpack_from("<5Q", data, 8)
-        if n < 1 or not 1 <= sigma <= 256 or s < 1 or block < 1:
+        n, sigma, s = _HEADER.unpack_from(data, 8)
+        if n < 1 or not 1 <= sigma <= 256 or s < 1:
             raise IndexFormatError("index header is inconsistent")
         nrows = n + 1
-        nblocks = -(-nrows // block)
         marks_bytes = -(-nrows // 8)
-        expected = 8 + 40 + sigma + nrows * 2 + (nblocks + 1) * sigma * 8 \
-            + marks_bytes + n_samples * 8 + 4
+        n_samples = n // s + 1
+        expected = 8 + _HEADER.size + sigma + nrows * 2 + marks_bytes + n_samples * 8 + 4
         if len(data) != expected:
             raise IndexFormatError(
                 f"truncated index file: {len(data)} bytes, expected {expected}"
@@ -203,20 +209,17 @@ class FmIndex:
         body, (crc,) = data[:-4], struct.unpack_from("<I", data, len(data) - 4)
         if zlib.crc32(body) != crc:
             raise IndexFormatError("index checksum mismatch")
-        off = 48
+        off = 8 + _HEADER.size
         alphabet = Alphabet(data[off : off + sigma])
         off += sigma
         bwt = np.frombuffer(data, dtype="<i2", count=nrows, offset=off)
         off += nrows * 2
-        occ = np.frombuffer(data, dtype="<i8", count=(nblocks + 1) * sigma,
-                            offset=off).reshape(nblocks + 1, sigma)
-        off += (nblocks + 1) * sigma * 8
         packed = np.frombuffer(data, dtype=np.uint8, count=marks_bytes, offset=off)
         marks = np.unpackbits(packed, bitorder="little", count=nrows).astype(bool)
         off += marks_bytes
         samples = np.frombuffer(data, dtype="<i8", count=n_samples, offset=off)
         return cls(alphabet, bwt.astype(np.int16), int(s), marks,
-                   samples.astype(np.int64), occ.astype(np.int64), int(block))
+                   samples.astype(np.int64))
 
     @classmethod
     def load(cls, source) -> "FmIndex":

@@ -43,9 +43,6 @@ class Alphabet:
         table[np.frombuffer(self.symbols, dtype=np.uint8)] = np.arange(self.size)
         return table
 
-    def has_byte(self, byte: int) -> bool:
-        return self._code_table[byte] >= 0
-
     def encode(self, raw: bytes) -> np.ndarray:
         """Map raw bytes to dense codes; raises ForeignSymbolError on unknown bytes."""
         arr = np.frombuffer(raw, dtype=np.uint8) if isinstance(raw, (bytes, bytearray)) else np.asarray(raw, dtype=np.uint8)

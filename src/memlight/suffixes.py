@@ -7,7 +7,6 @@ for the index-backed algorithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -106,13 +105,6 @@ class SuffixArray:
     @property
     def n(self) -> int:
         return self.text.n
-
-    @cached_property
-    def isa(self) -> np.ndarray:
-        inv = np.empty_like(self.sa)
-        inv[self.sa] = np.arange(self.sa.size)
-        inv.setflags(write=False)
-        return inv
 
     # -- binary searches over suffix order ---------------------------------
 

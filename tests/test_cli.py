@@ -28,6 +28,8 @@ def test_index_prints_dimensions(tmp_path, capsys):
     assert main(["index", str(text), "--raw", "-o", str(tmp_path / "x")]) == 0
     out = capsys.readouterr().out
     assert out.startswith("n=12\tsigma=4")
+    assert sorted(p.name for p in tmp_path.glob("x.*")) == ["x.fwd.memidx",
+                                                           "x.rev.memidx"]
 
 
 def test_index_reports_build_phases(tmp_path, capsys):
@@ -39,12 +41,11 @@ def test_index_reports_build_phases(tmp_path, capsys):
         assert float(fields[name]) >= 0
 
 
-@pytest.mark.parametrize("backend", ["fm", "lce"])
-def test_mems_threshold_four(demo_files, capsys, backend):
+def test_mems_threshold_four(demo_files, capsys):
     _, pattern, prefix = demo_files
     capsys.readouterr()
     code, rows = run_lines(capsys, ["mems", prefix, str(pattern), "--raw",
-                                    "-L", "4", "--backend", backend])
+                                    "-L", "4"])
     assert code == 0
     assert [r[1:4] for r in rows] == [["1", "5", "5"], ["5", "9", "5"],
                                       ["7", "12", "6"]]
@@ -72,14 +73,12 @@ def test_mems_high_threshold_is_quietly_empty(demo_files, capsys):
 def test_mems_locate_positions_are_one_based(demo_files, capsys):
     _, pattern, prefix = demo_files
     capsys.readouterr()
-    for backend in ("fm", "lce"):
-        code, rows = run_lines(capsys, ["mems", prefix, str(pattern), "--raw",
-                                        "-L", "4", "--locate",
-                                        "--backend", backend])
-        assert code == 0
-        # TACAT at text position 8, TAGAT at 4, GATTAG at 1 (all 1-based)
-        assert [r[5:] for r in rows] == [["8"], ["4"], ["1"]]
-        assert [r[4] for r in rows] == ["1", "1", "1"]
+    code, rows = run_lines(capsys, ["mems", prefix, str(pattern), "--raw",
+                                    "-L", "4", "--locate"])
+    assert code == 0
+    # TACAT at text position 8, TAGAT at 4, GATTAG at 1 (all 1-based)
+    assert [r[5:] for r in rows] == [["8"], ["4"], ["1"]]
+    assert [r[4] for r in rows] == ["1", "1", "1"]
 
 
 def test_mems_intervals_column(demo_files, capsys):
@@ -91,12 +90,6 @@ def test_mems_intervals_column(demo_files, capsys):
     for row in rows:
         lo, hi = map(int, row[5].split(":"))
         assert hi - lo == int(row[4])
-
-
-def test_mems_intervals_need_fm_backend(demo_files, capsys):
-    _, pattern, prefix = demo_files
-    assert main(["mems", prefix, str(pattern), "--raw", "-L", "4",
-                 "--intervals", "--backend", "lce"]) == 2
 
 
 def test_mems_splits_foreign_bytes(demo_files, tmp_path, capsys):
@@ -126,6 +119,17 @@ def test_lcs_row(demo_files, capsys):
     code, rows = run_lines(capsys, ["lcs", prefix, str(pattern), "--raw"])
     assert code == 0
     assert rows == [[pattern.stem, "7", "12", "6", "1"]]
+
+
+def test_lcs_across_foreign_bytes_prints_leftmost_maximum(demo_files, tmp_path,
+                                                         capsys):
+    _, _, prefix = demo_files
+    split = tmp_path / "split.txt"
+    split.write_bytes(b"ACANTAG")  # ACA and TAG each occur once in the text
+    capsys.readouterr()
+    code, rows = run_lines(capsys, ["lcs", prefix, str(split), "--raw"])
+    assert code == 0
+    assert rows == [["split", "1", "3", "3", "1"]]
 
 
 def test_lcs_disjoint_alphabet_prints_nothing(demo_files, tmp_path, capsys):
@@ -175,9 +179,12 @@ def test_missing_index_is_a_usage_error(tmp_path, capsys):
     assert main(["mems", str(tmp_path / "nothere"), str(pattern), "--raw"]) == 2
 
 
-def test_bad_min_length_is_a_usage_error(demo_files):
+def test_bad_min_length_is_a_usage_error(demo_files, tmp_path):
     _, pattern, prefix = demo_files
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "0"]) == 2
+    foreign = tmp_path / "foreign.txt"
+    foreign.write_bytes(b"xyz")  # no piece reaches a finder
+    assert main(["mems", prefix, str(foreign), "--raw", "-L", "0"]) == 2
 
 
 def test_corrupted_index_is_a_format_error(demo_files, tmp_path, capsys):
@@ -188,6 +195,16 @@ def test_corrupted_index_is_a_format_error(demo_files, tmp_path, capsys):
     open(path, "wb").write(bytes(data))
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
     assert "checksum" in capsys.readouterr().err
+
+
+def test_old_format_index_is_a_format_error(demo_files, capsys):
+    _, pattern, prefix = demo_files
+    path = prefix + ".fwd.memidx"
+    data = open(path, "rb").read()
+    open(path, "wb").write(b"MEMLIDX1" + data[8:])
+    assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "MEMLIDX1" in err and "rebuild" in err
 
 
 def test_unknown_arguments_exit_two():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from memlight import (FinderConfig, FingerprintLce, Pattern, Text,
-                      brute_force_mems, build_fm, build_suffix_structures,
-                      compute_match_pointers, find_all_mems, find_all_mems_fm,
-                      find_in_raw, find_long_mems_fm, find_long_mems_lce,
+from memlight import (Alphabet, FingerprintLce, Pattern, Text, brute_force_mems,
+                      build_fm, build_suffix_structures, compute_match_pointers,
+                      find_all_mems, find_all_mems_fm, find_in_raw,
+                      find_long_mems_fm, find_long_mems_lce,
                       longest_common_substring)
 
 from conftest import (DEMO_ALL_SPANS_1BASED, DEMO_LONG_SPANS_1BASED,
@@ -167,6 +167,26 @@ def test_mismatched_index_pair_is_rejected(demo_bench):
                           build_fm(other), 2)
 
 
+def test_index_pair_over_different_texts_is_rejected(demo_bench):
+    # same alphabet, but another length, then the same length with other counts
+    for other in (b"ACGTACGT", b"GGTTAGATACAT"):
+        rev = build_fm(Text.from_bytes(other).reversed())
+        with pytest.raises(ValueError, match="different texts"):
+            find_long_mems_fm(demo_bench.pattern, demo_bench.fm_fwd, rev, 2)
+
+
+@pytest.mark.parametrize("finder", [
+    lambda p, f, r: find_long_mems_fm(p, f, r, 1),
+    find_all_mems_fm,
+    longest_common_substring,
+])
+def test_pattern_with_another_alphabet_is_rejected(demo_bench, finder):
+    # code 0 means T here but A in the index: it used to match as "AA"
+    pattern = Pattern.from_bytes(b"TT", Alphabet(b"T"))
+    with pytest.raises(ValueError, match="pattern alphabet"):
+        finder(pattern, demo_bench.fm_fwd, demo_bench.fm_rev)
+
+
 def test_min_len_must_be_positive(demo_bench):
     with pytest.raises(ValueError):
         find_long_mems_lce(demo_bench.pattern, demo_bench.pointers,
@@ -174,10 +194,6 @@ def test_min_len_must_be_positive(demo_bench):
     with pytest.raises(ValueError):
         find_long_mems_fm(demo_bench.pattern, demo_bench.fm_fwd,
                           demo_bench.fm_rev, 0)
-    with pytest.raises(ValueError):
-        FinderConfig(min_len=0)
-    with pytest.raises(ValueError):
-        FinderConfig(backend="gpu")
 
 
 # -- randomized equivalence ----------------------------------------------------------

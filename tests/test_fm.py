@@ -1,5 +1,10 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memlight import (BwtInterval, FmIndex, IndexFormatError, Pattern,
                       QueryStats, Text, build_fm, build_suffix_structures,
@@ -73,8 +78,20 @@ def test_extend_by_out_of_alphabet_symbol_is_empty_not_error(demo_index):
     stats = QueryStats()
     iv = index.backward_extend(index.full_interval(), text.alphabet.size + 3,
                                stats)
-    assert iv.is_empty
+    assert iv.width == 0
     assert stats.backward_steps == 1  # the failing step still counts
+
+
+@given(st.lists(st.integers(0, 3), min_size=130, max_size=400))
+@settings(max_examples=40, deadline=None)
+def test_rank_equals_direct_count(codes):
+    # 131+ BWT rows span at least three 64-row checkpoint blocks
+    text = Text.from_bytes(bytes(b"acgt"[c] for c in codes))
+    index = build_fm(text)
+    bwt = index._bwt
+    for c in range(text.alphabet.size):
+        direct = np.concatenate(([0], np.cumsum(bwt == c)))
+        assert [index.rank(c, k) for k in range(bwt.size + 1)] == direct.tolist()
 
 
 # -- prefix search ------------------------------------------------------------------
@@ -187,6 +204,17 @@ def test_locate_full_interval_excludes_sentinel_row(demo_index):
     assert index.locate_all(index.full_interval()) == list(range(text.n))
 
 
+def test_locate_rejects_a_walk_past_the_text(demo_index):
+    _, index = demo_index
+    # the right sample values on the wrong rows: position 0's row claims 12
+    samples = index._samples.copy()
+    at_0, at_12 = np.flatnonzero(samples == 0), np.flatnonzero(samples == 12)
+    samples[at_0], samples[at_12] = 12, 0
+    broken = FmIndex(index.alphabet, index._bwt, index.s, index._marks, samples)
+    with pytest.raises(IndexFormatError, match="past the text"):
+        broken.locate_all(broken.full_interval())
+
+
 # -- serialization -------------------------------------------------------------------
 
 def test_save_load_round_trip_is_byte_exact(tmp_path, demo_index):
@@ -235,3 +263,33 @@ def test_load_rejects_corruption(tmp_path, demo_index):
     path.write_bytes(bytes(data))
     with pytest.raises(IndexFormatError, match="checksum"):
         FmIndex.load(path)
+
+
+def reseal(data: bytes) -> bytes:
+    body = data[:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_load_rejects_resealed_wrong_sample(demo_index):
+    _, index = demo_index
+    data = bytearray(index.to_bytes())
+    last_sample = len(data) - 4 - 8
+    data[last_sample : last_sample + 8] = struct.pack("<q", 13)  # n is 12
+    with pytest.raises(IndexFormatError, match="samples"):
+        FmIndex.from_bytes(reseal(bytes(data)))
+
+
+def test_load_rejects_resealed_bwt_without_sentinel(demo_index):
+    _, index = demo_index
+    data = bytearray(index.to_bytes())
+    row = int(np.flatnonzero(index._bwt < 0)[0])
+    at = 8 + 24 + index.alphabet.size + 2 * row  # magic, header, alphabet
+    data[at : at + 2] = struct.pack("<h", 0)
+    with pytest.raises(IndexFormatError, match="sentinel"):
+        FmIndex.from_bytes(reseal(bytes(data)))
+
+
+def test_load_rejects_old_format(demo_index):
+    _, index = demo_index
+    with pytest.raises(IndexFormatError, match="MEMLIDX1.*rebuild"):
+        FmIndex.from_bytes(b"MEMLIDX1" + index.to_bytes()[8:])
