@@ -45,23 +45,25 @@ def _read_raw(path: Path) -> bytes:
     return data
 
 
-def _read_text_input(path: Path, raw: bool, concat_sep: bool) -> bytes:
+def _read_text_input(path: Path, raw: bool, concat_sep: bool) -> tuple[bytes, bytes]:
+    """The text to index and the separator bytes joining its records."""
     if raw:
-        return _read_raw(path)
+        return _read_raw(path), b""
     records = read_fasta(path)
     if not records:
         raise ValueError("empty text")
     if len(records) == 1 or not concat_sep:
-        return records[0].sequence
+        return records[0].sequence, b""
     used = set(b"".join(r.sequence for r in records))
     free = sorted(set(range(256)) - used)
     if len(free) < len(records) - 1:
         raise ValueError("not enough unused byte values for record separators")
+    separators = bytes(free[: len(records) - 1])
     out = bytearray(records[0].sequence)
-    for sep, record in zip(free, records[1:]):
+    for sep, record in zip(separators, records[1:]):
         out.append(sep)
         out.extend(record.sequence)
-    return bytes(out)
+    return bytes(out), separators
 
 
 def _read_pattern_inputs(path: Path, raw: bool) -> list[tuple[str, bytes]]:
@@ -73,7 +75,8 @@ def _read_pattern_inputs(path: Path, raw: bool) -> list[tuple[str, bytes]]:
 # -- commands ----------------------------------------------------------------
 
 def cmd_index(args) -> int:
-    text_bytes = _read_text_input(Path(args.text), args.raw, args.concat_sep)
+    text_bytes, separators = _read_text_input(Path(args.text), args.raw,
+                                              args.concat_sep)
     if not text_bytes:
         raise ValueError("empty text")
     started = time.perf_counter()
@@ -82,8 +85,8 @@ def cmd_index(args) -> int:
     sa_fwd = build_suffix_structures(text)
     sa_rev = build_suffix_structures(rev)
     sorted_at = time.perf_counter()
-    fm_fwd = build_fm(text, args.sample_rate, sa=sa_fwd)
-    fm_rev = build_fm(rev, args.sample_rate, sa=sa_rev)
+    fm_fwd = build_fm(text, args.sample_rate, sa=sa_fwd, separators=separators)
+    fm_rev = build_fm(rev, args.sample_rate, sa=sa_rev, separators=separators)
     built_at = time.perf_counter()
     paths = IndexPaths.at(args.output)
     fm_fwd.save(paths.fwd)
@@ -114,7 +117,7 @@ def cmd_mems(args) -> int:
                                  report_intervals=True)
 
     for rid, raw in patterns:
-        for mem in find_in_raw(raw, fm_fwd.alphabet, finder).mems:
+        for mem in find_in_raw(raw, fm_fwd.alphabet, finder, fm_fwd.separators).mems:
             iv = mem.bwt_interval
             fields = [rid, str(mem.start + 1), str(mem.end), str(mem.length),
                       str(iv.width)]
@@ -131,7 +134,8 @@ def cmd_lcs(args) -> int:
     fm_fwd, fm_rev = IndexPaths.at(args.index).load()
     for rid, raw in patterns:
         result = find_in_raw(raw, fm_fwd.alphabet,
-                             lambda sub: longest_common_substring(sub, fm_fwd, fm_rev))
+                             lambda sub: longest_common_substring(sub, fm_fwd, fm_rev),
+                             fm_fwd.separators)
         if result.mems:
             best = max(result.mems, key=lambda mem: mem.length)  # the leftmost maximum
             print(f"{rid}\t{best.start + 1}\t{best.end}\t"

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .fm import FmIndex
 from .sequence import (Alphabet, MemRecord, Pattern, QueryStats,
                        split_by_foreign_chars)
@@ -100,7 +98,8 @@ def _fm_codes(pattern: Pattern) -> tuple[list[int], list[int]]:
 def _check_paired(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex) -> None:
     if fwd_index.alphabet != rev_index.alphabet:
         raise ValueError("forward and reverse indexes use different alphabets")
-    if fwd_index.n != rev_index.n or not np.array_equal(fwd_index._c, rev_index._c):
+    if (fwd_index.n, fwd_index._c, fwd_index.separators) != (
+            rev_index.n, rev_index._c, rev_index.separators):
         raise ValueError("forward and reverse indexes describe different texts")
     if pattern.alphabet != fwd_index.alphabet:
         raise ValueError("pattern alphabet differs from the index alphabet")
@@ -206,14 +205,17 @@ def longest_common_substring(pattern: Pattern, fwd_index: FmIndex,
                              report_intervals=True)
 
 
-def find_in_raw(raw_pattern: bytes, alphabet: Alphabet, finder) -> FinderResult:
+def find_in_raw(raw_pattern: bytes, alphabet: Alphabet, finder,
+                separators: bytes = b"") -> FinderResult:
     """Split a raw pattern on foreign bytes and run a finder per piece.
 
     `finder` maps a Pattern to a FinderResult; starts are shifted back into
-    original-pattern coordinates and work counters are summed.
+    original-pattern coordinates and work counters are summed.  The
+    `separators` of a concatenated text split the pattern like foreign bytes,
+    so no match crosses a record boundary.
     """
     merged = FinderResult()
-    for offset, sub in split_by_foreign_chars(raw_pattern, alphabet):
+    for offset, sub in split_by_foreign_chars(raw_pattern, alphabet, separators):
         part = finder(sub)
         for mem in part.mems:
             merged.mems.append(

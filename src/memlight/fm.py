@@ -1,17 +1,22 @@
 """FM-index over a text: counting backward search, locating, and serialization.
 
-The index stores the BWT of text plus sentinel and a sampled suffix array
-for locating; cumulative symbol counts and blocked per-symbol rank
-checkpoints are derived from the BWT when the index is built or loaded.
-Backward search reports how many characters of a query prefix matched,
-which is the single primitive the deterministic MEM finder needs.
+The index stores the BWT of text plus sentinel as one byte per row, with
+the sentinel's row kept as a row index, and a sampled suffix array for
+locating; cumulative symbol counts and blocked per-symbol rank checkpoints
+are derived from the BWT when the index is built or loaded.  Backward
+search reports how many characters of a query prefix matched, which is the
+single primitive the deterministic MEM finder needs.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +24,12 @@ import numpy as np
 from .sequence import Alphabet, Pattern, QueryStats, Text
 from .suffixes import SuffixArray, build_suffix_structures
 
-MAGIC = b"MEMLIDX2"
-_OLD_MAGIC = b"MEMLIDX1"
-_HEADER = struct.Struct("<3Q")  # n, alphabet size, sample rate
-_SENTINEL = -1
-_BLOCK = 64
+MAGIC = b"MEMLIDX3"
+_OLD_MAGICS = (b"MEMLIDX1", b"MEMLIDX2")
+# n, alphabet size, sample rate, sentinel row, separator count
+_HEADER = struct.Struct("<5Q")
+_SHIFT = 6
+_BLOCK = 1 << _SHIFT  # BWT rows per rank checkpoint
 
 
 class IndexFormatError(Exception):
@@ -43,15 +49,18 @@ class BwtInterval:
         return self.hi - self.lo
 
 
-def _rank_checkpoints(bwt: np.ndarray, sigma: int) -> np.ndarray:
-    """occ[b, c] counts symbol c in the first b * _BLOCK rows of the BWT."""
-    nblocks = -(-bwt.size // _BLOCK)
-    # one count per (block, symbol + 1); column 0 takes the sentinel
-    key = np.arange(bwt.size, dtype=np.int64) // _BLOCK * (sigma + 1) + bwt + 1
-    counts = np.bincount(key, minlength=nblocks * (sigma + 1)).reshape(nblocks, sigma + 1)
-    occ = np.zeros((nblocks + 1, sigma), dtype=np.int64)
-    np.cumsum(counts[:, 1:], axis=0, out=occ[1:])
-    return occ
+def _rank_checkpoints(codes: np.ndarray, sentinel_row: int, sigma: int) -> list[array]:
+    """occ[c][b] counts symbol c in the first b * _BLOCK BWT rows.
+
+    The sentinel row's filler byte is no symbol and is not counted.
+    """
+    nblocks = -(-codes.size // _BLOCK)
+    key = np.arange(codes.size, dtype=np.int64) // _BLOCK * sigma + codes
+    counts = np.bincount(key, minlength=nblocks * sigma).reshape(nblocks, sigma)
+    counts[sentinel_row // _BLOCK, 0] -= 1
+    occ = np.zeros((sigma, nblocks + 1), dtype=np.int64)
+    np.cumsum(counts.T, axis=1, out=occ[:, 1:])
+    return [array("q", column.tobytes()) for column in occ]
 
 
 class FmIndex:
@@ -60,31 +69,39 @@ class FmIndex:
     Query stats are owned by the caller and passed in explicitly, keeping
     the index itself stateless.  Construction validates the BWT and the
     suffix-array samples, so a file that loads cannot locate outside the text.
+
+    `separators` are the alphabet bytes that join records of a concatenated
+    text; callers splitting raw patterns treat them as foreign bytes.
     """
 
-    def __init__(self, alphabet: Alphabet, bwt: np.ndarray, sample_rate: int,
-                 marks: np.ndarray, sample_values: np.ndarray):
+    def __init__(self, alphabet: Alphabet, bwt: bytes, sentinel_row: int,
+                 sample_rate: int, marks: np.ndarray, sample_values: np.ndarray,
+                 separators: bytes = b""):
         self.alphabet = alphabet
-        self.n = bwt.size - 1
+        self.n = len(bwt) - 1
         self.s = sample_rate
-        self._bwt = np.ascontiguousarray(bwt, dtype=np.int16)
-        self._bwt.setflags(write=False)
+        self.sentinel_row = sentinel_row
+        self.separators = bytes(separators)
+        self._bwt = bytes(bwt)
         sigma = alphabet.size
-        if int(self._bwt.max()) >= sigma or int(self._bwt.min()) < -1:
+        codes = np.frombuffer(self._bwt, dtype=np.uint8)
+        if not 0 <= sentinel_row <= self.n:
+            raise IndexFormatError("sentinel row lies outside the BWT")
+        if codes[sentinel_row] != 0:
+            raise IndexFormatError("the sentinel row must hold the filler byte 0")
+        if int(codes.max()) >= sigma:
             raise IndexFormatError("BWT symbols out of range for the alphabet")
-        self._occ = _rank_checkpoints(self._bwt, sigma)
-        if int(self._occ[-1].sum()) != self.n:
-            raise IndexFormatError("BWT must hold exactly one sentinel")
-        c = np.empty(sigma + 1, dtype=np.int64)
-        c[0] = 1  # row 0 is the sentinel suffix
-        c[1:] = 1 + np.cumsum(self._occ[-1])
-        self._c = c
-        self._marks = np.ascontiguousarray(marks, dtype=bool)
+        if (bytes(sorted(set(self.separators))) != self.separators
+                or not set(self.separators) <= set(alphabet.symbols)):
+            raise IndexFormatError("record separators must be distinct alphabet bytes, ascending")
+        self._occ = _rank_checkpoints(codes, sentinel_row, sigma)
+        self._c = list(accumulate((column[-1] for column in self._occ), initial=1))
+        self._marks = np.ascontiguousarray(marks, dtype=bool).tobytes()
         self._marks_cum = np.concatenate(
-            ([0], np.cumsum(self._marks, dtype=np.int64))
+            ([0], np.cumsum(np.frombuffer(self._marks, dtype=np.uint8), dtype=np.int64))
         )
         self._samples = np.ascontiguousarray(sample_values, dtype=np.int64)
-        if int(self._marks_cum[-1]) != self._samples.size:
+        if len(self._marks) != self.n + 1 or int(self._marks_cum[-1]) != self._samples.size:
             raise IndexFormatError("sample table does not match its row marks")
         if not np.array_equal(np.sort(self._samples),
                               np.arange(0, self.n + 1, sample_rate)):
@@ -95,32 +112,18 @@ class FmIndex:
     # -- queries ------------------------------------------------------------
 
     def rank(self, symbol: int, prefix_len: int) -> int:
-        """Occurrences of symbol in the first prefix_len BWT rows."""
-        blk = prefix_len // _BLOCK
-        base = int(self._occ[blk, symbol])
-        start = blk * _BLOCK
-        if start == prefix_len:
-            return base
-        return base + int(np.count_nonzero(self._bwt[start:prefix_len] == symbol))
+        """Occurrences of symbol in the first prefix_len BWT rows.
 
-    def full_interval(self) -> BwtInterval:
-        return BwtInterval(0, self.n + 1, 0)
-
-    def backward_extend(self, iv: BwtInterval, symbol: int,
-                        stats: QueryStats | None = None) -> BwtInterval:
-        """Interval of symbol+current string; empty when it does not occur.
-
-        Out-of-alphabet symbols yield an empty interval rather than an error,
-        and every call counts as one backward step, including the failing one.
+        The single-step reference for the loop in backward_search_prefix.
+        symbol must be a Python int: bytes.count would read a numpy scalar
+        as the buffer of its bytes.
         """
-        if stats is not None:
-            stats.backward_steps += 1
-        if not 0 <= symbol < self.alphabet.size:
-            return BwtInterval(iv.lo, iv.lo, iv.depth + 1)
-        base = self._c[symbol]
-        lo = base + self.rank(symbol, iv.lo)
-        hi = base + self.rank(symbol, iv.hi)
-        return BwtInterval(int(lo), int(hi), iv.depth + 1)
+        start = prefix_len & -_BLOCK
+        count = (self._occ[symbol][prefix_len >> _SHIFT]
+                 + self._bwt.count(symbol, start, prefix_len))
+        if symbol == 0 and start <= self.sentinel_row < prefix_len:
+            count -= 1  # the sentinel row's filler byte
+        return count
 
     def backward_search_prefix(self, query, prefix_len: int,
                                stats: QueryStats | None = None) -> tuple[int, BwtInterval]:
@@ -128,26 +131,45 @@ class FmIndex:
 
         Returns how many characters matched before the interval would have
         emptied, i.e. the length of the longest suffix of that prefix
-        occurring in the text, with the interval of that suffix.
+        occurring in the text, with the interval of that suffix.  Every
+        step counts as one backward step, including the failing one; a code
+        outside the alphabet matches nothing.  The query is a Pattern or a
+        sequence of codes; a list of ints is the fast path.
         """
         codes = query.data if isinstance(query, Pattern) else query
         if not 0 <= prefix_len <= len(codes):
             raise ValueError("prefix length out of range")
-        iv = self.full_interval()
-        matched = 0
+        if isinstance(codes, np.ndarray):
+            codes = codes[:prefix_len].tolist()  # ints, not numpy scalars, for rank
+        # rank(sym, k) inlined for both ends: checkpoint plus in-block tail
+        count, occ, c = self._bwt.count, self._occ, self._c
+        sigma, sentinel_row = len(occ), self.sentinel_row
+        mask, shift = -_BLOCK, _SHIFT
+        lo, hi, matched = 0, self.n + 1, 0
         for pos in range(prefix_len - 1, -1, -1):
-            nxt = self.backward_extend(iv, int(codes[pos]), stats)
-            if nxt.lo >= nxt.hi:
+            sym = codes[pos]
+            if not 0 <= sym < sigma:
                 break
-            iv = nxt
+            column, base = occ[sym], c[sym]
+            lo_start, hi_start = lo & mask, hi & mask
+            new_lo = base + column[lo >> shift] + count(sym, lo_start, lo)
+            new_hi = base + column[hi >> shift] + count(sym, hi_start, hi)
+            if sym == 0:  # the sentinel row's filler byte is no symbol
+                new_lo -= lo_start <= sentinel_row < lo
+                new_hi -= hi_start <= sentinel_row < hi
+            if new_lo >= new_hi:
+                break
+            lo, hi = new_lo, new_hi
             matched += 1
-        return matched, iv
+        if stats is not None:
+            stats.backward_steps += matched + (matched < prefix_len)
+        return matched, BwtInterval(lo, hi, matched)
 
     def _lf(self, row: int) -> int:
-        sym = int(self._bwt[row])
-        if sym < 0:
+        if row == self.sentinel_row:
             return 0
-        return int(self._c[sym]) + self.rank(sym, row)
+        sym = self._bwt[row]
+        return self._c[sym] + self.rank(sym, row)
 
     def locate_all(self, iv: BwtInterval) -> list[int]:
         """Text positions of every row in the interval, ascending.
@@ -155,11 +177,12 @@ class FmIndex:
         Each row walks at most sample_rate steps to a marked row.  The
         sentinel row resolves to position n and is excluded.
         """
+        marks, lf = self._marks, self._lf
         out = []
         for row in range(iv.lo, iv.hi):
             r, steps = row, 0
-            while not self._marks[r]:
-                r = self._lf(r)
+            while not marks[r]:
+                r = lf(r)
                 steps += 1
                 if steps > self.n:
                     raise IndexFormatError("suffix-array samples are unreachable")
@@ -173,11 +196,14 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
+        marks = np.frombuffer(self._marks, dtype=np.uint8)
         parts = [MAGIC,
-                 _HEADER.pack(self.n, self.alphabet.size, self.s),
+                 _HEADER.pack(self.n, self.alphabet.size, self.s,
+                              self.sentinel_row, len(self.separators)),
                  self.alphabet.symbols,
-                 self._bwt.astype("<i2").tobytes(),
-                 np.packbits(self._marks, bitorder="little").tobytes(),
+                 self.separators,
+                 self._bwt,
+                 np.packbits(marks, bitorder="little").tobytes(),
                  self._samples.astype("<i8").tobytes()]
         body = b"".join(parts)
         return body + struct.pack("<I", zlib.crc32(body))
@@ -187,58 +213,73 @@ class FmIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FmIndex":
-        if data[:8] == _OLD_MAGIC:
-            raise IndexFormatError(
-                "index is in the old MEMLIDX1 format; rebuild it with `memlight index`"
-            )
-        if data[:8] != MAGIC:
-            raise IndexFormatError("not a memlight index")
-        if len(data) < 8 + _HEADER.size + 4:
-            raise IndexFormatError("truncated index file")
-        n, sigma, s = _HEADER.unpack_from(data, 8)
-        if n < 1 or not 1 <= sigma <= 256 or s < 1:
-            raise IndexFormatError("index header is inconsistent")
-        nrows = n + 1
-        marks_bytes = -(-nrows // 8)
-        n_samples = n // s + 1
-        expected = 8 + _HEADER.size + sigma + nrows * 2 + marks_bytes + n_samples * 8 + 4
-        if len(data) != expected:
-            raise IndexFormatError(
-                f"truncated index file: {len(data)} bytes, expected {expected}"
-            )
-        body, (crc,) = data[:-4], struct.unpack_from("<I", data, len(data) - 4)
-        if zlib.crc32(body) != crc:
-            raise IndexFormatError("index checksum mismatch")
-        off = 8 + _HEADER.size
-        alphabet = Alphabet(data[off : off + sigma])
-        off += sigma
-        bwt = np.frombuffer(data, dtype="<i2", count=nrows, offset=off)
-        off += nrows * 2
-        packed = np.frombuffer(data, dtype=np.uint8, count=marks_bytes, offset=off)
-        marks = np.unpackbits(packed, bitorder="little", count=nrows).astype(bool)
-        off += marks_bytes
-        samples = np.frombuffer(data, dtype="<i8", count=n_samples, offset=off)
-        return cls(alphabet, bwt.astype(np.int16), int(s), marks,
-                   samples.astype(np.int64))
+        return cls._read(io.BytesIO(data), len(data))
 
     @classmethod
     def load(cls, source) -> "FmIndex":
-        return cls.from_bytes(Path(source).read_bytes())
+        with open(source, "rb") as stream:
+            return cls._read(stream, os.fstat(stream.fileno()).st_size)
+
+    @classmethod
+    def _read(cls, stream, size: int) -> "FmIndex":
+        """Parse an index of `size` bytes section by section.
+
+        Each section is read into its own bytes object, so the BWT section
+        becomes the index's BWT without a further copy.
+        """
+        magic = stream.read(8)
+        if magic in _OLD_MAGICS:
+            raise IndexFormatError(
+                f"index is in the old {magic.decode()} format; "
+                "rebuild it with `memlight index`"
+            )
+        if magic != MAGIC:
+            raise IndexFormatError("not a memlight index")
+        if size < 8 + _HEADER.size + 4:
+            raise IndexFormatError("truncated index file")
+        header = stream.read(_HEADER.size)
+        n, sigma, s, sentinel_row, n_separators = _HEADER.unpack(header)
+        if n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma:
+            raise IndexFormatError("index header is inconsistent")
+        nrows = n + 1
+        sizes = (sigma, n_separators, nrows, -(-nrows // 8), (n // s + 1) * 8)
+        expected = 8 + _HEADER.size + sum(sizes) + 4
+        if size != expected:
+            raise IndexFormatError(
+                f"truncated index file: {size} bytes, expected {expected}"
+            )
+        crc = zlib.crc32(header, zlib.crc32(magic))
+        sections = []
+        for length in sizes:
+            sections.append(stream.read(length))
+            crc = zlib.crc32(sections[-1], crc)
+        if struct.unpack("<I", stream.read(4))[0] != crc:
+            raise IndexFormatError("index checksum mismatch")
+        symbols, separators, bwt, packed, samples = sections
+        marks = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                              bitorder="little", count=nrows)
+        return cls(Alphabet(symbols), bwt, sentinel_row, s, marks,
+                   np.frombuffer(samples, dtype="<i8"), separators)
 
 
-def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None) -> FmIndex:
-    """FM-index of the text, built from its suffix array."""
+def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
+             separators: bytes = b"") -> FmIndex:
+    """FM-index of the text, built from its suffix array.
+
+    `separators` names the alphabet bytes that join the records of a
+    concatenated text; they are stored with the index.
+    """
     if sample_rate < 1:
         raise ValueError("sample rate must be at least 1")
     if sa is None:
         sa = build_suffix_structures(text)
-    ext = np.empty(text.n + 1, dtype=np.int16)
-    ext[: text.n] = text.data
-    ext[text.n] = _SENTINEL
-    bwt = np.where(sa.sa > 0, ext[sa.sa - 1], _SENTINEL).astype(np.int16)
+    bwt = text.data[sa.sa - 1]
+    sentinel_row = int(np.argmin(sa.sa))  # the row of suffix 0
+    bwt[sentinel_row] = 0
     marks = (sa.sa % sample_rate) == 0
     sample_values = sa.sa[marks]
-    return FmIndex(text.alphabet, bwt, sample_rate, marks, sample_values)
+    return FmIndex(text.alphabet, bwt.tobytes(), sentinel_row, sample_rate,
+                   marks, sample_values, separators)
 
 
 def invert_bwt(index: FmIndex) -> np.ndarray:
@@ -246,7 +287,9 @@ def invert_bwt(index: FmIndex) -> np.ndarray:
     out = np.empty(index.n, dtype=np.uint8)
     row = 0
     for i in range(index.n - 1, -1, -1):
-        sym = int(index._bwt[row])
+        if row == index.sentinel_row:
+            raise IndexFormatError("the BWT walk reaches the sentinel before the text's start")
+        sym = index._bwt[row]
         out[i] = sym
-        row = int(index._c[sym]) + index.rank(sym, row)
+        row = index._c[sym] + index.rank(sym, row)
     return out

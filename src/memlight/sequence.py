@@ -136,17 +136,21 @@ class Pattern:
         return self.alphabet.decode(self.data)
 
 
-def split_by_foreign_chars(raw_pattern: bytes, alphabet: Alphabet) -> list[tuple[int, Pattern]]:
+def split_by_foreign_chars(raw_pattern: bytes, alphabet: Alphabet,
+                           separators: bytes = b"") -> list[tuple[int, Pattern]]:
     """Split a raw pattern into maximal runs of alphabet bytes.
 
     Returns (offset, subpattern) pairs; offsets are positions in the raw
     input so match coordinates can be reported in original-pattern space.
     Bytes outside the alphabet never match anything, so no result is lost.
+    `separators` are alphabet bytes that split the pattern all the same.
     """
     if len(raw_pattern) == 0:
         return []
     arr = np.frombuffer(raw_pattern, dtype=np.uint8)
     ok = alphabet._code_table[arr] >= 0
+    if separators:
+        ok &= ~np.isin(arr, np.frombuffer(separators, dtype=np.uint8))
     if not ok.any():
         return []
     edges = np.flatnonzero(np.diff(ok.astype(np.int8)))

@@ -195,6 +195,8 @@ class MatchPointers:
 
 
 def _check_symbols_occur(pattern: Pattern, text: Text) -> None:
+    if pattern.alphabet != text.alphabet:
+        raise ValueError("pattern alphabet differs from the text alphabet")
     counts = np.bincount(text.data, minlength=text.alphabet.size)
     if pattern.m and not counts[np.unique(pattern.data)].all():
         raise ValueError(

@@ -1,6 +1,7 @@
 import pytest
 
 from memlight.cli import main
+from memlight.fm import FmIndex
 
 from conftest import DEMO_PATTERN, DEMO_TEXT
 
@@ -164,6 +165,32 @@ def test_fasta_concat_sep_indexes_both_records(tmp_path, capsys):
     code, rows = run_lines(capsys, ["mems", prefix, str(sub), "--raw", "-L", "3"])
     assert code == 0
     assert rows == [["q", "1", "6", "6", "1"]]
+
+
+def test_concat_sep_matches_never_cross_records(tmp_path, capsys):
+    fasta = tmp_path / "t.fa"
+    fasta.write_bytes(b">a\nGATTACA\n>b\nCATGAT\n")
+    prefix = str(tmp_path / "two")
+    assert main(["index", str(fasta), "--concat-sep", "-o", prefix]) == 0
+    assert FmIndex.load(prefix + ".fwd.memidx").separators == b"\x00"
+    pattern = tmp_path / "q.txt"
+    pattern.write_bytes(b"ACA\x00CAT")  # the separator the index chose
+    capsys.readouterr()
+    code, rows = run_lines(capsys, ["mems", prefix, str(pattern), "--raw", "-L", "1"])
+    assert code == 0
+    assert [r[1:] for r in rows] == [["1", "3", "3", "1"], ["5", "7", "3", "1"]]
+    code, rows = run_lines(capsys, ["lcs", prefix, str(pattern), "--raw"])
+    assert code == 0
+    assert [r[1:] for r in rows] == [["1", "3", "3", "1"]]
+
+
+def test_index_without_concat_sep_stores_no_separators(demo_files, tmp_path):
+    _, _, prefix = demo_files
+    assert FmIndex.load(prefix + ".fwd.memidx").separators == b""
+    fasta = tmp_path / "t.fa"
+    fasta.write_bytes(b">a\nGATTACA\n>b\nCATGAT\n")
+    assert main(["index", str(fasta), "-o", str(tmp_path / "first")]) == 0
+    assert FmIndex.load(tmp_path / "first.rev.memidx").separators == b""
 
 
 def test_empty_text_is_a_usage_error(tmp_path, capsys):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlight import (BwtInterval, FmIndex, IndexFormatError, Pattern,
-                      QueryStats, Text, build_fm, build_suffix_structures,
-                      invert_bwt)
+                      QueryStats, Text, brute_force_mems, build_fm,
+                      build_suffix_structures, find_long_mems_fm, invert_bwt)
 
 from conftest import DEMO_PATTERN, DEMO_TEXT
 
@@ -24,9 +24,8 @@ def encode(text, raw):
 
 
 def interval_of(index, text, raw):
-    iv = index.full_interval()
-    for code in encode(text, raw)[::-1]:
-        iv = index.backward_extend(iv, int(code))
+    matched, iv = index.backward_search_prefix(encode(text, raw), len(raw))
+    assert matched == len(raw)
     return iv
 
 
@@ -35,13 +34,15 @@ def interval_of(index, text, raw):
 def test_bwt_of_banana():
     text = Text.from_bytes(b"banana")
     index = build_fm(text)
-    # codes a=0 b=1 n=2, sentinel -1: "annb$aa"
-    assert index._bwt.tolist() == [0, 2, 2, 1, -1, 0, 0]
+    # codes a=0 b=1 n=2: "annb$aa", the sentinel's row holding the filler 0
+    assert index._bwt == bytes([0, 2, 2, 1, 0, 0, 0])
+    assert index.sentinel_row == 4
 
 
 def test_bwt_of_single_symbol():
     index = build_fm(Text.from_bytes(b"a"))
-    assert index._bwt.tolist() == [0, -1]
+    assert index._bwt == bytes([0, 0])
+    assert index.sentinel_row == 1
 
 
 @pytest.mark.parametrize("raw", [DEMO_TEXT, b"banana", b"abracadabra", b"zz"])
@@ -56,13 +57,14 @@ def test_build_rejects_bad_sample_rate():
         build_fm(Text.from_bytes(b"abc"), sample_rate=0)
 
 
-# -- backward extension -----------------------------------------------------------
+# -- single backward steps ---------------------------------------------------------
 
 def test_single_symbol_interval_is_count_slice(demo_index):
     text, index = demo_index
     for code in range(text.alphabet.size):
-        iv = index.backward_extend(index.full_interval(), code)
-        assert (iv.lo, iv.hi) == (int(index._c[code]), int(index._c[code + 1]))
+        matched, iv = index.backward_search_prefix([code], 1)
+        assert matched == 1
+        assert (iv.lo, iv.hi) == (index._c[code], index._c[code + 1])
         assert iv.width == int(np.count_nonzero(text.data == code))
 
 
@@ -73,25 +75,45 @@ def test_extend_interval_examples(demo_index):
     assert iv.depth == 3
 
 
-def test_extend_by_out_of_alphabet_symbol_is_empty_not_error(demo_index):
+def test_search_by_out_of_alphabet_symbol_matches_nothing(demo_index):
     text, index = demo_index
-    stats = QueryStats()
-    iv = index.backward_extend(index.full_interval(), text.alphabet.size + 3,
-                               stats)
-    assert iv.width == 0
-    assert stats.backward_steps == 1  # the failing step still counts
+    for code in (text.alphabet.size, text.alphabet.size + 3, -1):
+        stats = QueryStats()
+        matched, iv = index.backward_search_prefix([0, code], 2, stats)
+        assert matched == 0
+        assert (iv.lo, iv.hi) == (0, text.n + 1)
+        assert stats.backward_steps == 1  # the failing step still counts
 
 
-@given(st.lists(st.integers(0, 3), min_size=130, max_size=400))
-@settings(max_examples=40, deadline=None)
+def direct_rank_table(index, code):
+    """rank(code, k) for every k, counted over the BWT bytes minus the sentinel row."""
+    hits = np.frombuffer(index._bwt, dtype=np.uint8) == code
+    hits[index.sentinel_row] = False
+    return np.concatenate(([0], np.cumsum(hits))).tolist()
+
+
+# 131+ BWT rows span at least three 64-row checkpoint blocks; texts mostly of
+# code 0 put many filler-like bytes around the sentinel row
+@given(st.lists(st.integers(0, 3), min_size=130, max_size=400)
+       | st.lists(st.sampled_from([0] * 9 + [1, 2]), min_size=1, max_size=400))
+@settings(max_examples=60, deadline=None)
 def test_rank_equals_direct_count(codes):
-    # 131+ BWT rows span at least three 64-row checkpoint blocks
     text = Text.from_bytes(bytes(b"acgt"[c] for c in codes))
     index = build_fm(text)
-    bwt = index._bwt
     for c in range(text.alphabet.size):
-        direct = np.concatenate(([0], np.cumsum(bwt == c)))
-        assert [index.rank(c, k) for k in range(bwt.size + 1)] == direct.tolist()
+        assert ([index.rank(c, k) for k in range(index.n + 2)]
+                == direct_rank_table(index, c))
+
+
+@pytest.mark.parametrize("raw", [b"a" * 200, b"a" * 63 + b"b" + b"a" * 70,
+                                 b"ab" * 90, b"b" + b"a" * 150])
+def test_rank_around_the_sentinel_row(raw):
+    # k on both sides of the sentinel row, in its block and in the next
+    index = build_fm(Text.from_bytes(raw))
+    row = index.sentinel_row
+    table = direct_rank_table(index, 0)
+    for k in range(max(0, row - 70), min(index.n + 1, row + 70) + 1):
+        assert index.rank(0, k) == table[k]
 
 
 # -- prefix search ------------------------------------------------------------------
@@ -201,7 +223,7 @@ def test_locate_empty_interval(demo_index):
 
 def test_locate_full_interval_excludes_sentinel_row(demo_index):
     text, index = demo_index
-    assert index.locate_all(index.full_interval()) == list(range(text.n))
+    assert index.locate_all(BwtInterval(0, text.n + 1)) == list(range(text.n))
 
 
 def test_locate_rejects_a_walk_past_the_text(demo_index):
@@ -210,9 +232,10 @@ def test_locate_rejects_a_walk_past_the_text(demo_index):
     samples = index._samples.copy()
     at_0, at_12 = np.flatnonzero(samples == 0), np.flatnonzero(samples == 12)
     samples[at_0], samples[at_12] = 12, 0
-    broken = FmIndex(index.alphabet, index._bwt, index.s, index._marks, samples)
+    broken = FmIndex(index.alphabet, index._bwt, index.sentinel_row, index.s,
+                     np.frombuffer(index._marks, dtype=bool), samples)
     with pytest.raises(IndexFormatError, match="past the text"):
-        broken.locate_all(broken.full_interval())
+        broken.locate_all(BwtInterval(0, broken.n + 1))
 
 
 # -- serialization -------------------------------------------------------------------
@@ -225,8 +248,23 @@ def test_save_load_round_trip_is_byte_exact(tmp_path, demo_index):
     assert reloaded.to_bytes() == index.to_bytes()
     assert reloaded.n == index.n
     assert reloaded.alphabet == index.alphabet
-    assert np.array_equal(reloaded._bwt, index._bwt)
+    assert reloaded._bwt == index._bwt
+    assert reloaded.sentinel_row == index.sentinel_row
+    assert reloaded._marks == index._marks
     assert np.array_equal(reloaded._samples, index._samples)
+    assert reloaded.separators == index.separators == b""
+
+
+@given(st.binary(min_size=1, max_size=300), st.integers(1, 40),
+       st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_save_load_save_is_the_identity(raw, rate, n_separators):
+    text = Text.from_bytes(raw)
+    separators = text.alphabet.symbols[:n_separators]
+    data = build_fm(text, sample_rate=rate, separators=separators).to_bytes()
+    reloaded = FmIndex.from_bytes(data)
+    assert reloaded.to_bytes() == data
+    assert reloaded.separators == separators
 
 
 def test_loaded_index_answers_queries(tmp_path):
@@ -279,17 +317,72 @@ def test_load_rejects_resealed_wrong_sample(demo_index):
         FmIndex.from_bytes(reseal(bytes(data)))
 
 
-def test_load_rejects_resealed_bwt_without_sentinel(demo_index):
+SENTINEL_ROW_FIELD = 8 + 3 * 8  # after the magic, n, sigma and the sample rate
+
+
+def bwt_offset(index):
+    # magic, five header fields, alphabet, no separators
+    return 8 + 40 + index.alphabet.size
+
+
+def test_load_rejects_resealed_sentinel_row_past_the_bwt(demo_index):
     _, index = demo_index
     data = bytearray(index.to_bytes())
-    row = int(np.flatnonzero(index._bwt < 0)[0])
-    at = 8 + 24 + index.alphabet.size + 2 * row  # magic, header, alphabet
-    data[at : at + 2] = struct.pack("<h", 0)
-    with pytest.raises(IndexFormatError, match="sentinel"):
+    data[SENTINEL_ROW_FIELD : SENTINEL_ROW_FIELD + 8] = struct.pack("<Q", index.n + 1)
+    with pytest.raises(IndexFormatError, match="sentinel row lies outside"):
+        FmIndex.from_bytes(reseal(bytes(data)))
+
+
+def test_load_rejects_resealed_sentinel_row_without_filler(demo_index):
+    _, index = demo_index
+    data = bytearray(index.to_bytes())
+    data[bwt_offset(index) + index.sentinel_row] = 1
+    with pytest.raises(IndexFormatError, match="filler byte 0"):
+        FmIndex.from_bytes(reseal(bytes(data)))
+
+
+def test_invert_rejects_a_walk_that_reaches_the_sentinel_early(demo_index):
+    # load cannot tell which row of code 0 is the sentinel's; inverting can
+    _, index = demo_index
+    other = next(r for r, b in enumerate(index._bwt)
+                 if b == 0 and r != index.sentinel_row)
+    moved = FmIndex(index.alphabet, index._bwt, other, index.s,
+                    np.frombuffer(index._marks, dtype=bool), index._samples)
+    with pytest.raises(IndexFormatError, match="sentinel before"):
+        invert_bwt(moved)
+
+
+def test_load_rejects_resealed_symbol_past_the_alphabet(demo_index):
+    _, index = demo_index
+    data = bytearray(index.to_bytes())
+    row = (index.sentinel_row + 1) % (index.n + 1)
+    data[bwt_offset(index) + row] = index.alphabet.size
+    with pytest.raises(IndexFormatError, match="out of range"):
         FmIndex.from_bytes(reseal(bytes(data)))
 
 
 def test_load_rejects_old_format(demo_index):
     _, index = demo_index
-    with pytest.raises(IndexFormatError, match="MEMLIDX1.*rebuild"):
-        FmIndex.from_bytes(b"MEMLIDX1" + index.to_bytes()[8:])
+    for magic in (b"MEMLIDX1", b"MEMLIDX2"):
+        with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
+            FmIndex.from_bytes(magic + index.to_bytes()[8:])
+
+
+# -- agreement with the oracle --------------------------------------------------------
+
+@given(st.integers(1, 4).flatmap(lambda sigma: st.tuples(
+    st.lists(st.integers(0, sigma - 1), min_size=1, max_size=60),
+    st.lists(st.integers(0, sigma - 1), min_size=1, max_size=40))))
+@settings(max_examples=80, deadline=None)
+def test_thresholded_fm_finder_equals_oracle_for_every_length(case):
+    t_codes, p_codes = case
+    text = Text.from_bytes(bytes(b"acgt"[c] for c in t_codes))
+    p_raw = bytes(b"acgt"[c] for c in p_codes)
+    if not set(p_raw) <= set(text.alphabet.symbols):
+        return  # patterns reach the finders split on foreign bytes
+    pattern = Pattern.from_bytes(p_raw, text.alphabet)
+    fwd, rev = build_fm(text, sample_rate=3), build_fm(text.reversed(), sample_rate=3)
+    sa = build_suffix_structures(text)
+    for min_len in range(1, pattern.m + 2):
+        expect = [m.span for m in brute_force_mems(pattern, text, min_len, sa=sa)]
+        assert find_long_mems_fm(pattern, fwd, rev, min_len).spans == expect

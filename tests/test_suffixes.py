@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlight import (Pattern, Text, brute_force_mems, build_suffix_structures,
-                      compute_match_pointers, count_occurrences)
+from memlight import (Alphabet, Pattern, Text, brute_force_mems,
+                      build_suffix_structures, compute_match_pointers,
+                      count_occurrences)
 
 from conftest import (ADVERSARIAL_BACKWARD_1BASED, DEMO_ALL_SPANS_1BASED,
                       DEMO_BACKWARD_1BASED, DEMO_FORWARD_1BASED,
@@ -249,3 +250,13 @@ def test_count_occurrences_examples(demo_bench):
 def test_count_occurrences_rejects_empty(demo_bench):
     with pytest.raises(ValueError, match="empty query"):
         count_occurrences(b"", demo_bench.text, sa=demo_bench.sa_fwd)
+
+
+def test_pointer_family_and_oracle_reject_another_alphabet(demo_bench):
+    # codes of another alphabet would be read as this text's codes
+    pattern = Pattern.from_bytes(b"TT", Alphabet(b"T"))
+    with pytest.raises(ValueError, match="alphabet"):
+        compute_match_pointers(pattern, demo_bench.text, demo_bench.sa_fwd,
+                               demo_bench.sa_rev)
+    with pytest.raises(ValueError, match="alphabet"):
+        brute_force_mems(pattern, demo_bench.text, sa=demo_bench.sa_fwd)
