@@ -8,13 +8,14 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .experiment import ExperimentSpec, run_comparison
 from .fasta import read_fasta
 from .finders import (find_all_mems_fm, find_in_raw, find_long_mems_fm,
                       longest_common_substring)
 from .fm import FmIndex, IndexFormatError, build_fm
 from .sequence import Text
-from .suffixes import build_suffix_structures
+
+# `mems` and `lcs` import only the standard library: `index` and
+# `experiment` import their numpy modules when they run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,6 +76,8 @@ def _read_pattern_inputs(path: Path, raw: bool) -> list[tuple[str, bytes]]:
 # -- commands ----------------------------------------------------------------
 
 def cmd_index(args) -> int:
+    from .suffixes import build_suffix_structures
+
     text_bytes, separators = _read_text_input(Path(args.text), args.raw,
                                               args.concat_sep)
     if not text_bytes:
@@ -144,6 +147,8 @@ def cmd_lcs(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .experiment import ExperimentSpec, run_comparison
+
     spec = ExperimentSpec(n=args.n, m=args.m, sigma=args.sigma,
                           mutation=args.mutation, rate=args.rate,
                           min_len=args.min_mem_length, seed=args.seed,

@@ -9,11 +9,14 @@ All results are in pattern coordinates, 0-based, left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .fm import FmIndex
 from .sequence import (Alphabet, MemRecord, Pattern, QueryStats,
                        split_by_foreign_chars)
-from .suffixes import MatchPointers
+
+if TYPE_CHECKING:
+    from .suffixes import MatchPointers
 
 
 @dataclass
@@ -90,8 +93,8 @@ def find_long_mems_lce(pattern: Pattern, pointers: MatchPointers, lce,
     return result
 
 
-def _fm_codes(pattern: Pattern) -> tuple[list[int], list[int]]:
-    codes = pattern.data.tolist()
+def _fm_codes(pattern: Pattern) -> tuple[bytes, bytes]:
+    codes = pattern.code_bytes
     return codes, codes[::-1]
 
 

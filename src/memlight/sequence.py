@@ -1,4 +1,9 @@
-"""Alphabet mapping, encoded sequences, and pattern preprocessing."""
+"""Alphabet mapping, encoded sequences, and pattern preprocessing.
+
+Alphabets, patterns and the foreign-byte split work on bytes with the
+standard library only, so a query process need not import numpy; texts,
+which only index building reads, hold numpy code arrays.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .fm import BwtInterval
 
 
@@ -37,26 +42,41 @@ class Alphabet:
         return len(self.symbols)
 
     @cached_property
-    def _code_table(self) -> np.ndarray:
-        # byte value -> code, or -1 for bytes outside the alphabet
-        table = np.full(256, -1, dtype=np.int16)
-        table[np.frombuffer(self.symbols, dtype=np.uint8)] = np.arange(self.size)
-        return table
+    def _code_table(self) -> bytes:
+        # byte value -> code, for bytes.translate; foreign bytes map to 0
+        # and are caught before translating
+        table = bytearray(256)
+        for code, symbol in enumerate(self.symbols):
+            table[symbol] = code
+        return bytes(table)
 
-    def encode(self, raw: bytes) -> np.ndarray:
-        """Map raw bytes to dense codes; raises ForeignSymbolError on unknown bytes."""
-        arr = np.frombuffer(raw, dtype=np.uint8) if isinstance(raw, (bytes, bytearray)) else np.asarray(raw, dtype=np.uint8)
-        codes = self._code_table[arr]
-        if codes.size and codes.min() < 0:
-            bad = int(arr[int(np.argmax(codes < 0))])
+    def encode_bytes(self, raw: bytes) -> bytes:
+        """Map raw bytes to dense codes, one byte each.
+
+        Raises ForeignSymbolError on a byte outside the alphabet.
+        """
+        raw = bytes(raw)
+        foreign = raw.translate(None, self.symbols)
+        if foreign:
             raise ForeignSymbolError(
-                f"byte {bad:#04x} is not in the alphabet; split the pattern first"
+                f"byte {foreign[0]:#04x} is not in the alphabet; split the pattern first"
             )
-        out = codes.astype(np.uint8)
-        out.setflags(write=False)
-        return out
+        return raw.translate(self._code_table)
 
-    def decode(self, codes: np.ndarray) -> bytes:
+    def encode(self, raw) -> np.ndarray:
+        """Map raw bytes to dense codes as a read-only uint8 array.
+
+        Raises ForeignSymbolError on unknown bytes.
+        """
+        import numpy as np
+
+        if not isinstance(raw, (bytes, bytearray)):
+            raw = np.asarray(raw, dtype=np.uint8).tobytes()
+        return np.frombuffer(self.encode_bytes(raw), dtype=np.uint8)
+
+    def decode(self, codes) -> bytes:
+        import numpy as np
+
         sym = np.frombuffer(self.symbols, dtype=np.uint8)
         return sym[np.asarray(codes)].tobytes()
 
@@ -68,7 +88,9 @@ def build_alphabet(text_bytes: bytes) -> Alphabet:
     return Alphabet(bytes(sorted(set(text_bytes))))
 
 
-def _freeze(codes: np.ndarray) -> np.ndarray:
+def _freeze(codes) -> np.ndarray:
+    import numpy as np
+
     arr = np.ascontiguousarray(codes, dtype=np.uint8)
     arr.setflags(write=False)
     return arr
@@ -110,27 +132,35 @@ class Text:
 
 @dataclass(frozen=True)
 class Pattern:
-    """An encoded pattern sharing the alphabet of the text it queries."""
+    """An encoded pattern sharing the alphabet of the text it queries.
+
+    The codes are held as bytes, one per symbol; a numpy code array passed
+    in their place is converted.
+    """
 
     alphabet: Alphabet
-    data: np.ndarray
+    code_bytes: bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _freeze(self.data))
-        if self.m and self.data.max() >= self.alphabet.size:
+        if not isinstance(self.code_bytes, bytes):
+            object.__setattr__(self, "code_bytes", _freeze(self.code_bytes).tobytes())
+        if self.code_bytes.translate(None, bytes(range(self.alphabet.size))):
             raise ValueError("pattern contains codes outside the alphabet")
 
     @classmethod
     def from_bytes(cls, raw: bytes, alphabet: Alphabet) -> "Pattern":
-        return cls(alphabet, alphabet.encode(raw))
+        return cls(alphabet, alphabet.encode_bytes(raw))
 
     @property
     def m(self) -> int:
-        return self.data.size
+        return len(self.code_bytes)
 
     @cached_property
-    def code_bytes(self) -> bytes:
-        return self.data.tobytes()
+    def data(self) -> np.ndarray:
+        """The codes as a read-only uint8 array, for library callers."""
+        import numpy as np
+
+        return np.frombuffer(self.code_bytes, dtype=np.uint8)
 
     def to_raw(self) -> bytes:
         return self.alphabet.decode(self.data)
@@ -145,24 +175,18 @@ def split_by_foreign_chars(raw_pattern: bytes, alphabet: Alphabet,
     Bytes outside the alphabet never match anything, so no result is lost.
     `separators` are alphabet bytes that split the pattern all the same.
     """
-    if len(raw_pattern) == 0:
-        return []
-    arr = np.frombuffer(raw_pattern, dtype=np.uint8)
-    ok = alphabet._code_table[arr] >= 0
-    if separators:
-        ok &= ~np.isin(arr, np.frombuffer(separators, dtype=np.uint8))
-    if not ok.any():
-        return []
-    edges = np.flatnonzero(np.diff(ok.astype(np.int8)))
-    starts = [0] if ok[0] else []
-    starts += [int(e) + 1 for e in edges if ok[e + 1]]
-    ends = [int(e) + 1 for e in edges if ok[e]]
-    if ok[-1]:
-        ends.append(len(raw_pattern))
-    return [
-        (s, Pattern.from_bytes(raw_pattern[s:e], alphabet))
-        for s, e in zip(starts, ends)
-    ]
+    kept = bytearray(256)
+    for symbol in alphabet.symbols.translate(None, separators):
+        kept[symbol] = 1
+    flags = raw_pattern.translate(kept)  # 1 where a byte may match
+    pieces = []
+    end = 0
+    while (start := flags.find(1, end)) >= 0:
+        end = flags.find(0, start)
+        if end < 0:
+            end = len(flags)
+        pieces.append((start, Pattern.from_bytes(raw_pattern[start:end], alphabet)))
+    return pieces
 
 
 @dataclass(frozen=True)

@@ -256,25 +256,3 @@ def brute_force_mems(
             out.append(MemRecord(i, lengths[i], occurrences=occ))
     return out
 
-
-def count_occurrences(query, text: Text, sa: SuffixArray | None = None) -> tuple[int, list[int]]:
-    """Occurrence count and 0-based positions of a symbol sequence in the text.
-
-    Accepts raw bytes (encoded with the text's alphabet) or an encoded code
-    array; sequences containing foreign bytes simply never occur.
-    """
-    if sa is None:
-        sa = build_suffix_structures(text)
-    if isinstance(query, (bytes, bytearray)):
-        if len(query) == 0:
-            raise ValueError("empty query")
-        try:
-            codes = text.alphabet.encode(bytes(query))
-        except ValueError:
-            return 0, []
-    else:
-        codes = np.asarray(query, dtype=np.uint8)
-        if codes.size == 0:
-            raise ValueError("empty query")
-    positions = sa.occurrences(codes)
-    return len(positions), positions

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from memlight import (Alphabet, FingerprintLce, Pattern, Text, brute_force_mems,
+from memlight import (Alphabet, FingerprintLce, Pattern, QueryStats, Text,
+                      brute_force_mems,
                       build_fm, build_suffix_structures, compute_match_pointers,
                       find_all_mems, find_all_mems_fm, find_in_raw,
                       find_long_mems_fm, find_long_mems_lce,
@@ -137,6 +140,44 @@ def test_split_results_use_original_coordinates(demo_bench):
 
     merged = find_in_raw(b"NNTACATNNNGATTAGNN", bench.text.alphabet, runner)
     assert merged.spans == [(2, 5), (10, 6)]
+
+
+def kept_runs(raw: bytes, kept: bytes) -> list[tuple[int, bytes]]:
+    """Maximal runs of kept bytes and their offsets, by a plain scan."""
+    runs, start = [], None
+    for i, byte in enumerate(raw + b"\n"):  # b"\n" is never kept: closes a last run
+        if byte in kept and start is None:
+            start = i
+        elif byte not in kept and start is not None:
+            runs.append((start, raw[start:i]))
+            start = None
+    return runs
+
+
+# texts over ACGT,; with any subset of their symbols as record separators;
+# patterns add the foreign bytes N and #
+@given(st.binary(min_size=1, max_size=60).map(lambda b: bytes(b"ACGT,;"[x % 6] for x in b)),
+       st.binary(max_size=60).map(lambda b: bytes(b"ACGT,;N#"[x % 8] for x in b)),
+       st.sets(st.sampled_from(b"ACGT,;")), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_find_in_raw_equals_a_direct_run_on_each_piece(t_raw, p_raw, separators, min_len):
+    text = Text.from_bytes(t_raw)
+    alphabet = text.alphabet
+    separators = bytes(sorted(separators & set(alphabet.symbols)))
+    fwd, rev = build_fm(text, sample_rate=3), build_fm(text.reversed(), sample_rate=3)
+
+    def finder(sub):
+        return find_long_mems_fm(sub, fwd, rev, min_len, report_intervals=True)
+
+    got = find_in_raw(p_raw, alphabet, finder, separators)
+    expect, stats = [], QueryStats()
+    for offset, piece in kept_runs(p_raw, alphabet.symbols.translate(None, separators)):
+        part = finder(Pattern.from_bytes(piece, alphabet))
+        expect += [(offset + m.start, m.length, m.bwt_interval) for m in part.mems]
+        for name in vars(stats):
+            setattr(stats, name, getattr(stats, name) + getattr(part.stats, name))
+    assert [(m.start, m.length, m.bwt_interval) for m in got.mems] == expect
+    assert got.stats == stats
 
 
 def test_all_foreign_pattern_finds_nothing(demo_bench):

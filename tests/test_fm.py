@@ -1,3 +1,4 @@
+import random
 import struct
 import zlib
 
@@ -92,14 +93,25 @@ def direct_rank_table(index, code):
     return np.concatenate(([0], np.cumsum(hits))).tolist()
 
 
-# 131+ BWT rows span at least three 64-row checkpoint blocks; texts mostly of
-# code 0 put many filler-like bytes around the sentinel row
-@given(st.lists(st.integers(0, 3), min_size=130, max_size=400)
-       | st.lists(st.sampled_from([0] * 9 + [1, 2]), min_size=1, max_size=400))
+@given(st.integers(1, 11), st.integers(1, 1500), st.integers(0, 2**32),
+       st.integers(0, 3), st.sampled_from([None, "min", "max"]))
 @settings(max_examples=60, deadline=None)
-def test_rank_equals_direct_count(codes):
-    text = Text.from_bytes(bytes(b"acgt"[c] for c in codes))
+def test_rank_equals_direct_count(common, n, seed, singles, lead):
+    # up to 11 symbols at skewed frequencies, the smallest the commonest, so
+    # that many filler-like bytes lie around the sentinel row; `singles`
+    # more symbols occur once each (the rows-counted checkpoint columns); a
+    # unique smallest or largest first symbol puts the sentinel row in the
+    # first or the last 64-row block
+    rng = random.Random(seed)
+    codes = rng.choices(range(1, common + 1), [4.0 ** -c for c in range(common)], k=n)
+    for single in range(common + 1, common + 1 + singles):
+        codes.insert(rng.randrange(len(codes) + 1), single)
+    if lead:
+        codes.insert(0, 0 if lead == "min" else common + singles + 1)
+    text = Text.from_bytes(bytes(codes))
     index = build_fm(text)
+    if lead:
+        assert index.sentinel_row == (1 if lead == "min" else index.n)
     for c in range(text.alphabet.size):
         assert ([index.rank(c, k) for k in range(index.n + 2)]
                 == direct_rank_table(index, c))
@@ -229,11 +241,11 @@ def test_locate_full_interval_excludes_sentinel_row(demo_index):
 def test_locate_rejects_a_walk_past_the_text(demo_index):
     _, index = demo_index
     # the right sample values on the wrong rows: position 0's row claims 12
-    samples = index._samples.copy()
-    at_0, at_12 = np.flatnonzero(samples == 0), np.flatnonzero(samples == 12)
+    samples = list(index._samples)
+    at_0, at_12 = samples.index(0), samples.index(12)
     samples[at_0], samples[at_12] = 12, 0
     broken = FmIndex(index.alphabet, index._bwt, index.sentinel_row, index.s,
-                     np.frombuffer(index._marks, dtype=bool), samples)
+                     index._marks, samples)
     with pytest.raises(IndexFormatError, match="past the text"):
         broken.locate_all(BwtInterval(0, broken.n + 1))
 
@@ -251,7 +263,7 @@ def test_save_load_round_trip_is_byte_exact(tmp_path, demo_index):
     assert reloaded._bwt == index._bwt
     assert reloaded.sentinel_row == index.sentinel_row
     assert reloaded._marks == index._marks
-    assert np.array_equal(reloaded._samples, index._samples)
+    assert reloaded._samples == index._samples
     assert reloaded.separators == index.separators == b""
 
 
@@ -325,6 +337,18 @@ def bwt_offset(index):
     return 8 + 40 + index.alphabet.size
 
 
+def test_load_rejects_resealed_marks_past_the_last_row(demo_index):
+    # 13 rows leave three padding bits in the last marks byte; packed marks
+    # count set bits, so a set padding bit must not load
+    _, index = demo_index
+    assert (index.n + 1) % 8 == 5
+    data = bytearray(index.to_bytes())
+    last_marks_byte = len(data) - 4 - 8 * len(index._samples) - 1
+    data[last_marks_byte] |= 0x80
+    with pytest.raises(IndexFormatError, match="past the last BWT row"):
+        FmIndex.from_bytes(reseal(bytes(data)))
+
+
 def test_load_rejects_resealed_sentinel_row_past_the_bwt(demo_index):
     _, index = demo_index
     data = bytearray(index.to_bytes())
@@ -347,7 +371,7 @@ def test_invert_rejects_a_walk_that_reaches_the_sentinel_early(demo_index):
     other = next(r for r, b in enumerate(index._bwt)
                  if b == 0 and r != index.sentinel_row)
     moved = FmIndex(index.alphabet, index._bwt, other, index.s,
-                    np.frombuffer(index._marks, dtype=bool), index._samples)
+                    index._marks, index._samples)
     with pytest.raises(IndexFormatError, match="sentinel before"):
         invert_bwt(moved)
 

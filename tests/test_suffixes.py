@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlight import (Alphabet, Pattern, Text, brute_force_mems,
-                      build_suffix_structures, compute_match_pointers,
-                      count_occurrences)
+                      build_suffix_structures, compute_match_pointers)
 
 from conftest import (ADVERSARIAL_BACKWARD_1BASED, DEMO_ALL_SPANS_1BASED,
                       DEMO_BACKWARD_1BASED, DEMO_FORWARD_1BASED,
@@ -229,27 +228,6 @@ def test_brute_force_threshold_equals_filtered(demo_bench):
         direct = brute_force_mems(demo_bench.pattern, demo_bench.text, min_len,
                                   sa=demo_bench.sa_fwd)
         assert [mem.span for mem in direct] == filtered
-
-
-# -- occurrence counting --------------------------------------------------------
-
-def test_count_occurrences_examples(demo_bench):
-    count, positions = count_occurrences(b"GAT", demo_bench.text,
-                                         sa=demo_bench.sa_fwd)
-    assert (count, positions) == (2, [0, 5])
-    count, positions = count_occurrences(b"GATTAGATACAT", demo_bench.text,
-                                         sa=demo_bench.sa_fwd)
-    assert (count, positions) == (1, [0])
-    count, positions = count_occurrences(b"TTT", demo_bench.text,
-                                         sa=demo_bench.sa_fwd)
-    assert (count, positions) == (0, [])
-    count, _ = count_occurrences(b"GATN", demo_bench.text, sa=demo_bench.sa_fwd)
-    assert count == 0  # foreign byte means it cannot occur
-
-
-def test_count_occurrences_rejects_empty(demo_bench):
-    with pytest.raises(ValueError, match="empty query"):
-        count_occurrences(b"", demo_bench.text, sa=demo_bench.sa_fwd)
 
 
 def test_pointer_family_and_oracle_reject_another_alphabet(demo_bench):
