@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Time memlight CLI commands as child processes under two source trees.
+
+    python3 scripts/query_children.py OLD/src NEW/src --rounds 20 \\
+        -c "mems PREFIX pattern.raw --raw -L 40" -c "lcs PREFIX pattern.raw --raw"
+
+Each command runs as `python -m memlight.cli ...` with one tree's `src` on
+PYTHONPATH.  A round runs every command once under each tree, back to back;
+which tree goes first alternates from round to round.  For each command and
+tree the script prints the median wall time with its quartiles, the median
+peak RSS (`ru_maxrss` from `os.wait4`), and whether every run of the command
+printed the same stdout; then the same for one round of all commands, and
+in how many rounds the second tree was faster.  It exits 1 when a child
+fails or the outputs differ.
+
+This launcher imports only the standard library and spawns the children
+itself, because a child's `ru_maxrss` keeps its parent's high-water mark
+through exec: spawned from a large process, it reads that process's size.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+
+def run_child(src: str, args: list[str], out) -> tuple[float, float, bytes]:
+    """Wall seconds, peak RSS in MB and the stdout digest of one child."""
+    out.seek(0)
+    out.truncate()
+    env = dict(os.environ, PYTHONPATH=src)
+    started = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "memlight.cli", *args],
+                            stdout=out, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - started
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        sys.exit(f"query_children: {shlex.join(args)} under {src} "
+                 f"exited with {proc.returncode}")
+    out.seek(0)
+    return wall, usage.ru_maxrss / 1024.0, hashlib.sha256(out.read()).digest()
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs=2, metavar="SRC",
+                        help="a source tree's src directory")
+    parser.add_argument("-c", "--command", action="append", required=True,
+                        help="CLI arguments after `memlight`, as one shell-quoted string")
+    parser.add_argument("--rounds", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    commands = [shlex.split(c) for c in args.command]
+    # walls[t][c] and rss[t][c] hold one value per round
+    walls = [[[] for _ in commands] for _ in args.trees]
+    rss = [[[] for _ in commands] for _ in args.trees]
+    digests = [set() for _ in commands]
+    with tempfile.TemporaryFile() as out:
+        for round_ in range(args.rounds):
+            order = (0, 1) if round_ % 2 == 0 else (1, 0)
+            for c, command in enumerate(commands):
+                for t in order:
+                    wall, peak, digest = run_child(args.trees[t], command, out)
+                    walls[t][c].append(wall)
+                    rss[t][c].append(peak)
+                    digests[c].add(digest)
+
+    print("command\ttree\twall_ms_median\twall_ms_q1-q3\trss_mb_median\tstdout")
+    for c, command in enumerate(commands):
+        same = "same" if len(digests[c]) == 1 else "DIFFERENT"
+        for t, tree in enumerate(args.trees):
+            q1, median, q3 = quartiles(walls[t][c])
+            print(f"{shlex.join(command)}\t{tree}\t{median * 1e3:.1f}"
+                  f"\t{q1 * 1e3:.1f}-{q3 * 1e3:.1f}"
+                  f"\t{statistics.median(rss[t][c]):.1f}\t{same}")
+    rounds = [list(map(sum, zip(*walls[t]))) for t in range(2)]
+    for t, tree in enumerate(args.trees):
+        q1, median, q3 = quartiles(rounds[t])
+        print(f"(one round)\t{tree}\t{median * 1e3:.1f}\t{q1 * 1e3:.1f}-{q3 * 1e3:.1f}"
+              f"\t{max(map(statistics.median, rss[t])):.1f}\t-")
+    wins = sum(new < old for old, new in zip(*rounds))
+    print(f"# the second tree was faster in {wins} of {args.rounds} rounds")
+    return int(any(len(d) > 1 for d in digests))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

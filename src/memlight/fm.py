@@ -3,10 +3,12 @@
 The index stores the BWT of text plus sentinel as one byte per row, with
 the sentinel's row kept as a row index, and a sampled suffix array for
 locating: a packed bitmap of the sampled rows and their text positions.
-Cumulative symbol counts and blocked per-symbol rank checkpoints are
-derived from the BWT on first use.  Backward search
-reports how many characters of a query prefix matched, which is the single
-primitive the deterministic MEM finder needs.
+Rank is derived from the BWT on first use, as one bitmap of 64-row words
+per symbol beside a running count per word (Jacobson's rank), so that a
+backward step or an LF step is a count read plus one popcount for each end
+of the interval.  The sentinel's row is in no bitmap and needs no
+correction.  Backward search reports how many characters of a query prefix
+matched, which is the single primitive the deterministic MEM finder needs.
 
 Loading and querying use the standard library only; building imports numpy.
 """
@@ -16,12 +18,13 @@ from __future__ import annotations
 import io
 import os
 import struct
+import sys
 import zlib
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, repeat
-from operator import sub
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import or_
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,8 +40,9 @@ MAGIC = b"MEMLIDX3"
 _OLD_MAGICS = (b"MEMLIDX1", b"MEMLIDX2")
 # n, alphabet size, sample rate, sentinel row, separator count
 _HEADER = struct.Struct("<5Q")
-_SHIFT = 6
-_BLOCK = 1 << _SHIFT  # BWT rows per rank checkpoint
+# _BELOW[i] keeps the bits of a 64-row word's rows before row i
+_BELOW = tuple((1 << i) - 1 for i in range(64))
+_DIGIT_ROWS = 1 << 16  # BWT rows translated to binary digits at a time
 
 
 class IndexFormatError(Exception):
@@ -70,47 +74,77 @@ def _rows_holding(bwt: bytes, symbol: int, limit: int) -> list[int] | None:
     return rows
 
 
-def _rank_checkpoints(bwt: bytes, sentinel_row: int, sigma: int) -> list[array]:
-    """occ[c][b] counts symbol c in the first b * _BLOCK BWT rows.
+def _rank_bitmaps(bwt: bytes, sentinel_row: int,
+                  sigma: int) -> tuple[list[array], list[array]]:
+    """One 64-row bitmap and one count column per symbol.
 
-    The sentinel row's filler byte is no symbol and is not counted.  A
-    symbol rarer than one per eight blocks (such as a record separator) is
-    counted from its rows; the others block by block with bytes.count,
-    except one, whose counts are what the rest leave of each block.
+    Bit i of words[c][w] is set when BWT row 64w + i holds symbol c, and
+    cols[c][w] is C[c] plus the rows holding c before row 64w, so that
+    C[c] + rank(c, k) is cols[c][k >> 6] plus a popcount inside word k >> 6.
+    The sentinel row is in no bitmap, and one padding word lets row n + 1 be
+    ranked.  Every pass over the BWT is a C-level call: a symbol rarer than
+    one per eight words (such as a record separator) is set and counted
+    from its rows; the common symbols' bitmaps are combined from bit planes
+    of their indexes, each plane the BWT translated to binary digits and
+    read by int(), and their counts are running popcounts.
     """
     nrows = len(bwt)
-    starts = range(0, nrows, _BLOCK)
-    nblocks = len(starts)
-    sentinel_block = sentinel_row >> _SHIFT
-    occ: list[array | None] = [None] * sigma
-    rest = [_BLOCK] * nblocks  # rows of each block no symbol has claimed yet
-    rest[-1] = nrows - starts[-1]
-    rest[sentinel_block] -= 1
+    nwords = (nrows >> 6) + 1
+    nbytes = 8 * nwords
+    rows_mask = ((1 << nrows) - 1) ^ (1 << sentinel_row)
+    bitmaps = [0] * sigma
+    sparse: dict[int, list[int]] = {}  # the rows of each rare symbol
     dense = []
     for symbol in range(sigma):
-        rows = _rows_holding(bwt, symbol, nblocks // 8 + 1)
+        rows = _rows_holding(bwt, symbol, nwords // 8 + 1)
         if rows is None:
             dense.append(symbol)
             continue
-        if symbol == 0:
-            rows.remove(sentinel_row)
-        column = occ[symbol] = array("q")
-        for seen, row in enumerate(rows):
-            # checkpoints up to row's block count the `seen` rows before it
-            rest[row >> _SHIFT] -= 1
-            column.extend(array("q", [seen]) * ((row >> _SHIFT) + 1 - len(column)))
-        column.extend(array("q", [len(rows)]) * (nblocks + 1 - len(column)))
-    for symbol in dense:
-        if symbol == dense[-1]:
-            counts = rest
-        else:
-            counts = list(map(bwt.count, repeat(symbol), starts,
-                              range(_BLOCK, nrows + _BLOCK, _BLOCK)))
-            if symbol == 0:
-                counts[sentinel_block] -= 1
-            rest = list(map(sub, rest, counts))
-        occ[symbol] = array("q", accumulate(counts, initial=0))
-    return occ
+        rows = sparse[symbol] = [row for row in rows if row != sentinel_row]
+        flags = bytearray(nbytes)
+        for row in rows:
+            flags[row >> 3] |= 1 << (row & 7)
+        bitmaps[symbol] = int.from_bytes(flags, "little")
+    # plane j holds the rows whose symbol has bit j set in its index among
+    # the common symbols, so k common symbols take log2 k parses; with two,
+    # the second's bitmap is the plane and the first's is what it leaves
+    tables = [bytearray(b"0" * 256) for _ in range(max(len(dense) - 1, 0).bit_length())]
+    for index, symbol in enumerate(dense):
+        for j, table in enumerate(tables):
+            if index >> j & 1:
+                table[symbol] = ord("1")
+    planes = [0] * len(tables)
+    for start in range(0, nrows, _DIGIT_ROWS):
+        # int() reads the most significant digit first, so a reversed slice
+        # of the BWT gives the rows their bits; slices keep the copies small
+        backwards = bwt[start : start + _DIGIT_ROWS][::-1]
+        for j, table in enumerate(tables):
+            planes[j] |= int(backwards.translate(table), 2) << start
+    common = rows_mask ^ reduce(or_, bitmaps)  # the rows of common symbols
+    for index, symbol in enumerate(dense):
+        bitmap = common
+        for j, plane in enumerate(planes):
+            bitmap &= plane if index >> j & 1 else ~plane
+        bitmaps[symbol] = bitmap
+    del planes, common, rows_mask  # freed before the arrays are made
+    words, cols, below = [], [], 1  # row 0, the empty suffix, sorts first
+    bitmaps.reverse()  # popped in symbol order: each int goes once its words exist
+    for symbol in range(sigma):
+        bits = array("Q", bitmaps.pop().to_bytes(nbytes, "little"))
+        if sys.byteorder == "big":
+            bits.byteswap()
+        rows = sparse.get(symbol)
+        if rows is None:
+            col = array("q", accumulate(map(int.bit_count, bits), initial=below))
+        else:  # a rare symbol's count steps up only after its rows' words
+            col = array("q")
+            for seen, row in enumerate(rows, below):
+                col.extend(array("q", [seen]) * ((row >> 6) + 1 - len(col)))
+            col.extend(array("q", [below + len(rows)]) * (nwords + 1 - len(col)))
+        words.append(bits)
+        cols.append(col)
+        below = col[-1]
+    return words, cols
 
 
 class FmIndex:
@@ -153,42 +187,50 @@ class FmIndex:
         nrows = self.n + 1
         if len(self._marks) != -(-nrows // 8):
             raise IndexFormatError("sample table does not match its row marks")
-        if self._marks[-1] >> (nrows - 8 * (len(self._marks) - 1)):
+        marked = int.from_bytes(self._marks, "little")
+        if marked >> nrows:
             raise IndexFormatError("row marks are set past the last BWT row")
-        words = memoryview(self._marks + bytes(-len(self._marks) % 8)).cast("Q")
-        self._mark_ranks = array("q", accumulate(map(int.bit_count, words), initial=0))
-        if self._mark_ranks[-1] != len(self._samples):
+        if marked.bit_count() != len(self._samples):
             raise IndexFormatError("sample table does not match its row marks")
         if sorted(self._samples) != list(range(0, nrows, sample_rate)):
             raise IndexFormatError(
                 "suffix-array samples are not the multiples of the sample rate"
             )
+        # text position 0 is the suffix preceded by the sentinel: its sample
+        # must sit on the sentinel row, which the filler byte cannot show
+        if not (marked >> sentinel_row & 1 and self._samples[
+                (marked & ((1 << sentinel_row) - 1)).bit_count()] == 0):
+            raise IndexFormatError("the sentinel row is not the row of text position 0")
 
-    # the checkpoints are built on first use: `memlight index` saves an
-    # index without ever querying it
+    # the rank structures are built on first search and the marks' running
+    # counts on first locate: `memlight index` saves an index without either,
+    # and most queries never locate
     @cached_property
-    def _occ(self) -> list[array]:
-        return _rank_checkpoints(self._bwt, self.sentinel_row, self.alphabet.size)
+    def _rank(self) -> tuple[list[array], list[array]]:
+        return _rank_bitmaps(self._bwt, self.sentinel_row, self.alphabet.size)
 
     @cached_property
     def _c(self) -> list[int]:
-        return list(accumulate((column[-1] for column in self._occ), initial=1))
+        cols = self._rank[1]
+        return [col[0] for col in cols] + [cols[-1][-1]]
+
+    @cached_property
+    def _mark_ranks(self) -> array:
+        words = memoryview(self._marks + bytes(-len(self._marks) % 8)).cast("Q")
+        return array("q", accumulate(map(int.bit_count, words), initial=0))
 
     # -- queries ------------------------------------------------------------
 
     def rank(self, symbol: int, prefix_len: int) -> int:
         """Occurrences of symbol in the first prefix_len BWT rows.
 
-        The single-step reference for the loop in backward_search_prefix.
-        symbol must be a Python int: bytes.count would read a numpy scalar
-        as the buffer of its bytes.
+        The single-step reference for the loops in backward_search_prefix
+        and locate_all.
         """
-        start = prefix_len & -_BLOCK
-        count = (self._occ[symbol][prefix_len >> _SHIFT]
-                 + self._bwt.count(symbol, start, prefix_len))
-        if symbol == 0 and start <= self.sentinel_row < prefix_len:
-            count -= 1  # the sentinel row's filler byte
-        return count
+        words, cols = self._rank
+        word = prefix_len >> 6
+        return (cols[symbol][word] - cols[symbol][0]
+                + (words[symbol][word] & _BELOW[prefix_len & 63]).bit_count())
 
     def backward_search_prefix(self, query, prefix_len: int,
                                stats: QueryStats | None = None) -> tuple[int, BwtInterval]:
@@ -205,23 +247,19 @@ class FmIndex:
         if not 0 <= prefix_len <= len(codes):
             raise ValueError("prefix length out of range")
         if not isinstance(codes, (bytes, list)):
-            codes = list(map(int, codes[:prefix_len]))  # ints, not numpy scalars, for count
-        # rank(sym, k) inlined for both ends: checkpoint plus in-block tail
-        count, occ, c = self._bwt.count, self._occ, self._c
-        sigma, sentinel_row = len(occ), self.sentinel_row
-        mask, shift = -_BLOCK, _SHIFT
+            codes = list(map(int, codes[:prefix_len]))  # ints, not numpy scalars
+        # C[sym] + rank(sym, k) inlined for both ends: the count column at
+        # k's word plus a popcount inside the word
+        words, cols = self._rank
+        below, sigma = _BELOW, len(cols)
         lo, hi, matched = 0, self.n + 1, 0
         for pos in range(prefix_len - 1, -1, -1):
             sym = codes[pos]
             if not 0 <= sym < sigma:
                 break
-            column, base = occ[sym], c[sym]
-            lo_start, hi_start = lo & mask, hi & mask
-            new_lo = base + column[lo >> shift] + count(sym, lo_start, lo)
-            new_hi = base + column[hi >> shift] + count(sym, hi_start, hi)
-            if sym == 0:  # the sentinel row's filler byte is no symbol
-                new_lo -= lo_start <= sentinel_row < lo
-                new_hi -= hi_start <= sentinel_row < hi
+            bits, col = words[sym], cols[sym]
+            new_lo = col[lo >> 6] + (bits[lo >> 6] & below[lo & 63]).bit_count()
+            new_hi = col[hi >> 6] + (bits[hi >> 6] & below[hi & 63]).bit_count()
             if new_lo >= new_hi:
                 break
             lo, hi = new_lo, new_hi
@@ -233,15 +271,14 @@ class FmIndex:
     def locate_all(self, iv: BwtInterval) -> list[int]:
         """Text positions of every row in the interval, ascending.
 
-        Each row walks at most sample_rate LF steps to a marked row.  The
-        sentinel row resolves to position n and is excluded.
+        Each row walks at most sample_rate LF steps to a marked row.  Row 0,
+        the empty suffix, resolves to position n and is excluded.
         """
-        # LF(r) = C[sym] + rank(sym, r), with rank inlined as in
-        # backward_search_prefix
-        bwt, count, occ, c = self._bwt, self._bwt.count, self._occ, self._c
+        # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix;
+        # the sentinel row's LF is row 0
+        bwt, (words, cols), below = self._bwt, self._rank, _BELOW
         marks, mark_ranks, samples = self._marks, self._mark_ranks, self._samples
         sentinel_row, n = self.sentinel_row, self.n
-        mask, shift = -_BLOCK, _SHIFT
         out = []
         for row in range(iv.lo, iv.hi):
             r, steps = row, 0
@@ -250,19 +287,14 @@ class FmIndex:
                     r = 0
                 else:
                     sym = bwt[r]
-                    start = r & mask
-                    r_next = c[sym] + occ[sym][r >> shift] + count(sym, start, r)
-                    if sym == 0 and start <= sentinel_row < r:
-                        r_next -= 1  # the sentinel row's filler byte
-                    r = r_next
+                    r = cols[sym][r >> 6] + (words[sym][r >> 6] & below[r & 63]).bit_count()
                 steps += 1
                 if steps > n:
                     raise IndexFormatError("suffix-array samples are unreachable")
             # marks before r: those of earlier 64-row words, then r's own word
             word = r >> 6
-            below = int.from_bytes(marks[word << 3 : (r >> 3) + 1], "little")
-            sample = mark_ranks[word] + (below & ((1 << (r & 63)) - 1)).bit_count()
-            pos = samples[sample] + steps
+            in_word = int.from_bytes(marks[word << 3 : (r >> 3) + 1], "little")
+            pos = samples[mark_ranks[word] + (in_word & below[r & 63]).bit_count()] + steps
             if pos > n:
                 raise IndexFormatError("suffix-array samples point past the text")
             if pos != n:

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import pytest
 
 from memlight.cli import main
@@ -232,6 +235,24 @@ def test_old_format_index_is_a_format_error(demo_files, capsys):
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
     err = capsys.readouterr().err
     assert "MEMLIDX1" in err and "rebuild" in err
+
+
+def test_moved_sentinel_row_is_a_format_error(tmp_path, capsys):
+    # a resealed file whose sentinel row names another row holding code 0
+    text, pattern = tmp_path / "t.txt", tmp_path / "p.txt"
+    text.write_bytes(DEMO_TEXT)
+    pattern.write_bytes(DEMO_PATTERN)
+    prefix = str(tmp_path / "x")
+    assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
+    path = prefix + ".fwd.memidx"
+    data = bytearray(open(path, "rb").read())
+    sentinel_row_field = 8 + 3 * 8
+    assert struct.unpack_from("<Q", data, sentinel_row_field) == (8,)
+    struct.pack_into("<Q", data, sentinel_row_field, 10)
+    data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+    open(path, "wb").write(bytes(data))
+    assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
+    assert "row of text position 0" in capsys.readouterr().err
 
 
 def test_unknown_arguments_exit_two():

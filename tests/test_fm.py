@@ -115,6 +115,10 @@ def test_rank_equals_direct_count(common, n, seed, singles, lead):
     for c in range(text.alphabet.size):
         assert ([index.rank(c, k) for k in range(index.n + 2)]
                 == direct_rank_table(index, c))
+    # no bitmap holds the sentinel row or a row of the padding past n
+    words, _ = index._rank
+    for row in (index.sentinel_row, *range(index.n + 1, 64 * len(words[0]))):
+        assert not any(word[row >> 6] >> (row & 63) & 1 for word in words)
 
 
 @pytest.mark.parametrize("raw", [b"a" * 200, b"a" * 63 + b"b" + b"a" * 70,
@@ -126,6 +130,45 @@ def test_rank_around_the_sentinel_row(raw):
     table = direct_rank_table(index, 0)
     for k in range(max(0, row - 70), min(index.n + 1, row + 70) + 1):
         assert index.rank(0, k) == table[k]
+
+
+@pytest.mark.parametrize("lead", [b"", b"A", b"z"])
+@pytest.mark.parametrize("nrows", [64, 128, 4096])
+def test_rank_search_and_locate_when_rows_fill_whole_words(nrows, lead):
+    # n + 1 rows fill whole 64-row words, so hi = n + 1 lies in the padding
+    # word; a unique smallest or largest first symbol puts the sentinel row
+    # in the first or the last word
+    rng = random.Random(nrows)
+    raw = lead + bytes(rng.choice(b"acgt") for _ in range(nrows - 1 - len(lead)))
+    text = Text.from_bytes(raw)
+    index = build_fm(text, sample_rate=5)
+    assert len(index._rank[0][0]) == nrows // 64 + 1
+    if lead:
+        assert index.sentinel_row == (1 if lead == b"A" else nrows - 1)
+    for c in range(text.alphabet.size):
+        assert [index.rank(c, k) for k in range(nrows + 1)] == direct_rank_table(index, c)
+    for start, length in ((0, 3), (nrows // 2, 4), (nrows - 6, 5)):
+        probe = raw[start : start + length]
+        expect = [s for s in range(len(raw) - length + 1) if raw[s : s + length] == probe]
+        assert index.locate_all(interval_of(index, text, probe)) == expect
+    assert index.locate_all(BwtInterval(0, nrows)) == list(range(nrows - 1))
+
+
+def test_rank_search_and_locate_with_separator_symbol_zero():
+    # --concat-sep joins records with bytes below every record byte, so code
+    # 0 is a separator occurring once, beside the sentinel row's filler 0
+    rng = random.Random(7)
+    records = [bytes(rng.choice(b"ACGT") for _ in range(700)) for _ in range(3)]
+    raw = records[0] + b"\x01" + records[1] + b"\x02" + records[2]
+    text = Text.from_bytes(raw)
+    index = build_fm(text, sample_rate=8, separators=b"\x01\x02")
+    assert index._bwt.count(0) == 2
+    for c in range(text.alphabet.size):
+        assert [index.rank(c, k) for k in range(index.n + 2)] == direct_rank_table(index, c)
+    assert index.locate_all(interval_of(index, text, b"\x01")) == [700]
+    probe = raw[695:706]  # across the first separator
+    assert index.locate_all(interval_of(index, text, probe)) == [695]
+    assert index.locate_all(BwtInterval(0, index.n + 1)) == list(range(index.n))
 
 
 # -- prefix search ------------------------------------------------------------------
@@ -240,10 +283,11 @@ def test_locate_full_interval_excludes_sentinel_row(demo_index):
 
 def test_locate_rejects_a_walk_past_the_text(demo_index):
     _, index = demo_index
-    # the right sample values on the wrong rows: position 0's row claims 12
+    # the right sample values on the wrong rows: position 8's row claims 12,
+    # so the rows that walk to it land past the text
     samples = list(index._samples)
-    at_0, at_12 = samples.index(0), samples.index(12)
-    samples[at_0], samples[at_12] = 12, 0
+    at_8, at_12 = samples.index(8), samples.index(12)
+    samples[at_8], samples[at_12] = 12, 8
     broken = FmIndex(index.alphabet, index._bwt, index.sentinel_row, index.s,
                      index._marks, samples)
     with pytest.raises(IndexFormatError, match="past the text"):
@@ -366,14 +410,26 @@ def test_load_rejects_resealed_sentinel_row_without_filler(demo_index):
 
 
 def test_invert_rejects_a_walk_that_reaches_the_sentinel_early(demo_index):
-    # load cannot tell which row of code 0 is the sentinel's; inverting can
+    # two swapped BWT rows keep every count and every load check; the walk
+    # from row 0 then closes a cycle through the sentinel row too soon
     _, index = demo_index
-    other = next(r for r, b in enumerate(index._bwt)
-                 if b == 0 and r != index.sentinel_row)
-    moved = FmIndex(index.alphabet, index._bwt, other, index.s,
-                    index._marks, index._samples)
+    bwt = bytearray(index._bwt)
+    bwt[0], bwt[3] = bwt[3], bwt[0]
+    swapped = FmIndex(index.alphabet, bytes(bwt), index.sentinel_row, index.s,
+                      index._marks, index._samples)
     with pytest.raises(IndexFormatError, match="sentinel before"):
-        invert_bwt(moved)
+        invert_bwt(swapped)
+
+
+def test_load_rejects_resealed_sentinel_row_on_another_filler_row(demo_index):
+    # row 10 also holds code 0, so only the samples show that the sentinel
+    # row was moved there
+    _, index = demo_index
+    assert (index.sentinel_row, index._bwt[10]) == (8, 0)
+    data = bytearray(index.to_bytes())
+    data[SENTINEL_ROW_FIELD : SENTINEL_ROW_FIELD + 8] = struct.pack("<Q", 10)
+    with pytest.raises(IndexFormatError, match="row of text position 0"):
+        FmIndex.from_bytes(reseal(bytes(data)))
 
 
 def test_load_rejects_resealed_symbol_past_the_alphabet(demo_index):
