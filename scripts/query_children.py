@@ -9,9 +9,9 @@ PYTHONPATH.  A round runs every command once under each tree, back to back;
 which tree goes first alternates from round to round.  For each command and
 tree the script prints the median wall time with its quartiles, the median
 peak RSS (`ru_maxrss` from `os.wait4`), and whether every run of the command
-printed the same stdout; then the same for one round of all commands, and
-in how many rounds the second tree was faster.  It exits 1 when a child
-fails or the outputs differ.
+printed the same stdout; then the same for one round of all commands; and
+in how many rounds the second tree was faster, for each command and for the
+whole round.  It exits 1 when a child fails or the outputs differ.
 
 This launcher imports only the standard library and spawns the children
 itself, because a child's `ru_maxrss` keeps its parent's high-water mark
@@ -94,8 +94,12 @@ def main(argv=None) -> int:
         q1, median, q3 = quartiles(rounds[t])
         print(f"(one round)\t{tree}\t{median * 1e3:.1f}\t{q1 * 1e3:.1f}-{q3 * 1e3:.1f}"
               f"\t{max(map(statistics.median, rss[t])):.1f}\t-")
-    wins = sum(new < old for old, new in zip(*rounds))
-    print(f"# the second tree was faster in {wins} of {args.rounds} rounds")
+    pairs = [(shlex.join(command), walls[0][c], walls[1][c])
+             for c, command in enumerate(commands)]
+    pairs.append(("one round", *rounds))
+    for name, old, new in pairs:
+        wins = sum(b < a for a, b in zip(old, new))
+        print(f"# {name}: the second tree was faster in {wins} of {args.rounds} rounds")
     return int(any(len(d) > 1 for d in digests))
 
 

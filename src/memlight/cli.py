@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .fasta import read_fasta
@@ -22,17 +21,9 @@ EXIT_USAGE = 2
 EXIT_INDEX = 3
 
 
-@dataclass
-class IndexPaths:
-    fwd: Path
-    rev: Path
-
-    @classmethod
-    def at(cls, prefix: str) -> "IndexPaths":
-        return cls(Path(prefix + ".fwd.memidx"), Path(prefix + ".rev.memidx"))
-
-    def load(self) -> tuple[FmIndex, FmIndex]:
-        return FmIndex.load(self.fwd), FmIndex.load(self.rev)
+def index_paths(prefix: str) -> tuple[Path, Path]:
+    """The forward and the reverse index files at a path prefix."""
+    return Path(prefix + ".fwd.memidx"), Path(prefix + ".rev.memidx")
 
 
 # -- input reading -----------------------------------------------------------
@@ -82,14 +73,14 @@ def cmd_index(args) -> int:
                                               args.concat_sep)
     if not text_bytes:
         raise ValueError("empty text")
-    paths = IndexPaths.at(args.output)
+    fwd_path, rev_path = index_paths(args.output)
     sort_s = fm_s = write_s = 0.0
     started = clock = time.perf_counter()
     text = Text.from_bytes(text_bytes)
     # one direction at a time: its suffix array and index are dropped
     # before the other direction's are built
-    for path in (paths.fwd, paths.rev):
-        if path is paths.rev:
+    for path in (fwd_path, rev_path):
+        if path is rev_path:
             text = text.reversed()
         sa = build_suffix_structures(text)
         sorted_at = time.perf_counter()
@@ -119,7 +110,7 @@ def _locate_forward(rev_index: FmIndex, interval, length: int) -> list[int]:
 
 def cmd_mems(args) -> int:
     patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
-    fm_fwd, fm_rev = IndexPaths.at(args.index).load()
+    fm_fwd, fm_rev = map(FmIndex.load, index_paths(args.index))
 
     def finder(sub):
         if args.all:
@@ -142,7 +133,7 @@ def cmd_mems(args) -> int:
 
 def cmd_lcs(args) -> int:
     patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
-    fm_fwd, fm_rev = IndexPaths.at(args.index).load()
+    fm_fwd, fm_rev = map(FmIndex.load, index_paths(args.index))
     for rid, raw in patterns:
         result = find_in_raw(raw, fm_fwd.alphabet,
                              lambda sub: longest_common_substring(sub, fm_fwd, fm_rev),

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FastaRecord:
+class _RecordFields(NamedTuple):
     id: str
     sequence: bytes
 
-    def __post_init__(self):
-        if not self.id:
+
+class FastaRecord(_RecordFields):
+    __slots__ = ()
+
+    def __new__(cls, id: str, sequence: bytes):
+        if not id:
             raise ValueError("FASTA record with empty id")
-        if not self.sequence:
-            raise ValueError(f"FASTA record {self.id!r} has an empty sequence")
+        if not sequence:
+            raise ValueError(f"FASTA record {id!r} has an empty sequence")
+        return super().__new__(cls, id, sequence)
 
 
 def parse_fasta(data: bytes) -> list[FastaRecord]:

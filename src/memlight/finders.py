@@ -8,10 +8,9 @@ All results are in pattern coordinates, 0-based, left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .fm import FmIndex
+from .fm import FmIndex, IndexFormatError
 from .sequence import (Alphabet, MemRecord, Pattern, QueryStats,
                        split_by_foreign_chars)
 
@@ -19,12 +18,13 @@ if TYPE_CHECKING:
     from .suffixes import MatchPointers
 
 
-@dataclass
 class FinderResult:
     """MEMs sorted by start (starts and ends both strictly increase) plus work counters."""
 
-    mems: list[MemRecord] = field(default_factory=list)
-    stats: QueryStats = field(default_factory=QueryStats)
+    def __init__(self, mems: list[MemRecord] | None = None,
+                 stats: QueryStats | None = None):
+        self.mems = [] if mems is None else mems
+        self.stats = QueryStats() if stats is None else stats
 
     @property
     def spans(self) -> list[tuple[int, int]]:
@@ -149,6 +149,10 @@ def _thresholded_scan(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
             break
         stats.lcs_queries += 1
         back, _ = fwd_index.backward_search_prefix(codes, j + 2, stats)
+        # the MEM is right-maximal, so the next start is past i unless the
+        # two indexes hold different texts, when the scan would never end
+        if j - back + 2 <= i:
+            raise IndexFormatError("the forward and reverse indexes disagree")
         i = j - back + 2
     return result
 
@@ -192,6 +196,8 @@ def find_all_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
             break
         stats.lcs_queries += 1
         back, _ = fwd_index.backward_search_prefix(codes, j + 2, stats)
+        if j - back + 2 <= i:  # as in _thresholded_scan
+            raise IndexFormatError("the forward and reverse indexes disagree")
         i = j - back + 2
     return result
 

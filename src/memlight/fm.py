@@ -9,6 +9,9 @@ backward step or an LF step is a count read plus one popcount for each end
 of the interval.  The sentinel's row is in no bitmap and needs no
 correction.  Backward search reports how many characters of a query prefix
 matched, which is the single primitive the deterministic MEM finder needs.
+It starts from a table, also built on first search, of the interval of
+every k-mer of the text (k = 10 on binary text, 5 on DNA), so that the
+first k steps of a search are one lookup.
 
 Loading and querying use the standard library only; building imports numpy.
 """
@@ -21,12 +24,11 @@ import struct
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
 from operator import or_
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .sequence import Alphabet, Pattern, QueryStats
 
@@ -43,14 +45,14 @@ _HEADER = struct.Struct("<5Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
 _BELOW = tuple((1 << i) - 1 for i in range(64))
 _DIGIT_ROWS = 1 << 16  # BWT rows translated to binary digits at a time
+_KMER_LANES = 1 << 10  # k is the largest with at most this many k-mers
 
 
 class IndexFormatError(Exception):
     """A saved index could not be read back."""
 
 
-@dataclass(frozen=True)
-class BwtInterval:
+class BwtInterval(NamedTuple):
     """Half-open row range in suffix order; width is the occurrence count."""
 
     lo: int
@@ -215,6 +217,42 @@ class FmIndex:
         return [col[0] for col in cols] + [cols[-1][-1]]
 
     @cached_property
+    def _kmers(self) -> tuple[int, dict[bytes, tuple[int, int]]]:
+        """k and the interval of every k-mer over the non-separator symbols
+        that occurs in the text, keyed by its code bytes (Bowtie's ftab).
+
+        Built breadth-first: each level extends every nonempty interval of
+        the level before by each symbol, with the step of
+        backward_search_prefix.  A text of fewer than two such symbols gets
+        no table (k = 0).
+        """
+        symbols = [code for code, byte in enumerate(self.alphabet.symbols)
+                   if byte not in self.separators]
+        if len(symbols) < 2:
+            return 0, {}
+        k = 1
+        while len(symbols) ** (k + 1) <= _KMER_LANES:
+            k += 1
+        words, cols = self._rank
+        below = _BELOW
+        lanes = [(b"", 0, self.n + 1)]
+        for _ in range(k):
+            extended = []
+            for sym in symbols:
+                head, bits, col = bytes((sym,)), words[sym], cols[sym]
+                # the lanes are in row order and mostly adjacent, so a lane's
+                # lo is usually the hi ranked just before
+                end = end_rank = -1
+                for key, lo, hi in lanes:
+                    new_lo = end_rank if lo == end else (
+                        col[lo >> 6] + (bits[lo >> 6] & below[lo & 63]).bit_count())
+                    end, end_rank = hi, col[hi >> 6] + (bits[hi >> 6] & below[hi & 63]).bit_count()
+                    if new_lo < end_rank:
+                        extended.append((head + key, new_lo, end_rank))
+            lanes = extended
+        return k, {key: (lo, hi) for key, lo, hi in lanes}
+
+    @cached_property
     def _mark_ranks(self) -> array:
         words = memoryview(self._marks + bytes(-len(self._marks) % 8)).cast("Q")
         return array("q", accumulate(map(int.bit_count, words), initial=0))
@@ -242,18 +280,30 @@ class FmIndex:
         step counts as one backward step, including the failing one; a code
         outside the alphabet matches nothing.  The query is a Pattern or a
         sequence of codes; bytes or a list of ints is the fast path.
+
+        When the codes are bytes and the prefix's last k symbols are a k-mer
+        of the text, one lookup in the k-mer table gives their interval and
+        the search goes on from there, counting those k steps; any other
+        prefix is searched from the full interval.  Either way the result
+        and the steps counted are those of a search by single steps.
         """
         codes = query.code_bytes if isinstance(query, Pattern) else query
         if not 0 <= prefix_len <= len(codes):
             raise ValueError("prefix length out of range")
-        if not isinstance(codes, (bytes, list)):
+        lo, hi, matched = 0, self.n + 1, 0
+        if isinstance(codes, bytes):
+            k, kmers = self._kmers
+            if prefix_len >= k > 0:
+                hit = kmers.get(codes[prefix_len - k : prefix_len])
+                if hit is not None:
+                    (lo, hi), matched = hit, k
+        elif not isinstance(codes, list):
             codes = list(map(int, codes[:prefix_len]))  # ints, not numpy scalars
-        # C[sym] + rank(sym, k) inlined for both ends: the count column at
-        # k's word plus a popcount inside the word
+        # C[sym] + rank(sym, r) inlined for both ends r: the count column at
+        # r's word plus a popcount inside the word
         words, cols = self._rank
         below, sigma = _BELOW, len(cols)
-        lo, hi, matched = 0, self.n + 1, 0
-        for pos in range(prefix_len - 1, -1, -1):
+        for pos in range(prefix_len - matched - 1, -1, -1):
             sym = codes[pos]
             if not 0 <= sym < sigma:
                 break
@@ -304,6 +354,9 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
+        samples = array("q", self._samples)
+        if sys.byteorder == "big":
+            samples.byteswap()  # stored little-endian
         parts = [MAGIC,
                  _HEADER.pack(self.n, self.alphabet.size, self.s,
                               self.sentinel_row, len(self.separators)),
@@ -311,7 +364,7 @@ class FmIndex:
                  self.separators,
                  self._bwt,
                  self._marks,
-                 struct.pack(f"<{len(self._samples)}q", *self._samples)]
+                 samples.tobytes()]
         body = b"".join(parts)
         return body + struct.pack("<I", zlib.crc32(body))
 
@@ -363,8 +416,11 @@ class FmIndex:
         if struct.unpack("<I", stream.read(4))[0] != crc:
             raise IndexFormatError("index checksum mismatch")
         symbols, separators, bwt, marks, samples = sections
-        return cls(Alphabet(symbols), bwt, sentinel_row, s, marks,
-                   struct.unpack(f"<{len(samples) // 8}q", samples), separators)
+        values = array("q")
+        values.frombytes(samples)
+        if sys.byteorder == "big":
+            values.byteswap()
+        return cls(Alphabet(symbols), bwt, sentinel_row, s, marks, values, separators)
 
 
 def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,

@@ -7,9 +7,8 @@ which only index building reads, hold numpy code arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -21,21 +20,42 @@ class ForeignSymbolError(ValueError):
     """A byte outside the alphabet appeared where only alphabet symbols are allowed."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Frozen:
+    """Fields are set once, in __init__; assigning one afterwards raises AttributeError.
+
+    Cached properties still fill in, since they write the instance dict directly.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Frozen):
     """Dense code assignment for a set of distinct byte values.
 
     Codes are assigned in ascending byte order, so code order equals byte
     order and encoded sequences compare like the raw bytes they came from.
     """
 
-    symbols: bytes
-
-    def __post_init__(self):
-        if len(self.symbols) == 0:
+    def __init__(self, symbols: bytes):
+        if len(symbols) == 0:
             raise ValueError("empty alphabet")
-        if bytes(sorted(set(self.symbols))) != self.symbols:
+        if bytes(sorted(set(symbols))) != symbols:
             raise ValueError("alphabet symbols must be distinct and ascending")
+        object.__setattr__(self, "symbols", symbols)
+
+    def __eq__(self, other):
+        if type(other) is not Alphabet:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self):
+        return hash(self.symbols)
 
     @property
     def size(self) -> int:
@@ -96,15 +116,12 @@ def _freeze(codes) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(_Frozen):
     """An encoded text over an alphabet; immutable after construction."""
 
-    alphabet: Alphabet
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _freeze(self.data))
+    def __init__(self, alphabet: Alphabet, data: np.ndarray):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "data", _freeze(data))
         if self.n == 0:
             raise ValueError("empty text")
         if self.data.max() >= self.alphabet.size:
@@ -130,22 +147,28 @@ class Text:
         return self.alphabet.decode(self.data)
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Frozen):
     """An encoded pattern sharing the alphabet of the text it queries.
 
     The codes are held as bytes, one per symbol; a numpy code array passed
     in their place is converted.
     """
 
-    alphabet: Alphabet
-    code_bytes: bytes
-
-    def __post_init__(self):
-        if not isinstance(self.code_bytes, bytes):
-            object.__setattr__(self, "code_bytes", _freeze(self.code_bytes).tobytes())
-        if self.code_bytes.translate(None, bytes(range(self.alphabet.size))):
+    def __init__(self, alphabet: Alphabet, code_bytes: bytes):
+        if not isinstance(code_bytes, bytes):
+            code_bytes = _freeze(code_bytes).tobytes()
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "code_bytes", code_bytes)
+        if code_bytes.translate(None, bytes(range(alphabet.size))):
             raise ValueError("pattern contains codes outside the alphabet")
+
+    def __eq__(self, other):
+        if type(other) is not Pattern:
+            return NotImplemented
+        return (self.alphabet, self.code_bytes) == (other.alphabet, other.code_bytes)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.code_bytes))
 
     @classmethod
     def from_bytes(cls, raw: bytes, alphabet: Alphabet) -> "Pattern":
@@ -189,22 +212,27 @@ def split_by_foreign_chars(raw_pattern: bytes, alphabet: Alphabet,
     return pieces
 
 
-@dataclass(frozen=True)
-class MemRecord:
+class _MemFields(NamedTuple):
+    start: int
+    length: int
+    bwt_interval: Optional[BwtInterval] = None
+    occurrences: Optional[tuple[int, ...]] = None
+
+
+class MemRecord(_MemFields):
     """One maximal exact match: where it starts in the pattern and how long it is.
 
     Optionally carries the interval of suffix-order rows matching it and the
     text positions where it occurs.
     """
 
-    start: int
-    length: int
-    bwt_interval: Optional["BwtInterval"] = None
-    occurrences: Optional[tuple[int, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __new__(cls, start: int, length: int, bwt_interval: Optional[BwtInterval] = None,
+                occurrences: Optional[tuple[int, ...]] = None):
+        if length < 1:
             raise ValueError("a match must be non-empty")
+        return super().__new__(cls, start, length, bwt_interval, occurrences)
 
     @property
     def end(self) -> int:
@@ -216,11 +244,20 @@ class MemRecord:
         return (self.start, self.length)
 
 
-@dataclass
 class QueryStats:
     """Work counters for one query; owned by the caller, never shared."""
 
-    backward_steps: int = 0
-    lcp_queries: int = 0
-    lcs_queries: int = 0
-    loop_iterations: int = 0
+    def __init__(self, backward_steps: int = 0, lcp_queries: int = 0,
+                 lcs_queries: int = 0, loop_iterations: int = 0):
+        self.backward_steps = backward_steps
+        self.lcp_queries = lcp_queries
+        self.lcs_queries = lcs_queries
+        self.loop_iterations = loop_iterations
+
+    def __eq__(self, other):
+        if type(other) is not QueryStats:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"QueryStats({', '.join(f'{name}={count}' for name, count in vars(self).items())})"

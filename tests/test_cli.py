@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
+import memlight
 from memlight.cli import main
 from memlight.fm import FmIndex
 
@@ -253,6 +258,31 @@ def test_moved_sentinel_row_is_a_format_error(tmp_path, capsys):
     open(path, "wb").write(bytes(data))
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
     assert "row of text position 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["mems", "-L", "4"], ["mems", "--all"], ["lcs"]])
+def test_disagreeing_index_pair_is_a_format_error(tmp_path, command):
+    # two swapped rows of the forward BWT pass every load check, so only the
+    # scan can see that the pair describes two texts; a child process with
+    # a timeout, because the scan once looped forever here
+    text, pattern = tmp_path / "t.txt", tmp_path / "p.txt"
+    text.write_bytes(DEMO_TEXT)
+    pattern.write_bytes(DEMO_PATTERN)
+    prefix = str(tmp_path / "x")
+    assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
+    path = prefix + ".fwd.memidx"
+    data = bytearray(open(path, "rb").read())
+    bwt = 8 + 5 * 8 + 4  # after the magic, the header and the alphabet
+    data[bwt], data[bwt + 3] = data[bwt + 3], data[bwt]
+    data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+    open(path, "wb").write(bytes(data))
+    src = Path(memlight.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "memlight.cli", command[0], prefix, str(pattern),
+         "--raw", *command[1:]],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=30)
+    assert done.returncode == 3
+    assert b"the forward and reverse indexes disagree" in done.stderr
 
 
 def test_unknown_arguments_exit_two():

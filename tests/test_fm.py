@@ -243,6 +243,88 @@ def test_matched_equals_longest_occurring_suffix_randomized():
                 assert iv.width == count
 
 
+def walk_by_rank(index, codes, prefix_len):
+    """(matched, (lo, hi), steps) of a search made of single rank() steps."""
+    lo, hi, matched = 0, index.n + 1, 0
+    for sym in reversed(codes[:prefix_len]):
+        if not 0 <= sym < index.alphabet.size:
+            break
+        new_lo = index._c[sym] + index.rank(sym, lo)
+        new_hi = index._c[sym] + index.rank(sym, hi)
+        if new_lo >= new_hi:
+            break
+        lo, hi, matched = new_lo, new_hi, matched + 1
+    return matched, (lo, hi), matched + (matched < prefix_len)
+
+
+def search(index, codes, prefix_len):
+    stats = QueryStats()
+    matched, iv = index.backward_search_prefix(codes, prefix_len, stats)
+    assert iv.depth == matched
+    return matched, (iv.lo, iv.hi), stats.backward_steps
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_search_from_the_kmer_table_equals_a_walk_by_rank(data):
+    # the query is a text substring between random codes, some of them
+    # separators or past the alphabet, so its k-mers both hit and miss
+    sigma = data.draw(st.integers(1, 4), label="sigma")
+    t_codes = data.draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=400))
+    text = Text.from_bytes(bytes(b"acgt"[c] for c in t_codes))
+    size = text.alphabet.size
+    separators = text.alphabet.symbols[:data.draw(st.integers(0, min(2, size - 1)))]
+    index = build_fm(text, sample_rate=5, separators=separators)
+    noise = st.binary(max_size=6).map(lambda b: bytes(x % (size + 2) for x in b))
+    start = data.draw(st.integers(0, text.n - 1))
+    core = text.code_bytes[start : start + data.draw(st.integers(0, 30))]
+    query = data.draw(noise) + core + data.draw(noise)
+    k, kmers = index._kmers
+    assert (k > 0) == (size - len(separators) >= 2)
+    assert all(len(key) == k for key in kmers)
+    for prefix_len in range(len(query) + 1):
+        expect = walk_by_rank(index, query, prefix_len)
+        assert search(index, query, prefix_len) == expect
+        assert search(index, list(query), prefix_len) == expect
+
+
+def test_search_around_the_table_length(demo_index):
+    text, index = demo_index
+    k, kmers = index._kmers
+    assert k == 5  # four symbols, 4^5 = 1024 possible k-mers
+    query = text.code_bytes
+    for prefix_len in (k - 1, k, k + 1):
+        assert (query[prefix_len - k : prefix_len] in kmers) == (prefix_len >= k)
+        assert search(index, query, prefix_len) == walk_by_rank(index, query, prefix_len)
+        assert search(index, query, prefix_len)[0] == prefix_len
+
+
+def test_search_of_a_kmer_absent_from_the_text(demo_index):
+    text, index = demo_index
+    query = encode(text, b"GATTAC").tobytes()
+    assert query[1:] not in index._kmers[1]  # ATTAC is no substring of the text
+    expect = walk_by_rank(index, query, 6)
+    assert expect == (3, interval_of(index, text, b"TAC")[:2], 4)
+    assert search(index, query, 6) == expect
+
+
+@pytest.mark.parametrize("raw, separators", [(b"aaaa", b""), (b"a,a,a", b",")])
+def test_one_symbol_text_has_no_kmer_table(raw, separators):
+    index = build_fm(Text.from_bytes(raw), separators=separators)
+    assert index._kmers == (0, {})
+    query = index.alphabet.encode_bytes(raw)
+    for prefix_len in range(len(query) + 1):
+        assert search(index, query, prefix_len) == walk_by_rank(index, query, prefix_len)
+
+
+def test_text_shorter_than_k_has_an_empty_table():
+    index = build_fm(Text.from_bytes(b"ab"))
+    assert index._kmers == (10, {})
+    query = bytes([0, 1] * 6)
+    for prefix_len in range(len(query) + 1):
+        assert search(index, query, prefix_len) == walk_by_rank(index, query, prefix_len)
+
+
 # -- locating ---------------------------------------------------------------------
 
 def test_locate_examples(demo_index):

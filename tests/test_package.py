@@ -1,4 +1,5 @@
-"""The package's lazy exports, and a query process that never imports numpy."""
+"""The package's lazy exports, a query process that imports neither numpy nor
+dataclasses, and the value semantics of the records it uses instead."""
 
 import os
 import subprocess
@@ -8,17 +9,20 @@ from pathlib import Path
 import pytest
 
 import memlight
+from memlight import Alphabet, BwtInterval, MemRecord, Pattern, Text
 from memlight.cli import main
+from memlight.fasta import FastaRecord
 
 from conftest import DEMO_PATTERN, DEMO_TEXT
 
 SRC = Path(memlight.__file__).resolve().parents[1]
 
-# runs one CLI command, then fails if numpy was imported on the way
+# runs one CLI command, then fails if numpy or dataclasses was imported on the way
 QUERY_CHILD = ("import sys\n"
                "from memlight.cli import main\n"
                "code = main(sys.argv[1:])\n"
-               "sys.exit(code or ('numpy was imported' if 'numpy' in sys.modules else 0))\n")
+               "heavy = [name for name in ('numpy', 'dataclasses') if name in sys.modules]\n"
+               "sys.exit(code or (f'{heavy} imported' if heavy else 0))\n")
 
 
 def test_every_exported_name_resolves():
@@ -45,3 +49,28 @@ def test_query_commands_do_not_import_numpy(tmp_path, command):
     assert done.stderr == b""
     assert done.returncode == 0
     assert done.stdout.startswith(b"p\t")
+
+
+def test_records_compare_by_value_hash_and_reject_assignment():
+    alphabet = Alphabet(b"ACGT")
+    interval = BwtInterval(2, 5, 3)
+    # (a record, an equal one built apart, a different one, a field)
+    cases = [
+        (alphabet, Alphabet(b"ACGT"), Alphabet(b"ACG"), "symbols"),
+        (Pattern(alphabet, b"\x00\x01"), Pattern(Alphabet(b"ACGT"), b"\x00\x01"),
+         Pattern(alphabet, b"\x01"), "code_bytes"),
+        (interval, BwtInterval(2, 5, 3), BwtInterval(2, 5), "hi"),
+        (MemRecord(1, 4, interval), MemRecord(1, 4, BwtInterval(2, 5, 3)),
+         MemRecord(1, 4), "length"),
+        (FastaRecord("r", b"ACGT"), FastaRecord("r", b"ACGT"),
+         FastaRecord("s", b"ACGT"), "sequence"),
+    ]
+    for record, same, other, field in cases:
+        assert record == same
+        assert hash(record) == hash(same)
+        assert record != other
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(other, field))
+        assert record == same
+    with pytest.raises(AttributeError):
+        Text.from_bytes(b"GATTACA").alphabet = alphabet
