@@ -1,9 +1,12 @@
-"""MEM finders: full forward-backward scans and length-thresholded variants.
+"""MEM finders: one full forward-backward scan and one length-thresholded scan.
 
-Two families share the same output contract.  The pointer+LCE family needs
-match pointers and an extension backend; the FM family needs only a pair of
-backward-search indexes (text and reversed text) and is fully deterministic.
-All results are in pattern coordinates, 0-based, left to right.
+Both families run the same two scans, each over two match functions:
+match_from(i), the longest text match starting at pattern offset i (length,
+interval or None), and match_to(e), the length of the longest one ending
+just before e.  The pointer+LCE family serves them from match pointers and
+an extension backend; the FM family, deterministically, from a pair of
+backward-search indexes (text and reversed text).  All results are in
+pattern coordinates, 0-based, left to right.
 """
 
 from __future__ import annotations
@@ -31,74 +34,20 @@ class FinderResult:
         return [mem.span for mem in self.mems]
 
 
-def find_all_mems(pattern: Pattern, pointers: MatchPointers, lce) -> FinderResult:
-    """Every MEM, by alternating one forward and one backward extension per MEM.
-
-    The first MEM starts at offset 0; each reported end determines the next
-    start because maximal matches never nest.
-    """
-    result = FinderResult()
-    m = pattern.m
-    if m == 0:
-        return result
-    stats = result.stats
+def _lce_matches(pointers: MatchPointers, lce):
+    """(stats, match_from, match_to) from match pointers and LCE queries."""
     fwd, bwd = pointers.forward, pointers.backward
-    i = 0
-    while True:
-        stats.loop_iterations += 1
-        stats.lcp_queries += 1
-        length = lce.lce_forward(i, int(fwd[i]))
-        result.mems.append(MemRecord(i, length))
-        end = i + length - 1
-        if end == m - 1:
-            break
-        stats.lcs_queries += 1
-        back = lce.lce_backward(end + 1, int(bwd[end + 1]))
-        i = end + 2 - back
-    return result
+    return (QueryStats(), lambda i: (lce.lce_forward(i, int(fwd[i])), None),
+            lambda e: lce.lce_backward(e - 1, int(bwd[e - 1])))
 
 
-def find_long_mems_lce(pattern: Pattern, pointers: MatchPointers, lce,
-                       min_len: int) -> FinderResult:
-    """Exactly the MEMs of length at least min_len, skipping short ones.
+def _fm_matches(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex):
+    """(stats, match_from, match_to) by backward search in the index pair.
 
-    Probes the backward extension at the end of the current length-min_len
-    window: a long-enough extension pins a reportable MEM at the window
-    start, otherwise the window start can jump past every position that
-    cannot begin a long MEM.
+    The longest match ending before e is the longest suffix of the first e
+    pattern symbols in the text; the one starting at i, reversed, is that of
+    the first m - i reversed symbols in the reversed text, with its interval.
     """
-    if min_len < 1:
-        raise ValueError("minimum length must be at least 1")
-    result = FinderResult()
-    m = pattern.m
-    stats = result.stats
-    fwd, bwd = pointers.forward, pointers.backward
-    i = 0
-    while i <= m - min_len:
-        stats.loop_iterations += 1
-        window_end = i + min_len - 1
-        stats.lcs_queries += 1
-        b = lce.lce_backward(window_end, int(bwd[window_end]))
-        if b >= min_len:
-            stats.lcp_queries += 1
-            length = lce.lce_forward(i, int(fwd[i]))
-            result.mems.append(MemRecord(i, length))
-            if i + length == m:
-                break
-            stats.lcs_queries += 1
-            back = lce.lce_backward(i + length, int(bwd[i + length]))
-            i = i + length + 1 - back
-        else:
-            i += min_len - b
-    return result
-
-
-def _fm_codes(pattern: Pattern) -> tuple[bytes, bytes]:
-    codes = pattern.code_bytes
-    return codes, codes[::-1]
-
-
-def _check_paired(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex) -> None:
     if fwd_index.alphabet != rev_index.alphabet:
         raise ValueError("forward and reverse indexes use different alphabets")
     if (fwd_index.n, fwd_index._c, fwd_index.separators) != (
@@ -106,55 +55,93 @@ def _check_paired(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex) -> N
         raise ValueError("forward and reverse indexes describe different texts")
     if pattern.alphabet != fwd_index.alphabet:
         raise ValueError("pattern alphabet differs from the index alphabet")
+    stats, codes = QueryStats(), pattern.code_bytes
+    rcodes, m = codes[::-1], len(codes)
+    search, reverse_search = fwd_index.backward_search_prefix, rev_index.backward_search_prefix
+    return (stats, lambda i: reverse_search(rcodes, m - i, stats),
+            lambda e: search(codes, e, stats)[0])
 
 
-def _thresholded_scan(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
-                      min_len: int, longest: bool,
-                      report_intervals: bool) -> FinderResult:
-    """The thresholded loop shared by find_long_mems_fm and longest_common_substring.
+def _next_start(start: int, end: int, match_to) -> int:
+    """Start of the MEM after the one spanning [start, end), for end < m."""
+    nxt = end + 1 - match_to(end + 1)
+    # the MEM is right-maximal, so nxt is past start unless the two sides
+    # disagree (indexes of two texts, bad pointers): the scan would not end
+    if nxt <= start:
+        raise IndexFormatError("the forward and reverse indexes disagree")
+    return nxt
 
-    The backward probe of the current length-min_len window comes from the
-    text index; a window whose whole suffix matches pins a MEM at the window
-    start, found by searching the reversed pattern in the reversed-text
-    index.  In longest mode that MEM is at least min_len long, so it replaces
-    the single kept MEM and the threshold rises to one above its length.
+
+def _full_scan(m: int, stats: QueryStats, match_from, match_to,
+               report_intervals: bool = False) -> FinderResult:
+    """Every MEM, by alternating one forward and one backward match per MEM.
+
+    The first MEM starts at offset 0; each reported end determines the next
+    start because maximal matches never nest.  A position that matches
+    nothing (its symbol is absent from the text) is skipped.
+    """
+    result = FinderResult(stats=stats)
+    i = 0
+    while i < m:
+        stats.loop_iterations += 1
+        stats.lcp_queries += 1
+        length, iv = match_from(i)
+        if length == 0:
+            i += 1
+            continue
+        result.mems.append(MemRecord(i, length, iv if report_intervals else None))
+        if i + length == m:
+            break
+        stats.lcs_queries += 1
+        i = _next_start(i, i + length, match_to)
+    return result
+
+
+def _thresholded_scan(m: int, stats: QueryStats, match_from, match_to,
+                      min_len: int, longest: bool = False,
+                      report_intervals: bool = False) -> FinderResult:
+    """Exactly the MEMs of length at least min_len, skipping short ones.
+
+    Probes the longest match ending at the end of the current length-min_len
+    window: a long-enough one pins a reportable MEM at the window start,
+    otherwise the window start can jump past every position that cannot
+    begin a long MEM.  In longest mode each MEM found is at least min_len
+    long, so it replaces the one kept and the threshold rises above it.
     """
     if min_len < 1:
         raise ValueError("minimum length must be at least 1")
-    _check_paired(pattern, fwd_index, rev_index)
-    result = FinderResult()
-    stats = result.stats
-    m = pattern.m
-    codes, rcodes = _fm_codes(pattern)
+    result = FinderResult(stats=stats)
     i = 0
     while i <= m - min_len:
         stats.loop_iterations += 1
-        j = i + min_len - 1
         stats.lcs_queries += 1
-        suffix_len, _ = fwd_index.backward_search_prefix(codes, j + 1, stats)
-        k = j - suffix_len + 1
-        if k > i:
-            i = k
+        probe = match_to(i + min_len)
+        if probe < min_len:
+            i += min_len - probe
             continue
         stats.lcp_queries += 1
-        length, iv = rev_index.backward_search_prefix(rcodes, m - i, stats)
-        mem = MemRecord(i, length, bwt_interval=iv if report_intervals else None)
+        length, iv = match_from(i)
+        mem = MemRecord(i, length, iv if report_intervals else None)
         if longest:
-            result.mems = [mem]
-            min_len = length + 1
+            result.mems, min_len = [mem], length + 1
         else:
             result.mems.append(mem)
-        j = i + length - 1
-        if j == m - 1:
+        if i + length == m:
             break
         stats.lcs_queries += 1
-        back, _ = fwd_index.backward_search_prefix(codes, j + 2, stats)
-        # the MEM is right-maximal, so the next start is past i unless the
-        # two indexes hold different texts, when the scan would never end
-        if j - back + 2 <= i:
-            raise IndexFormatError("the forward and reverse indexes disagree")
-        i = j - back + 2
+        i = _next_start(i, i + length, match_to)
     return result
+
+
+def find_all_mems(pattern: Pattern, pointers: MatchPointers, lce) -> FinderResult:
+    """Every MEM, by the full scan over match pointers and LCE queries."""
+    return _full_scan(pattern.m, *_lce_matches(pointers, lce))
+
+
+def find_long_mems_lce(pattern: Pattern, pointers: MatchPointers, lce,
+                       min_len: int) -> FinderResult:
+    """The MEMs of length at least min_len, by the thresholded scan over pointers."""
+    return _thresholded_scan(pattern.m, *_lce_matches(pointers, lce), min_len)
 
 
 def find_long_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
@@ -164,8 +151,8 @@ def find_long_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
     Same output as find_long_mems_lce.  When requested, each record carries
     the interval of the reversed MEM in the reversed-text index.
     """
-    return _thresholded_scan(pattern, fwd_index, rev_index, min_len,
-                             longest=False, report_intervals=report_intervals)
+    return _thresholded_scan(pattern.m, *_fm_matches(pattern, fwd_index, rev_index),
+                             min_len, report_intervals=report_intervals)
 
 
 def find_all_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
@@ -175,43 +162,20 @@ def find_all_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
     Pattern symbols absent from the text extend nothing and are skipped one
     position at a time, so unsplit patterns degrade gracefully.
     """
-    _check_paired(pattern, fwd_index, rev_index)
-    result = FinderResult()
-    stats = result.stats
-    m = pattern.m
-    codes, rcodes = _fm_codes(pattern)
-    i = 0
-    while i < m:
-        stats.loop_iterations += 1
-        stats.lcp_queries += 1
-        length, iv = rev_index.backward_search_prefix(rcodes, m - i, stats)
-        if length == 0:
-            i += 1
-            continue
-        j = i + length - 1
-        result.mems.append(
-            MemRecord(i, length, bwt_interval=iv if report_intervals else None)
-        )
-        if j == m - 1:
-            break
-        stats.lcs_queries += 1
-        back, _ = fwd_index.backward_search_prefix(codes, j + 2, stats)
-        if j - back + 2 <= i:  # as in _thresholded_scan
-            raise IndexFormatError("the forward and reverse indexes disagree")
-        i = j - back + 2
-    return result
+    return _full_scan(pattern.m, *_fm_matches(pattern, fwd_index, rev_index),
+                      report_intervals)
 
 
 def longest_common_substring(pattern: Pattern, fwd_index: FmIndex,
                              rev_index: FmIndex) -> FinderResult:
     """One maximum-length MEM (leftmost among maxima), or none if nothing matches.
 
-    Runs the thresholded loop with the threshold held one above the best
+    Runs the thresholded scan with the threshold held one above the best
     length found so far, so every confirmed window strictly improves on the
     current best and everything shorter is skipped wholesale.
     """
-    return _thresholded_scan(pattern, fwd_index, rev_index, 1, longest=True,
-                             report_intervals=True)
+    return _thresholded_scan(pattern.m, *_fm_matches(pattern, fwd_index, rev_index),
+                             1, longest=True, report_intervals=True)
 
 
 def find_in_raw(raw_pattern: bytes, alphabet: Alphabet, finder,

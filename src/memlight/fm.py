@@ -57,7 +57,6 @@ class BwtInterval(NamedTuple):
 
     lo: int
     hi: int
-    depth: int = 0
 
     @property
     def width(self) -> int:
@@ -316,7 +315,7 @@ class FmIndex:
             matched += 1
         if stats is not None:
             stats.backward_steps += matched + (matched < prefix_len)
-        return matched, BwtInterval(lo, hi, matched)
+        return matched, BwtInterval(lo, hi)
 
     def locate_all(self, iv: BwtInterval) -> list[int]:
         """Text positions of every row in the interval, ascending.

@@ -72,8 +72,6 @@ class FingerprintTable:
 class NaiveLce:
     """Exact extension queries by direct character comparison."""
 
-    mode = "naive"
-
     def __init__(self, text: Text, pattern: Pattern):
         self._t = text.data
         self._p = pattern.data
@@ -109,8 +107,6 @@ class FingerprintLce:
     comparisons, not O(log n).  Matches are not re-verified by scanning, so
     each query is correct with high probability rather than always.
     """
-
-    mode = "fingerprint"
 
     def __init__(self, table: FingerprintTable):
         self.table = table

@@ -108,39 +108,29 @@ class SuffixArray:
 
     # -- binary searches over suffix order ---------------------------------
 
-    def _prefix_range(self, q: bytes) -> tuple[int, int]:
-        """Rows whose suffix starts with q, as a half-open range."""
+    def _first_row(self, q: bytes, lo: int = 0, past: bool = False) -> int:
+        """First row from lo whose suffix's len(q)-prefix is >= q (> q if past)."""
         sa, tb, nq = self.sa, self._tb, len(q)
-        lo, hi = 0, sa.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p = sa[mid]
-            if tb[p : p + nq] < q:
-                lo = mid + 1
-            else:
-                hi = mid
-        first = lo
         hi = sa.size
         while lo < hi:
             mid = (lo + hi) // 2
             p = sa[mid]
-            if tb[p : p + nq] <= q:
+            key = tb[p : p + nq]
+            if key < q or past and key == q:
                 lo = mid + 1
             else:
                 hi = mid
-        return first, lo
+        return lo
+
+    def _prefix_range(self, q: bytes) -> tuple[int, int]:
+        """Rows whose suffix starts with q, as a half-open range."""
+        first = self._first_row(q)
+        return first, self._first_row(q, first, past=True)
 
     def longest_prefix_match(self, q: bytes) -> int:
         """Length of the longest prefix of q occurring anywhere in the text."""
         sa, tb, nq = self.sa, self._tb, len(q)
-        lo, hi = 0, sa.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p = sa[mid]
-            if tb[p : p + nq] < q:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = self._first_row(q)
         best = 0
         if lo < sa.size:
             p = sa[lo]

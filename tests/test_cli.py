@@ -1,4 +1,5 @@
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -283,6 +284,23 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command):
         capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=30)
     assert done.returncode == 3
     assert b"the forward and reverse indexes disagree" in done.stderr
+
+
+def test_query_children_launcher_runs_both_trees(demo_files):
+    _, pattern, prefix = demo_files
+    src = str(Path(memlight.__file__).resolve().parents[1])
+    script = Path(__file__).resolve().parents[1] / "scripts" / "query_children.py"
+    commands = [shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4"]),
+                shlex.join(["lcs", prefix, str(pattern), "--raw"])]
+    done = subprocess.run(
+        [sys.executable, str(script), src, src, "--rounds", "1",
+         *(arg for command in commands for arg in ("-c", command))],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split("\t") for line in done.stdout.splitlines()]
+    for command in commands:
+        mine = [row for row in rows if row[0] == command]
+        assert [row[-1] for row in mine] == ["same", "same"]
 
 
 def test_unknown_arguments_exit_two():

@@ -1,12 +1,13 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlight import (Alphabet, FingerprintLce, Pattern, QueryStats, Text,
-                      brute_force_mems,
+from memlight import (Alphabet, FingerprintLce, IndexFormatError, MatchPointers,
+                      Pattern, QueryStats, Text, brute_force_mems,
                       build_fm, build_suffix_structures, compute_match_pointers,
                       find_all_mems, find_all_mems_fm, find_in_raw,
                       find_long_mems_fm, find_long_mems_lce,
@@ -235,6 +236,30 @@ def test_min_len_must_be_positive(demo_bench):
     with pytest.raises(ValueError):
         find_long_mems_fm(demo_bench.pattern, demo_bench.fm_fwd,
                           demo_bench.fm_rev, 0)
+
+
+def _stop_hung_test(signum, frame):
+    raise TimeoutError("the finder did not stop")
+
+
+@pytest.mark.parametrize("finder", [
+    find_all_mems,
+    lambda p, pointers, lce: find_long_mems_lce(p, pointers, lce, 4),
+])
+def test_pointer_finders_stop_on_inconsistent_pointers(demo_bench, finder):
+    # forward pointers shifted by 4 put the next start at or before the
+    # current one; a finder without the progress check loops forever
+    n = demo_bench.text.n
+    bad = MatchPointers((demo_bench.pointers.forward + 4) % n,
+                        demo_bench.pointers.backward.copy())
+    previous = signal.signal(signal.SIGALRM, _stop_hung_test)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(IndexFormatError, match="disagree"):
+            finder(demo_bench.pattern, bad, demo_bench.naive_lce())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- randomized equivalence ----------------------------------------------------------

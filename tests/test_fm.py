@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlight import (BwtInterval, FmIndex, IndexFormatError, Pattern,
-                      QueryStats, Text, brute_force_mems, build_fm,
-                      build_suffix_structures, find_long_mems_fm, invert_bwt)
+from memlight import (BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
+                      NaiveLce, Pattern, QueryStats, Text, brute_force_mems,
+                      build_fm, build_suffix_structures, compute_match_pointers,
+                      find_all_mems, find_long_mems_fm, find_long_mems_lce,
+                      invert_bwt)
 
 from conftest import DEMO_PATTERN, DEMO_TEXT
 
@@ -71,9 +73,9 @@ def test_single_symbol_interval_is_count_slice(demo_index):
 
 def test_extend_interval_examples(demo_index):
     text, index = demo_index
-    iv = interval_of(index, text, b"GAT")
+    matched, iv = index.backward_search_prefix(encode(text, b"GAT"), 3)
     assert iv.width == 2
-    assert iv.depth == 3
+    assert matched == 3
 
 
 def test_search_by_out_of_alphabet_symbol_matches_nothing(demo_index):
@@ -260,7 +262,7 @@ def walk_by_rank(index, codes, prefix_len):
 def search(index, codes, prefix_len):
     stats = QueryStats()
     matched, iv = index.backward_search_prefix(codes, prefix_len, stats)
-    assert iv.depth == matched
+    assert 0 <= matched <= prefix_len and iv.width > 0
     return matched, (iv.lo, iv.hi), stats.backward_steps
 
 
@@ -355,7 +357,7 @@ def test_locate_matches_scan_at_all_sample_rates():
 
 def test_locate_empty_interval(demo_index):
     _, index = demo_index
-    assert index.locate_all(BwtInterval(3, 3, 1)) == []
+    assert index.locate_all(BwtInterval(3, 3)) == []
 
 
 def test_locate_full_interval_excludes_sentinel_row(demo_index):
@@ -532,19 +534,27 @@ def test_load_rejects_old_format(demo_index):
 
 # -- agreement with the oracle --------------------------------------------------------
 
-@given(st.integers(1, 4).flatmap(lambda sigma: st.tuples(
-    st.lists(st.integers(0, sigma - 1), min_size=1, max_size=60),
-    st.lists(st.integers(0, sigma - 1), min_size=1, max_size=40))))
+# pattern symbols all occur in the text: patterns reach the finders split on
+# foreign bytes, and compute_match_pointers requires it
+@given(st.integers(1, 4).flatmap(
+    lambda sigma: st.lists(st.integers(0, sigma - 1), min_size=1, max_size=60)).flatmap(
+    lambda t_codes: st.tuples(st.just(t_codes), st.lists(
+        st.sampled_from(sorted(set(t_codes))), min_size=1, max_size=40))))
 @settings(max_examples=80, deadline=None)
 def test_thresholded_fm_finder_equals_oracle_for_every_length(case):
     t_codes, p_codes = case
     text = Text.from_bytes(bytes(b"acgt"[c] for c in t_codes))
-    p_raw = bytes(b"acgt"[c] for c in p_codes)
-    if not set(p_raw) <= set(text.alphabet.symbols):
-        return  # patterns reach the finders split on foreign bytes
-    pattern = Pattern.from_bytes(p_raw, text.alphabet)
+    pattern = Pattern.from_bytes(bytes(b"acgt"[c] for c in p_codes), text.alphabet)
     fwd, rev = build_fm(text, sample_rate=3), build_fm(text.reversed(), sample_rate=3)
     sa = build_suffix_structures(text)
+    pointers = compute_match_pointers(pattern, text, sa,
+                                      build_suffix_structures(text.reversed()))
+    backends = (NaiveLce(text, pattern), FingerprintLce.build(text, pattern, seed=5))
+    for lce in backends:
+        assert find_all_mems(pattern, pointers, lce).spans == [
+            m.span for m in brute_force_mems(pattern, text, 1, sa=sa)]
     for min_len in range(1, pattern.m + 2):
         expect = [m.span for m in brute_force_mems(pattern, text, min_len, sa=sa)]
         assert find_long_mems_fm(pattern, fwd, rev, min_len).spans == expect
+        for lce in backends:
+            assert find_long_mems_lce(pattern, pointers, lce, min_len).spans == expect

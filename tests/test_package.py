@@ -53,14 +53,14 @@ def test_query_commands_do_not_import_numpy(tmp_path, command):
 
 def test_records_compare_by_value_hash_and_reject_assignment():
     alphabet = Alphabet(b"ACGT")
-    interval = BwtInterval(2, 5, 3)
+    interval = BwtInterval(2, 5)
     # (a record, an equal one built apart, a different one, a field)
     cases = [
         (alphabet, Alphabet(b"ACGT"), Alphabet(b"ACG"), "symbols"),
         (Pattern(alphabet, b"\x00\x01"), Pattern(Alphabet(b"ACGT"), b"\x00\x01"),
          Pattern(alphabet, b"\x01"), "code_bytes"),
-        (interval, BwtInterval(2, 5, 3), BwtInterval(2, 5), "hi"),
-        (MemRecord(1, 4, interval), MemRecord(1, 4, BwtInterval(2, 5, 3)),
+        (interval, BwtInterval(2, 5), BwtInterval(2, 6), "hi"),
+        (MemRecord(1, 4, interval), MemRecord(1, 4, BwtInterval(2, 5)),
          MemRecord(1, 4), "length"),
         (FastaRecord("r", b"ACGT"), FastaRecord("r", b"ACGT"),
          FastaRecord("s", b"ACGT"), "sequence"),
