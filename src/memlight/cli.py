@@ -189,9 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mems", help="report MEMs of a pattern, TSV on stdout")
     p.add_argument("index", help="index path prefix")
     p.add_argument("patterns", help="pattern file (FASTA by default)")
-    p.add_argument("-L", "--L", "--min-mem-length", dest="min_mem_length",
-                   type=_min_length, default=1)
-    p.add_argument("--all", action="store_true", help="report every MEM (full scan)")
+    scan = p.add_mutually_exclusive_group()
+    scan.add_argument("-L", "--L", "--min-mem-length", dest="min_mem_length",
+                      type=_min_length, default=1)
+    scan.add_argument("--all", action="store_true", help="report every MEM (full scan)")
     p.add_argument("--locate", action="store_true",
                    help="append 1-based occurrence positions")
     p.add_argument("--intervals", action="store_true",

@@ -88,7 +88,7 @@ def make_cyclic_text(text: Text, window: int) -> Text:
     """
     if not 1 <= window <= text.n:
         raise ValueError("window must be between 1 and the text length")
-    return Text(text.alphabet, np.concatenate([text.data, text.data[:window]]))
+    return Text(text.alphabet, text.code_bytes + text.code_bytes[:window])
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def classify_mems(mems: list[MemRecord], pattern: Pattern, counter: SuffixArray,
     tally: dict[int, list[int]] = {}
     cap = base_n if base_n is not None else counter.n
     for mem in mems:
-        positions = counter.occurrences(pattern.data[mem.start : mem.end])
+        positions = counter.occurrences(pattern.code_bytes[mem.start : mem.end])
         if base_n is not None:
             positions = sorted({p % base_n for p in positions})
         length = min(mem.length, cap)

@@ -5,7 +5,9 @@ match_from(i), the longest text match starting at pattern offset i (length,
 interval or None), and match_to(e), the length of the longest one ending
 just before e.  The pointer+LCE family serves them from match pointers and
 an extension backend; the FM family, deterministically, from a pair of
-backward-search indexes (text and reversed text).  All results are in
+backward-search indexes (text and reversed text).  Match functions that
+contradict each other stop a scan with the family's error: ValueError for
+match pointers, IndexFormatError for an index pair.  All results are in
 pattern coordinates, 0-based, left to right.
 """
 
@@ -35,14 +37,15 @@ class FinderResult:
 
 
 def _lce_matches(pointers: MatchPointers, lce):
-    """(stats, match_from, match_to) from match pointers and LCE queries."""
+    """(stats, match_from, match_to, disagreement) from match pointers and LCE queries."""
     fwd, bwd = pointers.forward, pointers.backward
     return (QueryStats(), lambda i: (lce.lce_forward(i, int(fwd[i])), None),
-            lambda e: lce.lce_backward(e - 1, int(bwd[e - 1])))
+            lambda e: lce.lce_backward(e - 1, int(bwd[e - 1])),
+            ValueError("the match pointers are inconsistent with the pattern and text"))
 
 
 def _fm_matches(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex):
-    """(stats, match_from, match_to) by backward search in the index pair.
+    """(stats, match_from, match_to, disagreement) by backward search in the index pair.
 
     The longest match ending before e is the longest suffix of the first e
     pattern symbols in the text; the one starting at i, reversed, is that of
@@ -59,20 +62,22 @@ def _fm_matches(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex):
     rcodes, m = codes[::-1], len(codes)
     search, reverse_search = fwd_index.backward_search_prefix, rev_index.backward_search_prefix
     return (stats, lambda i: reverse_search(rcodes, m - i, stats),
-            lambda e: search(codes, e, stats)[0])
+            lambda e: search(codes, e, stats)[0],
+            IndexFormatError("the forward and reverse indexes disagree"))
 
 
-def _next_start(start: int, end: int, match_to) -> int:
+def _next_start(start: int, end: int, match_to, disagreement: Exception) -> int:
     """Start of the MEM after the one spanning [start, end), for end < m."""
     nxt = end + 1 - match_to(end + 1)
     # the MEM is right-maximal, so nxt is past start unless the two sides
     # disagree (indexes of two texts, bad pointers): the scan would not end
     if nxt <= start:
-        raise IndexFormatError("the forward and reverse indexes disagree")
+        raise disagreement
     return nxt
 
 
 def _full_scan(m: int, stats: QueryStats, match_from, match_to,
+               disagreement: Exception,
                report_intervals: bool = False) -> FinderResult:
     """Every MEM, by alternating one forward and one backward match per MEM.
 
@@ -93,12 +98,12 @@ def _full_scan(m: int, stats: QueryStats, match_from, match_to,
         if i + length == m:
             break
         stats.lcs_queries += 1
-        i = _next_start(i, i + length, match_to)
+        i = _next_start(i, i + length, match_to, disagreement)
     return result
 
 
 def _thresholded_scan(m: int, stats: QueryStats, match_from, match_to,
-                      min_len: int, longest: bool = False,
+                      disagreement: Exception, min_len: int, longest: bool = False,
                       report_intervals: bool = False) -> FinderResult:
     """Exactly the MEMs of length at least min_len, skipping short ones.
 
@@ -121,6 +126,8 @@ def _thresholded_scan(m: int, stats: QueryStats, match_from, match_to,
             continue
         stats.lcp_queries += 1
         length, iv = match_from(i)
+        if length < min_len:  # the probe found a match this long at i
+            raise disagreement
         mem = MemRecord(i, length, iv if report_intervals else None)
         if longest:
             result.mems, min_len = [mem], length + 1
@@ -129,7 +136,7 @@ def _thresholded_scan(m: int, stats: QueryStats, match_from, match_to,
         if i + length == m:
             break
         stats.lcs_queries += 1
-        i = _next_start(i, i + length, match_to)
+        i = _next_start(i, i + length, match_to, disagreement)
     return result
 
 

@@ -2,7 +2,7 @@
 
 Two interchangeable backends: an exact character-scanning one, and a
 Karp-Rabin fingerprint one answering in O(log answer) hash comparisons,
-correct except on hash collisions (probability about (m+n)/modulus per
+correct except on hash collisions (probability about (m+n)/MODULUS per
 comparison).
 """
 
@@ -18,7 +18,7 @@ from .sequence import Pattern, Text
 MODULUS = (1 << 61) - 1  # Mersenne prime, fast reduction and tiny collision rate
 
 
-def _prefix_hashes(codes: list[int], base: int) -> list[int]:
+def _prefix_hashes(codes: bytes, base: int) -> list[int]:
     pre = [0] * (len(codes) + 1)
     h = 0
     for k, c in enumerate(codes):
@@ -36,7 +36,6 @@ class FingerprintTable:
     substring hashes to 0.
     """
 
-    modulus: int
     base: int
     text_fwd: list[int]
     text_rev: list[int]
@@ -45,17 +44,14 @@ class FingerprintTable:
     powers: list[int]
 
     @classmethod
-    def build(cls, text: Text, pattern: Pattern, seed: int | None = None,
-              base: int | None = None) -> "FingerprintTable":
-        if base is None:
-            base = random.Random(seed).randrange(2, MODULUS - 1)
-        t = text.data.tolist()
-        p = pattern.data.tolist()
+    def build(cls, text: Text, pattern: Pattern,
+              seed: int | None = None) -> "FingerprintTable":
+        base = random.Random(seed).randrange(2, MODULUS - 1)
+        t, p = text.code_bytes, pattern.code_bytes
         powers = [1] * (max(len(t), len(p)) + 1)
         for k in range(1, len(powers)):
             powers[k] = powers[k - 1] * base % MODULUS
         return cls(
-            modulus=MODULUS,
             base=base,
             text_fwd=_prefix_hashes(t, base),
             text_rev=_prefix_hashes(t[::-1], base),
@@ -66,7 +62,7 @@ class FingerprintTable:
 
     def substring_hash(self, prefixes: list[int], i: int, j: int) -> int:
         """Hash of the slice [i, j) of the sequence behind `prefixes`."""
-        return (prefixes[j] - prefixes[i] * self.powers[j - i]) % self.modulus
+        return (prefixes[j] - prefixes[i] * self.powers[j - i]) % MODULUS
 
 
 class NaiveLce:

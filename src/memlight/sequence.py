@@ -1,8 +1,9 @@
 """Alphabet mapping, encoded sequences, and pattern preprocessing.
 
-Alphabets, patterns and the foreign-byte split work on bytes with the
-standard library only, so a query process need not import numpy; texts,
-which only index building reads, hold numpy code arrays.
+Texts and patterns hold their symbol codes as bytes, and alphabets and the
+foreign-byte split work on bytes with the standard library only, so a query
+process need not import numpy; a numpy view of the codes is made only for
+the numpy code that builds indexes.
 """
 
 from __future__ import annotations
@@ -83,22 +84,11 @@ class Alphabet(_Frozen):
             )
         return raw.translate(self._code_table)
 
-    def encode(self, raw) -> np.ndarray:
-        """Map raw bytes to dense codes as a read-only uint8 array.
-
-        Raises ForeignSymbolError on unknown bytes.
-        """
-        import numpy as np
-
-        if not isinstance(raw, (bytes, bytearray)):
-            raw = np.asarray(raw, dtype=np.uint8).tobytes()
-        return np.frombuffer(self.encode_bytes(raw), dtype=np.uint8)
-
-    def decode(self, codes) -> bytes:
-        import numpy as np
-
-        sym = np.frombuffer(self.symbols, dtype=np.uint8)
-        return sym[np.asarray(codes)].tobytes()
+    def decode(self, codes: bytes) -> bytes:
+        """Map dense codes, one byte each, back to the raw bytes they stand for."""
+        if codes.translate(None, bytes(range(self.size))):
+            raise ValueError("codes outside the alphabet")
+        return codes.translate(self.symbols.ljust(256, b"\0"))
 
 
 def build_alphabet(text_bytes: bytes) -> Alphabet:
@@ -108,59 +98,70 @@ def build_alphabet(text_bytes: bytes) -> Alphabet:
     return Alphabet(bytes(sorted(set(text_bytes))))
 
 
-def _freeze(codes) -> np.ndarray:
-    import numpy as np
+def _as_bytes(codes) -> bytes:
+    """Integer codes as bytes, one per code; ValueError for a code outside 0..255.
 
-    arr = np.ascontiguousarray(codes, dtype=np.uint8)
-    arr.setflags(write=False)
-    return arr
-
-
-class Text(_Frozen):
-    """An encoded text over an alphabet; immutable after construction."""
-
-    def __init__(self, alphabet: Alphabet, data: np.ndarray):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "data", _freeze(data))
-        if self.n == 0:
-            raise ValueError("empty text")
-        if self.data.max() >= self.alphabet.size:
-            raise ValueError("text contains codes outside the alphabet")
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, alphabet: Alphabet | None = None) -> "Text":
-        alphabet = alphabet or build_alphabet(raw)
-        return cls(alphabet, alphabet.encode(raw))
-
-    @property
-    def n(self) -> int:
-        return self.data.size
-
-    @cached_property
-    def code_bytes(self) -> bytes:
-        return self.data.tobytes()
-
-    def reversed(self) -> "Text":
-        return Text(self.alphabet, self.data[::-1])
-
-    def to_raw(self) -> bytes:
-        return self.alphabet.decode(self.data)
+    A byte buffer, such as a uint8 array, is copied whole; any other
+    sequence is read code by code.
+    """
+    try:
+        if memoryview(codes).format == "B":
+            return memoryview(codes).tobytes()
+    except TypeError:  # not a buffer
+        pass
+    # list() refuses a lone integer, which bytes() would take as a length
+    return bytes(list(codes))
 
 
-class Pattern(_Frozen):
-    """An encoded pattern sharing the alphabet of the text it queries.
+class _Encoded(_Frozen):
+    """Symbol codes over an alphabet, held as bytes, one per symbol.
 
-    The codes are held as bytes, one per symbol; a numpy code array passed
-    in their place is converted.
+    Codes given in any other form are converted here, once.
     """
 
     def __init__(self, alphabet: Alphabet, code_bytes: bytes):
         if not isinstance(code_bytes, bytes):
-            code_bytes = _freeze(code_bytes).tobytes()
+            code_bytes = _as_bytes(code_bytes)
+        if code_bytes.translate(None, bytes(range(alphabet.size))):
+            kind = type(self).__name__.lower()
+            raise ValueError(f"{kind} contains codes outside the alphabet")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "code_bytes", code_bytes)
-        if code_bytes.translate(None, bytes(range(alphabet.size))):
-            raise ValueError("pattern contains codes outside the alphabet")
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The codes as a read-only uint8 array, made on first use, for numpy code."""
+        import numpy as np
+
+        return np.frombuffer(self.code_bytes, dtype=np.uint8)
+
+    def to_raw(self) -> bytes:
+        return self.alphabet.decode(self.code_bytes)
+
+
+class Text(_Encoded):
+    """An encoded text over an alphabet; immutable after construction."""
+
+    def __init__(self, alphabet: Alphabet, code_bytes: bytes):
+        super().__init__(alphabet, code_bytes)
+        if self.n == 0:
+            raise ValueError("empty text")
+
+    @classmethod
+    def from_bytes(cls, raw: bytes, alphabet: Alphabet | None = None) -> "Text":
+        alphabet = alphabet or build_alphabet(raw)
+        return cls(alphabet, alphabet.encode_bytes(raw))
+
+    @property
+    def n(self) -> int:
+        return len(self.code_bytes)
+
+    def reversed(self) -> "Text":
+        return Text(self.alphabet, self.code_bytes[::-1])
+
+
+class Pattern(_Encoded):
+    """An encoded pattern sharing the alphabet of the text it queries."""
 
     def __eq__(self, other):
         if type(other) is not Pattern:
@@ -177,16 +178,6 @@ class Pattern(_Frozen):
     @property
     def m(self) -> int:
         return len(self.code_bytes)
-
-    @cached_property
-    def data(self) -> np.ndarray:
-        """The codes as a read-only uint8 array, for library callers."""
-        import numpy as np
-
-        return np.frombuffer(self.code_bytes, dtype=np.uint8)
-
-    def to_raw(self) -> bytes:
-        return self.alphabet.decode(self.data)
 
 
 def split_by_foreign_chars(raw_pattern: bytes, alphabet: Alphabet,

@@ -154,9 +154,8 @@ class SuffixArray:
         pos = int(block.min() if tie == "min" else block.max())
         return best, pos
 
-    def occurrences(self, query) -> list[int]:
-        """All starting positions of the query, ascending."""
-        q = query.tobytes() if isinstance(query, np.ndarray) else bytes(query)
+    def occurrences(self, q: bytes) -> list[int]:
+        """All starting positions of the query codes, ascending."""
         if len(q) == 0:
             raise ValueError("empty query")
         lo, hi = self._prefix_range(q)

@@ -202,7 +202,7 @@ def test_criterion_8_backward_search_oracle():
                               for c in rng.integers(0, len(present), qlen))
             prefix_len = int(rng.integers(0, qlen + 1))
             matched, iv = index.backward_search_prefix(
-                text.alphabet.encode(q_raw), prefix_len)
+                np.frombuffer(text.alphabet.encode_bytes(q_raw), dtype=np.uint8), prefix_len)
             head = q_raw[:prefix_len]
             expect = 0
             for k in range(1, prefix_len + 1):

@@ -215,6 +215,14 @@ def test_missing_index_is_a_usage_error(tmp_path, capsys):
     assert main(["mems", str(tmp_path / "nothere"), str(pattern), "--raw"]) == 2
 
 
+def test_all_with_min_length_is_a_usage_error(demo_files, capsys):
+    # --all reports the short MEMs too, so an -L beside it would be ignored
+    _, pattern, prefix = demo_files
+    for flags in (["--all", "-L", "4"], ["-L", "4", "--all"]):
+        assert main(["mems", prefix, str(pattern), "--raw", *flags]) == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+
 def test_bad_min_length_is_a_usage_error(demo_files, tmp_path):
     _, pattern, prefix = demo_files
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "0"]) == 2

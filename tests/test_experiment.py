@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import memlight
 from memlight import (ExperimentSpec, LengthHistogramRow, Pattern, Text,
                       brute_force_mems, build_suffix_structures, classify_mems,
                       generate_instance, make_cyclic_text, run_comparison)
@@ -67,6 +73,17 @@ def test_mutation_count_is_binomial_at_scale():
     mean = 0.1 * 10_000
     sdev = (10_000 * 0.1 * 0.9) ** 0.5
     assert abs(hamming - mean) <= 3 * sdev
+
+
+def test_scaling_probe_runs_three_lengths():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scaling_probe.py"
+    src = str(Path(memlight.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(script), "--n", "2000"],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.split("m\tsteps\tsteps/m\tlongest\tseconds\n")[1].splitlines()
+    assert [row.split("\t")[0] for row in rows] == ["20", "200", "2000"]
 
 
 # -- cyclic indexing -----------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlight import (Alphabet, FingerprintLce, IndexFormatError, MatchPointers,
+from memlight import (Alphabet, FingerprintLce, MatchPointers,
                       Pattern, QueryStats, Text, brute_force_mems,
                       build_fm, build_suffix_structures, compute_match_pointers,
                       find_all_mems, find_all_mems_fm, find_in_raw,
@@ -191,7 +191,7 @@ def test_all_foreign_pattern_finds_nothing(demo_bench):
 def test_absent_symbol_degrades_gracefully_in_fm_finders():
     # alphabet includes a symbol the text never uses
     big = Text.from_bytes(b"ab")
-    text = Text(big.alphabet, big.alphabet.encode(b"aaaa"))
+    text = Text(big.alphabet, np.frombuffer(big.alphabet.encode_bytes(b"aaaa"), dtype=np.uint8))
     fm_f = build_fm(text)
     fm_r = build_fm(text.reversed())
     pattern = Pattern.from_bytes(b"aabaa", big.alphabet)
@@ -246,16 +246,18 @@ def _stop_hung_test(signum, frame):
     find_all_mems,
     lambda p, pointers, lce: find_long_mems_lce(p, pointers, lce, 4),
 ])
-def test_pointer_finders_stop_on_inconsistent_pointers(demo_bench, finder):
+@pytest.mark.parametrize("shift", range(1, 12))
+def test_pointer_finders_stop_on_inconsistent_pointers(demo_bench, finder, shift):
     # forward pointers shifted by 4 put the next start at or before the
-    # current one; a finder without the progress check loops forever
+    # current one, and a finder without the progress check loops forever;
+    # other shifts give a forward match shorter than the probe's
     n = demo_bench.text.n
-    bad = MatchPointers((demo_bench.pointers.forward + 4) % n,
+    bad = MatchPointers((demo_bench.pointers.forward + shift) % n,
                         demo_bench.pointers.backward.copy())
     previous = signal.signal(signal.SIGALRM, _stop_hung_test)
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
-        with pytest.raises(IndexFormatError, match="disagree"):
+        with pytest.raises(ValueError, match="match pointers are inconsistent"):
             finder(demo_bench.pattern, bad, demo_bench.naive_lce())
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

@@ -23,7 +23,7 @@ def demo_index():
 
 
 def encode(text, raw):
-    return text.alphabet.encode(raw)
+    return np.frombuffer(text.alphabet.encode_bytes(raw), dtype=np.uint8)
 
 
 def interval_of(index, text, raw):

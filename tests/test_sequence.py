@@ -11,7 +11,7 @@ def test_build_alphabet_assigns_codes_in_byte_order():
     alphabet = build_alphabet(b"GATTAGATACAT")
     assert alphabet.symbols == b"ACGT"
     assert alphabet.size == 4
-    assert alphabet.encode(b"ACGT").tolist() == [0, 1, 2, 3]
+    assert list(alphabet.encode_bytes(b"ACGT")) == [0, 1, 2, 3]
 
 
 def test_build_alphabet_single_symbol():
@@ -32,18 +32,53 @@ def test_build_alphabet_rejects_empty():
 @given(st.binary(min_size=1, max_size=300))
 def test_encode_decode_roundtrip(raw):
     alphabet = build_alphabet(raw)
-    assert alphabet.decode(alphabet.encode(raw)) == raw
+    assert alphabet.decode(alphabet.encode_bytes(raw)) == raw
 
 
 def test_encode_rejects_foreign_byte():
     alphabet = build_alphabet(b"ACGT")
     with pytest.raises(ForeignSymbolError, match="split"):
-        alphabet.encode(b"GATN")
+        alphabet.encode_bytes(b"GATN")
 
 
 def test_text_rejects_empty():
     with pytest.raises(ValueError):
         Text.from_bytes(b"")
+
+
+@pytest.mark.parametrize("kind", [Text, Pattern])
+def test_codes_past_one_byte_are_rejected_not_wrapped(kind):
+    # 256 and 257 must not wrap to the codes of A and C
+    alphabet = Alphabet(b"AC")
+    for codes in (np.array([0, 257, 1, 0]), np.array([256, 1], dtype=np.uint16),
+                  [1, 256], np.array([-1, 0], dtype=np.int8)):
+        with pytest.raises(ValueError):
+            kind(alphabet, codes)
+
+
+@pytest.mark.parametrize("kind", [Text, Pattern])
+def test_every_form_of_codes_gives_the_same_sequence(kind):
+    alphabet = Alphabet(b"ACGT")
+    code_bytes = alphabet.encode_bytes(b"GATTACA")
+    for codes in (code_bytes, bytearray(code_bytes), list(code_bytes),
+                  np.frombuffer(code_bytes, dtype=np.uint8),
+                  np.frombuffer(code_bytes[::-1], dtype=np.uint8)[::-1],
+                  np.array(list(code_bytes), dtype=np.int64)):
+        seq = kind(alphabet, codes)
+        assert seq.code_bytes == code_bytes
+        assert seq.to_raw() == b"GATTACA"
+        assert seq.data.tolist() == list(code_bytes)
+        assert not seq.data.flags.writeable
+
+
+def test_codes_outside_the_alphabet_are_rejected():
+    alphabet = Alphabet(b"AC")
+    with pytest.raises(ValueError, match="text contains codes outside"):
+        Text(alphabet, b"\x00\x02")
+    with pytest.raises(ValueError, match="pattern contains codes outside"):
+        Pattern(alphabet, b"\x02")
+    with pytest.raises(ValueError):
+        alphabet.decode(b"\x02")
 
 
 def test_pattern_may_be_empty():
