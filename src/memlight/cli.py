@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from pathlib import Path
@@ -38,24 +39,19 @@ def _read_raw(path: Path) -> bytes:
 
 
 def _read_text_input(path: Path, raw: bool, concat_sep: bool) -> tuple[bytes, bytes]:
-    """The text to index and the separator bytes joining its records."""
+    """The text to index and the record separator it holds, if any.
+
+    A FASTA text is its first record, or with `concat_sep` all its records
+    joined by one byte value: the smallest that no record uses.  There is
+    always one, since no record holds a line break.
+    """
     if raw:
         return _read_raw(path), b""
-    records = read_fasta(path)
-    if not records:
-        raise ValueError("empty text")
-    if len(records) == 1 or not concat_sep:
-        return records[0].sequence, b""
-    used = set(b"".join(r.sequence for r in records))
-    free = sorted(set(range(256)) - used)
-    if len(free) < len(records) - 1:
-        raise ValueError("not enough unused byte values for record separators")
-    separators = bytes(free[: len(records) - 1])
-    out = bytearray(records[0].sequence)
-    for sep, record in zip(separators, records[1:]):
-        out.append(sep)
-        out.extend(record.sequence)
-    return bytes(out), separators
+    sequences = [r.sequence for r in read_fasta(path)]
+    if not concat_sep or len(sequences) < 2:
+        return b"".join(sequences[:1]), b""
+    separator = bytes((min(set(range(256)).difference(*sequences)),))
+    return separator.join(sequences), separator
 
 
 def _read_pattern_inputs(path: Path, raw: bool) -> list[tuple[str, bytes]]:
@@ -71,8 +67,6 @@ def cmd_index(args) -> int:
 
     text_bytes, separators = _read_text_input(Path(args.text), args.raw,
                                               args.concat_sep)
-    if not text_bytes:
-        raise ValueError("empty text")
     fwd_path, rev_path = index_paths(args.output)
     sort_s = fm_s = write_s = 0.0
     started = clock = time.perf_counter()
@@ -183,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-rate", type=int, default=32)
     p.add_argument("--raw", action="store_true", help="treat input as raw bytes")
     p.add_argument("--concat-sep", action="store_true",
-                   help="concatenate FASTA records with unique separators")
+                   help="join all FASTA records with one unused byte value")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("mems", help="report MEMs of a pattern, TSV on stdout")
@@ -240,6 +234,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # a closed stdout (`memlight mems ... | head`) ends the process quietly,
+    # as it ends `cat`, instead of raising BrokenPipeError
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

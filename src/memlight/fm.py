@@ -324,19 +324,16 @@ class FmIndex:
         the empty suffix, resolves to position n and is excluded.
         """
         # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix;
-        # the sentinel row's LF is row 0
+        # the sentinel row is marked (load checks it), so no walk passes it
         bwt, (words, cols), below = self._bwt, self._rank, _BELOW
         marks, mark_ranks, samples = self._marks, self._mark_ranks, self._samples
-        sentinel_row, n = self.sentinel_row, self.n
+        n = self.n
         out = []
         for row in range(iv.lo, iv.hi):
             r, steps = row, 0
             while not marks[r >> 3] >> (r & 7) & 1:
-                if r == sentinel_row:
-                    r = 0
-                else:
-                    sym = bwt[r]
-                    r = cols[sym][r >> 6] + (words[sym][r >> 6] & below[r & 63]).bit_count()
+                sym = bwt[r]
+                r = cols[sym][r >> 6] + (words[sym][r >> 6] & below[r & 63]).bit_count()
                 steps += 1
                 if steps > n:
                     raise IndexFormatError("suffix-array samples are unreachable")
@@ -433,8 +430,8 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
 
     from .suffixes import build_suffix_structures
 
-    if sample_rate < 1:
-        raise ValueError("sample rate must be at least 1")
+    if not 1 <= sample_rate < 1 << 63:
+        raise ValueError("sample rate must be at least 1 and below 2**63")
     if sa is None:
         sa = build_suffix_structures(text)
     bwt = text.data[sa.sa - 1]

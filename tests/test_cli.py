@@ -1,5 +1,7 @@
 import os
+import random
 import shlex
+import signal
 import struct
 import subprocess
 import sys
@@ -202,6 +204,55 @@ def test_index_without_concat_sep_stores_no_separators(demo_files, tmp_path):
     assert FmIndex.load(tmp_path / "first.rev.memidx").separators == b""
 
 
+def test_concat_sep_joins_hundreds_of_records_with_one_separator(tmp_path, capsys):
+    # one separator byte however many records: sigma stays 5 on DNA
+    rng = random.Random(11)
+    records = ["".join(rng.choice("ACGT") for _ in range(60)) for _ in range(300)]
+    fasta = tmp_path / "many.fa"
+    fasta.write_text("".join(f">r{i}\n{seq}\n" for i, seq in enumerate(records)))
+    prefix = str(tmp_path / "many")
+    assert main(["index", str(fasta), "--concat-sep", "-o", prefix]) == 0
+    assert capsys.readouterr().out.startswith(f"n={300 * 61 - 1}\tsigma=5")
+    assert FmIndex.load(prefix + ".rev.memidx").separators == b"\x00"
+    read = tmp_path / "read.fa"
+    read.write_text(f">q\n{records[-1][7:47]}\n")
+    where = 299 * 61 + 7 + 1  # 1-based, past 299 records and their separators
+    code, rows = run_lines(capsys, ["mems", prefix, str(read), "-L", "30", "--locate"])
+    assert code == 0
+    assert rows == [["q", "1", "40", "40", "1", str(where)]]
+    code, rows = run_lines(capsys, ["lcs", prefix, str(read)])
+    assert code == 0
+    assert rows == [["q", "1", "40", "40", "1"]]
+
+
+def test_concat_sep_is_the_smallest_byte_no_record_uses(tmp_path, capsys):
+    # a FASTA record can hold every byte value but the line breaks, so
+    # records using all of those are still joined, by b"\n"
+    usable = bytes(b for b in range(256) if b not in b"\n\r")
+    fasta = tmp_path / "all.fa"
+    fasta.write_bytes(b">a\nX" + usable + b"X\n>b\nXACGTX\n")
+    prefix = str(tmp_path / "all")
+    assert main(["index", str(fasta), "--concat-sep", "-o", prefix]) == 0
+    assert capsys.readouterr().out.startswith(f"n={len(usable) + 2 + 1 + 6}\tsigma=255")
+    assert FmIndex.load(prefix + ".fwd.memidx").separators == b"\n"
+    pattern = tmp_path / "q.txt"
+    pattern.write_bytes(b"ACGTX\nXACGT")  # the separator splits the pattern
+    code, rows = run_lines(capsys, ["mems", prefix, str(pattern), "--raw", "-L", "5",
+                                    "--locate"])
+    assert code == 0
+    assert rows == [["q", "1", "5", "5", "1", str(len(usable) + 5)],
+                    ["q", "7", "11", "5", "1", str(len(usable) + 4)]]
+
+
+@pytest.mark.parametrize("concat_sep", [[], ["--concat-sep"]])
+def test_fasta_without_records_is_an_empty_text(tmp_path, capsys, concat_sep):
+    fasta = tmp_path / "none.fa"
+    fasta.write_bytes(b"; only a comment\n\n")
+    assert main(["index", str(fasta), "-o", str(tmp_path / "x"), *concat_sep]) == 2
+    assert "empty text" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_empty_text_is_a_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_bytes(b"")
@@ -292,6 +343,42 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command):
         capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=30)
     assert done.returncode == 3
     assert b"the forward and reverse indexes disagree" in done.stderr
+
+
+def test_closed_stdout_ends_a_query_quietly(tmp_path):
+    # the rows fill more than the pipe's buffer, so the child is still
+    # writing when its reader stops after one line, as `| head -1` does
+    rng = random.Random(3)
+    text, patterns = tmp_path / "t.txt", tmp_path / "p.fa"
+    text.write_text("".join(rng.choice("ACGT") for _ in range(2000)))
+    patterns.write_text("".join(
+        f">p{i}\n" + "".join(rng.choice("ACGT") for _ in range(50)) + "\n" for i in range(400)))
+    prefix = str(tmp_path / "x")
+    assert main(["index", str(text), "--raw", "-o", prefix]) == 0
+    src = Path(memlight.__file__).resolve().parents[1]
+    with subprocess.Popen(
+            [sys.executable, "-m", "memlight.cli", "mems", prefix, str(patterns), "--all",
+             "--locate"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src))) as child:
+        assert child.stdout.readline().startswith(b"p0\t")
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=30)
+    assert err == b""
+    assert code in (0, -signal.SIGPIPE)
+
+
+def test_sample_rate_past_63_bits_is_a_usage_error(tmp_path, capsys):
+    text = tmp_path / "t.txt"
+    text.write_bytes(DEMO_TEXT)
+    index = ["index", str(text), "--raw", "-o", str(tmp_path / "x"), "--sample-rate"]
+    assert main(index + [str(2**63 - 1)]) == 0
+    capsys.readouterr()
+    assert main(index + [str(2**63)]) == 2
+    assert "sample rate must be at least 1 and below 2**63" in capsys.readouterr().err
+    assert main(["experiment", "--n", "100", "--m", "10", "--sample-rate", str(10**20)]) == 2
+    assert "sample rate" in capsys.readouterr().err
 
 
 def test_query_children_launcher_runs_both_trees(demo_files):

@@ -181,6 +181,37 @@ def test_find_in_raw_equals_a_direct_run_on_each_piece(t_raw, p_raw, separators,
     assert got.stats == stats
 
 
+# records over ACGT joined by one separator byte, or by a distinct one per
+# boundary as in indexes written by earlier versions; patterns hold N and
+# separator bytes
+@given(st.lists(st.binary(min_size=1, max_size=30).map(lambda b: bytes(b"ACGT"[x % 4] for x in b)),
+                min_size=1, max_size=6),
+       st.binary(max_size=60).map(lambda b: bytes(b"ACGTN\x00\x01\x02\x03\x04"[x % 10] for x in b)),
+       st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_one_separator_answers_as_one_per_boundary(records, p_raw, min_len):
+    finders = (
+        lambda sub, fwd, rev: find_all_mems_fm(sub, fwd, rev, report_intervals=True),
+        lambda sub, fwd, rev: find_long_mems_fm(sub, fwd, rev, min_len, report_intervals=True),
+        longest_common_substring,
+    )
+    answers = []
+    boundaries = range(len(records) - 1)
+    for seps in ([b"\x00" for _ in boundaries], [bytes((i,)) for i in boundaries]):
+        text = Text.from_bytes(records[0] + b"".join(map(bytes.__add__, seps, records[1:])))
+        used = bytes(sorted(set(b"".join(seps))))
+        fwd = build_fm(text, sample_rate=3, separators=used)
+        rev = build_fm(text.reversed(), sample_rate=3, separators=used)
+        answer = []
+        for finder in finders:
+            got = find_in_raw(p_raw, fwd.alphabet, lambda sub: finder(sub, fwd, rev),
+                              fwd.separators)
+            answer.append((got.stats, [(m.start, m.length, m.bwt_interval,
+                                        rev.locate_all(m.bwt_interval)) for m in got.mems]))
+        answers.append(answer)
+    assert answers[0] == answers[1]
+
+
 def test_all_foreign_pattern_finds_nothing(demo_bench):
     merged = find_in_raw(b"XXXX", demo_bench.text.alphabet,
                          lambda sub: find_all_mems_fm(sub, demo_bench.fm_fwd,
