@@ -5,13 +5,17 @@
         -c "mems PREFIX pattern.raw --raw -L 40" -c "lcs PREFIX pattern.raw --raw"
 
 Each command runs as `python -m memlight.cli ...` with one tree's `src` on
-PYTHONPATH.  A round runs every command once under each tree, back to back;
-which tree goes first alternates from round to round.  For each command and
-tree the script prints the median wall time with its quartiles, the median
-peak RSS (`ru_maxrss` from `os.wait4`), and whether every run of the command
-printed the same stdout; then the same for one round of all commands; and
-in how many rounds the second tree was faster, for each command and for the
-whole round.  It exits 1 when a child fails or the outputs differ.
+PYTHONPATH.  A literal `{tree}` in a command becomes 1 under the first
+tree and 2 under the second, so that two trees whose index formats differ
+can each query an index they built themselves: `-c "lcs idx{tree} p.raw
+--raw"` reads `idx1.*.memidx` under the first tree.  A round runs every
+command once under each tree, back to back; which tree goes first
+alternates from round to round.  For each command and tree the script
+prints the median wall time with its quartiles, the median peak RSS
+(`ru_maxrss` from `os.wait4`), and whether every run of the command printed
+the same stdout; then the same for one round of all commands; and in how
+many rounds the second tree was faster, for each command and for the whole
+round.  It exits 1 when a child fails or the outputs differ.
 
 This launcher imports only the standard library and spawns the children
 itself, because a child's `ru_maxrss` keeps its parent's high-water mark
@@ -66,27 +70,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    commands = [shlex.split(c) for c in args.command]
+    # commands[t][c] is command c with {tree} made tree t's number
+    commands = [[shlex.split(c.replace("{tree}", str(t))) for c in args.command]
+                for t in (1, 2)]
     # walls[t][c] and rss[t][c] hold one value per round
-    walls = [[[] for _ in commands] for _ in args.trees]
-    rss = [[[] for _ in commands] for _ in args.trees]
-    digests = [set() for _ in commands]
+    walls = [[[] for _ in args.command] for _ in args.trees]
+    rss = [[[] for _ in args.command] for _ in args.trees]
+    digests = [set() for _ in args.command]
     with tempfile.TemporaryFile() as out:
         for round_ in range(args.rounds):
             order = (0, 1) if round_ % 2 == 0 else (1, 0)
-            for c, command in enumerate(commands):
+            for c in range(len(args.command)):
                 for t in order:
-                    wall, peak, digest = run_child(args.trees[t], command, out)
+                    wall, peak, digest = run_child(args.trees[t], commands[t][c], out)
                     walls[t][c].append(wall)
                     rss[t][c].append(peak)
                     digests[c].add(digest)
 
     print("command\ttree\twall_ms_median\twall_ms_q1-q3\trss_mb_median\tstdout")
-    for c, command in enumerate(commands):
+    for c, command in enumerate(args.command):
         same = "same" if len(digests[c]) == 1 else "DIFFERENT"
         for t, tree in enumerate(args.trees):
             q1, median, q3 = quartiles(walls[t][c])
-            print(f"{shlex.join(command)}\t{tree}\t{median * 1e3:.1f}"
+            print(f"{command}\t{tree}\t{median * 1e3:.1f}"
                   f"\t{q1 * 1e3:.1f}-{q3 * 1e3:.1f}"
                   f"\t{statistics.median(rss[t][c]):.1f}\t{same}")
     rounds = [list(map(sum, zip(*walls[t]))) for t in range(2)]
@@ -94,8 +100,8 @@ def main(argv=None) -> int:
         q1, median, q3 = quartiles(rounds[t])
         print(f"(one round)\t{tree}\t{median * 1e3:.1f}\t{q1 * 1e3:.1f}-{q3 * 1e3:.1f}"
               f"\t{max(map(statistics.median, rss[t])):.1f}\t-")
-    pairs = [(shlex.join(command), walls[0][c], walls[1][c])
-             for c, command in enumerate(commands)]
+    pairs = [(command, walls[0][c], walls[1][c])
+             for c, command in enumerate(args.command)]
     pairs.append(("one round", *rounds))
     for name, old, new in pairs:
         wins = sum(b < a for a, b in zip(old, new))

@@ -97,9 +97,10 @@ def cmd_index(args) -> int:
 
 
 def _locate_forward(rev_index: FmIndex, interval, length: int) -> list[int]:
-    # rows come from the reversed-text index; mirror positions back
+    # rows come from the reversed-text index; mirror positions back, which
+    # turns ascending positions into descending ones
     n = rev_index.n
-    return sorted(n - p - length for p in rev_index.locate_all(interval))
+    return [n - p - length for p in reversed(rev_index.locate_all(interval))]
 
 
 def cmd_mems(args) -> int:
@@ -175,9 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("text", help="text file (FASTA by default)")
     p.add_argument("-o", "--output", required=True, help="output path prefix")
     p.add_argument("--sample-rate", type=int, default=32)
-    p.add_argument("--raw", action="store_true", help="treat input as raw bytes")
-    p.add_argument("--concat-sep", action="store_true",
-                   help="join all FASTA records with one unused byte value")
+    layout = p.add_mutually_exclusive_group()
+    layout.add_argument("--raw", action="store_true", help="treat input as raw bytes")
+    layout.add_argument("--concat-sep", action="store_true",
+                        help="join all FASTA records with one unused byte value")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("mems", help="report MEMs of a pattern, TSV on stdout")

@@ -2,7 +2,8 @@
 
 The index stores the BWT of text plus sentinel as one byte per row, with
 the sentinel's row kept as a row index, and a sampled suffix array for
-locating: a packed bitmap of the sampled rows and their text positions.
+locating: the row of every text position that is a multiple of the
+sample rate, in text order.
 Rank is derived from the BWT on first use, as one bitmap of 64-row words
 per symbol beside a running count per word (Jacobson's rank), so that a
 backward step or an LF step is a count read plus one popcount for each end
@@ -38,8 +39,8 @@ if TYPE_CHECKING:
     from .sequence import Text
     from .suffixes import SuffixArray
 
-MAGIC = b"MEMLIDX3"
-_OLD_MAGICS = (b"MEMLIDX1", b"MEMLIDX2")
+MAGIC = b"MEMLIDX4"
+_OLD_MAGICS = (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3")
 # n, alphabet size, sample rate, sentinel row, separator count
 _HEADER = struct.Struct("<5Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
@@ -160,11 +161,9 @@ class FmIndex:
     """
 
     def __init__(self, alphabet: Alphabet, bwt: bytes, sentinel_row: int,
-                 sample_rate: int, marks: bytes, sample_values,
-                 separators: bytes = b""):
-        """`marks` is the packed bitmap of sampled rows, row r at bit r % 8 of
-        byte r // 8, as saved; `sample_values` are their text positions in
-        row order."""
+                 sample_rate: int, sample_rows, separators: bytes = b""):
+        """`sample_rows[k]` is the BWT row of text position k * sample_rate,
+        for k = 0 ... n // sample_rate."""
         self.alphabet = alphabet
         self.n = len(bwt) - 1
         self.s = sample_rate
@@ -181,31 +180,17 @@ class FmIndex:
         if (bytes(sorted(set(self.separators))) != self.separators
                 or not set(self.separators) <= set(alphabet.symbols)):
             raise IndexFormatError("record separators must be distinct alphabet bytes, ascending")
-        # the marks stay packed: a marked row's sample is found from the
-        # marks counted before its 64-row word, kept per word
-        self._marks = bytes(marks)
-        self._samples = array("q", sample_values)
-        nrows = self.n + 1
-        if len(self._marks) != -(-nrows // 8):
-            raise IndexFormatError("sample table does not match its row marks")
-        marked = int.from_bytes(self._marks, "little")
-        if marked >> nrows:
-            raise IndexFormatError("row marks are set past the last BWT row")
-        if marked.bit_count() != len(self._samples):
-            raise IndexFormatError("sample table does not match its row marks")
-        if sorted(self._samples) != list(range(0, nrows, sample_rate)):
-            raise IndexFormatError(
-                "suffix-array samples are not the multiples of the sample rate"
-            )
-        # text position 0 is the suffix preceded by the sentinel: its sample
-        # must sit on the sentinel row, which the filler byte cannot show
-        if not (marked >> sentinel_row & 1 and self._samples[
-                (marked & ((1 << sentinel_row) - 1)).bit_count()] == 0):
+        rows = self._sample_rows = array("q", sample_rows)
+        if not (0 <= min(rows) and max(rows) <= self.n and len(set(rows)) == len(rows)):
+            raise IndexFormatError("suffix-array samples must be distinct BWT rows")
+        # text position 0 is the suffix preceded by the sentinel: its row
+        # must be the sentinel row, which the filler byte cannot show
+        if rows[0] != sentinel_row:
             raise IndexFormatError("the sentinel row is not the row of text position 0")
 
-    # the rank structures are built on first search and the marks' running
-    # counts on first locate: `memlight index` saves an index without either,
-    # and most queries never locate
+    # the rank structures are built on first search and the sampled rows'
+    # positions on first locate: `memlight index` saves an index without
+    # either, and most queries never locate
     @cached_property
     def _rank(self) -> tuple[list[array], list[array]]:
         return _rank_bitmaps(self._bwt, self.sentinel_row, self.alphabet.size)
@@ -252,9 +237,9 @@ class FmIndex:
         return k, {key: (lo, hi) for key, lo, hi in lanes}
 
     @cached_property
-    def _mark_ranks(self) -> array:
-        words = memoryview(self._marks + bytes(-len(self._marks) % 8)).cast("Q")
-        return array("q", accumulate(map(int.bit_count, words), initial=0))
+    def _sampled(self) -> dict[int, int]:
+        """The text position of each sampled row."""
+        return dict(zip(self._sample_rows, range(0, self.n + 1, self.s)))
 
     # -- queries ------------------------------------------------------------
 
@@ -320,27 +305,26 @@ class FmIndex:
     def locate_all(self, iv: BwtInterval) -> list[int]:
         """Text positions of every row in the interval, ascending.
 
-        Each row walks at most sample_rate LF steps to a marked row.  Row 0,
-        the empty suffix, resolves to position n and is excluded.
+        Each row walks fewer than sample_rate LF steps to a sampled row.
+        Row 0, the empty suffix, resolves to position n and is excluded.
         """
         # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix;
-        # the sentinel row is marked (load checks it), so no walk passes it
+        # the sentinel row is sampled (load checks it), so no walk passes it
         bwt, (words, cols), below = self._bwt, self._rank, _BELOW
-        marks, mark_ranks, samples = self._marks, self._mark_ranks, self._samples
+        sampled = self._sampled.get
         n = self.n
         out = []
         for row in range(iv.lo, iv.hi):
             r, steps = row, 0
-            while not marks[r >> 3] >> (r & 7) & 1:
+            pos = sampled(r)
+            while pos is None:
                 sym = bwt[r]
                 r = cols[sym][r >> 6] + (words[sym][r >> 6] & below[r & 63]).bit_count()
                 steps += 1
                 if steps > n:
                     raise IndexFormatError("suffix-array samples are unreachable")
-            # marks before r: those of earlier 64-row words, then r's own word
-            word = r >> 6
-            in_word = int.from_bytes(marks[word << 3 : (r >> 3) + 1], "little")
-            pos = samples[mark_ranks[word] + (in_word & below[r & 63]).bit_count()] + steps
+                pos = sampled(r)
+            pos += steps
             if pos > n:
                 raise IndexFormatError("suffix-array samples point past the text")
             if pos != n:
@@ -350,17 +334,16 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        samples = array("q", self._samples)
+        rows = array("q", self._sample_rows)
         if sys.byteorder == "big":
-            samples.byteswap()  # stored little-endian
+            rows.byteswap()  # stored little-endian
         parts = [MAGIC,
                  _HEADER.pack(self.n, self.alphabet.size, self.s,
                               self.sentinel_row, len(self.separators)),
                  self.alphabet.symbols,
                  self.separators,
                  self._bwt,
-                 self._marks,
-                 samples.tobytes()]
+                 rows.tobytes()]
         body = b"".join(parts)
         return body + struct.pack("<I", zlib.crc32(body))
 
@@ -397,8 +380,7 @@ class FmIndex:
         n, sigma, s, sentinel_row, n_separators = _HEADER.unpack(header)
         if n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma:
             raise IndexFormatError("index header is inconsistent")
-        nrows = n + 1
-        sizes = (sigma, n_separators, nrows, -(-nrows // 8), (n // s + 1) * 8)
+        sizes = (sigma, n_separators, n + 1, (n // s + 1) * 8)
         expected = 8 + _HEADER.size + sum(sizes) + 4
         if size != expected:
             raise IndexFormatError(
@@ -411,12 +393,16 @@ class FmIndex:
             crc = zlib.crc32(sections[-1], crc)
         if struct.unpack("<I", stream.read(4))[0] != crc:
             raise IndexFormatError("index checksum mismatch")
-        symbols, separators, bwt, marks, samples = sections
-        values = array("q")
-        values.frombytes(samples)
+        symbols, separators, bwt, samples = sections
+        rows = array("q")
+        rows.frombytes(samples)
         if sys.byteorder == "big":
-            values.byteswap()
-        return cls(Alphabet(symbols), bwt, sentinel_row, s, marks, values, separators)
+            rows.byteswap()
+        try:
+            alphabet = Alphabet(symbols)
+        except ValueError as exc:
+            raise IndexFormatError(f"index alphabet: {exc}") from None
+        return cls(alphabet, bwt, sentinel_row, s, rows, separators)
 
 
 def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
@@ -434,13 +420,14 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
         raise ValueError("sample rate must be at least 1 and below 2**63")
     if sa is None:
         sa = build_suffix_structures(text)
-    bwt = text.data[sa.sa - 1]
-    sentinel_row = int(np.argmin(sa.sa))  # the row of suffix 0
-    bwt[sentinel_row] = 0
     marks = (sa.sa % sample_rate) == 0
+    rows = np.empty(text.n // sample_rate + 1, dtype=np.int64)
+    rows[sa.sa[marks] // sample_rate] = np.flatnonzero(marks)
+    sentinel_row = int(rows[0])  # the row of suffix 0
+    bwt = text.data[sa.sa - 1]
+    bwt[sentinel_row] = 0
     return FmIndex(text.alphabet, bwt.tobytes(), sentinel_row, sample_rate,
-                   np.packbits(marks, bitorder="little").tobytes(),
-                   sa.sa[marks].tolist(), separators)
+                   rows.tolist(), separators)
 
 
 def invert_bwt(index: FmIndex) -> np.ndarray:

@@ -244,6 +244,15 @@ def test_concat_sep_is_the_smallest_byte_no_record_uses(tmp_path, capsys):
                     ["q", "7", "11", "5", "1", str(len(usable) + 4)]]
 
 
+def test_raw_with_concat_sep_is_a_usage_error(demo_files, tmp_path, capsys):
+    # a raw text has no records to join
+    text, _, _ = demo_files
+    prefix = str(tmp_path / "x")
+    assert main(["index", str(text), "--raw", "--concat-sep", "-o", prefix]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
+
+
 @pytest.mark.parametrize("concat_sep", [[], ["--concat-sep"]])
 def test_fasta_without_records_is_an_empty_text(tmp_path, capsys, concat_sep):
     fasta = tmp_path / "none.fa"
@@ -382,11 +391,17 @@ def test_sample_rate_past_63_bits_is_a_usage_error(tmp_path, capsys):
 
 
 def test_query_children_launcher_runs_both_trees(demo_files):
-    _, pattern, prefix = demo_files
+    text, pattern, prefix = demo_files
     src = str(Path(memlight.__file__).resolve().parents[1])
     script = Path(__file__).resolve().parents[1] / "scripts" / "query_children.py"
+    # {tree} names each tree's own index: only prefix-1 and prefix-2 exist
+    for tree, rate in (("1", "2"), ("2", "5")):
+        assert main(["index", str(text), "--raw", "-o", f"{prefix}-{tree}",
+                     "--sample-rate", rate]) == 0
     commands = [shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4"]),
-                shlex.join(["lcs", prefix, str(pattern), "--raw"])]
+                shlex.join(["lcs", prefix, str(pattern), "--raw"]),
+                shlex.join(["mems", prefix + "-{tree}", str(pattern), "--raw", "-L", "4",
+                            "--locate"])]
     done = subprocess.run(
         [sys.executable, str(script), src, src, "--rounds", "1",
          *(arg for command in commands for arg in ("-c", command))],

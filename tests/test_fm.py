@@ -367,13 +367,11 @@ def test_locate_full_interval_excludes_sentinel_row(demo_index):
 
 def test_locate_rejects_a_walk_past_the_text(demo_index):
     _, index = demo_index
-    # the right sample values on the wrong rows: position 8's row claims 12,
+    # the right rows for the wrong positions: position 8's row claims 12,
     # so the rows that walk to it land past the text
-    samples = list(index._samples)
-    at_8, at_12 = samples.index(8), samples.index(12)
-    samples[at_8], samples[at_12] = 12, 8
-    broken = FmIndex(index.alphabet, index._bwt, index.sentinel_row, index.s,
-                     index._marks, samples)
+    rows = list(index._sample_rows)
+    rows[2], rows[3] = rows[3], rows[2]  # the rows of positions 8 and 12
+    broken = FmIndex(index.alphabet, index._bwt, index.sentinel_row, index.s, rows)
     with pytest.raises(IndexFormatError, match="past the text"):
         broken.locate_all(BwtInterval(0, broken.n + 1))
 
@@ -390,8 +388,7 @@ def test_save_load_round_trip_is_byte_exact(tmp_path, demo_index):
     assert reloaded.alphabet == index.alphabet
     assert reloaded._bwt == index._bwt
     assert reloaded.sentinel_row == index.sentinel_row
-    assert reloaded._marks == index._marks
-    assert reloaded._samples == index._samples
+    assert reloaded._sample_rows == index._sample_rows
     assert reloaded.separators == index.separators == b""
 
 
@@ -465,15 +462,22 @@ def bwt_offset(index):
     return 8 + 40 + index.alphabet.size
 
 
-def test_load_rejects_resealed_marks_past_the_last_row(demo_index):
-    # 13 rows leave three padding bits in the last marks byte; packed marks
-    # count set bits, so a set padding bit must not load
+def test_load_rejects_resealed_positions_sharing_a_row(demo_index):
+    # positions 4 and 8 both claim position 8's row
     _, index = demo_index
-    assert (index.n + 1) % 8 == 5
     data = bytearray(index.to_bytes())
-    last_marks_byte = len(data) - 4 - 8 * len(index._samples) - 1
-    data[last_marks_byte] |= 0x80
-    with pytest.raises(IndexFormatError, match="past the last BWT row"):
+    at_4 = len(data) - 4 - 8 * 3  # the rows of positions 0, 4, 8 and 12 end the file
+    data[at_4 : at_4 + 8] = data[at_4 + 8 : at_4 + 16]
+    with pytest.raises(IndexFormatError, match="samples must be distinct"):
+        FmIndex.from_bytes(reseal(bytes(data)))
+
+
+def test_load_rejects_resealed_unsorted_alphabet(demo_index):
+    _, index = demo_index
+    data = bytearray(index.to_bytes())
+    alphabet = bwt_offset(index) - index.alphabet.size
+    data[alphabet], data[alphabet + 1] = data[alphabet + 1], data[alphabet]
+    with pytest.raises(IndexFormatError, match="distinct and ascending"):
         FmIndex.from_bytes(reseal(bytes(data)))
 
 
@@ -500,7 +504,7 @@ def test_invert_rejects_a_walk_that_reaches_the_sentinel_early(demo_index):
     bwt = bytearray(index._bwt)
     bwt[0], bwt[3] = bwt[3], bwt[0]
     swapped = FmIndex(index.alphabet, bytes(bwt), index.sentinel_row, index.s,
-                      index._marks, index._samples)
+                      index._sample_rows)
     with pytest.raises(IndexFormatError, match="sentinel before"):
         invert_bwt(swapped)
 
@@ -527,7 +531,7 @@ def test_load_rejects_resealed_symbol_past_the_alphabet(demo_index):
 
 def test_load_rejects_old_format(demo_index):
     _, index = demo_index
-    for magic in (b"MEMLIDX1", b"MEMLIDX2"):
+    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3"):
         with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
 
