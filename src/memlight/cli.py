@@ -12,7 +12,7 @@ from .fasta import read_fasta
 from .finders import (find_all_mems_fm, find_in_raw, find_long_mems_fm,
                       longest_common_substring)
 from .fm import FmIndex, IndexFormatError, build_fm
-from .sequence import Text
+from .sequence import Text, split_by_foreign_chars
 
 # `mems` and `lcs` import only the standard library: `index` and
 # `experiment` import their numpy modules when they run
@@ -71,14 +71,15 @@ def cmd_index(args) -> int:
     sort_s = fm_s = write_s = 0.0
     started = clock = time.perf_counter()
     text = Text.from_bytes(text_bytes)
-    # one direction at a time: its suffix array and index are dropped
-    # before the other direction's are built
-    for path in (fwd_path, rev_path):
-        if path is rev_path:
-            text = text.reversed()
+    # one direction at a time, its suffix array and index dropped before the
+    # other's are built; the reverse index first, so a bad rate writes no
+    # file.  Only it locates: the forward one keeps one sample (rate n + 1),
+    # the row of text position 0 that load checks
+    for path, rate in ((rev_path, args.sample_rate), (fwd_path, text.n + 1)):
+        text = text.reversed()
         sa = build_suffix_structures(text)
         sorted_at = time.perf_counter()
-        fm = build_fm(text, args.sample_rate, sa=sa, separators=separators)
+        fm = build_fm(text, rate, sa=sa, separators=separators)
         del sa
         built_at = time.perf_counter()
         fm.save(path)
@@ -130,11 +131,15 @@ def cmd_lcs(args) -> int:
     patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
     fm_fwd, fm_rev = map(FmIndex.load, index_paths(args.index))
     for rid, raw in patterns:
-        result = find_in_raw(raw, fm_fwd.alphabet,
-                             lambda sub: longest_common_substring(sub, fm_fwd, fm_rev),
-                             fm_fwd.separators)
-        if result.mems:
-            best = max(result.mems, key=lambda mem: mem.length)  # the leftmost maximum
+        # a later piece wins only with a longer MEM, so each piece starts one
+        # above the best so far, and the leftmost maximum is kept
+        best = None
+        for offset, sub in split_by_foreign_chars(raw, fm_fwd.alphabet, fm_fwd.separators):
+            found = longest_common_substring(sub, fm_fwd, fm_rev,
+                                             best.length + 1 if best else 1).mems
+            if found:
+                best = found[0]._replace(start=found[0].start + offset)
+        if best:
             print(f"{rid}\t{best.start + 1}\t{best.end}\t"
                   f"{best.length}\t{best.bwt_interval.width}")
     return EXIT_OK
@@ -175,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build and save an index")
     p.add_argument("text", help="text file (FASTA by default)")
     p.add_argument("-o", "--output", required=True, help="output path prefix")
-    p.add_argument("--sample-rate", type=int, default=32)
+    p.add_argument("--sample-rate", type=int, default=32,
+                   help="sample rate of the reverse index, the one that locates")
     layout = p.add_mutually_exclusive_group()
     layout.add_argument("--raw", action="store_true", help="treat input as raw bytes")
     layout.add_argument("--concat-sep", action="store_true",

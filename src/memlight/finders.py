@@ -52,10 +52,10 @@ def _fm_matches(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex):
     the first m - i reversed symbols in the reversed text, with its interval.
     """
     if fwd_index.alphabet != rev_index.alphabet:
-        raise ValueError("forward and reverse indexes use different alphabets")
+        raise IndexFormatError("forward and reverse indexes use different alphabets")
     if (fwd_index.n, fwd_index._c, fwd_index.separators) != (
             rev_index.n, rev_index._c, rev_index.separators):
-        raise ValueError("forward and reverse indexes describe different texts")
+        raise IndexFormatError("forward and reverse indexes describe different texts")
     if pattern.alphabet != fwd_index.alphabet:
         raise ValueError("pattern alphabet differs from the index alphabet")
     stats, codes = QueryStats(), pattern.code_bytes
@@ -174,15 +174,15 @@ def find_all_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
 
 
 def longest_common_substring(pattern: Pattern, fwd_index: FmIndex,
-                             rev_index: FmIndex) -> FinderResult:
-    """One maximum-length MEM (leftmost among maxima), or none if nothing matches.
+                             rev_index: FmIndex, min_len: int = 1) -> FinderResult:
+    """One maximum-length MEM (leftmost among maxima) of length at least min_len, or none.
 
     Runs the thresholded scan with the threshold held one above the best
     length found so far, so every confirmed window strictly improves on the
     current best and everything shorter is skipped wholesale.
     """
     return _thresholded_scan(pattern.m, *_fm_matches(pattern, fwd_index, rev_index),
-                             1, longest=True, report_intervals=True)
+                             min_len, longest=True, report_intervals=True)
 
 
 def find_in_raw(raw_pattern: bytes, alphabet: Alphabet, finder,
@@ -197,12 +197,7 @@ def find_in_raw(raw_pattern: bytes, alphabet: Alphabet, finder,
     merged = FinderResult()
     for offset, sub in split_by_foreign_chars(raw_pattern, alphabet, separators):
         part = finder(sub)
-        for mem in part.mems:
-            merged.mems.append(
-                MemRecord(mem.start + offset, mem.length,
-                          bwt_interval=mem.bwt_interval,
-                          occurrences=mem.occurrences)
-            )
+        merged.mems.extend(mem._replace(start=mem.start + offset) for mem in part.mems)
         merged.stats.backward_steps += part.stats.backward_steps
         merged.stats.lcp_queries += part.stats.lcp_queries
         merged.stats.lcs_queries += part.stats.lcs_queries

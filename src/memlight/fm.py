@@ -49,8 +49,8 @@ _DIGIT_ROWS = 1 << 16  # BWT rows translated to binary digits at a time
 _KMER_LANES = 1 << 10  # k is the largest with at most this many k-mers
 
 
-class IndexFormatError(Exception):
-    """A saved index could not be read back."""
+class IndexFormatError(ValueError):
+    """A saved index could not be read back, or a pair of indexes disagrees."""
 
 
 class BwtInterval(NamedTuple):

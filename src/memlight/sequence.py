@@ -148,8 +148,8 @@ class Text(_Encoded):
             raise ValueError("empty text")
 
     @classmethod
-    def from_bytes(cls, raw: bytes, alphabet: Alphabet | None = None) -> "Text":
-        alphabet = alphabet or build_alphabet(raw)
+    def from_bytes(cls, raw: bytes) -> "Text":
+        alphabet = build_alphabet(raw)
         return cls(alphabet, alphabet.encode_bytes(raw))
 
     @property

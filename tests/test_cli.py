@@ -142,6 +142,12 @@ def test_lcs_across_foreign_bytes_prints_leftmost_maximum(demo_files, tmp_path,
     code, rows = run_lines(capsys, ["lcs", prefix, str(split), "--raw"])
     assert code == 0
     assert rows == [["split", "1", "3", "3", "1"]]
+    # each piece starts one above the best so far: GATTAG is strictly longer
+    # than ACA and wins, TTAGAT only ties GATTAG and loses
+    split.write_bytes(b"ACANTAGNGATTAGNTTAGAT")
+    code, rows = run_lines(capsys, ["lcs", prefix, str(split), "--raw"])
+    assert code == 0
+    assert rows == [["split", "9", "14", "6", "1"]]
 
 
 def test_lcs_disjoint_alphabet_prints_nothing(demo_files, tmp_path, capsys):
@@ -327,6 +333,35 @@ def test_moved_sentinel_row_is_a_format_error(tmp_path, capsys):
     open(path, "wb").write(bytes(data))
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
     assert "row of text position 0" in capsys.readouterr().err
+
+
+def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
+    # only the reverse index locates; the forward one keeps the sample that
+    # load checks against its sentinel row
+    text = tmp_path / "t.txt"
+    text.write_bytes(DEMO_TEXT)
+    prefix = str(tmp_path / "x")
+    assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
+    n = len(DEMO_TEXT)
+    for suffix, rate in ((".fwd.memidx", n + 1), (".rev.memidx", 4)):
+        data = open(prefix + suffix, "rb").read()
+        _, sigma, s, sentinel_row, k = struct.unpack_from("<5Q", data, 8)
+        samples = data[8 + 5 * 8 + sigma + k + n + 1:-4]
+        rows = struct.unpack(f"<{len(samples) // 8}q", samples)
+        assert s == rate
+        assert len(rows) == n // rate + 1
+        assert rows[0] == sentinel_row
+
+
+def test_index_pair_of_two_texts_is_a_format_error(tmp_path, capsys):
+    text = tmp_path / "t.txt"
+    for name, raw in (("a", b"GATTAGATACAT"), ("b", b"GATTAGATAC")):
+        text.write_bytes(raw)
+        assert main(["index", str(text), "--raw", "-o", str(tmp_path / name)]) == 0
+    (tmp_path / "a.rev.memidx").write_bytes((tmp_path / "b.rev.memidx").read_bytes())
+    capsys.readouterr()
+    assert main(["mems", str(tmp_path / "a"), str(text), "--raw", "-L", "2"]) == 3
+    assert "describe different texts" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["mems", "-L", "4"], ["mems", "--all"], ["lcs"]])

@@ -89,6 +89,9 @@ def test_longest_common_substring_demo(demo_bench):
     assert spans_1based(result) == [(7, 12)]
     assert result.mems[0].length == 6
     assert result.mems[0].bwt_interval.width == 1
+    fwd, rev = demo_bench.fm_fwd, demo_bench.fm_rev
+    assert longest_common_substring(demo_bench.pattern, fwd, rev, 6).spans == [(6, 6)]
+    assert longest_common_substring(demo_bench.pattern, fwd, rev, 7).mems == []
 
 
 def test_adversarial_pattern_is_its_own_single_mem(adversarial_bench):
