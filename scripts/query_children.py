@@ -8,7 +8,11 @@ Each command runs as `python -m memlight.cli ...` with one tree's `src` on
 PYTHONPATH.  A literal `{tree}` in a command becomes 1 under the first
 tree and 2 under the second, so that two trees whose index formats differ
 can each query an index they built themselves: `-c "lcs idx{tree} p.raw
---raw"` reads `idx1.*.memidx` under the first tree.  A round runs every
+--raw"` reads `idx1.*.memidx` under the first tree.  `--setup CMD` runs
+one command once under each tree before the first round, `{tree}`
+substituted the same way, so that each tree can build its own index:
+`--setup "index text.raw -o idx{tree} --raw"`; its wall time and peak RSS
+are printed first, as rows named `(setup) CMD`.  A round runs every
 command once under each tree, back to back; which tree goes first
 alternates from round to round.  For each command and tree the script
 prints the median wall time with its quartiles, the median peak RSS
@@ -53,6 +57,11 @@ def run_child(src: str, args: list[str], out) -> tuple[float, float, bytes]:
     return wall, usage.ru_maxrss / 1024.0, hashlib.sha256(out.read()).digest()
 
 
+def tree_args(command: str, tree: int) -> list[str]:
+    """The CLI arguments of a command under tree 1 or 2."""
+    return shlex.split(command.replace("{tree}", str(tree)))
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -66,18 +75,23 @@ def main(argv=None) -> int:
                         help="a source tree's src directory")
     parser.add_argument("-c", "--command", action="append", required=True,
                         help="CLI arguments after `memlight`, as one shell-quoted string")
+    parser.add_argument("--setup", metavar="CMD",
+                        help="CLI arguments run once under each tree before the first round")
     parser.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     # commands[t][c] is command c with {tree} made tree t's number
-    commands = [[shlex.split(c.replace("{tree}", str(t))) for c in args.command]
-                for t in (1, 2)]
+    commands = [[tree_args(c, t) for c in args.command] for t in (1, 2)]
     # walls[t][c] and rss[t][c] hold one value per round
     walls = [[[] for _ in args.command] for _ in args.trees]
     rss = [[[] for _ in args.command] for _ in args.trees]
     digests = [set() for _ in args.command]
+    setup = []  # (wall, peak) under each tree
     with tempfile.TemporaryFile() as out:
+        if args.setup:
+            for t, tree in enumerate(args.trees):
+                setup.append(run_child(tree, tree_args(args.setup, t + 1), out)[:2])
         for round_ in range(args.rounds):
             order = (0, 1) if round_ % 2 == 0 else (1, 0)
             for c in range(len(args.command)):
@@ -88,6 +102,8 @@ def main(argv=None) -> int:
                     digests[c].add(digest)
 
     print("command\ttree\twall_ms_median\twall_ms_q1-q3\trss_mb_median\tstdout")
+    for tree, (wall, peak) in zip(args.trees, setup):
+        print(f"(setup) {args.setup}\t{tree}\t{wall * 1e3:.1f}\t-\t{peak:.1f}\t-")
     for c, command in enumerate(args.command):
         same = "same" if len(digests[c]) == 1 else "DIFFERENT"
         for t, tree in enumerate(args.trees):

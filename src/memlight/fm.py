@@ -1,15 +1,18 @@
 """FM-index over a text: counting backward search, locating, and serialization.
 
-The index stores the BWT of text plus sentinel as one byte per row, with
-the sentinel's row kept as a row index, and a sampled suffix array for
-locating: the row of every text position that is a multiple of the
-sample rate, in text order.
-Rank is derived from the BWT on first use, as one bitmap of 64-row words
-per symbol beside a running count per word (Jacobson's rank), so that a
-backward step or an LF step is a count read plus one popcount for each end
-of the interval.  The sentinel's row is in no bitmap and needs no
-correction.  Backward search reports how many characters of a query prefix
-matched, which is the single primitive the deterministic MEM finder needs.
+The index stores the BWT of text plus sentinel as ceil(log2 sigma) bit
+planes, bit r of plane j being bit j of row r's code, with the sentinel's
+row kept as a row index (its code is 0 in every plane), and a sampled
+suffix array for locating: the row of every text position that is a
+multiple of the sample rate, in text order.
+Rank is derived from the planes on first use, as one bitmap of 64-row
+words per symbol, an AND of planes and their complements, beside a
+running count per word (Jacobson's rank), so that a backward step or an
+LF step is a count read plus one popcount for each end of the interval.
+The sentinel's row is in no bitmap and needs no correction.  Locating
+reads one code byte per row, derived from the planes on first locate.
+Backward search reports how many characters of a query prefix matched,
+which is the single primitive the deterministic MEM finder needs.
 It starts from a table, also built on first search, of the interval of
 every k-mer of the text (k = 10 on binary text, 5 on DNA), so that the
 first k steps of a search are one lookup.
@@ -25,9 +28,8 @@ import struct
 import sys
 import zlib
 from array import array
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
-from operator import or_
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -39,13 +41,14 @@ if TYPE_CHECKING:
     from .sequence import Text
     from .suffixes import SuffixArray
 
-MAGIC = b"MEMLIDX4"
-_OLD_MAGICS = (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3")
+MAGIC = b"MEMLIDX5"
+_OLD_MAGICS = (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4")
 # n, alphabet size, sample rate, sentinel row, separator count
 _HEADER = struct.Struct("<5Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
 _BELOW = tuple((1 << i) - 1 for i in range(64))
-_DIGIT_ROWS = 1 << 16  # BWT rows translated to binary digits at a time
+# _DIGITS[j] turns plane j's binary digits into bytes holding bit j
+_DIGITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
 _KMER_LANES = 1 << 10  # k is the largest with at most this many k-mers
 
 
@@ -64,85 +67,58 @@ class BwtInterval(NamedTuple):
         return self.hi - self.lo
 
 
-def _rows_holding(bwt: bytes, symbol: int, limit: int) -> list[int] | None:
-    """Every row whose byte is symbol, or None when there are more than limit."""
-    rows, find = [], bwt.find
-    row = find(symbol)
-    while row >= 0:
-        if len(rows) == limit:
-            return None
-        rows.append(row)
-        row = find(symbol, row + 1)
-    return rows
+def _plane_count(sigma: int) -> int:
+    """Bit planes of a BWT over sigma codes: ceil(log2 sigma), none for one."""
+    return (sigma - 1).bit_length()
 
 
-def _rank_bitmaps(bwt: bytes, sentinel_row: int,
+def _row_type(n: int) -> str:
+    """The array type of the sample rows: 4 bytes when n < 2**32, else 8."""
+    return "I" if n < 1 << 32 else "Q"
+
+
+def _rows_past_alphabet(planes: list[int], sigma: int) -> int:
+    """The bitmap of rows whose code is sigma or more.
+
+    Codes are compared with sigma a plane at a time from the top: `above`
+    holds the rows already greater, `equal` the rows equal so far.
+    """
+    if sigma & (sigma - 1) == 0:
+        return 0  # the planes hold codes below 2**len(planes) = sigma
+    above, equal = 0, -1
+    for j in reversed(range(len(planes))):
+        if sigma >> j & 1:
+            equal &= planes[j]
+        else:
+            above |= equal & planes[j]
+            equal &= ~planes[j]
+    return above | equal
+
+
+def _rank_bitmaps(planes: list[int], n: int, sentinel_row: int,
                   sigma: int) -> tuple[list[array], list[array]]:
     """One 64-row bitmap and one count column per symbol.
 
     Bit i of words[c][w] is set when BWT row 64w + i holds symbol c, and
     cols[c][w] is C[c] plus the rows holding c before row 64w, so that
     C[c] + rank(c, k) is cols[c][k >> 6] plus a popcount inside word k >> 6.
-    The sentinel row is in no bitmap, and one padding word lets row n + 1 be
-    ranked.  Every pass over the BWT is a C-level call: a symbol rarer than
-    one per eight words (such as a record separator) is set and counted
-    from its rows; the common symbols' bitmaps are combined from bit planes
-    of their indexes, each plane the BWT translated to binary digits and
-    read by int(), and their counts are running popcounts.
+    A symbol's bitmap is the AND of the planes where its code has a 1 bit
+    and of the complements of the others, taken within rows 0..n minus the
+    sentinel row, so the sentinel row is in no bitmap; one padding word
+    lets row n + 1 be ranked.  The counts are running popcounts.
     """
-    nrows = len(bwt)
-    nwords = (nrows >> 6) + 1
-    nbytes = 8 * nwords
-    rows_mask = ((1 << nrows) - 1) ^ (1 << sentinel_row)
-    bitmaps = [0] * sigma
-    sparse: dict[int, list[int]] = {}  # the rows of each rare symbol
-    dense = []
-    for symbol in range(sigma):
-        rows = _rows_holding(bwt, symbol, nwords // 8 + 1)
-        if rows is None:
-            dense.append(symbol)
-            continue
-        rows = sparse[symbol] = [row for row in rows if row != sentinel_row]
-        flags = bytearray(nbytes)
-        for row in rows:
-            flags[row >> 3] |= 1 << (row & 7)
-        bitmaps[symbol] = int.from_bytes(flags, "little")
-    # plane j holds the rows whose symbol has bit j set in its index among
-    # the common symbols, so k common symbols take log2 k parses; with two,
-    # the second's bitmap is the plane and the first's is what it leaves
-    tables = [bytearray(b"0" * 256) for _ in range(max(len(dense) - 1, 0).bit_length())]
-    for index, symbol in enumerate(dense):
-        for j, table in enumerate(tables):
-            if index >> j & 1:
-                table[symbol] = ord("1")
-    planes = [0] * len(tables)
-    for start in range(0, nrows, _DIGIT_ROWS):
-        # int() reads the most significant digit first, so a reversed slice
-        # of the BWT gives the rows their bits; slices keep the copies small
-        backwards = bwt[start : start + _DIGIT_ROWS][::-1]
-        for j, table in enumerate(tables):
-            planes[j] |= int(backwards.translate(table), 2) << start
-    common = rows_mask ^ reduce(or_, bitmaps)  # the rows of common symbols
-    for index, symbol in enumerate(dense):
-        bitmap = common
-        for j, plane in enumerate(planes):
-            bitmap &= plane if index >> j & 1 else ~plane
-        bitmaps[symbol] = bitmap
-    del planes, common, rows_mask  # freed before the arrays are made
+    nbytes = 8 * (((n + 1) >> 6) + 1)
+    rows = ((1 << (n + 1)) - 1) ^ (1 << sentinel_row)
+    flipped = [rows ^ plane for plane in planes]  # the rows with bit j clear
     words, cols, below = [], [], 1  # row 0, the empty suffix, sorts first
-    bitmaps.reverse()  # popped in symbol order: each int goes once its words exist
     for symbol in range(sigma):
-        bits = array("Q", bitmaps.pop().to_bytes(nbytes, "little"))
+        bitmap = rows
+        for j, plane in enumerate(planes):
+            bitmap &= plane if symbol >> j & 1 else flipped[j]
+        bits = array("Q", bitmap.to_bytes(nbytes, "little"))
         if sys.byteorder == "big":
             bits.byteswap()
-        rows = sparse.get(symbol)
-        if rows is None:
-            col = array("q", accumulate(map(int.bit_count, bits), initial=below))
-        else:  # a rare symbol's count steps up only after its rows' words
-            col = array("q")
-            for seen, row in enumerate(rows, below):
-                col.extend(array("q", [seen]) * ((row >> 6) + 1 - len(col)))
-            col.extend(array("q", [below + len(rows)]) * (nwords + 1 - len(col)))
+        col = array("q", accumulate(map(int.bit_count, bits), initial=below))
         words.append(bits)
         cols.append(col)
         below = col[-1]
@@ -160,28 +136,40 @@ class FmIndex:
     text; callers splitting raw patterns treat them as foreign bytes.
     """
 
-    def __init__(self, alphabet: Alphabet, bwt: bytes, sentinel_row: int,
+    def __init__(self, alphabet: Alphabet, n: int, planes: list[int], sentinel_row: int,
                  sample_rate: int, sample_rows, separators: bytes = b""):
-        """`sample_rows[k]` is the BWT row of text position k * sample_rate,
-        for k = 0 ... n // sample_rate."""
+        """`planes[j]` has bit r set when BWT row r's code has bit j set, for
+        rows 0 ... n; `sample_rows[k]` is the BWT row of text position
+        k * sample_rate, for k = 0 ... n // sample_rate."""
         self.alphabet = alphabet
-        self.n = len(bwt) - 1
+        self.n = n
         self.s = sample_rate
         self.sentinel_row = sentinel_row
         self.separators = bytes(separators)
-        self._bwt = bytes(bwt)
+        self._planes = planes = list(planes)
         sigma = alphabet.size
-        if not 0 <= sentinel_row <= self.n:
+        if not 0 <= sentinel_row <= n:
             raise IndexFormatError("sentinel row lies outside the BWT")
-        if self._bwt[sentinel_row] != 0:
+        if any(plane >> (n + 1) for plane in planes):
+            raise IndexFormatError("BWT bit planes set padding bits past row n")
+        if any(plane >> sentinel_row & 1 for plane in planes):
             raise IndexFormatError("the sentinel row must hold the filler byte 0")
-        if self._bwt.translate(None, bytes(range(sigma))):
+        if _rows_past_alphabet(planes, sigma):
             raise IndexFormatError("BWT symbols out of range for the alphabet")
         if (bytes(sorted(set(self.separators))) != self.separators
                 or not set(self.separators) <= set(alphabet.symbols)):
             raise IndexFormatError("record separators must be distinct alphabet bytes, ascending")
-        rows = self._sample_rows = array("q", sample_rows)
-        if not (0 <= min(rows) and max(rows) <= self.n and len(set(rows)) == len(rows)):
+        # one flag per row: a row past n raises IndexError (the rows are
+        # unsigned), and a row shared by two positions leaves fewer flags
+        # set than there are rows
+        flags = bytearray(n + 1)
+        try:
+            rows = self._sample_rows = array(_row_type(n), sample_rows)
+            for row in rows:
+                flags[row] = 1
+        except (IndexError, OverflowError):
+            raise IndexFormatError("suffix-array samples must be distinct BWT rows") from None
+        if flags.count(1) != len(rows):
             raise IndexFormatError("suffix-array samples must be distinct BWT rows")
         # text position 0 is the suffix preceded by the sentinel: its row
         # must be the sentinel row, which the filler byte cannot show
@@ -193,7 +181,20 @@ class FmIndex:
     # either, and most queries never locate
     @cached_property
     def _rank(self) -> tuple[list[array], list[array]]:
-        return _rank_bitmaps(self._bwt, self.sentinel_row, self.alphabet.size)
+        return _rank_bitmaps(self._planes, self.n, self.sentinel_row, self.alphabet.size)
+
+    @cached_property
+    def _bwt(self) -> bytes:
+        """One code byte per row, the sentinel row's 0 included, for LF steps.
+
+        Each plane is formatted as binary digits, row n first, the digits
+        are translated to bytes holding the plane's bit, and the planes'
+        bytes, read as big-endian ints, are ORed into every row's code.
+        """
+        nrows, codes = self.n + 1, 0
+        for plane, table in zip(self._planes, _DIGITS):
+            codes |= int.from_bytes(format(plane, f"0{nrows}b").encode().translate(table), "big")
+        return codes.to_bytes(nrows, "little")
 
     @cached_property
     def _c(self) -> list[int]:
@@ -334,15 +335,16 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        rows = array("q", self._sample_rows)
+        rows = array(self._sample_rows.typecode, self._sample_rows)
         if sys.byteorder == "big":
             rows.byteswap()  # stored little-endian
+        plane_bytes = (self.n >> 3) + 1  # ceil((n + 1) / 8)
         parts = [MAGIC,
                  _HEADER.pack(self.n, self.alphabet.size, self.s,
                               self.sentinel_row, len(self.separators)),
                  self.alphabet.symbols,
                  self.separators,
-                 self._bwt,
+                 *(plane.to_bytes(plane_bytes, "little") for plane in self._planes),
                  rows.tobytes()]
         body = b"".join(parts)
         return body + struct.pack("<I", zlib.crc32(body))
@@ -363,8 +365,9 @@ class FmIndex:
     def _read(cls, stream, size: int) -> "FmIndex":
         """Parse an index of `size` bytes section by section.
 
-        Each section is read into its own bytes object, so the BWT section
-        becomes the index's BWT without a further copy.
+        Each BWT plane is its own section, read into one int; the sample
+        rows take 4 bytes each when n < 2**32 and 8 otherwise, a width the
+        header implies through n.
         """
         magic = stream.read(8)
         if magic in _OLD_MAGICS:
@@ -380,7 +383,9 @@ class FmIndex:
         n, sigma, s, sentinel_row, n_separators = _HEADER.unpack(header)
         if n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma:
             raise IndexFormatError("index header is inconsistent")
-        sizes = (sigma, n_separators, n + 1, (n // s + 1) * 8)
+        rows = array(_row_type(n))
+        sizes = (sigma, n_separators, *[(n >> 3) + 1] * _plane_count(sigma),
+                 (n // s + 1) * rows.itemsize)
         expected = 8 + _HEADER.size + sum(sizes) + 4
         if size != expected:
             raise IndexFormatError(
@@ -393,8 +398,7 @@ class FmIndex:
             crc = zlib.crc32(sections[-1], crc)
         if struct.unpack("<I", stream.read(4))[0] != crc:
             raise IndexFormatError("index checksum mismatch")
-        symbols, separators, bwt, samples = sections
-        rows = array("q")
+        symbols, separators, *planes, samples = sections
         rows.frombytes(samples)
         if sys.byteorder == "big":
             rows.byteswap()
@@ -402,7 +406,8 @@ class FmIndex:
             alphabet = Alphabet(symbols)
         except ValueError as exc:
             raise IndexFormatError(f"index alphabet: {exc}") from None
-        return cls(alphabet, bwt, sentinel_row, s, rows, separators)
+        return cls(alphabet, n, [int.from_bytes(plane, "little") for plane in planes],
+                   sentinel_row, s, rows, separators)
 
 
 def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
@@ -426,7 +431,9 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
     sentinel_row = int(rows[0])  # the row of suffix 0
     bwt = text.data[sa.sa - 1]
     bwt[sentinel_row] = 0
-    return FmIndex(text.alphabet, bwt.tobytes(), sentinel_row, sample_rate,
+    planes = [int.from_bytes(np.packbits(bwt & (1 << j), bitorder="little").tobytes(), "little")
+              for j in range(_plane_count(text.alphabet.size))]
+    return FmIndex(text.alphabet, text.n, planes, sentinel_row, sample_rate,
                    rows.tolist(), separators)
 
 

@@ -346,8 +346,9 @@ def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
     for suffix, rate in ((".fwd.memidx", n + 1), (".rev.memidx", 4)):
         data = open(prefix + suffix, "rb").read()
         _, sigma, s, sentinel_row, k = struct.unpack_from("<5Q", data, 8)
-        samples = data[8 + 5 * 8 + sigma + k + n + 1:-4]
-        rows = struct.unpack(f"<{len(samples) // 8}q", samples)
+        planes = (sigma - 1).bit_length() * ((n >> 3) + 1)  # ceil((n + 1) / 8) bytes each
+        samples = data[8 + 5 * 8 + sigma + k + planes:-4]
+        rows = struct.unpack(f"<{len(samples) // 4}I", samples)
         assert s == rate
         assert len(rows) == n // rate + 1
         assert rows[0] == sentinel_row
@@ -376,8 +377,12 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command):
     assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
     path = prefix + ".fwd.memidx"
     data = bytearray(open(path, "rb").read())
-    bwt = 8 + 5 * 8 + 4  # after the magic, the header and the alphabet
-    data[bwt], data[bwt + 3] = data[bwt + 3], data[bwt]
+    planes = 8 + 5 * 8 + 4  # after the magic, the header and the alphabet
+    for plane in (planes, planes + (len(DEMO_TEXT) >> 3) + 1):
+        # rows 0 and 3 are bits 0 and 3 of each plane's first byte; two
+        # bits swap by flipping both when they differ
+        if (data[plane] ^ data[plane] >> 3) & 1:
+            data[plane] ^= 0b1001
     data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
     open(path, "wb").write(bytes(data))
     src = Path(memlight.__file__).resolve().parents[1]
@@ -429,20 +434,25 @@ def test_query_children_launcher_runs_both_trees(demo_files):
     text, pattern, prefix = demo_files
     src = str(Path(memlight.__file__).resolve().parents[1])
     script = Path(__file__).resolve().parents[1] / "scripts" / "query_children.py"
-    # {tree} names each tree's own index: only prefix-1 and prefix-2 exist
-    for tree, rate in (("1", "2"), ("2", "5")):
-        assert main(["index", str(text), "--raw", "-o", f"{prefix}-{tree}",
-                     "--sample-rate", rate]) == 0
+    # {tree} names each tree's own index: only prefix-1 and prefix-2 exist,
+    # each built by the setup command under its own tree
+    setup = shlex.join(["index", str(text), "--raw", "-o", prefix + "-{tree}",
+                        "--sample-rate", "3"])
     commands = [shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4"]),
                 shlex.join(["lcs", prefix, str(pattern), "--raw"]),
                 shlex.join(["mems", prefix + "-{tree}", str(pattern), "--raw", "-L", "4",
                             "--locate"])]
     done = subprocess.run(
-        [sys.executable, str(script), src, src, "--rounds", "1",
+        [sys.executable, str(script), src, src, "--rounds", "1", "--setup", setup,
          *(arg for command in commands for arg in ("-c", command))],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     rows = [line.split("\t") for line in done.stdout.splitlines()]
+    setups = [row for row in rows if row[0] == "(setup) " + setup]
+    assert [row[1] for row in setups] == [src, src]
+    assert all(float(row[2]) > 0 and float(row[4]) > 0 for row in setups)
+    for tree in ("1", "2"):
+        assert os.path.exists(f"{prefix}-{tree}.rev.memidx")
     for command in commands:
         mine = [row for row in rows if row[0] == command]
         assert [row[-1] for row in mine] == ["same", "same"]

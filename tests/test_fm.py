@@ -32,6 +32,18 @@ def interval_of(index, text, raw):
     return iv
 
 
+def planes_of(bwt, sigma):
+    """The bit planes of a BWT given as one code byte per row."""
+    return [sum(1 << row for row, code in enumerate(bwt) if code >> j & 1)
+            for j in range((sigma - 1).bit_length())]
+
+
+def index_from_bwt(index, bwt, sample_rows):
+    """An index like `index` with the BWT bytes and sample rows given."""
+    return FmIndex(index.alphabet, index.n, planes_of(bwt, index.alphabet.size),
+                   index.sentinel_row, index.s, sample_rows)
+
+
 # -- construction ---------------------------------------------------------------
 
 def test_bwt_of_banana():
@@ -371,7 +383,7 @@ def test_locate_rejects_a_walk_past_the_text(demo_index):
     # so the rows that walk to it land past the text
     rows = list(index._sample_rows)
     rows[2], rows[3] = rows[3], rows[2]  # the rows of positions 8 and 12
-    broken = FmIndex(index.alphabet, index._bwt, index.sentinel_row, index.s, rows)
+    broken = index_from_bwt(index, index._bwt, rows)
     with pytest.raises(IndexFormatError, match="past the text"):
         broken.locate_all(BwtInterval(0, broken.n + 1))
 
@@ -404,6 +416,48 @@ def test_save_load_save_is_the_identity(raw, rate, n_separators):
     assert reloaded.separators == separators
 
 
+def naive_suffix_array(codes):
+    """Rows in suffix order of text plus sentinel; row 0 is position n."""
+    return sorted(range(len(codes) + 1), key=lambda i: codes[i:])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
+    # sigma 1 to 9 (powers of two, and others whose planes could spell
+    # codes past the alphabet), with and without separators, n + 1 rows on
+    # both sides of a multiple of 8 or 64
+    sigma = data.draw(st.integers(1, 9), label="sigma")
+    nrows = data.draw(st.sampled_from([8 * k + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+                                      + [64 * k + d for k in (1, 2, 3) for d in (-1, 0, 1)])
+                      | st.integers(2, 300), label="n + 1")
+    n = max(nrows - 1, sigma)
+    codes = list(range(sigma)) + data.draw(
+        st.lists(st.integers(0, sigma - 1), min_size=n - sigma, max_size=n - sigma))
+    codes = data.draw(st.permutations(codes))
+    text = Text.from_bytes(bytes(b"ACGTNacgt"[c] for c in codes))
+    separators = text.alphabet.symbols[:data.draw(st.integers(0, min(2, sigma)))]
+    rate = data.draw(st.integers(1, 12), label="sample rate")
+    index = build_fm(text, sample_rate=rate, separators=separators)
+    saved = index.to_bytes()
+    planes = (sigma - 1).bit_length()
+    assert len(saved) == (8 + 40 + sigma + len(separators) + planes * ((n + 8) // 8)
+                          + (n // rate + 1) * 4 + 4)
+    reloaded = FmIndex.from_bytes(saved)
+    sa = naive_suffix_array(text.code_bytes)
+    bwt = bytes(text.code_bytes[i - 1] if i else 0 for i in sa)
+    assert reloaded._bwt == index._bwt == bwt
+    for c in range(sigma):
+        hits = [code == c and i != 0 for code, i in zip(bwt, sa)]  # not the sentinel row
+        assert [reloaded.rank(c, k) for k in range(n + 2)] == [sum(hits[:k]) for k in range(n + 2)]
+    assert reloaded._kmers == index._kmers
+    for _ in range(3):
+        lo = data.draw(st.integers(0, n + 1))
+        hi = data.draw(st.integers(lo, n + 1))
+        assert reloaded.locate_all(BwtInterval(lo, hi)) == sorted(
+            sa[r] for r in range(lo, hi) if sa[r] != n)
+
+
 def test_loaded_index_answers_queries(tmp_path):
     text = Text.from_bytes(b"abracadabra")
     index = build_fm(text, sample_rate=2)
@@ -433,7 +487,7 @@ def test_load_rejects_truncation(tmp_path, demo_index):
 def test_load_rejects_corruption(tmp_path, demo_index):
     _, index = demo_index
     data = bytearray(index.to_bytes())
-    data[len(data) // 2] ^= 0x5A
+    data[plane_offset(index)] ^= 0x5A  # a BWT byte, past the header
     path = tmp_path / "corrupt.memidx"
     path.write_bytes(bytes(data))
     with pytest.raises(IndexFormatError, match="checksum"):
@@ -448,8 +502,8 @@ def reseal(data: bytes) -> bytes:
 def test_load_rejects_resealed_wrong_sample(demo_index):
     _, index = demo_index
     data = bytearray(index.to_bytes())
-    last_sample = len(data) - 4 - 8
-    data[last_sample : last_sample + 8] = struct.pack("<q", 13)  # n is 12
+    last_sample = len(data) - 4 - 4  # rows take 4 bytes below n = 2**32
+    data[last_sample : last_sample + 4] = struct.pack("<I", 13)  # n is 12
     with pytest.raises(IndexFormatError, match="samples"):
         FmIndex.from_bytes(reseal(bytes(data)))
 
@@ -457,17 +511,22 @@ def test_load_rejects_resealed_wrong_sample(demo_index):
 SENTINEL_ROW_FIELD = 8 + 3 * 8  # after the magic, n, sigma and the sample rate
 
 
-def bwt_offset(index):
-    # magic, five header fields, alphabet, no separators
-    return 8 + 40 + index.alphabet.size
+def plane_offset(index, plane=0):
+    # magic, five header fields, alphabet, separators, the planes before
+    return (8 + 40 + index.alphabet.size + len(index.separators)
+            + plane * ((index.n >> 3) + 1))
+
+
+def set_plane_bit(data, index, plane, row):
+    data[plane_offset(index, plane) + (row >> 3)] |= 1 << (row & 7)
 
 
 def test_load_rejects_resealed_positions_sharing_a_row(demo_index):
     # positions 4 and 8 both claim position 8's row
     _, index = demo_index
     data = bytearray(index.to_bytes())
-    at_4 = len(data) - 4 - 8 * 3  # the rows of positions 0, 4, 8 and 12 end the file
-    data[at_4 : at_4 + 8] = data[at_4 + 8 : at_4 + 16]
+    at_4 = len(data) - 4 - 4 * 3  # the rows of positions 0, 4, 8 and 12 end the file
+    data[at_4 : at_4 + 4] = data[at_4 + 4 : at_4 + 8]
     with pytest.raises(IndexFormatError, match="samples must be distinct"):
         FmIndex.from_bytes(reseal(bytes(data)))
 
@@ -475,7 +534,7 @@ def test_load_rejects_resealed_positions_sharing_a_row(demo_index):
 def test_load_rejects_resealed_unsorted_alphabet(demo_index):
     _, index = demo_index
     data = bytearray(index.to_bytes())
-    alphabet = bwt_offset(index) - index.alphabet.size
+    alphabet = plane_offset(index) - index.alphabet.size
     data[alphabet], data[alphabet + 1] = data[alphabet + 1], data[alphabet]
     with pytest.raises(IndexFormatError, match="distinct and ascending"):
         FmIndex.from_bytes(reseal(bytes(data)))
@@ -490,11 +549,23 @@ def test_load_rejects_resealed_sentinel_row_past_the_bwt(demo_index):
 
 
 def test_load_rejects_resealed_sentinel_row_without_filler(demo_index):
+    # a bit of either plane set at the sentinel row
     _, index = demo_index
-    data = bytearray(index.to_bytes())
-    data[bwt_offset(index) + index.sentinel_row] = 1
-    with pytest.raises(IndexFormatError, match="filler byte 0"):
-        FmIndex.from_bytes(reseal(bytes(data)))
+    for plane in (0, 1):
+        data = bytearray(index.to_bytes())
+        set_plane_bit(data, index, plane, index.sentinel_row)
+        with pytest.raises(IndexFormatError, match="filler byte 0"):
+            FmIndex.from_bytes(reseal(bytes(data)))
+
+
+def test_load_rejects_resealed_padding_bit(demo_index):
+    # n + 1 = 13 rows leave bits 13 to 15 of each plane's last byte unused
+    _, index = demo_index
+    for plane, row in ((0, 13), (1, 15)):
+        data = bytearray(index.to_bytes())
+        set_plane_bit(data, index, plane, row)
+        with pytest.raises(IndexFormatError, match="padding bits past row n"):
+            FmIndex.from_bytes(reseal(bytes(data)))
 
 
 def test_invert_rejects_a_walk_that_reaches_the_sentinel_early(demo_index):
@@ -503,8 +574,7 @@ def test_invert_rejects_a_walk_that_reaches_the_sentinel_early(demo_index):
     _, index = demo_index
     bwt = bytearray(index._bwt)
     bwt[0], bwt[3] = bwt[3], bwt[0]
-    swapped = FmIndex(index.alphabet, bytes(bwt), index.sentinel_row, index.s,
-                      index._sample_rows)
+    swapped = index_from_bwt(index, bytes(bwt), index._sample_rows)
     with pytest.raises(IndexFormatError, match="sentinel before"):
         invert_bwt(swapped)
 
@@ -520,18 +590,42 @@ def test_load_rejects_resealed_sentinel_row_on_another_filler_row(demo_index):
         FmIndex.from_bytes(reseal(bytes(data)))
 
 
-def test_load_rejects_resealed_symbol_past_the_alphabet(demo_index):
-    _, index = demo_index
-    data = bytearray(index.to_bytes())
-    row = (index.sentinel_row + 1) % (index.n + 1)
-    data[bwt_offset(index) + row] = index.alphabet.size
-    with pytest.raises(IndexFormatError, match="out of range"):
-        FmIndex.from_bytes(reseal(bytes(data)))
+def test_load_rejects_resealed_symbol_past_the_alphabet():
+    # sigma = 3 takes two planes, which can also spell code 3; sigma = 5
+    # takes three, which can also spell 5, 6 and 7
+    index = build_fm(Text.from_bytes(b"banana"))
+    assert index._bwt == bytes([0, 2, 2, 1, 0, 0, 0])
+    cases = [(index, row, 3) for row in (1, 3, 6)]  # a code 2, 1 or 0 made 3
+    index = build_fm(Text.from_bytes(b"abracadabra"))
+    row = next(r for r, code in enumerate(index._bwt) if code == 0 and r != index.sentinel_row)
+    cases += [(index, row, code) for code in (5, 6, 7)]  # a code 0 made 5, 6 or 7
+    for index, row, code in cases:
+        data = bytearray(index.to_bytes())
+        for plane in range(len(index._planes)):
+            if code >> plane & 1:
+                set_plane_bit(data, index, plane, row)
+        with pytest.raises(IndexFormatError, match="out of range"):
+            FmIndex.from_bytes(reseal(bytes(data)))
+
+
+def test_sample_rows_take_4_bytes_below_n_of_2_to_the_32():
+    # a header alone names the size the file must have; the rows' width
+    # follows from n
+    def expected_size(n, sigma, s):
+        header = struct.pack("<5Q", n, sigma, s, 0, 0)
+        with pytest.raises(IndexFormatError, match="truncated") as caught:
+            FmIndex.from_bytes(b"MEMLIDX5" + header + bytes(sigma) + b"\0\0\0\0")
+        return int(str(caught.value).rsplit(" ", 1)[1])
+
+    for n, width in ((12, 4), (2**32 - 1, 4), (2**32, 8), (2**32 + 100, 8)):
+        plane = (n >> 3) + 1
+        assert expected_size(n, 2, 2**40) == 8 + 40 + 2 + plane + width + 4
+        assert expected_size(n, 5, 2**31) == 8 + 40 + 5 + 3 * plane + (n // 2**31 + 1) * width + 4
 
 
 def test_load_rejects_old_format(demo_index):
     _, index = demo_index
-    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3"):
+    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4"):
         with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
 
