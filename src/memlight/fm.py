@@ -5,9 +5,11 @@ planes, bit r of plane j being bit j of row r's code, with the sentinel's
 row kept as a row index (its code is 0 in every plane), and a sampled
 suffix array for locating: the row of every text position that is a
 multiple of the sample rate, in text order.
-Rank is derived from the planes on first use, as one bitmap of 64-row
-words per symbol, an AND of planes and their complements, beside a
-running count per word (Jacobson's rank), so that a backward step or an
+Load splits the rows by the planes, from the top, into one bitmap per
+symbol and keeps only the popcounts: the C array, whose last entry shows
+whether every row holds a code of the alphabet.  The first search splits
+the rows again into 64-row words per symbol, beside a running count per
+word that starts at C[c] (Jacobson's rank), so that a backward step or an
 LF step is a count read plus one popcount for each end of the interval.
 The sentinel's row is in no bitmap and needs no correction.  Locating
 reads one code byte per row, derived from the planes on first locate.
@@ -22,8 +24,6 @@ Loading and querying use the standard library only; building imports numpy.
 
 from __future__ import annotations
 
-import io
-import os
 import struct
 import sys
 import zlib
@@ -36,8 +36,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from .sequence import Alphabet, Pattern, QueryStats
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .sequence import Text
     from .suffixes import SuffixArray
 
@@ -77,54 +75,6 @@ def _row_type(n: int) -> str:
     return "I" if n < 1 << 32 else "Q"
 
 
-def _rows_past_alphabet(planes: list[int], sigma: int) -> int:
-    """The bitmap of rows whose code is sigma or more.
-
-    Codes are compared with sigma a plane at a time from the top: `above`
-    holds the rows already greater, `equal` the rows equal so far.
-    """
-    if sigma & (sigma - 1) == 0:
-        return 0  # the planes hold codes below 2**len(planes) = sigma
-    above, equal = 0, -1
-    for j in reversed(range(len(planes))):
-        if sigma >> j & 1:
-            equal &= planes[j]
-        else:
-            above |= equal & planes[j]
-            equal &= ~planes[j]
-    return above | equal
-
-
-def _rank_bitmaps(planes: list[int], n: int, sentinel_row: int,
-                  sigma: int) -> tuple[list[array], list[array]]:
-    """One 64-row bitmap and one count column per symbol.
-
-    Bit i of words[c][w] is set when BWT row 64w + i holds symbol c, and
-    cols[c][w] is C[c] plus the rows holding c before row 64w, so that
-    C[c] + rank(c, k) is cols[c][k >> 6] plus a popcount inside word k >> 6.
-    A symbol's bitmap is the AND of the planes where its code has a 1 bit
-    and of the complements of the others, taken within rows 0..n minus the
-    sentinel row, so the sentinel row is in no bitmap; one padding word
-    lets row n + 1 be ranked.  The counts are running popcounts.
-    """
-    nbytes = 8 * (((n + 1) >> 6) + 1)
-    rows = ((1 << (n + 1)) - 1) ^ (1 << sentinel_row)
-    flipped = [rows ^ plane for plane in planes]  # the rows with bit j clear
-    words, cols, below = [], [], 1  # row 0, the empty suffix, sorts first
-    for symbol in range(sigma):
-        bitmap = rows
-        for j, plane in enumerate(planes):
-            bitmap &= plane if symbol >> j & 1 else flipped[j]
-        bits = array("Q", bitmap.to_bytes(nbytes, "little"))
-        if sys.byteorder == "big":
-            bits.byteswap()
-        col = array("q", accumulate(map(int.bit_count, bits), initial=below))
-        words.append(bits)
-        cols.append(col)
-        below = col[-1]
-    return words, cols
-
-
 class FmIndex:
     """Immutable backward-search index; concurrent queries are safe.
 
@@ -154,7 +104,10 @@ class FmIndex:
             raise IndexFormatError("BWT bit planes set padding bits past row n")
         if any(plane >> sentinel_row & 1 for plane in planes):
             raise IndexFormatError("the sentinel row must hold the filler byte 0")
-        if _rows_past_alphabet(planes, sigma):
+        # C[c], the rows before symbol c's: the sentinel's row, then each
+        # symbol's rows; a row holding a code past the alphabet is in none
+        self._c = list(accumulate(map(int.bit_count, self._symbol_rows()), initial=1))
+        if self._c[sigma] != n + 1:
             raise IndexFormatError("BWT symbols out of range for the alphabet")
         if (bytes(sorted(set(self.separators))) != self.separators
                 or not set(self.separators) <= set(alphabet.symbols)):
@@ -176,12 +129,50 @@ class FmIndex:
         if rows[0] != sentinel_row:
             raise IndexFormatError("the sentinel row is not the row of text position 0")
 
+    def _symbol_rows(self):
+        """Yield the bitmap of the rows holding each symbol, in code order.
+
+        Rows 0..n minus the sentinel's are split by the top plane into the
+        rows with that bit clear and those with it set, and each part by the
+        planes below, clear part first; a part whose codes are all sigma or
+        more is never split, so a row holding such a code is in no bitmap.
+        The stack holds at most one part per plane.
+        """
+        planes, sigma = self._planes, self.alphabet.size
+        # rows whose code bits from plane j up spell code
+        stack = [(((1 << (self.n + 1)) - 1) ^ (1 << self.sentinel_row), len(planes), 0)]
+        while stack:
+            rows, j, code = stack.pop()
+            while j:
+                j -= 1
+                high = rows & planes[j]
+                if code | 1 << j < sigma:
+                    stack.append((high, j, code | 1 << j))
+                rows ^= high
+            yield rows
+
     # the rank structures are built on first search and the sampled rows'
     # positions on first locate: `memlight index` saves an index without
     # either, and most queries never locate
     @cached_property
     def _rank(self) -> tuple[list[array], list[array]]:
-        return _rank_bitmaps(self._planes, self.n, self.sentinel_row, self.alphabet.size)
+        """One 64-row bitmap and one count column per symbol.
+
+        Bit i of words[c][w] is set when BWT row 64w + i holds symbol c, and
+        cols[c][w] is C[c] plus the rows holding c before row 64w, so that
+        C[c] + rank(c, k) is cols[c][k >> 6] plus a popcount inside word
+        k >> 6.  The sentinel's row is in no bitmap; one padding word lets
+        row n + 1 be ranked.  The counts are running popcounts.
+        """
+        nbytes = 8 * (((self.n + 1) >> 6) + 1)
+        words, cols = [], []
+        for bitmap, below in zip(self._symbol_rows(), self._c):
+            bits = array("Q", bitmap.to_bytes(nbytes, "little"))
+            if sys.byteorder == "big":
+                bits.byteswap()
+            words.append(bits)
+            cols.append(array("q", accumulate(map(int.bit_count, bits), initial=below)))
+        return words, cols
 
     @cached_property
     def _bwt(self) -> bytes:
@@ -195,11 +186,6 @@ class FmIndex:
         for plane, table in zip(self._planes, _DIGITS):
             codes |= int.from_bytes(format(plane, f"0{nrows}b").encode().translate(table), "big")
         return codes.to_bytes(nrows, "little")
-
-    @cached_property
-    def _c(self) -> list[int]:
-        cols = self._rank[1]
-        return [col[0] for col in cols] + [cols[-1][-1]]
 
     @cached_property
     def _kmers(self) -> tuple[int, dict[bytes, tuple[int, int]]]:
@@ -252,7 +238,7 @@ class FmIndex:
         """
         words, cols = self._rank
         word = prefix_len >> 6
-        return (cols[symbol][word] - cols[symbol][0]
+        return (cols[symbol][word] - self._c[symbol]
                 + (words[symbol][word] & _BELOW[prefix_len & 63]).bit_count())
 
     def backward_search_prefix(self, query, prefix_len: int,
@@ -282,8 +268,6 @@ class FmIndex:
                 hit = kmers.get(codes[prefix_len - k : prefix_len])
                 if hit is not None:
                     (lo, hi), matched = hit, k
-        elif not isinstance(codes, list):
-            codes = list(map(int, codes[:prefix_len]))  # ints, not numpy scalars
         # C[sym] + rank(sym, r) inlined for both ends r: the count column at
         # r's word plus a popcount inside the word
         words, cols = self._rank
@@ -354,22 +338,9 @@ class FmIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FmIndex":
-        return cls._read(io.BytesIO(data), len(data))
-
-    @classmethod
-    def load(cls, source) -> "FmIndex":
-        with open(source, "rb") as stream:
-            return cls._read(stream, os.fstat(stream.fileno()).st_size)
-
-    @classmethod
-    def _read(cls, stream, size: int) -> "FmIndex":
-        """Parse an index of `size` bytes section by section.
-
-        Each BWT plane is its own section, read into one int; the sample
-        rows take 4 bytes each when n < 2**32 and 8 otherwise, a width the
-        header implies through n.
-        """
-        magic = stream.read(8)
+        """Parse a saved index: each BWT plane becomes one int, and the sample
+        rows take 4 bytes each when n < 2**32, else 8, as the header's n implies."""
+        magic = data[:8]
         if magic in _OLD_MAGICS:
             raise IndexFormatError(
                 f"index is in the old {magic.decode()} format; "
@@ -377,10 +348,10 @@ class FmIndex:
             )
         if magic != MAGIC:
             raise IndexFormatError("not a memlight index")
+        size = len(data)
         if size < 8 + _HEADER.size + 4:
             raise IndexFormatError("truncated index file")
-        header = stream.read(_HEADER.size)
-        n, sigma, s, sentinel_row, n_separators = _HEADER.unpack(header)
+        n, sigma, s, sentinel_row, n_separators = _HEADER.unpack_from(data, 8)
         if n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma:
             raise IndexFormatError("index header is inconsistent")
         rows = array(_row_type(n))
@@ -388,26 +359,26 @@ class FmIndex:
                  (n // s + 1) * rows.itemsize)
         expected = 8 + _HEADER.size + sum(sizes) + 4
         if size != expected:
-            raise IndexFormatError(
-                f"truncated index file: {size} bytes, expected {expected}"
-            )
-        crc = zlib.crc32(header, zlib.crc32(magic))
-        sections = []
-        for length in sizes:
-            sections.append(stream.read(length))
-            crc = zlib.crc32(sections[-1], crc)
-        if struct.unpack("<I", stream.read(4))[0] != crc:
+            problem = "truncated index file" if size < expected else "index file too long"
+            raise IndexFormatError(f"{problem}: {size} bytes, expected {expected}")
+        view = memoryview(data)
+        if int.from_bytes(view[-4:], "little") != zlib.crc32(view[:-4]):
             raise IndexFormatError("index checksum mismatch")
-        symbols, separators, *planes, samples = sections
+        ends = list(accumulate(sizes, initial=8 + _HEADER.size))
+        symbols, separators, *planes, samples = (view[a:b] for a, b in zip(ends, ends[1:]))
         rows.frombytes(samples)
         if sys.byteorder == "big":
             rows.byteswap()
         try:
-            alphabet = Alphabet(symbols)
+            alphabet = Alphabet(bytes(symbols))
         except ValueError as exc:
             raise IndexFormatError(f"index alphabet: {exc}") from None
         return cls(alphabet, n, [int.from_bytes(plane, "little") for plane in planes],
                    sentinel_row, s, rows, separators)
+
+    @classmethod
+    def load(cls, source) -> "FmIndex":
+        return cls.from_bytes(Path(source).read_bytes())
 
 
 def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
@@ -437,11 +408,9 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
                    rows.tolist(), separators)
 
 
-def invert_bwt(index: FmIndex) -> np.ndarray:
+def invert_bwt(index: FmIndex) -> bytes:
     """Reconstruct the text codes from the BWT; validates index consistency."""
-    import numpy as np
-
-    out = np.empty(index.n, dtype=np.uint8)
+    out = bytearray(index.n)
     row = 0
     for i in range(index.n - 1, -1, -1):
         if row == index.sentinel_row:
@@ -449,4 +418,4 @@ def invert_bwt(index: FmIndex) -> np.ndarray:
         sym = index._bwt[row]
         out[i] = sym
         row = index._c[sym] + index.rank(sym, row)
-    return out
+    return bytes(out)

@@ -444,12 +444,16 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     assert len(saved) == (8 + 40 + sigma + len(separators) + planes * ((n + 8) // 8)
                           + (n // rate + 1) * 4 + 4)
     reloaded = FmIndex.from_bytes(saved)
+    # load derives C alone: rank, BWT bytes, k-mers and positions wait for use
+    assert not {"_rank", "_bwt", "_kmers", "_sampled"} & reloaded.__dict__.keys()
     sa = naive_suffix_array(text.code_bytes)
     bwt = bytes(text.code_bytes[i - 1] if i else 0 for i in sa)
     assert reloaded._bwt == index._bwt == bwt
     for c in range(sigma):
         hits = [code == c and i != 0 for code, i in zip(bwt, sa)]  # not the sentinel row
         assert [reloaded.rank(c, k) for k in range(n + 2)] == [sum(hits[:k]) for k in range(n + 2)]
+    cols = reloaded._rank[1]
+    assert reloaded._c == [col[0] for col in cols] + [cols[-1][-1]]
     assert reloaded._kmers == index._kmers
     for _ in range(3):
         lo = data.draw(st.integers(0, n + 1))
@@ -470,9 +474,11 @@ def test_loaded_index_answers_queries(tmp_path):
 
 def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.memidx"
-    path.write_bytes(b"NOTANIDX" + b"\x00" * 64)
-    with pytest.raises(IndexFormatError, match="not a memlight index"):
-        FmIndex.load(path)
+    # a foreign file, an empty one, and one of 5 bytes, a prefix of the magic
+    for data in (b"NOTANIDX" + b"\x00" * 64, b"", b"MEMLI"):
+        path.write_bytes(data)
+        with pytest.raises(IndexFormatError, match="not a memlight index"):
+            FmIndex.load(path)
 
 
 def test_load_rejects_truncation(tmp_path, demo_index):
@@ -481,6 +487,14 @@ def test_load_rejects_truncation(tmp_path, demo_index):
     path = tmp_path / "short.memidx"
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(IndexFormatError, match="truncated"):
+        FmIndex.load(path)
+    path.write_bytes(b"MEMLIDX5")  # the magic alone
+    with pytest.raises(IndexFormatError, match="^truncated index file$"):
+        FmIndex.load(path)
+    # one trailing byte: rejected, and not called truncated
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(IndexFormatError,
+                       match=f"^index file too long: {len(data) + 1} bytes, expected {len(data)}$"):
         FmIndex.load(path)
 
 
@@ -595,10 +609,15 @@ def test_load_rejects_resealed_symbol_past_the_alphabet():
     # takes three, which can also spell 5, 6 and 7
     index = build_fm(Text.from_bytes(b"banana"))
     assert index._bwt == bytes([0, 2, 2, 1, 0, 0, 0])
-    cases = [(index, row, 3) for row in (1, 3, 6)]  # a code 2, 1 or 0 made 3
+    # rows 0 and n too, the first row and the last before the padding bits
+    assert (index.sentinel_row, index.n) == (4, 6)
+    cases = [(index, row, 3) for row in (0, 1, 3, 6)]  # a code 0, 2, 1 or 0 made 3
     index = build_fm(Text.from_bytes(b"abracadabra"))
-    row = next(r for r, code in enumerate(index._bwt) if code == 0 and r != index.sentinel_row)
-    cases += [(index, row, code) for code in (5, 6, 7)]  # a code 0 made 5, 6 or 7
+    row = next(r for r, code in enumerate(index._bwt)
+               if code == 0 and r not in (0, index.sentinel_row))
+    assert index.sentinel_row not in (0, index.n)
+    # the bits of 5, 6 or 7 set in a code 0 (rows 0 and `row`) or 1 (row n)
+    cases += [(index, r, code) for r in (0, row, index.n) for code in (5, 6, 7)]
     for index, row, code in cases:
         data = bytearray(index.to_bytes())
         for plane in range(len(index._planes)):
