@@ -5,14 +5,11 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-import time
 from pathlib import Path
 
 from .fasta import read_fasta
-from .finders import (find_all_mems_fm, find_in_raw, find_long_mems_fm,
-                      longest_common_substring)
-from .fm import FmIndex, IndexFormatError, build_fm
-from .sequence import Text, split_by_foreign_chars
+from .finders import find_in_raw
+from .fm import FmIndex, IndexFormatError, index_paths, write_index_pair
 
 # `mems` and `lcs` import only the standard library: `index` and
 # `experiment` import their numpy modules when they run
@@ -20,11 +17,6 @@ from .sequence import Text, split_by_foreign_chars
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INDEX = 3
-
-
-def index_paths(prefix: str) -> tuple[Path, Path]:
-    """The forward and the reverse index files at a path prefix."""
-    return Path(prefix + ".fwd.memidx"), Path(prefix + ".rev.memidx")
 
 
 # -- input reading -----------------------------------------------------------
@@ -63,86 +55,42 @@ def _read_pattern_inputs(path: Path, raw: bool) -> list[tuple[str, bytes]]:
 # -- commands ----------------------------------------------------------------
 
 def cmd_index(args) -> int:
-    from .suffixes import build_suffix_structures
-
     text_bytes, separators = _read_text_input(Path(args.text), args.raw,
                                               args.concat_sep)
-    fwd_path, rev_path = index_paths(args.output)
-    sort_s = fm_s = write_s = 0.0
-    started = clock = time.perf_counter()
-    text = Text.from_bytes(text_bytes)
-    # one direction at a time, its suffix array and index dropped before the
-    # other's are built; the reverse index first, so a bad rate writes no
-    # file.  Only it locates: the forward one keeps one sample (rate n + 1),
-    # the row of text position 0 that load checks
-    for path, rate in ((rev_path, args.sample_rate), (fwd_path, text.n + 1)):
-        text = text.reversed()
-        sa = build_suffix_structures(text)
-        sorted_at = time.perf_counter()
-        fm = build_fm(text, rate, sa=sa, separators=separators)
-        del sa
-        built_at = time.perf_counter()
-        fm.save(path)
-        del fm
-        done_at = time.perf_counter()
-        sort_s += sorted_at - clock
-        fm_s += built_at - sorted_at
-        write_s += done_at - built_at
-        clock = done_at
-    print(f"n={text.n}\tsigma={text.alphabet.size}"
-          f"\tbuild_seconds={clock - started:.3f}"
-          f"\tsort_seconds={sort_s:.3f}"
-          f"\tfm_seconds={fm_s:.3f}"
-          f"\twrite_seconds={write_s:.3f}")
+    n, sigma, seconds = write_index_pair(text_bytes, args.output,
+                                         args.sample_rate, separators)
+    print(f"n={n}\tsigma={sigma}",
+          *(f"{phase}_seconds={s:.3f}" for phase, s in seconds.items()), sep="\t")
     return EXIT_OK
 
 
-def _locate_forward(rev_index: FmIndex, interval, length: int) -> list[int]:
-    # rows come from the reversed-text index; mirror positions back, which
-    # turns ascending positions into descending ones
-    n = rev_index.n
-    return [n - p - length for p in reversed(rev_index.locate_all(interval))]
-
-
-def cmd_mems(args) -> int:
+def _print_mems(args, min_len: int | None, longest: bool = False) -> int:
+    """One TSV row per MEM: id, 1-based start and end, length, occurrences."""
     patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
     fm_fwd, fm_rev = map(FmIndex.load, index_paths(args.index))
-
-    def finder(sub):
-        if args.all:
-            return find_all_mems_fm(sub, fm_fwd, fm_rev, report_intervals=True)
-        return find_long_mems_fm(sub, fm_fwd, fm_rev, args.min_mem_length,
-                                 report_intervals=True)
-
     for rid, raw in patterns:
-        for mem in find_in_raw(raw, fm_fwd.alphabet, finder, fm_fwd.separators).mems:
+        for mem in find_in_raw(raw, fm_fwd, fm_rev, min_len, longest).mems:
             iv = mem.bwt_interval
             fields = [rid, str(mem.start + 1), str(mem.end), str(mem.length),
                       str(iv.width)]
             if args.intervals:
                 fields.append(f"{iv.lo}:{iv.hi}")
             if args.locate:
-                fields.extend(str(p + 1) for p in _locate_forward(fm_rev, iv, mem.length))
+                # the reverse index finds the reversed MEM at p, so the MEM
+                # is at 1-based text position n - length + 1 - p: mirroring
+                # turns ascending positions into descending ones
+                last = fm_rev.n - mem.length + 1
+                fields.extend(str(last - p) for p in reversed(fm_rev.locate_all(iv)))
             print("\t".join(fields))
     return EXIT_OK
 
 
+def cmd_mems(args) -> int:
+    return _print_mems(args, None if args.all else args.min_mem_length)
+
+
 def cmd_lcs(args) -> int:
-    patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
-    fm_fwd, fm_rev = map(FmIndex.load, index_paths(args.index))
-    for rid, raw in patterns:
-        # a later piece wins only with a longer MEM, so each piece starts one
-        # above the best so far, and the leftmost maximum is kept
-        best = None
-        for offset, sub in split_by_foreign_chars(raw, fm_fwd.alphabet, fm_fwd.separators):
-            found = longest_common_substring(sub, fm_fwd, fm_rev,
-                                             best.length + 1 if best else 1).mems
-            if found:
-                best = found[0]._replace(start=found[0].start + offset)
-        if best:
-            print(f"{rid}\t{best.start + 1}\t{best.end}\t"
-                  f"{best.length}\t{best.bwt_interval.width}")
-    return EXIT_OK
+    return _print_mems(args, 1, longest=True)
 
 
 def cmd_experiment(args) -> int:
@@ -206,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index")
     p.add_argument("patterns")
     p.add_argument("--raw", action="store_true")
-    p.set_defaults(func=cmd_lcs)
+    p.set_defaults(func=cmd_lcs, intervals=False, locate=False)
 
     p = sub.add_parser("experiment", help="run a step-count comparison")
     p.add_argument("--n", type=int, default=1_000_000)

@@ -9,6 +9,9 @@ backward-search indexes (text and reversed text).  Match functions that
 contradict each other stop a scan with the family's error: ValueError for
 match pointers, IndexFormatError for an index pair.  All results are in
 pattern coordinates, 0-based, left to right.
+`find_in_raw` answers the CLI's query on a raw pattern: every MEM, the MEMs
+of length at least L, or one longest, over the pieces the index alphabet
+and record separators leave, with the counters of all pieces summed.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .fm import FmIndex, IndexFormatError
-from .sequence import (Alphabet, MemRecord, Pattern, QueryStats,
-                       split_by_foreign_chars)
+from .sequence import MemRecord, Pattern, QueryStats, split_by_foreign_chars
 
 if TYPE_CHECKING:
     from .suffixes import MatchPointers
@@ -44,12 +46,14 @@ def _lce_matches(pointers: MatchPointers, lce):
             ValueError("the match pointers are inconsistent with the pattern and text"))
 
 
-def _fm_matches(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex):
+def _fm_matches(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
+                stats: QueryStats | None = None):
     """(stats, match_from, match_to, disagreement) by backward search in the index pair.
 
     The longest match ending before e is the longest suffix of the first e
     pattern symbols in the text; the one starting at i, reversed, is that of
     the first m - i reversed symbols in the reversed text, with its interval.
+    Steps are counted into `stats`, a new QueryStats if none is given.
     """
     if fwd_index.alphabet != rev_index.alphabet:
         raise IndexFormatError("forward and reverse indexes use different alphabets")
@@ -58,7 +62,8 @@ def _fm_matches(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex):
         raise IndexFormatError("forward and reverse indexes describe different texts")
     if pattern.alphabet != fwd_index.alphabet:
         raise ValueError("pattern alphabet differs from the index alphabet")
-    stats, codes = QueryStats(), pattern.code_bytes
+    stats = QueryStats() if stats is None else stats
+    codes = pattern.code_bytes
     rcodes, m = codes[::-1], len(codes)
     search, reverse_search = fwd_index.backward_search_prefix, rev_index.backward_search_prefix
     return (stats, lambda i: reverse_search(rcodes, m - i, stats),
@@ -174,32 +179,38 @@ def find_all_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
 
 
 def longest_common_substring(pattern: Pattern, fwd_index: FmIndex,
-                             rev_index: FmIndex, min_len: int = 1) -> FinderResult:
-    """One maximum-length MEM (leftmost among maxima) of length at least min_len, or none.
+                             rev_index: FmIndex) -> FinderResult:
+    """One maximum-length MEM (leftmost among maxima), or none.
 
     Runs the thresholded scan with the threshold held one above the best
     length found so far, so every confirmed window strictly improves on the
     current best and everything shorter is skipped wholesale.
     """
     return _thresholded_scan(pattern.m, *_fm_matches(pattern, fwd_index, rev_index),
-                             min_len, longest=True, report_intervals=True)
+                             1, longest=True, report_intervals=True)
 
 
-def find_in_raw(raw_pattern: bytes, alphabet: Alphabet, finder,
-                separators: bytes = b"") -> FinderResult:
-    """Split a raw pattern on foreign bytes and run a finder per piece.
+def find_in_raw(raw_pattern: bytes, fwd_index: FmIndex, rev_index: FmIndex,
+                min_len: int | None = None, longest: bool = False) -> FinderResult:
+    """The MEMs of a raw pattern in an index pair, each with its interval.
 
-    `finder` maps a Pattern to a FinderResult; starts are shifted back into
-    original-pattern coordinates and work counters are summed.  The
-    `separators` of a concatenated text split the pattern like foreign bytes,
-    so no match crosses a record boundary.
+    `min_len=None` runs the full scan (every MEM), an int the thresholded
+    scan (the MEMs of length at least min_len).  `longest` keeps one
+    leftmost longest MEM, of any length if min_len is None.  The pattern is
+    split on foreign bytes and on the index's record separators, so no match
+    crosses a record boundary.  One QueryStats counts the work of every
+    piece; in longest mode each piece starts one above the best length so far.
     """
-    merged = FinderResult()
-    for offset, sub in split_by_foreign_chars(raw_pattern, alphabet, separators):
-        part = finder(sub)
-        merged.mems.extend(mem._replace(start=mem.start + offset) for mem in part.mems)
-        merged.stats.backward_steps += part.stats.backward_steps
-        merged.stats.lcp_queries += part.stats.lcp_queries
-        merged.stats.lcs_queries += part.stats.lcs_queries
-        merged.stats.loop_iterations += part.stats.loop_iterations
-    return merged
+    if longest and min_len is None:
+        min_len = 1
+    result = FinderResult()
+    for offset, piece in split_by_foreign_chars(raw_pattern, fwd_index.alphabet,
+                                                fwd_index.separators):
+        matches = _fm_matches(piece, fwd_index, rev_index, result.stats)
+        part = (_full_scan(piece.m, *matches, report_intervals=True) if min_len is None
+                else _thresholded_scan(piece.m, *matches, min_len, longest,
+                                       report_intervals=True))
+        if longest and part.mems:
+            result.mems, min_len = [], part.mems[0].length + 1
+        result.mems += (mem._replace(start=mem.start + offset) for mem in part.mems)
+    return result

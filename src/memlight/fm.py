@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 import sys
+import time
 import zlib
 from array import array
 from functools import cached_property
@@ -33,10 +34,9 @@ from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .sequence import Alphabet, Pattern, QueryStats
+from .sequence import Alphabet, Pattern, QueryStats, Text
 
 if TYPE_CHECKING:
-    from .sequence import Text
     from .suffixes import SuffixArray
 
 MAGIC = b"MEMLIDX5"
@@ -406,6 +406,45 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
               for j in range(_plane_count(text.alphabet.size))]
     return FmIndex(text.alphabet, text.n, planes, sentinel_row, sample_rate,
                    rows.tolist(), separators)
+
+
+def index_paths(prefix: str) -> tuple[Path, Path]:
+    """The forward and the reverse index files at a path prefix."""
+    return Path(prefix + ".fwd.memidx"), Path(prefix + ".rev.memidx")
+
+
+def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = 32,
+                     separators: bytes = b"") -> tuple[int, int, dict[str, float]]:
+    """Build and save a text's index pair; n, sigma and the seconds per phase.
+
+    The phases (sort, fm, write) are summed over the two directions, built
+    one at a time, each one's suffix array and index dropped before the
+    other's are built.  The reverse index goes first, so a bad sample rate
+    writes no file; only it locates.  The forward one keeps one sample (rate
+    n + 1), the row of text position 0 that load checks.
+    """
+    from .suffixes import build_suffix_structures
+
+    fwd_path, rev_path = index_paths(prefix)
+    seconds = dict.fromkeys(("build", "sort", "fm", "write"), 0.0)
+    started = clock = time.perf_counter()
+    text = Text.from_bytes(text_bytes)
+    for path, rate in ((rev_path, sample_rate), (fwd_path, text.n + 1)):
+        text = text.reversed()
+        sa = build_suffix_structures(text)
+        sorted_at = time.perf_counter()
+        fm = build_fm(text, rate, sa=sa, separators=separators)
+        del sa
+        built_at = time.perf_counter()
+        fm.save(path)
+        del fm
+        done_at = time.perf_counter()
+        seconds["sort"] += sorted_at - clock
+        seconds["fm"] += built_at - sorted_at
+        seconds["write"] += done_at - built_at
+        clock = done_at
+    seconds["build"] = clock - started
+    return text.n, text.alphabet.size, seconds
 
 
 def invert_bwt(index: FmIndex) -> bytes:

@@ -150,6 +150,19 @@ def test_lcs_across_foreign_bytes_prints_leftmost_maximum(demo_files, tmp_path,
     assert rows == [["split", "9", "14", "6", "1"]]
 
 
+def test_lcs_threshold_never_carries_to_the_next_pattern(demo_files, tmp_path,
+                                                       capsys):
+    # GATTAG raises the threshold to 7 within its record; the next record
+    # starts from 1 again, so its 3-long ACA still prints
+    _, _, prefix = demo_files
+    fasta = tmp_path / "p.fa"
+    fasta.write_bytes(b">long\nGATTAG\n>short\nACA\n")
+    capsys.readouterr()
+    code, rows = run_lines(capsys, ["lcs", prefix, str(fasta)])
+    assert code == 0
+    assert rows == [["long", "1", "6", "6", "1"], ["short", "1", "3", "3", "1"]]
+
+
 def test_lcs_disjoint_alphabet_prints_nothing(demo_files, tmp_path, capsys):
     _, _, prefix = demo_files
     odd = tmp_path / "odd.txt"

@@ -14,7 +14,7 @@ from memlight import (Alphabet, FingerprintLce, MatchPointers,
                       longest_common_substring)
 
 from conftest import (DEMO_ALL_SPANS_1BASED, DEMO_LONG_SPANS_1BASED,
-                      NOISY_MEM_LENGTHS, make_bench, random_raw_pair,
+                      DEMO_PATTERN, NOISY_MEM_LENGTHS, make_bench, random_raw_pair,
                       case_min_len, replay_window_probes)
 
 
@@ -90,8 +90,10 @@ def test_longest_common_substring_demo(demo_bench):
     assert result.mems[0].length == 6
     assert result.mems[0].bwt_interval.width == 1
     fwd, rev = demo_bench.fm_fwd, demo_bench.fm_rev
-    assert longest_common_substring(demo_bench.pattern, fwd, rev, 6).spans == [(6, 6)]
-    assert longest_common_substring(demo_bench.pattern, fwd, rev, 7).mems == []
+    at_six = find_in_raw(DEMO_PATTERN, fwd, rev, 6, longest=True)
+    assert at_six.spans == [(6, 6)]
+    assert at_six.mems[0].bwt_interval == result.mems[0].bwt_interval
+    assert find_in_raw(DEMO_PATTERN, fwd, rev, 7, longest=True).mems == []
 
 
 def test_adversarial_pattern_is_its_own_single_mem(adversarial_bench):
@@ -137,13 +139,10 @@ def test_reported_intervals_have_occurrence_width(demo_bench):
 
 
 def test_split_results_use_original_coordinates(demo_bench):
-    bench = demo_bench
-
-    def runner(sub):
-        return find_long_mems_fm(sub, bench.fm_fwd, bench.fm_rev, 4)
-
-    merged = find_in_raw(b"NNTACATNNNGATTAGNN", bench.text.alphabet, runner)
+    fwd, rev = demo_bench.fm_fwd, demo_bench.fm_rev
+    merged = find_in_raw(b"NNTACATNNNGATTAGNN", fwd, rev, 4)
     assert merged.spans == [(2, 5), (10, 6)]
+    assert find_in_raw(b"NNTACATNNNGATTAGNN", fwd, rev, 1, longest=True).spans == [(10, 6)]
 
 
 def kept_runs(raw: bytes, kept: bytes) -> list[tuple[int, bytes]]:
@@ -159,29 +158,38 @@ def kept_runs(raw: bytes, kept: bytes) -> list[tuple[int, bytes]]:
 
 
 # texts over ACGT,; with any subset of their symbols as record separators;
-# patterns add the foreign bytes N and #
+# patterns add the foreign bytes N and #; the mode is the full scan, the
+# thresholded scan at min_len, or the longest MEM of length at least min_len
 @given(st.binary(min_size=1, max_size=60).map(lambda b: bytes(b"ACGT,;"[x % 6] for x in b)),
        st.binary(max_size=60).map(lambda b: bytes(b"ACGT,;N#"[x % 8] for x in b)),
-       st.sets(st.sampled_from(b"ACGT,;")), st.integers(1, 4))
-@settings(max_examples=80, deadline=None)
-def test_find_in_raw_equals_a_direct_run_on_each_piece(t_raw, p_raw, separators, min_len):
+       st.sets(st.sampled_from(b"ACGT,;")), st.integers(1, 4),
+       st.sampled_from(("full", "threshold", "longest")))
+@settings(max_examples=120, deadline=None)
+def test_find_in_raw_equals_a_direct_run_on_each_piece(t_raw, p_raw, separators,
+                                                       min_len, mode):
     text = Text.from_bytes(t_raw)
     alphabet = text.alphabet
     separators = bytes(sorted(separators & set(alphabet.symbols)))
-    fwd, rev = build_fm(text, sample_rate=3), build_fm(text.reversed(), sample_rate=3)
-
-    def finder(sub):
-        return find_long_mems_fm(sub, fwd, rev, min_len, report_intervals=True)
-
-    got = find_in_raw(p_raw, alphabet, finder, separators)
+    fwd = build_fm(text, sample_rate=3, separators=separators)
+    rev = build_fm(text.reversed(), sample_rate=3, separators=separators)
+    got = find_in_raw(p_raw, fwd, rev, None if mode == "full" else min_len,
+                      longest=mode == "longest")
     expect, stats = [], QueryStats()
     for offset, piece in kept_runs(p_raw, alphabet.symbols.translate(None, separators)):
-        part = finder(Pattern.from_bytes(piece, alphabet))
+        sub = Pattern.from_bytes(piece, alphabet)
+        part = (find_long_mems_fm(sub, fwd, rev, min_len, report_intervals=True)
+                if mode == "threshold" else
+                find_all_mems_fm(sub, fwd, rev, report_intervals=True))
         expect += [(offset + m.start, m.length, m.bwt_interval) for m in part.mems]
         for name in vars(stats):
             setattr(stats, name, getattr(stats, name) + getattr(part.stats, name))
+    if mode == "longest":
+        # the leftmost longest MEM of full mode, if it is long enough
+        best = max(expect, key=lambda mem: mem[1], default=None)
+        expect = [best] if best and best[1] >= min_len else []
+    else:
+        assert got.stats == stats
     assert [(m.start, m.length, m.bwt_interval) for m in got.mems] == expect
-    assert got.stats == stats
 
 
 # records over ACGT joined by one separator byte, or by a distinct one per
@@ -193,11 +201,7 @@ def test_find_in_raw_equals_a_direct_run_on_each_piece(t_raw, p_raw, separators,
        st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
 def test_one_separator_answers_as_one_per_boundary(records, p_raw, min_len):
-    finders = (
-        lambda sub, fwd, rev: find_all_mems_fm(sub, fwd, rev, report_intervals=True),
-        lambda sub, fwd, rev: find_long_mems_fm(sub, fwd, rev, min_len, report_intervals=True),
-        longest_common_substring,
-    )
+    modes = ((None, False), (min_len, False), (min_len, True))
     answers = []
     boundaries = range(len(records) - 1)
     for seps in ([b"\x00" for _ in boundaries], [bytes((i,)) for i in boundaries]):
@@ -206,9 +210,8 @@ def test_one_separator_answers_as_one_per_boundary(records, p_raw, min_len):
         fwd = build_fm(text, sample_rate=3, separators=used)
         rev = build_fm(text.reversed(), sample_rate=3, separators=used)
         answer = []
-        for finder in finders:
-            got = find_in_raw(p_raw, fwd.alphabet, lambda sub: finder(sub, fwd, rev),
-                              fwd.separators)
+        for threshold, longest in modes:
+            got = find_in_raw(p_raw, fwd, rev, threshold, longest)
             answer.append((got.stats, [(m.start, m.length, m.bwt_interval,
                                         rev.locate_all(m.bwt_interval)) for m in got.mems]))
         answers.append(answer)
@@ -216,10 +219,10 @@ def test_one_separator_answers_as_one_per_boundary(records, p_raw, min_len):
 
 
 def test_all_foreign_pattern_finds_nothing(demo_bench):
-    merged = find_in_raw(b"XXXX", demo_bench.text.alphabet,
-                         lambda sub: find_all_mems_fm(sub, demo_bench.fm_fwd,
-                                                      demo_bench.fm_rev))
-    assert merged.mems == []
+    for mode in ((None, False), (4, False), (1, True)):
+        merged = find_in_raw(b"XXXX", demo_bench.fm_fwd, demo_bench.fm_rev, *mode)
+        assert merged.mems == []
+        assert merged.stats == QueryStats()
 
 
 def test_absent_symbol_degrades_gracefully_in_fm_finders():
