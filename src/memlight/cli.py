@@ -65,10 +65,15 @@ def cmd_index(args) -> int:
 
 
 def _print_mems(args, min_len: int | None, longest: bool = False) -> int:
-    """One TSV row per MEM: id, 1-based start and end, length, occurrences."""
+    """One TSV row per MEM: id, 1-based start and end, length, occurrences.
+
+    Each pattern's rows go out in one write: on an unbuffered stdout, one
+    print per row would cost two system calls.
+    """
     patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
     fm_fwd, fm_rev = map(FmIndex.load, index_paths(args.index))
     for rid, raw in patterns:
+        rows = []
         for mem in find_in_raw(raw, fm_fwd, fm_rev, min_len, longest).mems:
             iv = mem.bwt_interval
             fields = [rid, str(mem.start + 1), str(mem.end), str(mem.length),
@@ -81,7 +86,8 @@ def _print_mems(args, min_len: int | None, longest: bool = False) -> int:
                 # turns ascending positions into descending ones
                 last = fm_rev.n - mem.length + 1
                 fields.extend(str(last - p) for p in reversed(fm_rev.locate_all(iv)))
-            print("\t".join(fields))
+            rows.append("\t".join(fields) + "\n")
+        sys.stdout.write("".join(rows))
     return EXIT_OK
 
 

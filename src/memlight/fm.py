@@ -1,18 +1,22 @@
 """FM-index over a text: counting backward search, locating, and serialization.
 
-The index stores the BWT of text plus sentinel as ceil(log2 sigma) bit
-planes, bit r of plane j being bit j of row r's code, with the sentinel's
-row kept as a row index (its code is 0 in every plane), and a sampled
-suffix array for locating: the row of every text position that is a
-multiple of the sample rate, in text order.
+The index stores the BWT of text plus sentinel in two parts.  A symbol rare
+enough to pay for it is listed by its rows; the other symbols are numbered
+in code order and stored as ceil(log2 count) bit planes, bit r of plane j
+being bit j of row r's number.  A listed row and the sentinel's row hold 0
+in every plane; the sentinel's row is kept as a row index.  A sampled
+suffix array serves locating: the row of every text position that is a
+multiple of the sample rate, in text order.  Every stored row takes
+ceil(bit_length(n) / 8) bytes.
 Load splits the rows by the planes, from the top, into one bitmap per
-symbol and keeps only the popcounts: the C array, whose last entry shows
-whether every row holds a code of the alphabet.  The first search splits
-the rows again into 64-row words per symbol, beside a running count per
-word that starts at C[c] (Jacobson's rank), so that a backward step or an
-LF step is a count read plus one popcount for each end of the interval.
-The sentinel's row is in no bitmap and needs no correction.  Locating
-reads one code byte per row, derived from the planes on first locate.
+unlisted symbol, takes each listed symbol's bitmap from its rows, and keeps
+only the popcounts: the C array, whose last entry shows whether every row
+holds a code of the alphabet.  The first search splits the rows again into
+64-row words per symbol, beside a running count per word that starts at
+C[c] (Jacobson's rank), so that a backward step or an LF step is a count
+read plus one popcount for each end of the interval.  The sentinel's row
+is in no bitmap and needs no correction.  Locating reads one code byte per
+row, derived from the planes and the lists on first locate.
 Backward search reports how many characters of a query prefix matched,
 which is the single primitive the deterministic MEM finder needs.
 It starts from a table, also built on first search, of the interval of
@@ -39,10 +43,10 @@ from .sequence import Alphabet, Pattern, QueryStats, Text
 if TYPE_CHECKING:
     from .suffixes import SuffixArray
 
-MAGIC = b"MEMLIDX5"
-_OLD_MAGICS = (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4")
-# n, alphabet size, sample rate, sentinel row, separator count
-_HEADER = struct.Struct("<5Q")
+MAGIC = b"MEMLIDX6"
+_OLD_MAGICS = (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5")
+# n, alphabet size, sample rate, sentinel row, separator count, listed symbol count
+_HEADER = struct.Struct("<6Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
 _BELOW = tuple((1 << i) - 1 for i in range(64))
 # _DIGITS[j] turns plane j's binary digits into bytes holding bit j
@@ -71,8 +75,41 @@ def _plane_count(sigma: int) -> int:
 
 
 def _row_type(n: int) -> str:
-    """The array type of the sample rows: 4 bytes when n < 2**32, else 8."""
+    """The array type of rows in memory: 4 bytes when n < 2**32, else 8."""
     return "I" if n < 1 << 32 else "Q"
+
+
+def _row_width(n: int) -> int:
+    """Bytes per stored row of rows 0..n (and per listed row count)."""
+    return (n.bit_length() + 7) >> 3
+
+
+def _pack_rows(rows: array, n: int) -> bytes:
+    """The rows, little-endian in _row_width(n) bytes each: the low bytes of
+    the array's items, one strided slice per stored byte."""
+    if sys.byteorder == "big":
+        rows = array(rows.typecode, rows)
+        rows.byteswap()
+    items, size, width = rows.tobytes(), rows.itemsize, _row_width(n)
+    out = bytearray(len(rows) * width)
+    for j in range(width):
+        out[j::width] = items[j::size]
+    return bytes(out)
+
+
+def _unpack_rows(data, n: int) -> array:
+    """Rows stored by _pack_rows, widened into an array of _row_type(n) by
+    one strided slice per stored byte."""
+    rows = array(_row_type(n))
+    size, width = rows.itemsize, _row_width(n)
+    data = bytes(data)  # strided slices of bytes copy 5 times faster than of a memoryview
+    wide = bytearray(len(data) // width * size)
+    for j in range(width):
+        wide[j::size] = data[j::width]
+    rows.frombytes(wide)
+    if sys.byteorder == "big":
+        rows.byteswap()
+    return rows
 
 
 class FmIndex:
@@ -87,9 +124,11 @@ class FmIndex:
     """
 
     def __init__(self, alphabet: Alphabet, n: int, planes: list[int], sentinel_row: int,
-                 sample_rate: int, sample_rows, separators: bytes = b""):
-        """`planes[j]` has bit r set when BWT row r's code has bit j set, for
-        rows 0 ... n; `sample_rows[k]` is the BWT row of text position
+                 sample_rate: int, sample_rows, separators: bytes = b"", listed=()):
+        """`listed` pairs the code of each symbol the planes leave out with
+        its rows; `planes[j]` has bit r set when BWT row r holds the unlisted
+        symbol whose index among the unlisted codes has bit j set, for rows
+        0 ... n; `sample_rows[k]` is the BWT row of text position
         k * sample_rate, for k = 0 ... n // sample_rate."""
         self.alphabet = alphabet
         self.n = n
@@ -104,6 +143,34 @@ class FmIndex:
             raise IndexFormatError("BWT bit planes set padding bits past row n")
         if any(plane >> sentinel_row & 1 for plane in planes):
             raise IndexFormatError("the sentinel row must hold the filler byte 0")
+        # each listed symbol's rows, in the order given, and their bitmap;
+        # `taken` is the union of the bitmaps
+        self._listed, self._listed_bits, taken = {}, {}, 0
+        for code, rows in listed:
+            if code in self._listed:
+                raise IndexFormatError("listed symbol codes repeat")
+            if not 0 <= code < sigma:
+                raise IndexFormatError("listed symbol codes lie outside the alphabet")
+            # a row past the planes' padding bits raises IndexError, and one
+            # below 0 OverflowError (the rows are unsigned)
+            bits = bytearray((n >> 3) + 1)
+            try:
+                rows = self._listed[code] = array(_row_type(n), rows)
+                for row in rows:
+                    bits[row >> 3] |= 1 << (row & 7)
+            except (IndexError, OverflowError):
+                raise IndexFormatError("listed symbol rows lie outside the BWT") from None
+            bitmap = int.from_bytes(bits, "little")
+            if bitmap >> (n + 1):
+                raise IndexFormatError("listed symbol rows lie outside the BWT")
+            if bitmap.bit_count() != len(rows) or bitmap & taken:
+                raise IndexFormatError("listed symbol rows repeat")
+            self._listed_bits[code] = bitmap
+            taken |= bitmap
+        if taken >> sentinel_row & 1:
+            raise IndexFormatError("a listed symbol row is the sentinel row")
+        if any(plane & taken for plane in planes):
+            raise IndexFormatError("listed symbol rows must hold 0 in every bit plane")
         # C[c], the rows before symbol c's: the sentinel's row, then each
         # symbol's rows; a row holding a code past the alphabet is in none
         self._c = list(accumulate(map(int.bit_count, self._symbol_rows()), initial=1))
@@ -132,24 +199,38 @@ class FmIndex:
     def _symbol_rows(self):
         """Yield the bitmap of the rows holding each symbol, in code order.
 
-        Rows 0..n minus the sentinel's are split by the top plane into the
-        rows with that bit clear and those with it set, and each part by the
-        planes below, clear part first; a part whose codes are all sigma or
-        more is never split, so a row holding such a code is in no bitmap.
-        The stack holds at most one part per plane.
+        A listed symbol's bitmap was made from its rows at construction.
+        The other rows, minus the sentinel's, are split by the top plane
+        into the rows with that bit clear and those with it set, and each
+        part by the planes below, clear part first, so that the leaves are
+        the unlisted symbols' bitmaps in code order; a part whose numbers
+        are all past the unlisted symbols is never split, so a row holding
+        such a number is in no bitmap.  The stack holds at most one part per
+        plane.
         """
-        planes, sigma = self._planes, self.alphabet.size
-        # rows whose code bits from plane j up spell code
-        stack = [(((1 << (self.n + 1)) - 1) ^ (1 << self.sentinel_row), len(planes), 0)]
-        while stack:
-            rows, j, code = stack.pop()
-            while j:
-                j -= 1
-                high = rows & planes[j]
-                if code | 1 << j < sigma:
-                    stack.append((high, j, code | 1 << j))
-                rows ^= high
-            yield rows
+        planes, n, listed = self._planes, self.n, self._listed_bits
+        unlisted = self.alphabet.size - len(listed)
+        # the listed rows hold 0 in every plane, and are disjoint from each
+        # other and from the sentinel's row (checked at construction), so
+        # their sum clears them from the rows of number 0
+        start = ((1 << (n + 1)) - 1) ^ (1 << self.sentinel_row) ^ sum(listed.values())
+
+        def split():
+            # rows whose number's bits from plane j up spell number
+            stack = [(start, len(planes), 0)]
+            while stack:
+                rows, j, number = stack.pop()
+                while j:
+                    j -= 1
+                    high = rows & planes[j]
+                    if number | 1 << j < unlisted:
+                        stack.append((high, j, number | 1 << j))
+                    rows ^= high
+                yield rows
+
+        parts = split()
+        for code in range(self.alphabet.size):
+            yield listed[code] if code in listed else next(parts)
 
     # the rank structures are built on first search and the sampled rows'
     # positions on first locate: `memlight index` saves an index without
@@ -180,12 +261,23 @@ class FmIndex:
 
         Each plane is formatted as binary digits, row n first, the digits
         are translated to bytes holding the plane's bit, and the planes'
-        bytes, read as big-endian ints, are ORed into every row's code.
+        bytes, read as big-endian ints, are ORed into every row's number
+        among the unlisted codes; one translation turns numbers into codes,
+        and the listed rows and the sentinel's are then set one by one.
         """
-        nrows, codes = self.n + 1, 0
+        nrows, numbers = self.n + 1, 0
         for plane, table in zip(self._planes, _DIGITS):
-            codes |= int.from_bytes(format(plane, f"0{nrows}b").encode().translate(table), "big")
-        return codes.to_bytes(nrows, "little")
+            numbers |= int.from_bytes(format(plane, f"0{nrows}b").encode().translate(table), "big")
+        bwt = numbers.to_bytes(nrows, "little")
+        if not self._listed:
+            return bwt
+        unlisted = bytes(code for code in range(self.alphabet.size) if code not in self._listed)
+        bwt = bytearray(bwt.translate(unlisted.ljust(256, b"\0")))
+        for code, rows in self._listed.items():
+            for row in rows:
+                bwt[row] = code
+        bwt[self.sentinel_row] = 0
+        return bytes(bwt)
 
     @cached_property
     def _kmers(self) -> tuple[int, dict[bytes, tuple[int, int]]]:
@@ -319,17 +411,18 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        rows = array(self._sample_rows.typecode, self._sample_rows)
-        if sys.byteorder == "big":
-            rows.byteswap()  # stored little-endian
-        plane_bytes = (self.n >> 3) + 1  # ceil((n + 1) / 8)
+        n, listed = self.n, self._listed
+        plane_bytes = (n >> 3) + 1  # ceil((n + 1) / 8)
         parts = [MAGIC,
-                 _HEADER.pack(self.n, self.alphabet.size, self.s,
-                              self.sentinel_row, len(self.separators)),
+                 _HEADER.pack(n, self.alphabet.size, self.s, self.sentinel_row,
+                              len(self.separators), len(listed)),
                  self.alphabet.symbols,
                  self.separators,
+                 bytes(listed),
+                 _pack_rows(array(_row_type(n), map(len, listed.values())), n),
+                 *(_pack_rows(rows, n) for rows in listed.values()),
                  *(plane.to_bytes(plane_bytes, "little") for plane in self._planes),
-                 rows.tobytes()]
+                 _pack_rows(self._sample_rows, n)]
         body = b"".join(parts)
         return body + struct.pack("<I", zlib.crc32(body))
 
@@ -338,8 +431,8 @@ class FmIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FmIndex":
-        """Parse a saved index: each BWT plane becomes one int, and the sample
-        rows take 4 bytes each when n < 2**32, else 8, as the header's n implies."""
+        """Parse a saved index: each BWT plane becomes one int, and the rows
+        stored in _row_width(n) bytes widen to an array of _row_type(n)."""
         magic = data[:8]
         if magic in _OLD_MAGICS:
             raise IndexFormatError(
@@ -351,30 +444,37 @@ class FmIndex:
         size = len(data)
         if size < 8 + _HEADER.size + 4:
             raise IndexFormatError("truncated index file")
-        n, sigma, s, sentinel_row, n_separators = _HEADER.unpack_from(data, 8)
-        if n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma:
+        n, sigma, s, sentinel_row, n_separators, n_listed = _HEADER.unpack_from(data, 8)
+        if (n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma
+                or n_listed >= sigma):
             raise IndexFormatError("index header is inconsistent")
-        rows = array(_row_type(n))
-        sizes = (sigma, n_separators, *[(n >> 3) + 1] * _plane_count(sigma),
-                 (n // s + 1) * rows.itemsize)
+        view, width = memoryview(data), _row_width(n)
+        # the listed symbols' row counts follow their codes, which follow
+        # the alphabet and the separators
+        counts_at = 8 + _HEADER.size + sigma + n_separators + n_listed
+        counts_end = counts_at + n_listed * width
+        if size < counts_end + 4:
+            raise IndexFormatError("truncated index file")
+        counts = _unpack_rows(view[counts_at:counts_end], n)
+        sizes = (sigma, n_separators, n_listed, n_listed * width,
+                 *(count * width for count in counts),
+                 *[(n >> 3) + 1] * _plane_count(sigma - n_listed), (n // s + 1) * width)
         expected = 8 + _HEADER.size + sum(sizes) + 4
         if size != expected:
             problem = "truncated index file" if size < expected else "index file too long"
             raise IndexFormatError(f"{problem}: {size} bytes, expected {expected}")
-        view = memoryview(data)
         if int.from_bytes(view[-4:], "little") != zlib.crc32(view[:-4]):
             raise IndexFormatError("index checksum mismatch")
         ends = list(accumulate(sizes, initial=8 + _HEADER.size))
-        symbols, separators, *planes, samples = (view[a:b] for a, b in zip(ends, ends[1:]))
-        rows.frombytes(samples)
-        if sys.byteorder == "big":
-            rows.byteswap()
+        symbols, separators, codes, _, *sections = (view[a:b] for a, b in zip(ends, ends[1:]))
+        lists, planes, samples = sections[:n_listed], sections[n_listed:-1], sections[-1]
         try:
             alphabet = Alphabet(bytes(symbols))
         except ValueError as exc:
             raise IndexFormatError(f"index alphabet: {exc}") from None
         return cls(alphabet, n, [int.from_bytes(plane, "little") for plane in planes],
-                   sentinel_row, s, rows, separators)
+                   sentinel_row, s, _unpack_rows(samples, n), separators,
+                   zip(codes, (_unpack_rows(rows, n) for rows in lists)))
 
     @classmethod
     def load(cls, source) -> "FmIndex":
@@ -402,10 +502,29 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
     sentinel_row = int(rows[0])  # the row of suffix 0
     bwt = text.data[sa.sa - 1]
     bwt[sentinel_row] = 0
+    # list the r rarest symbols by their rows, for the smallest r that makes
+    # the file smallest: a listed symbol costs its code byte, its row count
+    # and its rows, and the planes then number sigma - r symbols
+    sigma, width, plane_bytes = text.alphabet.size, _row_width(text.n), (text.n >> 3) + 1
+    counts = np.bincount(bwt, minlength=sigma)
+    counts[0] -= 1  # the sentinel row's filler
+    rarest = sorted(range(sigma), key=lambda code: counts[code])
+    costs = [_plane_count(sigma - r) * plane_bytes + r * (1 + width) + total * width
+             for r, total in enumerate(accumulate(map(int, counts[rarest[:-1]]), initial=0))]
+    r = costs.index(min(costs))
+    listed = []
+    for code in rarest[:r]:
+        rows_of = np.flatnonzero(bwt == code)
+        listed.append((code, rows_of[rows_of != sentinel_row].tolist()))
+    # the planes number the unlisted codes in order; listed rows get 0
+    numbers = np.zeros(sigma, dtype=np.uint8)
+    unlisted = sorted(set(range(sigma)).difference(rarest[:r]))
+    numbers[unlisted] = np.arange(len(unlisted))
+    bwt = np.take(numbers, bwt)
     planes = [int.from_bytes(np.packbits(bwt & (1 << j), bitorder="little").tobytes(), "little")
-              for j in range(_plane_count(text.alphabet.size))]
+              for j in range(_plane_count(sigma - r))]
     return FmIndex(text.alphabet, text.n, planes, sentinel_row, sample_rate,
-                   rows.tolist(), separators)
+                   rows.tolist(), separators, listed)
 
 
 def index_paths(prefix: str) -> tuple[Path, Path]:

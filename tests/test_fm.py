@@ -1,6 +1,7 @@
 import random
 import struct
 import zlib
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from memlight import (BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
                       NaiveLce, Pattern, QueryStats, Text, brute_force_mems,
                       build_fm, build_suffix_structures, compute_match_pointers,
-                      find_all_mems, find_long_mems_fm, find_long_mems_lce,
-                      invert_bwt)
+                      find_all_mems, find_in_raw, find_long_mems_fm,
+                      find_long_mems_lce, invert_bwt)
 
 from conftest import DEMO_PATTERN, DEMO_TEXT
 
@@ -416,6 +417,17 @@ def test_save_load_save_is_the_identity(raw, rate, n_separators):
     assert reloaded.separators == separators
 
 
+def file_size(n, sigma, rate, n_separators=0, listed_counts=()):
+    """MEMLIDX6: header, alphabet, separators, each listed symbol's code, row
+    count and rows, the planes of the unlisted symbols, the sample rows and
+    the checksum; every row and row count takes w bytes."""
+    width = (n.bit_length() + 7) // 8
+    planes = (sigma - len(listed_counts) - 1).bit_length()
+    return (8 + 48 + sigma + n_separators + len(listed_counts) * (1 + width)
+            + sum(listed_counts) * width + planes * ((n >> 3) + 1)
+            + (n // rate + 1) * width + 4)
+
+
 def naive_suffix_array(codes):
     """Rows in suffix order of text plus sentinel; row 0 is position n."""
     return sorted(range(len(codes) + 1), key=lambda i: codes[i:])
@@ -440,9 +452,8 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     rate = data.draw(st.integers(1, 12), label="sample rate")
     index = build_fm(text, sample_rate=rate, separators=separators)
     saved = index.to_bytes()
-    planes = (sigma - 1).bit_length()
-    assert len(saved) == (8 + 40 + sigma + len(separators) + planes * ((n + 8) // 8)
-                          + (n // rate + 1) * 4 + 4)
+    assert len(saved) == file_size(n, sigma, rate, len(separators),
+                                   [len(rows) for rows in index._listed.values()])
     reloaded = FmIndex.from_bytes(saved)
     # load derives C alone: rank, BWT bytes, k-mers and positions wait for use
     assert not {"_rank", "_bwt", "_kmers", "_sampled"} & reloaded.__dict__.keys()
@@ -460,6 +471,72 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
         hi = data.draw(st.integers(lo, n + 1))
         assert reloaded.locate_all(BwtInterval(lo, hi)) == sorted(
             sa[r] for r in range(lo, hi) if sa[r] != n)
+
+
+@given(st.integers(1, 7), st.integers(1, 3), st.integers(1500, 4000), st.integers(0, 2**32),
+       st.sampled_from(["none", "rare", "common"]))
+@settings(max_examples=40, deadline=None)
+def test_rare_symbols_listed_by_rows_keep_every_answer(common, rare, n, seed, separate):
+    # 2 to 8 symbols, 1 to 3 of them occurring 1 to 5 times each: listing
+    # them by rows costs less than a plane, so the fewest of them that make
+    # the plane count smallest are listed (all of sigma = 2's one: 0 planes);
+    # the separator, if any, is a rare symbol (as with --concat-sep) or a
+    # common one
+    rare = min(rare, 8 - common)
+    rng = random.Random(seed)
+    symbols = rng.sample(range(256), common + rare)
+    raw = rng.choices(symbols[:common], k=n)
+    for symbol in symbols[common:]:
+        for _ in range(rng.randint(1, 5)):
+            raw.insert(rng.randrange(len(raw) + 1), symbol)
+    raw = bytes(raw)
+    text = Text.from_bytes(raw)
+    sigma, n = text.alphabet.size, text.n
+    separators = {"none": b"", "rare": bytes(symbols[-1:]),
+                  "common": bytes(symbols[:1])}[separate]
+    rate = rng.randint(1, 40)
+    index = build_fm(text, sample_rate=rate, separators=separators)
+    sa = naive_suffix_array(text.code_bytes)
+    bwt = bytes(text.code_bytes[i - 1] if i else 0 for i in sa)
+    # the same index with every symbol in the planes
+    full = FmIndex(text.alphabet, n, planes_of(bwt, sigma), index.sentinel_row, rate,
+                   index._sample_rows, separators)
+    counts = [bwt.count(c) - (c == 0) for c in range(sigma)]  # not the sentinel row
+    listed = index._listed
+    planes = [(sigma - r - 1).bit_length() for r in range(rare + 1)]
+    assert len(listed) == planes.index(min(planes))
+    assert len(index._planes) == min(planes)
+    # the rarest symbols, in order
+    assert [counts[c] for c in listed] == sorted(counts)[:len(listed)]
+    saved = index.to_bytes()
+    assert len(saved) == file_size(n, sigma, rate, len(separators), [counts[c] for c in listed])
+    assert (len(saved) < len(full.to_bytes())) == bool(listed)
+    reloaded = FmIndex.from_bytes(saved)
+    assert reloaded.to_bytes() == saved
+    assert reloaded._bwt == index._bwt == bwt
+    assert reloaded._c == full._c
+    for c in range(sigma):
+        hits = [code == c and i != 0 for code, i in zip(bwt, sa)]
+        assert [reloaded.rank(c, k) for k in range(n + 2)] == [0, *accumulate(hits)]
+    assert reloaded._kmers == full._kmers
+    for _ in range(5):
+        lo = rng.randint(0, n + 1)
+        hi = rng.randint(lo, min(lo + 60, n + 1))
+        assert reloaded.locate_all(BwtInterval(lo, hi)) == full.locate_all(BwtInterval(lo, hi))
+    # a mutated slice of the text, without separators, against the oracle
+    rev = build_fm(text.reversed(), sample_rate=rate, separators=separators)
+    kept = [symbol for symbol in symbols if symbol not in separators]
+    start = rng.randrange(n)
+    pattern = bytearray(raw[start : start + rng.randint(1, 120)])
+    for k in range(len(pattern)):
+        if rng.random() < 0.1:
+            pattern[k] = rng.choice(kept)
+    pattern = bytes(b for b in pattern if b not in separators) or bytes(kept[:1])
+    sa_fwd = build_suffix_structures(text)
+    for min_len in (None, 1, 4, 12):
+        expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text,
+                                  min_len or 1, sa=sa_fwd)
+        assert find_in_raw(pattern, reloaded, rev, min_len).spans == [m.span for m in expect]
 
 
 def test_loaded_index_answers_queries(tmp_path):
@@ -488,9 +565,16 @@ def test_load_rejects_truncation(tmp_path, demo_index):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(IndexFormatError, match="truncated"):
         FmIndex.load(path)
-    path.write_bytes(b"MEMLIDX5")  # the magic alone
+    path.write_bytes(b"MEMLIDX6")  # the magic alone
     with pytest.raises(IndexFormatError, match="^truncated index file$"):
         FmIndex.load(path)
+    # files that end inside the listed symbols' row counts, two bytes each
+    # at n = 300, or before a checksum could follow them
+    header = struct.pack("<6Q", 300, 3, 1, 0, 0, 1)
+    for end in range(6):
+        path.write_bytes(b"MEMLIDX6" + header + b"abc" + b"\0" + bytes(end))
+        with pytest.raises(IndexFormatError, match="^truncated index file$"):
+            FmIndex.load(path)
     # one trailing byte: rejected, and not called truncated
     path.write_bytes(data + b"\x00")
     with pytest.raises(IndexFormatError,
@@ -516,8 +600,8 @@ def reseal(data: bytes) -> bytes:
 def test_load_rejects_resealed_wrong_sample(demo_index):
     _, index = demo_index
     data = bytearray(index.to_bytes())
-    last_sample = len(data) - 4 - 4  # rows take 4 bytes below n = 2**32
-    data[last_sample : last_sample + 4] = struct.pack("<I", 13)  # n is 12
+    assert row_width(index) == 1  # n is 12
+    data[-5] = 13  # the last sample row
     with pytest.raises(IndexFormatError, match="samples"):
         FmIndex.from_bytes(reseal(bytes(data)))
 
@@ -525,9 +609,16 @@ def test_load_rejects_resealed_wrong_sample(demo_index):
 SENTINEL_ROW_FIELD = 8 + 3 * 8  # after the magic, n, sigma and the sample rate
 
 
+def row_width(index):
+    return (index.n.bit_length() + 7) // 8
+
+
 def plane_offset(index, plane=0):
-    # magic, five header fields, alphabet, separators, the planes before
-    return (8 + 40 + index.alphabet.size + len(index.separators)
+    # magic, six header fields, alphabet, separators, the listed symbols'
+    # codes, row counts and rows, the planes before
+    listed = index._listed.values()
+    return (8 + 48 + index.alphabet.size + len(index.separators)
+            + (len(listed) + sum(map(len, listed))) * row_width(index) + len(listed)
             + plane * ((index.n >> 3) + 1))
 
 
@@ -539,8 +630,9 @@ def test_load_rejects_resealed_positions_sharing_a_row(demo_index):
     # positions 4 and 8 both claim position 8's row
     _, index = demo_index
     data = bytearray(index.to_bytes())
-    at_4 = len(data) - 4 - 4 * 3  # the rows of positions 0, 4, 8 and 12 end the file
-    data[at_4 : at_4 + 4] = data[at_4 + 4 : at_4 + 8]
+    assert row_width(index) == 1  # n is 12
+    at_4 = len(data) - 4 - 3  # the rows of positions 0, 4, 8 and 12 end the file
+    data[at_4] = data[at_4 + 1]
     with pytest.raises(IndexFormatError, match="samples must be distinct"):
         FmIndex.from_bytes(reseal(bytes(data)))
 
@@ -627,24 +719,106 @@ def test_load_rejects_resealed_symbol_past_the_alphabet():
             FmIndex.from_bytes(reseal(bytes(data)))
 
 
-def test_sample_rows_take_4_bytes_below_n_of_2_to_the_32():
-    # a header alone names the size the file must have; the rows' width
-    # follows from n
-    def expected_size(n, sigma, s):
-        header = struct.pack("<5Q", n, sigma, s, 0, 0)
+@pytest.fixture(scope="module")
+def listed_index():
+    # "c" once and "d" twice among 400 of "a" and "b": both are listed, and
+    # one plane numbers "a" and "b"
+    rng = random.Random(5)
+    raw = bytearray(rng.choice(b"ab") for _ in range(400))
+    for byte in b"cdd":
+        raw.insert(rng.randrange(len(raw) + 1), byte)
+    index = build_fm(Text.from_bytes(bytes(raw)), sample_rate=8)
+    assert [(code, len(rows)) for code, rows in index._listed.items()] == [(2, 1), (3, 2)]
+    assert (len(index._planes), row_width(index)) == (1, 2)
+    return index
+
+
+def listed_codes_offset(index):
+    return 8 + 48 + index.alphabet.size + len(index.separators)
+
+
+def resealed_with_listed_row(index, k, row):
+    """The saved index with its k-th listed row, counted across symbols, set to row."""
+    data = bytearray(index.to_bytes())
+    at = listed_codes_offset(index) + 3 * len(index._listed) + 2 * k  # codes, counts, rows
+    data[at : at + 2] = row.to_bytes(2, "little")
+    return reseal(bytes(data))
+
+
+def test_load_rejects_resealed_repeated_listed_row(listed_index):
+    # "d"'s second row made its first, then "d"'s first made "c"'s
+    rows = [row for rows in listed_index._listed.values() for row in rows]
+    for k, row in ((2, rows[1]), (1, rows[0])):
+        with pytest.raises(IndexFormatError, match="^listed symbol rows repeat$"):
+            FmIndex.from_bytes(resealed_with_listed_row(listed_index, k, row))
+
+
+def test_load_rejects_resealed_listed_row_outside_the_bwt(listed_index):
+    # row n + 1 falls in the planes' padding bits, row 2**16 - 1 past them
+    for row in (listed_index.n + 1, 2**16 - 1):
+        with pytest.raises(IndexFormatError, match="^listed symbol rows lie outside the BWT$"):
+            FmIndex.from_bytes(resealed_with_listed_row(listed_index, 0, row))
+
+
+def test_load_rejects_resealed_listed_sentinel_row(listed_index):
+    data = resealed_with_listed_row(listed_index, 0, listed_index.sentinel_row)
+    with pytest.raises(IndexFormatError, match="^a listed symbol row is the sentinel row$"):
+        FmIndex.from_bytes(data)
+
+
+def test_load_rejects_resealed_plane_bit_at_a_listed_row(listed_index):
+    data = bytearray(listed_index.to_bytes())
+    set_plane_bit(data, listed_index, 0, listed_index._listed[3][1])
+    with pytest.raises(IndexFormatError,
+                       match="^listed symbol rows must hold 0 in every bit plane$"):
+        FmIndex.from_bytes(reseal(bytes(data)))
+
+
+@pytest.mark.parametrize("code, message", [
+    (2, "listed symbol codes repeat"),  # "d" listed as "c" a second time
+    (4, "listed symbol codes lie outside the alphabet"),
+    (255, "listed symbol codes lie outside the alphabet")])
+def test_load_rejects_resealed_listed_code(listed_index, code, message):
+    data = bytearray(listed_index.to_bytes())
+    data[listed_codes_offset(listed_index) + 1] = code
+    with pytest.raises(IndexFormatError, match=f"^{message}$"):
+        FmIndex.from_bytes(reseal(bytes(data)))
+
+
+def test_load_rejects_listing_every_symbol(listed_index):
+    data = bytearray(listed_index.to_bytes())
+    struct.pack_into("<Q", data, 8 + 5 * 8, listed_index.alphabet.size)
+    with pytest.raises(IndexFormatError, match="^index header is inconsistent$"):
+        FmIndex.from_bytes(reseal(bytes(data)))
+
+
+def test_stored_rows_take_the_bytes_that_n_needs():
+    # a header alone names the size the file must have: every row and row
+    # count takes ceil(bit_length(n) / 8) bytes, and the header has no field
+    # for it; a listed symbol's codes and row counts follow the separators
+    def expected_size(n, sigma, s, listed_counts=()):
+        width = (n.bit_length() + 7) // 8
+        header = struct.pack("<6Q", n, sigma, s, 0, 0, len(listed_counts))
+        listed = bytes(len(listed_counts)) + b"".join(
+            count.to_bytes(width, "little") for count in listed_counts)
         with pytest.raises(IndexFormatError, match="truncated") as caught:
-            FmIndex.from_bytes(b"MEMLIDX5" + header + bytes(sigma) + b"\0\0\0\0")
+            FmIndex.from_bytes(b"MEMLIDX6" + header + bytes(sigma) + listed + b"\0\0\0\0")
         return int(str(caught.value).rsplit(" ", 1)[1])
 
-    for n, width in ((12, 4), (2**32 - 1, 4), (2**32, 8), (2**32 + 100, 8)):
+    for n, width in ((12, 1), (2**8 - 1, 1), (2**8, 2), (2**24 - 1, 3), (2**24, 4),
+                     (2**32 - 1, 4), (2**32, 5), (2**40, 6)):
         plane = (n >> 3) + 1
-        assert expected_size(n, 2, 2**40) == 8 + 40 + 2 + plane + width + 4
-        assert expected_size(n, 5, 2**31) == 8 + 40 + 5 + 3 * plane + (n // 2**31 + 1) * width + 4
+        assert expected_size(n, 2, 2**40) == 8 + 48 + 2 + plane + (n // 2**40 + 1) * width + 4
+        assert expected_size(n, 5, 2**31) == 8 + 48 + 5 + 3 * plane + (n // 2**31 + 1) * width + 4
+        assert expected_size(n, 5, 2**31) == file_size(n, 5, 2**31)
+        # one symbol listed by 7 rows leaves four for two planes
+        assert expected_size(n, 5, 2**31, [7]) == file_size(n, 5, 2**31, 0, [7]) == (
+            8 + 48 + 5 + 1 + width + 7 * width + 2 * plane + (n // 2**31 + 1) * width + 4)
 
 
 def test_load_rejects_old_format(demo_index):
     _, index = demo_index
-    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4"):
+    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5"):
         with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
 
