@@ -10,9 +10,8 @@ outcome; this script measures and logs, it does not assert.
 import argparse
 import time
 
-from memlight import (ExperimentSpec, build_fm, build_suffix_structures,
-                      generate_instance, longest_common_substring,
-                      make_cyclic_text)
+from memlight import (ExperimentSpec, build_fm, generate_instance,
+                      longest_common_substring, make_cyclic_text)
 
 
 def main() -> None:
@@ -32,9 +31,8 @@ def main() -> None:
 
     print(f"indexing n={args.n} (cyclic window {window})...", flush=True)
     started = time.perf_counter()
-    fm_fwd = build_fm(indexed, sa=build_suffix_structures(indexed))
-    fm_rev = build_fm(indexed.reversed(),
-                      sa=build_suffix_structures(indexed.reversed()))
+    fm_fwd = build_fm(indexed)
+    fm_rev = build_fm(indexed.reversed())
     print(f"  built in {time.perf_counter() - started:.1f}s")
 
     print("m\tsteps\tsteps/m\tlongest\tseconds")

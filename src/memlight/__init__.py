@@ -18,7 +18,7 @@ _EXPORTS = {
                  "QueryStats", "Text", "build_alphabet", "split_by_foreign_chars"),
     "suffixes": ("MatchPointers", "SuffixArray", "brute_force_mems",
                  "build_suffix_structures", "compute_match_pointers"),
-    "lce": ("MODULUS", "FingerprintLce", "FingerprintTable", "NaiveLce"),
+    "lce": ("MODULUS", "FingerprintLce", "NaiveLce"),
     "fm": ("BwtInterval", "FmIndex", "IndexFormatError", "build_fm", "index_paths",
            "invert_bwt", "write_index_pair"),
     "finders": ("FinderResult", "find_all_mems", "find_all_mems_fm",

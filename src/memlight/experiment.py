@@ -193,9 +193,8 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
         window = min(spec.m + CYCLIC_MARGIN, spec.n)
         indexed = make_cyclic_text(text, window)
     sa_fwd = build_suffix_structures(indexed)
-    sa_rev = build_suffix_structures(indexed.reversed())
     fm_fwd = build_fm(indexed, spec.sample_rate, sa=sa_fwd)
-    fm_rev = build_fm(indexed.reversed(), spec.sample_rate, sa=sa_rev)
+    fm_rev = build_fm(indexed.reversed(), spec.sample_rate)
 
     full = find_all_mems_fm(pattern, fm_fwd, fm_rev)
     thresholded = find_long_mems_fm(pattern, fm_fwd, fm_rev, spec.min_len)

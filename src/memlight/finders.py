@@ -28,9 +28,8 @@ if TYPE_CHECKING:
 class FinderResult:
     """MEMs sorted by start (starts and ends both strictly increase) plus work counters."""
 
-    def __init__(self, mems: list[MemRecord] | None = None,
-                 stats: QueryStats | None = None):
-        self.mems = [] if mems is None else mems
+    def __init__(self, stats: QueryStats | None = None):
+        self.mems: list[MemRecord] = []
         self.stats = QueryStats() if stats is None else stats
 
     @property

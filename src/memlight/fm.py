@@ -38,13 +38,12 @@ from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .sequence import Alphabet, Pattern, QueryStats, Text
+from .sequence import Alphabet, QueryStats, Text
 
 if TYPE_CHECKING:
     from .suffixes import SuffixArray
 
-MAGIC = b"MEMLIDX6"
-_OLD_MAGICS = (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5")
+MAGIC = b"MEMLIDX6"  # any other MEMLIDX<digit> is another version of the format
 # n, alphabet size, sample rate, sentinel row, separator count, listed symbol count
 _HEADER = struct.Struct("<6Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
@@ -180,17 +179,16 @@ class FmIndex:
                 or not set(self.separators) <= set(alphabet.symbols)):
             raise IndexFormatError("record separators must be distinct alphabet bytes, ascending")
         # one flag per row: a row past n raises IndexError (the rows are
-        # unsigned), and a row shared by two positions leaves fewer flags
-        # set than there are rows
+        # unsigned), and so does a row whose flag an earlier position set
         flags = bytearray(n + 1)
         try:
             rows = self._sample_rows = array(_row_type(n), sample_rows)
             for row in rows:
+                if flags[row]:
+                    raise IndexError
                 flags[row] = 1
         except (IndexError, OverflowError):
             raise IndexFormatError("suffix-array samples must be distinct BWT rows") from None
-        if flags.count(1) != len(rows):
-            raise IndexFormatError("suffix-array samples must be distinct BWT rows")
         # text position 0 is the suffix preceded by the sentinel: its row
         # must be the sentinel row, which the filler byte cannot show
         if rows[0] != sentinel_row:
@@ -333,7 +331,7 @@ class FmIndex:
         return (cols[symbol][word] - self._c[symbol]
                 + (words[symbol][word] & _BELOW[prefix_len & 63]).bit_count())
 
-    def backward_search_prefix(self, query, prefix_len: int,
+    def backward_search_prefix(self, codes, prefix_len: int,
                                stats: QueryStats | None = None) -> tuple[int, BwtInterval]:
         """Match the length-prefix_len prefix of the query right to left.
 
@@ -341,16 +339,15 @@ class FmIndex:
         emptied, i.e. the length of the longest suffix of that prefix
         occurring in the text, with the interval of that suffix.  Every
         step counts as one backward step, including the failing one; a code
-        outside the alphabet matches nothing.  The query is a Pattern or a
-        sequence of codes; bytes or a list of ints is the fast path.
+        outside the alphabet matches nothing.  The query is a sequence of
+        codes, such as bytes or a list of ints.
 
-        When the codes are bytes and the prefix's last k symbols are a k-mer
+        When the query is bytes and the prefix's last k symbols are a k-mer
         of the text, one lookup in the k-mer table gives their interval and
         the search goes on from there, counting those k steps; any other
         prefix is searched from the full interval.  Either way the result
         and the steps counted are those of a search by single steps.
         """
-        codes = query.code_bytes if isinstance(query, Pattern) else query
         if not 0 <= prefix_len <= len(codes):
             raise ValueError("prefix length out of range")
         lo, hi, matched = 0, self.n + 1, 0
@@ -434,7 +431,7 @@ class FmIndex:
         """Parse a saved index: each BWT plane becomes one int, and the rows
         stored in _row_width(n) bytes widen to an array of _row_type(n)."""
         magic = data[:8]
-        if magic in _OLD_MAGICS:
+        if magic != MAGIC and magic[:7] == MAGIC[:7] and magic[7:].isdigit():
             raise IndexFormatError(
                 f"index is in the old {magic.decode()} format; "
                 "rebuild it with `memlight index`"

@@ -9,7 +9,6 @@ comparison).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,42 +26,9 @@ def _prefix_hashes(codes: bytes, base: int) -> list[int]:
     return pre
 
 
-@dataclass(frozen=True)
-class FingerprintTable:
-    """Prefix fingerprints of the text and pattern, both directions.
-
-    Any substring hash is an O(1) combination of two prefix hashes and a
-    cached base power; equal substrings always hash equal and the empty
-    substring hashes to 0.
-    """
-
-    base: int
-    text_fwd: list[int]
-    text_rev: list[int]
-    pat_fwd: list[int]
-    pat_rev: list[int]
-    powers: list[int]
-
-    @classmethod
-    def build(cls, text: Text, pattern: Pattern,
-              seed: int | None = None) -> "FingerprintTable":
-        base = random.Random(seed).randrange(2, MODULUS - 1)
-        t, p = text.code_bytes, pattern.code_bytes
-        powers = [1] * (max(len(t), len(p)) + 1)
-        for k in range(1, len(powers)):
-            powers[k] = powers[k - 1] * base % MODULUS
-        return cls(
-            base=base,
-            text_fwd=_prefix_hashes(t, base),
-            text_rev=_prefix_hashes(t[::-1], base),
-            pat_fwd=_prefix_hashes(p, base),
-            pat_rev=_prefix_hashes(p[::-1], base),
-            powers=powers,
-        )
-
-    def substring_hash(self, prefixes: list[int], i: int, j: int) -> int:
-        """Hash of the slice [i, j) of the sequence behind `prefixes`."""
-        return (prefixes[j] - prefixes[i] * self.powers[j - i]) % MODULUS
+def _check(lce, i: int, j: int) -> None:
+    if not (0 <= i < lce.m and 0 <= j < lce.n):
+        raise ValueError(f"position out of range: pattern {i}, text {j}")
 
 
 class NaiveLce:
@@ -74,10 +40,6 @@ class NaiveLce:
         self.n = text.n
         self.m = pattern.m
 
-    def _check(self, i: int, j: int) -> None:
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise ValueError(f"position out of range: pattern {i}, text {j}")
-
     @staticmethod
     def _scan(a: np.ndarray, b: np.ndarray) -> int:
         k = min(a.size, b.size)
@@ -87,46 +49,59 @@ class NaiveLce:
 
     def lce_forward(self, i: int, j: int) -> int:
         """Longest common prefix of pattern[i:] and text[j:]."""
-        self._check(i, j)
+        _check(self, i, j)
         return self._scan(self._p[i:], self._t[j:])
 
     def lce_backward(self, i: int, j: int) -> int:
         """Longest common suffix of pattern[:i+1] and text[:j+1]."""
-        self._check(i, j)
+        _check(self, i, j)
         return self._scan(self._p[i::-1], self._t[j::-1])
 
 
 class FingerprintLce:
     """Extension queries via fingerprint equality, exponential then binary search.
 
-    Short answers are the common case, so the search costs O(log answer)
-    comparisons, not O(log n).  Matches are not re-verified by scanning, so
-    each query is correct with high probability rather than always.
+    Holds the prefix fingerprints of the text and pattern, both directions:
+    any substring hash is an O(1) combination of two prefix hashes and a
+    cached base power; equal substrings always hash equal and the empty
+    substring hashes to 0.  Short answers are the common case, so the search
+    costs O(log answer) comparisons, not O(log n).  Matches are not
+    re-verified by scanning, so each query is correct with high probability
+    rather than always.
     """
 
-    def __init__(self, table: FingerprintTable):
-        self.table = table
-        self.m = len(table.pat_fwd) - 1
-        self.n = len(table.text_fwd) - 1
+    def __init__(self, base: int, text_fwd: list[int], text_rev: list[int],
+                 pat_fwd: list[int], pat_rev: list[int], powers: list[int]):
+        self.base = base
+        self.text_fwd, self.text_rev = text_fwd, text_rev
+        self.pat_fwd, self.pat_rev = pat_fwd, pat_rev
+        self.powers = powers
+        self.n = len(text_fwd) - 1
+        self.m = len(pat_fwd) - 1
 
     @classmethod
     def build(cls, text: Text, pattern: Pattern, seed: int | None = None) -> "FingerprintLce":
-        return cls(FingerprintTable.build(text, pattern, seed=seed))
+        base = random.Random(seed).randrange(2, MODULUS - 1)
+        t, p = text.code_bytes, pattern.code_bytes
+        powers = [1] * (max(len(t), len(p)) + 1)
+        for k in range(1, len(powers)):
+            powers[k] = powers[k - 1] * base % MODULUS
+        return cls(base, _prefix_hashes(t, base), _prefix_hashes(t[::-1], base),
+                   _prefix_hashes(p, base), _prefix_hashes(p[::-1], base), powers)
 
-    def _check(self, i: int, j: int) -> None:
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise ValueError(f"position out of range: pattern {i}, text {j}")
+    def substring_hash(self, prefixes: list[int], i: int, j: int) -> int:
+        """Hash of the slice [i, j) of the sequence behind `prefixes`."""
+        return (prefixes[j] - prefixes[i] * self.powers[j - i]) % MODULUS
 
     def _search(self, p_pre: list[int], t_pre: list[int], pi: int, tj: int,
                 limit: int) -> tuple[int, int]:
         """Largest k <= limit with equal length-k extensions, plus comparisons used."""
-        table = self.table
         comparisons = 0
 
         def eq(k: int) -> bool:
             nonlocal comparisons
             comparisons += 1
-            return table.substring_hash(p_pre, pi, pi + k) == table.substring_hash(
+            return self.substring_hash(p_pre, pi, pi + k) == self.substring_hash(
                 t_pre, tj, tj + k
             )
 
@@ -147,20 +122,13 @@ class FingerprintLce:
         return lo, comparisons
 
     def lce_forward_counted(self, i: int, j: int) -> tuple[int, int]:
-        self._check(i, j)
-        return self._search(
-            self.table.pat_fwd, self.table.text_fwd, i, j, min(self.m - i, self.n - j)
-        )
+        _check(self, i, j)
+        return self._search(self.pat_fwd, self.text_fwd, i, j, min(self.m - i, self.n - j))
 
     def lce_backward_counted(self, i: int, j: int) -> tuple[int, int]:
-        self._check(i, j)
-        return self._search(
-            self.table.pat_rev,
-            self.table.text_rev,
-            self.m - 1 - i,
-            self.n - 1 - j,
-            min(i, j) + 1,
-        )
+        _check(self, i, j)
+        return self._search(self.pat_rev, self.text_rev, self.m - 1 - i, self.n - 1 - j,
+                            min(i, j) + 1)
 
     def lce_forward(self, i: int, j: int) -> int:
         """Longest common prefix of pattern[i:] and text[j:], w.h.p."""

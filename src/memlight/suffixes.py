@@ -81,7 +81,7 @@ def _common_prefix_len(a: bytes, b: bytes) -> int:
 
 
 class SuffixArray:
-    """Suffix array of a text plus sentinel, with a lazy inverse.
+    """Suffix array of a text plus sentinel, with binary searches over suffix order.
 
     Suffix order includes the empty sentinel suffix at rank 0.  The sentinel
     is a value below every alphabet code and takes no part in matching.

@@ -191,9 +191,9 @@ def test_rank_search_and_locate_with_separator_symbol_zero():
 def test_search_prefix_examples(demo_index):
     text, index = demo_index
     pattern = Pattern.from_bytes(DEMO_PATTERN, text.alphabet)
-    matched, iv = index.backward_search_prefix(pattern, 4)
+    matched, iv = index.backward_search_prefix(pattern.code_bytes, 4)
     assert (matched, iv.width) == (4, 1)  # TACA occurs once
-    matched, iv = index.backward_search_prefix(pattern, 0)
+    matched, iv = index.backward_search_prefix(pattern.code_bytes, 0)
     assert matched == 0
     assert (iv.lo, iv.hi) == (0, text.n + 1)
 
@@ -211,7 +211,7 @@ def test_search_prefix_length_out_of_range(demo_index):
     text, index = demo_index
     pattern = Pattern.from_bytes(b"GAT", text.alphabet)
     with pytest.raises(ValueError):
-        index.backward_search_prefix(pattern, 4)
+        index.backward_search_prefix(pattern.code_bytes, 4)
 
 
 def test_step_accounting_is_matched_plus_failures(demo_index):
@@ -437,9 +437,10 @@ def naive_suffix_array(codes):
 @settings(max_examples=60, deadline=None)
 def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     # sigma 1 to 9 (powers of two, and others whose planes could spell
-    # codes past the alphabet), with and without separators, n + 1 rows on
-    # both sides of a multiple of 8 or 64
-    sigma = data.draw(st.integers(1, 9), label="sigma")
+    # codes past the alphabet) or 256 (eight planes, k-mers of one symbol,
+    # and no foreign byte without separators), with and without
+    # separators, n + 1 rows on both sides of a multiple of 8 or 64
+    sigma = data.draw(st.integers(1, 9) | st.just(256), label="sigma")
     nrows = data.draw(st.sampled_from([8 * k + d for k in (1, 2, 3) for d in (-1, 0, 1)]
                                       + [64 * k + d for k in (1, 2, 3) for d in (-1, 0, 1)])
                       | st.integers(2, 300), label="n + 1")
@@ -447,7 +448,8 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     codes = list(range(sigma)) + data.draw(
         st.lists(st.integers(0, sigma - 1), min_size=n - sigma, max_size=n - sigma))
     codes = data.draw(st.permutations(codes))
-    text = Text.from_bytes(bytes(b"ACGTNacgt"[c] for c in codes))
+    symbols = b"ACGTNacgt" if sigma < 256 else bytes(range(256))
+    text = Text.from_bytes(bytes(symbols[c] for c in codes))
     separators = text.alphabet.symbols[:data.draw(st.integers(0, min(2, sigma)))]
     rate = data.draw(st.integers(1, 12), label="sample rate")
     index = build_fm(text, sample_rate=rate, separators=separators)
@@ -462,15 +464,29 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     assert reloaded._bwt == index._bwt == bwt
     for c in range(sigma):
         hits = [code == c and i != 0 for code, i in zip(bwt, sa)]  # not the sentinel row
-        assert [reloaded.rank(c, k) for k in range(n + 2)] == [sum(hits[:k]) for k in range(n + 2)]
+        assert [reloaded.rank(c, k) for k in range(n + 2)] == [0, *accumulate(hits)]
     cols = reloaded._rank[1]
     assert reloaded._c == [col[0] for col in cols] + [cols[-1][-1]]
     assert reloaded._kmers == index._kmers
+    if sigma == 256:
+        assert (len(reloaded._planes), reloaded._listed, reloaded._kmers[0]) == (8, {}, 1)
     for _ in range(3):
         lo = data.draw(st.integers(0, n + 1))
         hi = data.draw(st.integers(lo, n + 1))
         assert reloaded.locate_all(BwtInterval(lo, hi)) == sorted(
             sa[r] for r in range(lo, hi) if sa[r] != n)
+    assert invert_bwt(reloaded) == text.code_bytes
+    # pieces of the text with random symbols between them, separators left out
+    raw = text.to_raw()
+    pattern = bytes(b for start, size, noise in data.draw(
+        st.lists(st.tuples(st.integers(0, n), st.integers(0, 40),
+                           st.lists(st.sampled_from(symbols[:sigma]), max_size=3)),
+                 min_size=1, max_size=4), label="pattern pieces")
+        for b in raw[start : start + size] + bytes(noise) if b not in separators)
+    rev = build_fm(text.reversed(), sample_rate=rate, separators=separators)
+    for min_len in (None, 1, 5):
+        expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text, min_len or 1)
+        assert find_in_raw(pattern, reloaded, rev, min_len).spans == [m.span for m in expect]
 
 
 @given(st.integers(1, 7), st.integers(1, 3), st.integers(1500, 4000), st.integers(0, 2**32),
@@ -551,8 +567,9 @@ def test_loaded_index_answers_queries(tmp_path):
 
 def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.memidx"
-    # a foreign file, an empty one, and one of 5 bytes, a prefix of the magic
-    for data in (b"NOTANIDX" + b"\x00" * 64, b"", b"MEMLI"):
+    # a foreign file, an empty one, one of 5 bytes, a prefix of the magic,
+    # and one whose version is not a digit
+    for data in (b"NOTANIDX" + b"\x00" * 64, b"", b"MEMLI", b"MEMLIDXa" + b"\x00" * 64):
         path.write_bytes(data)
         with pytest.raises(IndexFormatError, match="not a memlight index"):
             FmIndex.load(path)
@@ -818,7 +835,7 @@ def test_stored_rows_take_the_bytes_that_n_needs():
 
 def test_load_rejects_old_format(demo_index):
     _, index = demo_index
-    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5"):
+    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5", b"MEMLIDX7"):
         with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlight import (FingerprintLce, FingerprintTable, NaiveLce, Pattern,
-                      Text, build_alphabet)
+from memlight import FingerprintLce, NaiveLce, Pattern, Text, build_alphabet
 
 from conftest import ADVERSARIAL_PATTERN, DEMO_PATTERN, DEMO_TEXT
 
@@ -70,8 +69,8 @@ def test_out_of_range_positions_raise(demo_pair, i, j):
 def test_same_seed_same_base():
     text = Text.from_bytes(DEMO_TEXT)
     pattern = Pattern.from_bytes(DEMO_PATTERN, text.alphabet)
-    a = FingerprintTable.build(text, pattern, seed=99)
-    b = FingerprintTable.build(text, pattern, seed=99)
+    a = FingerprintLce.build(text, pattern, seed=99)
+    b = FingerprintLce.build(text, pattern, seed=99)
     assert a.base == b.base
     assert a.text_fwd == b.text_fwd
 
@@ -79,9 +78,9 @@ def test_same_seed_same_base():
 def test_empty_substring_hashes_to_zero():
     text = Text.from_bytes(DEMO_TEXT)
     pattern = Pattern.from_bytes(DEMO_PATTERN, text.alphabet)
-    table = FingerprintTable.build(text, pattern, seed=1)
-    assert table.substring_hash(table.text_fwd, 5, 5) == 0
-    assert table.substring_hash(table.pat_rev, 0, 0) == 0
+    lce = FingerprintLce.build(text, pattern, seed=1)
+    assert lce.substring_hash(lce.text_fwd, 5, 5) == 0
+    assert lce.substring_hash(lce.pat_rev, 0, 0) == 0
 
 
 def test_fingerprint_matches_naive_randomized():
