@@ -7,7 +7,10 @@ being bit j of row r's number.  A listed row and the sentinel's row hold 0
 in every plane; the sentinel's row is kept as a row index.  A sampled
 suffix array serves locating: the row of every text position that is a
 multiple of the sample rate, in text order.  Every stored row takes
-ceil(bit_length(n) / 8) bytes.
+ceil(bit_length(n) / 8) bytes.  The planes are saved one after the other,
+as one raw DEFLATE stream when that is shorter (the runs of a repetitive
+text's BWT make it so, as in Ferragina and Manzini's opportunistic
+compression); load inflates them, never past their raw size.
 Load splits the rows by the planes, from the top, into one bitmap per
 unlisted symbol, takes each listed symbol's bitmap from its rows, and keeps
 only the popcounts: the C array, whose last entry shows whether every row
@@ -43,9 +46,10 @@ from .sequence import Alphabet, QueryStats, Text
 if TYPE_CHECKING:
     from .suffixes import SuffixArray
 
-MAGIC = b"MEMLIDX6"  # any other MEMLIDX<digit> is another version of the format
-# n, alphabet size, sample rate, sentinel row, separator count, listed symbol count
-_HEADER = struct.Struct("<6Q")
+MAGIC = b"MEMLIDX7"  # any other MEMLIDX<digit> is another version of the format
+# n, alphabet size, sample rate, sentinel row, separator count, listed symbol
+# count, stored length of the planes
+_HEADER = struct.Struct("<7Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
 _BELOW = tuple((1 << i) - 1 for i in range(64))
 # _DIGITS[j] turns plane j's binary digits into bytes holding bit j
@@ -109,6 +113,21 @@ def _unpack_rows(data, n: int) -> array:
     if sys.byteorder == "big":
         rows.byteswap()
     return rows
+
+
+def _inflate(stream, size: int) -> bytes:
+    """The size bytes that a raw DEFLATE stream holds, inflating no further
+    (a header's size can pass sys.maxsize, which no stream reaches)."""
+    inflater = zlib.decompressobj(wbits=-15)
+    try:
+        out = inflater.decompress(stream, min(size, sys.maxsize))
+    except zlib.error:
+        raise IndexFormatError("BWT bit plane stream is corrupt") from None
+    if not inflater.eof or len(out) != size:
+        raise IndexFormatError("BWT bit plane stream does not inflate to the planes' size")
+    if inflater.unused_data:
+        raise IndexFormatError("BWT bit plane stream has trailing bytes")
+    return out
 
 
 class FmIndex:
@@ -408,17 +427,24 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
+        """The saved index: the planes, concatenated, are stored as one raw
+        DEFLATE stream when that is shorter than they are."""
         n, listed = self.n, self._listed
         plane_bytes = (n >> 3) + 1  # ceil((n + 1) / 8)
+        planes = b"".join(plane.to_bytes(plane_bytes, "little") for plane in self._planes)
+        packer = zlib.compressobj(wbits=-15)
+        deflated = packer.compress(planes) + packer.flush()
+        if len(deflated) < len(planes):
+            planes = deflated
         parts = [MAGIC,
                  _HEADER.pack(n, self.alphabet.size, self.s, self.sentinel_row,
-                              len(self.separators), len(listed)),
+                              len(self.separators), len(listed), len(planes)),
                  self.alphabet.symbols,
                  self.separators,
                  bytes(listed),
                  _pack_rows(array(_row_type(n), map(len, listed.values())), n),
                  *(_pack_rows(rows, n) for rows in listed.values()),
-                 *(plane.to_bytes(plane_bytes, "little") for plane in self._planes),
+                 planes,
                  _pack_rows(self._sample_rows, n)]
         body = b"".join(parts)
         return body + struct.pack("<I", zlib.crc32(body))
@@ -428,10 +454,17 @@ class FmIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FmIndex":
-        """Parse a saved index: each BWT plane becomes one int, and the rows
-        stored in _row_width(n) bytes widen to an array of _row_type(n)."""
+        """Parse a saved index: planes stored in fewer than their
+        P * ceil((n + 1) / 8) bytes are inflated, never past that size, each
+        plane becomes one int, and the rows stored in _row_width(n) bytes
+        widen to an array of _row_type(n)."""
         magic = data[:8]
         if magic != MAGIC and magic[:7] == MAGIC[:7] and magic[7:].isdigit():
+            if magic > MAGIC:
+                raise IndexFormatError(
+                    f"index is in the newer {magic.decode()} format; "
+                    "it was written by a newer memlight"
+                )
             raise IndexFormatError(
                 f"index is in the old {magic.decode()} format; "
                 "rebuild it with `memlight index`"
@@ -441,9 +474,13 @@ class FmIndex:
         size = len(data)
         if size < 8 + _HEADER.size + 4:
             raise IndexFormatError("truncated index file")
-        n, sigma, s, sentinel_row, n_separators, n_listed = _HEADER.unpack_from(data, 8)
+        n, sigma, s, sentinel_row, n_separators, n_listed, stored = _HEADER.unpack_from(data, 8)
         if (n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma
                 or n_listed >= sigma):
+            raise IndexFormatError("index header is inconsistent")
+        plane_bytes = (n >> 3) + 1
+        raw = _plane_count(sigma - n_listed) * plane_bytes  # the planes' size
+        if stored > raw:
             raise IndexFormatError("index header is inconsistent")
         view, width = memoryview(data), _row_width(n)
         # the listed symbols' row counts follow their codes, which follow
@@ -454,8 +491,7 @@ class FmIndex:
             raise IndexFormatError("truncated index file")
         counts = _unpack_rows(view[counts_at:counts_end], n)
         sizes = (sigma, n_separators, n_listed, n_listed * width,
-                 *(count * width for count in counts),
-                 *[(n >> 3) + 1] * _plane_count(sigma - n_listed), (n // s + 1) * width)
+                 *(count * width for count in counts), stored, (n // s + 1) * width)
         expected = 8 + _HEADER.size + sum(sizes) + 4
         if size != expected:
             problem = "truncated index file" if size < expected else "index file too long"
@@ -463,13 +499,16 @@ class FmIndex:
         if int.from_bytes(view[-4:], "little") != zlib.crc32(view[:-4]):
             raise IndexFormatError("index checksum mismatch")
         ends = list(accumulate(sizes, initial=8 + _HEADER.size))
-        symbols, separators, codes, _, *sections = (view[a:b] for a, b in zip(ends, ends[1:]))
-        lists, planes, samples = sections[:n_listed], sections[n_listed:-1], sections[-1]
+        symbols, separators, codes, _, *lists, planes, samples = (
+            view[a:b] for a, b in zip(ends, ends[1:]))
+        if stored < raw:
+            planes = _inflate(planes, raw)
         try:
             alphabet = Alphabet(bytes(symbols))
         except ValueError as exc:
             raise IndexFormatError(f"index alphabet: {exc}") from None
-        return cls(alphabet, n, [int.from_bytes(plane, "little") for plane in planes],
+        return cls(alphabet, n, [int.from_bytes(planes[a : a + plane_bytes], "little")
+                                 for a in range(0, raw, plane_bytes)],
                    sentinel_row, s, _unpack_rows(samples, n), separators,
                    zip(codes, (_unpack_rows(rows, n) for rows in lists)))
 

@@ -324,7 +324,7 @@ def test_old_format_index_is_a_format_error(demo_files, capsys):
     _, pattern, prefix = demo_files
     path = prefix + ".fwd.memidx"
     data = open(path, "rb").read()
-    for magic in ("MEMLIDX1", "MEMLIDX5"):
+    for magic in ("MEMLIDX1", "MEMLIDX5", "MEMLIDX6"):
         open(path, "wb").write(magic.encode() + data[8:])
         assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
         err = capsys.readouterr().err
@@ -361,9 +361,9 @@ def test_listed_row_on_the_sentinel_row_is_a_format_error(tmp_path, capsys):
     assert main(["index", str(text), "--raw", "-o", prefix]) == 0
     path = prefix + ".rev.memidx"
     data = bytearray(open(path, "rb").read())
-    _, sigma, _, sentinel_row, k, listed = struct.unpack_from("<6Q", data, 8)
+    _, sigma, _, sentinel_row, k, listed, _ = struct.unpack_from("<7Q", data, 8)
     assert (sigma, k, listed) == (5, 0, 1)
-    row_at = 8 + 6 * 8 + sigma + 1 + 2  # the alphabet, the code "N", its row count
+    row_at = 8 + 7 * 8 + sigma + 1 + 2  # the alphabet, the code "N", its row count
     assert struct.unpack_from("<H", data, row_at - 2) == (1,)
     struct.pack_into("<H", data, row_at, sentinel_row)
     data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
@@ -383,10 +383,11 @@ def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
     n = len(DEMO_TEXT)
     for suffix, rate in ((".fwd.memidx", n + 1), (".rev.memidx", 4)):
         data = open(prefix + suffix, "rb").read()
-        _, sigma, s, sentinel_row, k, listed = struct.unpack_from("<6Q", data, 8)
+        _, sigma, s, sentinel_row, k, listed, stored = struct.unpack_from("<7Q", data, 8)
         assert listed == 0
         planes = (sigma - 1).bit_length() * ((n >> 3) + 1)  # ceil((n + 1) / 8) bytes each
-        rows = data[8 + 6 * 8 + sigma + k + planes:-4]  # one byte each below n = 256
+        assert stored == planes  # too few to deflate
+        rows = data[8 + 7 * 8 + sigma + k + planes:-4]  # one byte each below n = 256
         assert s == rate
         assert len(rows) == n // rate + 1
         assert rows[0] == sentinel_row
@@ -415,7 +416,7 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command):
     assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
     path = prefix + ".fwd.memidx"
     data = bytearray(open(path, "rb").read())
-    planes = 8 + 6 * 8 + 4  # after the magic, the header and the alphabet
+    planes = 8 + 7 * 8 + 4  # after the magic, the header and the alphabet
     for plane in (planes, planes + (len(DEMO_TEXT) >> 3) + 1):
         # rows 0 and 3 are bits 0 and 3 of each plane's first byte; two
         # bits swap by flipping both when they differ

@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 import zlib
 from itertools import accumulate
 
@@ -417,15 +418,29 @@ def test_save_load_save_is_the_identity(raw, rate, n_separators):
     assert reloaded.separators == separators
 
 
-def file_size(n, sigma, rate, n_separators=0, listed_counts=()):
-    """MEMLIDX6: header, alphabet, separators, each listed symbol's code, row
+def file_size(n, sigma, rate, n_separators=0, listed_counts=(), planes=None):
+    """MEMLIDX7: header, alphabet, separators, each listed symbol's code, row
     count and rows, the planes of the unlisted symbols, the sample rows and
-    the checksum; every row and row count takes w bytes."""
+    the checksum; every row and row count takes w bytes.  `planes` is the
+    planes' stored length; by default their raw size, which makes the result
+    an upper bound, exact when the planes stay raw."""
     width = (n.bit_length() + 7) // 8
-    planes = (sigma - len(listed_counts) - 1).bit_length()
-    return (8 + 48 + sigma + n_separators + len(listed_counts) * (1 + width)
-            + sum(listed_counts) * width + planes * ((n >> 3) + 1)
-            + (n // rate + 1) * width + 4)
+    if planes is None:
+        planes = raw_planes(n, sigma - len(listed_counts))
+    return (8 + 56 + sigma + n_separators + len(listed_counts) * (1 + width)
+            + sum(listed_counts) * width + planes + (n // rate + 1) * width + 4)
+
+
+def raw_planes(n, unlisted):
+    """Bytes of the planes over `unlisted` symbols, stored raw."""
+    return (unlisted - 1).bit_length() * ((n >> 3) + 1)
+
+
+PLANES_FIELD = 8 + 6 * 8  # the stored length of the planes, the seventh header field
+
+
+def stored_planes(data):
+    return struct.unpack_from("<Q", data, PLANES_FIELD)[0]
 
 
 def naive_suffix_array(codes):
@@ -454,8 +469,10 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     rate = data.draw(st.integers(1, 12), label="sample rate")
     index = build_fm(text, sample_rate=rate, separators=separators)
     saved = index.to_bytes()
-    assert len(saved) == file_size(n, sigma, rate, len(separators),
-                                   [len(rows) for rows in index._listed.values()])
+    listed_counts = [len(rows) for rows in index._listed.values()]
+    assert stored_planes(saved) <= raw_planes(n, sigma - len(listed_counts))
+    assert len(saved) == file_size(n, sigma, rate, len(separators), listed_counts,
+                                   stored_planes(saved))
     reloaded = FmIndex.from_bytes(saved)
     # load derives C alone: rank, BWT bytes, k-mers and positions wait for use
     assert not {"_rank", "_bwt", "_kmers", "_sampled"} & reloaded.__dict__.keys()
@@ -525,7 +542,9 @@ def test_rare_symbols_listed_by_rows_keep_every_answer(common, rare, n, seed, se
     # the rarest symbols, in order
     assert [counts[c] for c in listed] == sorted(counts)[:len(listed)]
     saved = index.to_bytes()
-    assert len(saved) == file_size(n, sigma, rate, len(separators), [counts[c] for c in listed])
+    assert stored_planes(saved) <= raw_planes(n, sigma - len(listed))
+    assert len(saved) == file_size(n, sigma, rate, len(separators), [counts[c] for c in listed],
+                                   stored_planes(saved))
     assert (len(saved) < len(full.to_bytes())) == bool(listed)
     reloaded = FmIndex.from_bytes(saved)
     assert reloaded.to_bytes() == saved
@@ -582,14 +601,14 @@ def test_load_rejects_truncation(tmp_path, demo_index):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(IndexFormatError, match="truncated"):
         FmIndex.load(path)
-    path.write_bytes(b"MEMLIDX6")  # the magic alone
+    path.write_bytes(b"MEMLIDX7")  # the magic alone
     with pytest.raises(IndexFormatError, match="^truncated index file$"):
         FmIndex.load(path)
     # files that end inside the listed symbols' row counts, two bytes each
     # at n = 300, or before a checksum could follow them
-    header = struct.pack("<6Q", 300, 3, 1, 0, 0, 1)
+    header = struct.pack("<7Q", 300, 3, 1, 0, 0, 1, raw_planes(300, 2))
     for end in range(6):
-        path.write_bytes(b"MEMLIDX6" + header + b"abc" + b"\0" + bytes(end))
+        path.write_bytes(b"MEMLIDX7" + header + b"abc" + b"\0" + bytes(end))
         with pytest.raises(IndexFormatError, match="^truncated index file$"):
             FmIndex.load(path)
     # one trailing byte: rejected, and not called truncated
@@ -631,10 +650,10 @@ def row_width(index):
 
 
 def plane_offset(index, plane=0):
-    # magic, six header fields, alphabet, separators, the listed symbols'
+    # magic, seven header fields, alphabet, separators, the listed symbols'
     # codes, row counts and rows, the planes before
     listed = index._listed.values()
-    return (8 + 48 + index.alphabet.size + len(index.separators)
+    return (8 + 56 + index.alphabet.size + len(index.separators)
             + (len(listed) + sum(map(len, listed))) * row_width(index) + len(listed)
             + plane * ((index.n >> 3) + 1))
 
@@ -751,7 +770,7 @@ def listed_index():
 
 
 def listed_codes_offset(index):
-    return 8 + 48 + index.alphabet.size + len(index.separators)
+    return 8 + 56 + index.alphabet.size + len(index.separators)
 
 
 def resealed_with_listed_row(index, k, row):
@@ -815,29 +834,220 @@ def test_stored_rows_take_the_bytes_that_n_needs():
     # for it; a listed symbol's codes and row counts follow the separators
     def expected_size(n, sigma, s, listed_counts=()):
         width = (n.bit_length() + 7) // 8
-        header = struct.pack("<6Q", n, sigma, s, 0, 0, len(listed_counts))
+        header = struct.pack("<7Q", n, sigma, s, 0, 0, len(listed_counts),
+                             raw_planes(n, sigma - len(listed_counts)))
         listed = bytes(len(listed_counts)) + b"".join(
             count.to_bytes(width, "little") for count in listed_counts)
         with pytest.raises(IndexFormatError, match="truncated") as caught:
-            FmIndex.from_bytes(b"MEMLIDX6" + header + bytes(sigma) + listed + b"\0\0\0\0")
+            FmIndex.from_bytes(b"MEMLIDX7" + header + bytes(sigma) + listed + b"\0\0\0\0")
         return int(str(caught.value).rsplit(" ", 1)[1])
 
     for n, width in ((12, 1), (2**8 - 1, 1), (2**8, 2), (2**24 - 1, 3), (2**24, 4),
                      (2**32 - 1, 4), (2**32, 5), (2**40, 6)):
         plane = (n >> 3) + 1
-        assert expected_size(n, 2, 2**40) == 8 + 48 + 2 + plane + (n // 2**40 + 1) * width + 4
-        assert expected_size(n, 5, 2**31) == 8 + 48 + 5 + 3 * plane + (n // 2**31 + 1) * width + 4
+        assert expected_size(n, 2, 2**40) == 8 + 56 + 2 + plane + (n // 2**40 + 1) * width + 4
+        assert expected_size(n, 5, 2**31) == 8 + 56 + 5 + 3 * plane + (n // 2**31 + 1) * width + 4
         assert expected_size(n, 5, 2**31) == file_size(n, 5, 2**31)
         # one symbol listed by 7 rows leaves four for two planes
         assert expected_size(n, 5, 2**31, [7]) == file_size(n, 5, 2**31, 0, [7]) == (
-            8 + 48 + 5 + 1 + width + 7 * width + 2 * plane + (n // 2**31 + 1) * width + 4)
+            8 + 56 + 5 + 1 + width + 7 * width + 2 * plane + (n // 2**31 + 1) * width + 4)
 
 
 def test_load_rejects_old_format(demo_index):
     _, index = demo_index
-    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5", b"MEMLIDX7"):
+    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5", b"MEMLIDX6"):
         with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
+    # a later version is not called old, and rebuilding would not help
+    for magic in (b"MEMLIDX8", b"MEMLIDX9"):
+        with pytest.raises(IndexFormatError,
+                           match=f"^index is in the newer {magic.decode()} format; "
+                                 "it was written by a newer memlight$"):
+            FmIndex.from_bytes(magic + index.to_bytes()[8:])
+
+
+# -- deflated planes ------------------------------------------------------------------
+
+def repetitive_text(rng, copies, length, rate, separator=b""):
+    """Mutated copies of one random ACGT record, each symbol replaced with
+    probability `rate`, joined by the separator."""
+    record = rng.choices(b"ACGT", k=length)
+    return separator.join(bytes(rng.choice(b"ACGT") if rng.random() < rate else b
+                                for b in record) for _ in range(copies))
+
+
+@pytest.fixture(scope="module")
+def deflated_index():
+    # 40 copies of a 500-symbol record: 2 planes of 2,501 bytes, which deflate
+    index = build_fm(Text.from_bytes(repetitive_text(random.Random(9), 40, 500, 0.01)),
+                     sample_rate=16)
+    data = index.to_bytes()
+    assert (len(index._planes), index._listed) == (2, {})
+    assert stored_planes(data) < raw_planes(index.n, 4) == 5002
+    return index, data
+
+
+def with_plane_stream(index, data, stream):
+    """The saved index with the stream as its planes and their stored
+    length in the header, resealed."""
+    at = plane_offset(index)
+    out = bytearray(data[:at] + stream + data[at + stored_planes(data):])
+    struct.pack_into("<Q", out, PLANES_FIELD, len(stream))
+    return reseal(bytes(out))
+
+
+def joined_planes(index):
+    """An index's planes, one after the other, as stored raw."""
+    return b"".join(plane.to_bytes((index.n >> 3) + 1, "little") for plane in index._planes)
+
+
+def deflate(data):
+    packer = zlib.compressobj(wbits=-15)
+    return packer.compress(data) + packer.flush()
+
+
+def test_deflated_planes_load_back(deflated_index):
+    index, data = deflated_index
+    at = plane_offset(index)
+    planes = joined_planes(index)
+    assert data[at : at + stored_planes(data)] == deflate(planes)
+    reloaded = FmIndex.from_bytes(data)
+    assert reloaded._planes == index._planes
+    assert reloaded.to_bytes() == data
+
+
+def test_planes_deflating_to_their_own_size_stay_raw():
+    # a stored length equal to the planes' size means raw planes
+    index = build_fm(Text.from_bytes(b"acgt" * 13))
+    data = index.to_bytes()
+    at = plane_offset(index)
+    planes = joined_planes(index)
+    assert len(deflate(planes)) == len(planes) == stored_planes(data)
+    assert data[at : at + len(planes)] == planes
+    assert FmIndex.from_bytes(data)._planes == index._planes
+
+
+def test_load_rejects_resealed_flipped_stream_byte(deflated_index):
+    index, data = deflated_index
+    at = plane_offset(index)
+    flipped = bytearray(data)
+    flipped[at + 5] ^= 0xFF
+    with pytest.raises(IndexFormatError, match="^BWT bit plane stream is corrupt$"):
+        FmIndex.from_bytes(reseal(bytes(flipped)))
+    # any flipped byte either loads or is a format error, never a zlib.error
+    for k in range(stored_planes(data)):
+        flipped = bytearray(data)
+        flipped[at + k] ^= 0xFF
+        try:
+            FmIndex.from_bytes(reseal(bytes(flipped)))
+        except IndexFormatError:
+            pass
+
+
+def test_load_rejects_resealed_stream_past_the_planes(deflated_index):
+    # a stream of 5,002 bytes of planes and a million more is shorter than
+    # the planes, and is inflated no further than their size
+    index, data = deflated_index
+    planes = joined_planes(index)
+    stream = deflate(planes + bytes(1 << 20))
+    assert len(stream) < len(planes)
+    resealed = with_plane_stream(index, data, stream)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFormatError,
+                           match="^BWT bit plane stream does not inflate to the planes' size$"):
+            FmIndex.from_bytes(resealed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+
+
+def test_load_rejects_resealed_stream_ending_short(deflated_index):
+    # the planes but their last byte, in a whole stream and in a cut one
+    index, data = deflated_index
+    planes = joined_planes(index)
+    for stream in (deflate(planes[:-1]), deflate(planes)[:-3]):
+        with pytest.raises(IndexFormatError,
+                           match="^BWT bit plane stream does not inflate to the planes' size$"):
+            FmIndex.from_bytes(with_plane_stream(index, data, stream))
+
+
+def test_load_rejects_resealed_bytes_after_the_stream(deflated_index):
+    index, data = deflated_index
+    stream = data[plane_offset(index) :][: stored_planes(data)]
+    with pytest.raises(IndexFormatError, match="^BWT bit plane stream has trailing bytes$"):
+        FmIndex.from_bytes(with_plane_stream(index, data, stream + b"\0\0"))
+
+
+def test_load_rejects_resealed_stored_length_past_the_planes(deflated_index, listed_index):
+    # one byte more than the raw planes, which would then be read as raw;
+    # the raw planes of listed_index, which are stored raw, and 0 planes of
+    # a text of one symbol
+    one_symbol = build_fm(Text.from_bytes(b"a" * 50))
+    for index in (deflated_index[0], listed_index, one_symbol):
+        data = bytearray(index.to_bytes())
+        raw = raw_planes(index.n, index.alphabet.size - len(index._listed))
+        assert stored_planes(data) <= raw
+        struct.pack_into("<Q", data, PLANES_FIELD, raw + 1)
+        with pytest.raises(IndexFormatError, match="^index header is inconsistent$"):
+            FmIndex.from_bytes(reseal(bytes(data)))
+
+
+@pytest.mark.parametrize("raw", [b"a" * 50, b"a" * 100 + b"b"])
+def test_one_unlisted_symbol_stores_no_planes(raw):
+    # sigma - r = 1 has no planes; their stored length is 0, never a stream
+    index = build_fm(Text.from_bytes(raw), sample_rate=4)
+    assert (len(index._planes), index.alphabet.size - len(index._listed)) == (0, 1)
+    data = index.to_bytes()
+    assert stored_planes(data) == 0
+    assert len(data) == file_size(index.n, index.alphabet.size, 4, 0,
+                                  [len(rows) for rows in index._listed.values()])
+    reloaded = FmIndex.from_bytes(data)
+    assert reloaded.to_bytes() == data
+    assert reloaded._bwt == index._bwt
+
+
+@given(st.integers(0, 2**32), st.integers(4, 12), st.integers(200, 600),
+       st.sampled_from([0.0, 0.002, 0.01]), st.integers(1, 40))
+@settings(max_examples=30, deadline=None)
+def test_repetitive_records_deflate_and_keep_every_answer(seed, copies, length, rate, sample):
+    rng = random.Random(seed)
+    raw = repetitive_text(rng, copies, length, rate, b"#")
+    text = Text.from_bytes(raw)
+    fwd = build_fm(text, sample_rate=sample, separators=b"#")
+    rev = build_fm(text.reversed(), sample_rate=sample, separators=b"#")
+    loaded = []
+    for index in (fwd, rev):
+        saved = index.to_bytes()
+        listed_counts = [len(rows) for rows in index._listed.values()]
+        assert listed_counts == [copies - 1]  # the separator
+        # the planes deflate: the file is smaller than with raw planes
+        assert len(saved) < file_size(text.n, 5, sample, 1, listed_counts)
+        reloaded = FmIndex.from_bytes(saved)
+        assert reloaded.to_bytes() == saved
+        assert reloaded._bwt == index._bwt
+        for c in range(5):
+            assert [reloaded.rank(c, k) for k in range(text.n + 2)] == [
+                index.rank(c, k) for k in range(text.n + 2)]
+        assert reloaded._kmers == index._kmers
+        for _ in range(3):
+            lo = rng.randint(0, text.n + 1)
+            hi = rng.randint(lo, min(lo + 40, text.n + 1))
+            assert reloaded.locate_all(BwtInterval(lo, hi)) == index.locate_all(BwtInterval(lo, hi))
+        loaded.append(reloaded)
+    # a mutated slice of one record, against the oracle
+    start = rng.randrange(text.n)
+    pattern = bytearray(raw[start : start + rng.randint(1, 150)].replace(b"#", b""))
+    for k in range(len(pattern)):
+        if rng.random() < 0.05:
+            pattern[k] = rng.choice(b"ACGT")
+    pattern = bytes(pattern) or b"A"
+    sa = build_suffix_structures(text)
+    for min_len in (None, 1, 5):
+        expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text,
+                                  min_len or 1, sa=sa)
+        assert find_in_raw(pattern, *loaded, min_len).spans == [m.span for m in expect]
 
 
 # -- agreement with the oracle --------------------------------------------------------
