@@ -33,15 +33,19 @@ def _read_raw(path: Path) -> bytes:
 def _read_text_input(path: Path, raw: bool, concat_sep: bool) -> tuple[bytes, bytes]:
     """The text to index and the record separator it holds, if any.
 
-    A FASTA text is its first record, or with `concat_sep` all its records
+    A FASTA text is its one record, or with `concat_sep` all its records
     joined by one byte value: the smallest that no record uses.  There is
-    always one, since no record holds a line break.
+    always one, since no record holds a line break.  Several records without
+    `concat_sep` are a usage error, not a text of the first one.
     """
     if raw:
         return _read_raw(path), b""
     sequences = [r.sequence for r in read_fasta(path)]
-    if not concat_sep or len(sequences) < 2:
-        return b"".join(sequences[:1]), b""
+    if len(sequences) < 2:
+        return b"".join(sequences), b""
+    if not concat_sep:
+        raise ValueError(f"{path} holds {len(sequences)} FASTA records; "
+                         "index them all with --concat-sep")
     separator = bytes((min(set(range(256)).difference(*sequences)),))
     return separator.join(sequences), separator
 

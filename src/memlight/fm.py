@@ -1,25 +1,26 @@
 """FM-index over a text: counting backward search, locating, and serialization.
 
-The index stores the BWT of text plus sentinel in two parts.  A symbol rare
-enough to pay for it is listed by its rows; the other symbols are numbered
-in code order and stored as ceil(log2 count) bit planes, bit r of plane j
-being bit j of row r's number.  A listed row and the sentinel's row hold 0
-in every plane; the sentinel's row is kept as a row index.  A sampled
-suffix array serves locating: the row of every text position that is a
-multiple of the sample rate, in text order.  Every stored row takes
+The index stores the BWT of text plus sentinel as bit planes.  The symbols
+are numbered by descending count in the BWT, ties by code, and the order
+table holds the code of each number; ceil(log2 sigma) bit planes store the
+numbers, bit r of plane j being bit j of row r's number.  The sentinel's
+row holds 0 in every plane and is kept as a row index.  A sampled suffix
+array serves locating: the row of every text position that is a multiple
+of the sample rate, in text order.  Every stored row takes
 ceil(bit_length(n) / 8) bytes.  The planes are saved one after the other,
 as one raw DEFLATE stream when that is shorter (the runs of a repetitive
 text's BWT make it so, as in Ferragina and Manzini's opportunistic
-compression); load inflates them, never past their raw size.
-Load splits the rows by the planes, from the top, into one bitmap per
-unlisted symbol, takes each listed symbol's bitmap from its rows, and keeps
-only the popcounts: the C array, whose last entry shows whether every row
-holds a code of the alphabet.  The first search splits the rows again into
-64-row words per symbol, beside a running count per word that starts at
-C[c] (Jacobson's rank), so that a backward step or an LF step is a count
-read plus one popcount for each end of the interval.  The sentinel's row
-is in no bitmap and needs no correction.  Locating reads one code byte per
-row, derived from the planes and the lists on first locate.
+compression, and numbering by frequency leaves the top plane sparse when
+the rarest symbols are rare); load inflates them, never past their raw
+size.  Load splits the rows by the planes, from the top, into one bitmap
+per number, and keeps only the popcounts, each under its number's code:
+the C array, whose last entry shows whether every row holds a number of
+the alphabet.  The first search splits the rows again into 64-row words
+per symbol, beside a running count per word that starts at C[c]
+(Jacobson's rank), so that a backward step or an LF step is a count read
+plus one popcount for each end of the interval.  The sentinel's row is in
+no bitmap and needs no correction.  Locating reads one code byte per row,
+derived from the planes and the order on first locate.
 Backward search reports how many characters of a query prefix matched,
 which is the single primitive the deterministic MEM finder needs.
 It starts from a table, also built on first search, of the interval of
@@ -46,10 +47,10 @@ from .sequence import Alphabet, QueryStats, Text
 if TYPE_CHECKING:
     from .suffixes import SuffixArray
 
-MAGIC = b"MEMLIDX7"  # any other MEMLIDX<digit> is another version of the format
-# n, alphabet size, sample rate, sentinel row, separator count, listed symbol
-# count, stored length of the planes
-_HEADER = struct.Struct("<7Q")
+MAGIC = b"MEMLIDX8"  # any other MEMLIDX<digit> is another version of the format
+# n, alphabet size, sample rate, sentinel row, separator count, stored length
+# of the planes
+_HEADER = struct.Struct("<6Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
 _BELOW = tuple((1 << i) - 1 for i in range(64))
 # _DIGITS[j] turns plane j's binary digits into bytes holding bit j
@@ -83,7 +84,7 @@ def _row_type(n: int) -> str:
 
 
 def _row_width(n: int) -> int:
-    """Bytes per stored row of rows 0..n (and per listed row count)."""
+    """Bytes per stored row of rows 0..n."""
     return (n.bit_length() + 7) >> 3
 
 
@@ -141,12 +142,11 @@ class FmIndex:
     text; callers splitting raw patterns treat them as foreign bytes.
     """
 
-    def __init__(self, alphabet: Alphabet, n: int, planes: list[int], sentinel_row: int,
-                 sample_rate: int, sample_rows, separators: bytes = b"", listed=()):
-        """`listed` pairs the code of each symbol the planes leave out with
-        its rows; `planes[j]` has bit r set when BWT row r holds the unlisted
-        symbol whose index among the unlisted codes has bit j set, for rows
-        0 ... n; `sample_rows[k]` is the BWT row of text position
+    def __init__(self, alphabet: Alphabet, n: int, planes: list[int], order: bytes,
+                 sentinel_row: int, sample_rate: int, sample_rows, separators: bytes = b""):
+        """`planes[j]` has bit r set when BWT row r holds the symbol whose
+        number has bit j set, for rows 0 ... n; `order[i]` is the code of
+        number i; `sample_rows[k]` is the BWT row of text position
         k * sample_rate, for k = 0 ... n // sample_rate."""
         self.alphabet = alphabet
         self.n = n
@@ -154,6 +154,7 @@ class FmIndex:
         self.sentinel_row = sentinel_row
         self.separators = bytes(separators)
         self._planes = planes = list(planes)
+        self._order = order = bytes(order)
         sigma = alphabet.size
         if not 0 <= sentinel_row <= n:
             raise IndexFormatError("sentinel row lies outside the BWT")
@@ -161,37 +162,14 @@ class FmIndex:
             raise IndexFormatError("BWT bit planes set padding bits past row n")
         if any(plane >> sentinel_row & 1 for plane in planes):
             raise IndexFormatError("the sentinel row must hold the filler byte 0")
-        # each listed symbol's rows, in the order given, and their bitmap;
-        # `taken` is the union of the bitmaps
-        self._listed, self._listed_bits, taken = {}, {}, 0
-        for code, rows in listed:
-            if code in self._listed:
-                raise IndexFormatError("listed symbol codes repeat")
-            if not 0 <= code < sigma:
-                raise IndexFormatError("listed symbol codes lie outside the alphabet")
-            # a row past the planes' padding bits raises IndexError, and one
-            # below 0 OverflowError (the rows are unsigned)
-            bits = bytearray((n >> 3) + 1)
-            try:
-                rows = self._listed[code] = array(_row_type(n), rows)
-                for row in rows:
-                    bits[row >> 3] |= 1 << (row & 7)
-            except (IndexError, OverflowError):
-                raise IndexFormatError("listed symbol rows lie outside the BWT") from None
-            bitmap = int.from_bytes(bits, "little")
-            if bitmap >> (n + 1):
-                raise IndexFormatError("listed symbol rows lie outside the BWT")
-            if bitmap.bit_count() != len(rows) or bitmap & taken:
-                raise IndexFormatError("listed symbol rows repeat")
-            self._listed_bits[code] = bitmap
-            taken |= bitmap
-        if taken >> sentinel_row & 1:
-            raise IndexFormatError("a listed symbol row is the sentinel row")
-        if any(plane & taken for plane in planes):
-            raise IndexFormatError("listed symbol rows must hold 0 in every bit plane")
+        if sorted(order) != list(range(sigma)):
+            raise IndexFormatError("the plane order is not a permutation of the alphabet codes")
         # C[c], the rows before symbol c's: the sentinel's row, then each
-        # symbol's rows; a row holding a code past the alphabet is in none
-        self._c = list(accumulate(map(int.bit_count, self._symbol_rows()), initial=1))
+        # symbol's rows; a row holding a number past the alphabet is in none
+        counts = [0] * sigma
+        for code, bitmap in zip(order, self._symbol_rows()):
+            counts[code] = bitmap.bit_count()
+        self._c = list(accumulate(counts, initial=1))
         if self._c[sigma] != n + 1:
             raise IndexFormatError("BWT symbols out of range for the alphabet")
         if (bytes(sorted(set(self.separators))) != self.separators
@@ -214,40 +192,27 @@ class FmIndex:
             raise IndexFormatError("the sentinel row is not the row of text position 0")
 
     def _symbol_rows(self):
-        """Yield the bitmap of the rows holding each symbol, in code order.
+        """Yield the bitmap of the rows holding each number, in number order.
 
-        A listed symbol's bitmap was made from its rows at construction.
-        The other rows, minus the sentinel's, are split by the top plane
-        into the rows with that bit clear and those with it set, and each
-        part by the planes below, clear part first, so that the leaves are
-        the unlisted symbols' bitmaps in code order; a part whose numbers
-        are all past the unlisted symbols is never split, so a row holding
-        such a number is in no bitmap.  The stack holds at most one part per
-        plane.
+        The rows, minus the sentinel's, are split by the top plane into the
+        rows with that bit clear and those with it set, and each part by the
+        planes below, clear part first, so that the leaves are the numbers'
+        bitmaps in order; a part whose numbers are all past the alphabet is
+        never split, so a row holding such a number is in no bitmap.  The
+        stack holds at most one part per plane.
         """
-        planes, n, listed = self._planes, self.n, self._listed_bits
-        unlisted = self.alphabet.size - len(listed)
-        # the listed rows hold 0 in every plane, and are disjoint from each
-        # other and from the sentinel's row (checked at construction), so
-        # their sum clears them from the rows of number 0
-        start = ((1 << (n + 1)) - 1) ^ (1 << self.sentinel_row) ^ sum(listed.values())
-
-        def split():
-            # rows whose number's bits from plane j up spell number
-            stack = [(start, len(planes), 0)]
-            while stack:
-                rows, j, number = stack.pop()
-                while j:
-                    j -= 1
-                    high = rows & planes[j]
-                    if number | 1 << j < unlisted:
-                        stack.append((high, j, number | 1 << j))
-                    rows ^= high
-                yield rows
-
-        parts = split()
-        for code in range(self.alphabet.size):
-            yield listed[code] if code in listed else next(parts)
+        planes, sigma = self._planes, self.alphabet.size
+        # rows whose number's bits from plane j up spell number
+        stack = [(((1 << (self.n + 1)) - 1) ^ (1 << self.sentinel_row), len(planes), 0)]
+        while stack:
+            rows, j, number = stack.pop()
+            while j:
+                j -= 1
+                high = rows & planes[j]
+                if number | 1 << j < sigma:
+                    stack.append((high, j, number | 1 << j))
+                rows ^= high
+            yield rows
 
     # the rank structures are built on first search and the sampled rows'
     # positions on first locate: `memlight index` saves an index without
@@ -263,13 +228,12 @@ class FmIndex:
         row n + 1 be ranked.  The counts are running popcounts.
         """
         nbytes = 8 * (((self.n + 1) >> 6) + 1)
-        words, cols = [], []
-        for bitmap, below in zip(self._symbol_rows(), self._c):
-            bits = array("Q", bitmap.to_bytes(nbytes, "little"))
+        words, cols = [None] * self.alphabet.size, [None] * self.alphabet.size
+        for code, bitmap in zip(self._order, self._symbol_rows()):
+            bits = words[code] = array("Q", bitmap.to_bytes(nbytes, "little"))
             if sys.byteorder == "big":
                 bits.byteswap()
-            words.append(bits)
-            cols.append(array("q", accumulate(map(int.bit_count, bits), initial=below)))
+            cols[code] = array("q", accumulate(map(int.bit_count, bits), initial=self._c[code]))
         return words, cols
 
     @cached_property
@@ -278,21 +242,14 @@ class FmIndex:
 
         Each plane is formatted as binary digits, row n first, the digits
         are translated to bytes holding the plane's bit, and the planes'
-        bytes, read as big-endian ints, are ORed into every row's number
-        among the unlisted codes; one translation turns numbers into codes,
-        and the listed rows and the sentinel's are then set one by one.
+        bytes, read as big-endian ints, are ORed into every row's number;
+        one translation by the order turns numbers into codes, and the
+        sentinel's row is then set to 0.
         """
         nrows, numbers = self.n + 1, 0
         for plane, table in zip(self._planes, _DIGITS):
             numbers |= int.from_bytes(format(plane, f"0{nrows}b").encode().translate(table), "big")
-        bwt = numbers.to_bytes(nrows, "little")
-        if not self._listed:
-            return bwt
-        unlisted = bytes(code for code in range(self.alphabet.size) if code not in self._listed)
-        bwt = bytearray(bwt.translate(unlisted.ljust(256, b"\0")))
-        for code, rows in self._listed.items():
-            for row in rows:
-                bwt[row] = code
+        bwt = bytearray(numbers.to_bytes(nrows, "little").translate(self._order.ljust(256, b"\0")))
         bwt[self.sentinel_row] = 0
         return bytes(bwt)
 
@@ -429,7 +386,7 @@ class FmIndex:
     def to_bytes(self) -> bytes:
         """The saved index: the planes, concatenated, are stored as one raw
         DEFLATE stream when that is shorter than they are."""
-        n, listed = self.n, self._listed
+        n = self.n
         plane_bytes = (n >> 3) + 1  # ceil((n + 1) / 8)
         planes = b"".join(plane.to_bytes(plane_bytes, "little") for plane in self._planes)
         packer = zlib.compressobj(wbits=-15)
@@ -438,12 +395,10 @@ class FmIndex:
             planes = deflated
         parts = [MAGIC,
                  _HEADER.pack(n, self.alphabet.size, self.s, self.sentinel_row,
-                              len(self.separators), len(listed), len(planes)),
+                              len(self.separators), len(planes)),
                  self.alphabet.symbols,
                  self.separators,
-                 bytes(listed),
-                 _pack_rows(array(_row_type(n), map(len, listed.values())), n),
-                 *(_pack_rows(rows, n) for rows in listed.values()),
+                 self._order,
                  planes,
                  _pack_rows(self._sample_rows, n)]
         body = b"".join(parts)
@@ -474,33 +429,24 @@ class FmIndex:
         size = len(data)
         if size < 8 + _HEADER.size + 4:
             raise IndexFormatError("truncated index file")
-        n, sigma, s, sentinel_row, n_separators, n_listed, stored = _HEADER.unpack_from(data, 8)
-        if (n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma
-                or n_listed >= sigma):
+        n, sigma, s, sentinel_row, n_separators, stored = _HEADER.unpack_from(data, 8)
+        if n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma:
             raise IndexFormatError("index header is inconsistent")
         plane_bytes = (n >> 3) + 1
-        raw = _plane_count(sigma - n_listed) * plane_bytes  # the planes' size
+        raw = _plane_count(sigma) * plane_bytes  # the planes' size
         if stored > raw:
             raise IndexFormatError("index header is inconsistent")
-        view, width = memoryview(data), _row_width(n)
-        # the listed symbols' row counts follow their codes, which follow
-        # the alphabet and the separators
-        counts_at = 8 + _HEADER.size + sigma + n_separators + n_listed
-        counts_end = counts_at + n_listed * width
-        if size < counts_end + 4:
-            raise IndexFormatError("truncated index file")
-        counts = _unpack_rows(view[counts_at:counts_end], n)
-        sizes = (sigma, n_separators, n_listed, n_listed * width,
-                 *(count * width for count in counts), stored, (n // s + 1) * width)
+        # the alphabet, the separators, the order, the planes, the sample rows
+        sizes = (sigma, n_separators, sigma, stored, (n // s + 1) * _row_width(n))
         expected = 8 + _HEADER.size + sum(sizes) + 4
         if size != expected:
             problem = "truncated index file" if size < expected else "index file too long"
             raise IndexFormatError(f"{problem}: {size} bytes, expected {expected}")
+        view = memoryview(data)
         if int.from_bytes(view[-4:], "little") != zlib.crc32(view[:-4]):
             raise IndexFormatError("index checksum mismatch")
         ends = list(accumulate(sizes, initial=8 + _HEADER.size))
-        symbols, separators, codes, _, *lists, planes, samples = (
-            view[a:b] for a, b in zip(ends, ends[1:]))
+        symbols, separators, order, planes, samples = (view[a:b] for a, b in zip(ends, ends[1:]))
         if stored < raw:
             planes = _inflate(planes, raw)
         try:
@@ -509,8 +455,7 @@ class FmIndex:
             raise IndexFormatError(f"index alphabet: {exc}") from None
         return cls(alphabet, n, [int.from_bytes(planes[a : a + plane_bytes], "little")
                                  for a in range(0, raw, plane_bytes)],
-                   sentinel_row, s, _unpack_rows(samples, n), separators,
-                   zip(codes, (_unpack_rows(rows, n) for rows in lists)))
+                   order, sentinel_row, s, _unpack_rows(samples, n), separators)
 
     @classmethod
     def load(cls, source) -> "FmIndex":
@@ -538,29 +483,20 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
     sentinel_row = int(rows[0])  # the row of suffix 0
     bwt = text.data[sa.sa - 1]
     bwt[sentinel_row] = 0
-    # list the r rarest symbols by their rows, for the smallest r that makes
-    # the file smallest: a listed symbol costs its code byte, its row count
-    # and its rows, and the planes then number sigma - r symbols
-    sigma, width, plane_bytes = text.alphabet.size, _row_width(text.n), (text.n >> 3) + 1
+    # number the symbols by descending count, ties by code, so that the top
+    # plane holds only the rarest symbols' rows; the sentinel row holds 0
+    sigma = text.alphabet.size
     counts = np.bincount(bwt, minlength=sigma)
     counts[0] -= 1  # the sentinel row's filler
-    rarest = sorted(range(sigma), key=lambda code: counts[code])
-    costs = [_plane_count(sigma - r) * plane_bytes + r * (1 + width) + total * width
-             for r, total in enumerate(accumulate(map(int, counts[rarest[:-1]]), initial=0))]
-    r = costs.index(min(costs))
-    listed = []
-    for code in rarest[:r]:
-        rows_of = np.flatnonzero(bwt == code)
-        listed.append((code, rows_of[rows_of != sentinel_row].tolist()))
-    # the planes number the unlisted codes in order; listed rows get 0
-    numbers = np.zeros(sigma, dtype=np.uint8)
-    unlisted = sorted(set(range(sigma)).difference(rarest[:r]))
-    numbers[unlisted] = np.arange(len(unlisted))
+    order = np.argsort(-counts, kind="stable").astype(np.uint8)
+    numbers = np.empty_like(order)
+    numbers[order] = np.arange(sigma)
     bwt = np.take(numbers, bwt)
+    bwt[sentinel_row] = 0
     planes = [int.from_bytes(np.packbits(bwt & (1 << j), bitorder="little").tobytes(), "little")
-              for j in range(_plane_count(sigma - r))]
-    return FmIndex(text.alphabet, text.n, planes, sentinel_row, sample_rate,
-                   rows.tolist(), separators, listed)
+              for j in range(_plane_count(sigma))]
+    return FmIndex(text.alphabet, text.n, planes, order.tobytes(), sentinel_row, sample_rate,
+                   rows.tolist(), separators)
 
 
 def index_paths(prefix: str) -> tuple[Path, Path]:

@@ -214,13 +214,18 @@ def test_concat_sep_matches_never_cross_records(tmp_path, capsys):
     assert [r[1:] for r in rows] == [["1", "3", "3", "1"]]
 
 
-def test_index_without_concat_sep_stores_no_separators(demo_files, tmp_path):
+def test_index_without_concat_sep_stores_no_separators(demo_files, tmp_path, capsys):
     _, _, prefix = demo_files
     assert FmIndex.load(prefix + ".fwd.memidx").separators == b""
+    # several records would need a separator: a usage error that writes
+    # nothing, where the records after the first were once dropped unsaid
     fasta = tmp_path / "t.fa"
     fasta.write_bytes(b">a\nGATTACA\n>b\nCATGAT\n")
-    assert main(["index", str(fasta), "-o", str(tmp_path / "first")]) == 0
-    assert FmIndex.load(tmp_path / "first.rev.memidx").separators == b""
+    capsys.readouterr()
+    assert main(["index", str(fasta), "-o", str(tmp_path / "first")]) == 2
+    err = capsys.readouterr().err
+    assert "2 FASTA records" in err and "--concat-sep" in err
+    assert not list(tmp_path.glob("first.*"))
 
 
 def test_concat_sep_joins_hundreds_of_records_with_one_separator(tmp_path, capsys):
@@ -324,7 +329,7 @@ def test_old_format_index_is_a_format_error(demo_files, capsys):
     _, pattern, prefix = demo_files
     path = prefix + ".fwd.memidx"
     data = open(path, "rb").read()
-    for magic in ("MEMLIDX1", "MEMLIDX5", "MEMLIDX6"):
+    for magic in ("MEMLIDX1", "MEMLIDX5", "MEMLIDX6", "MEMLIDX7"):
         open(path, "wb").write(magic.encode() + data[8:])
         assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
         err = capsys.readouterr().err
@@ -349,28 +354,18 @@ def test_moved_sentinel_row_is_a_format_error(tmp_path, capsys):
     assert "row of text position 0" in capsys.readouterr().err
 
 
-def test_listed_row_on_the_sentinel_row_is_a_format_error(tmp_path, capsys):
-    # one "N" in 600 DNA symbols is listed by its row; a resealed file that
-    # lists the sentinel's row in its place is rejected
-    rng = random.Random(11)
-    text, pattern = tmp_path / "t.txt", tmp_path / "p.txt"
-    raw = "".join(rng.choice("ACGT") for _ in range(600))
-    text.write_text(raw[:300] + "N" + raw[300:])
-    pattern.write_text(raw[100:140])
-    prefix = str(tmp_path / "x")
-    assert main(["index", str(text), "--raw", "-o", prefix]) == 0
+def test_plane_order_not_a_permutation_is_a_format_error(demo_files, capsys):
+    # a resealed reverse file whose order names one code twice
+    _, pattern, prefix = demo_files
     path = prefix + ".rev.memidx"
     data = bytearray(open(path, "rb").read())
-    _, sigma, _, sentinel_row, k, listed, _ = struct.unpack_from("<7Q", data, 8)
-    assert (sigma, k, listed) == (5, 0, 1)
-    row_at = 8 + 7 * 8 + sigma + 1 + 2  # the alphabet, the code "N", its row count
-    assert struct.unpack_from("<H", data, row_at - 2) == (1,)
-    struct.pack_into("<H", data, row_at, sentinel_row)
+    sigma = struct.unpack_from("<6Q", data, 8)[1]
+    order = 8 + 6 * 8 + sigma  # after the magic, the header and the alphabet
+    data[order + 1] = data[order]
     data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
     open(path, "wb").write(bytes(data))
-    capsys.readouterr()
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
-    assert "a listed symbol row is the sentinel row" in capsys.readouterr().err
+    assert "plane order is not a permutation" in capsys.readouterr().err
 
 
 def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
@@ -383,11 +378,12 @@ def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
     n = len(DEMO_TEXT)
     for suffix, rate in ((".fwd.memidx", n + 1), (".rev.memidx", 4)):
         data = open(prefix + suffix, "rb").read()
-        _, sigma, s, sentinel_row, k, listed, stored = struct.unpack_from("<7Q", data, 8)
-        assert listed == 0
+        _, sigma, s, sentinel_row, k, stored = struct.unpack_from("<6Q", data, 8)
         planes = (sigma - 1).bit_length() * ((n >> 3) + 1)  # ceil((n + 1) / 8) bytes each
         assert stored == planes  # too few to deflate
-        rows = data[8 + 7 * 8 + sigma + k + planes:-4]  # one byte each below n = 256
+        # after the alphabet, the separators and the order; one byte each
+        # below n = 256
+        rows = data[8 + 6 * 8 + 2 * sigma + k + planes:-4]
         assert s == rate
         assert len(rows) == n // rate + 1
         assert rows[0] == sentinel_row
@@ -404,11 +400,16 @@ def test_index_pair_of_two_texts_is_a_format_error(tmp_path, capsys):
     assert "describe different texts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tamper, message", [
+    ("rows", b"the forward and reverse indexes disagree"),
+    ("order", b"forward and reverse indexes describe different texts")])
 @pytest.mark.parametrize("command", [["mems", "-L", "4"], ["mems", "--all"], ["lcs"]])
-def test_disagreeing_index_pair_is_a_format_error(tmp_path, command):
+def test_disagreeing_index_pair_is_a_format_error(tmp_path, command, tamper, message):
     # two swapped rows of the forward BWT pass every load check, so only the
-    # scan can see that the pair describes two texts; a child process with
-    # a timeout, because the scan once looped forever here
+    # scan can see that the pair describes two texts; two swapped order
+    # bytes also load, but give two symbols each other's counts, so the
+    # pair's C arrays differ before any scan; a child process with a
+    # timeout, because the scan once looped forever here
     text, pattern = tmp_path / "t.txt", tmp_path / "p.txt"
     text.write_bytes(DEMO_TEXT)
     pattern.write_bytes(DEMO_PATTERN)
@@ -416,11 +417,14 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command):
     assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
     path = prefix + ".fwd.memidx"
     data = bytearray(open(path, "rb").read())
-    planes = 8 + 7 * 8 + 4  # after the magic, the header and the alphabet
+    order = 8 + 6 * 8 + 4  # after the magic, the header and the alphabet
+    planes = order + 4
+    if tamper == "order":
+        data[order], data[order + 1] = data[order + 1], data[order]
     for plane in (planes, planes + (len(DEMO_TEXT) >> 3) + 1):
         # rows 0 and 3 are bits 0 and 3 of each plane's first byte; two
         # bits swap by flipping both when they differ
-        if (data[plane] ^ data[plane] >> 3) & 1:
+        if tamper == "rows" and (data[plane] ^ data[plane] >> 3) & 1:
             data[plane] ^= 0b1001
     data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
     open(path, "wb").write(bytes(data))
@@ -430,7 +434,7 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command):
          "--raw", *command[1:]],
         capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=30)
     assert done.returncode == 3
-    assert b"the forward and reverse indexes disagree" in done.stderr
+    assert message in done.stderr
 
 
 def test_closed_stdout_ends_a_query_quietly(tmp_path):

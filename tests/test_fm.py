@@ -41,8 +41,10 @@ def planes_of(bwt, sigma):
 
 
 def index_from_bwt(index, bwt, sample_rows):
-    """An index like `index` with the BWT bytes and sample rows given."""
-    return FmIndex(index.alphabet, index.n, planes_of(bwt, index.alphabet.size),
+    """An index like `index` with the BWT bytes and sample rows given, its
+    planes in code order."""
+    sigma = index.alphabet.size
+    return FmIndex(index.alphabet, index.n, planes_of(bwt, sigma), bytes(range(sigma)),
                    index.sentinel_row, index.s, sample_rows)
 
 
@@ -418,25 +420,24 @@ def test_save_load_save_is_the_identity(raw, rate, n_separators):
     assert reloaded.separators == separators
 
 
-def file_size(n, sigma, rate, n_separators=0, listed_counts=(), planes=None):
-    """MEMLIDX7: header, alphabet, separators, each listed symbol's code, row
-    count and rows, the planes of the unlisted symbols, the sample rows and
-    the checksum; every row and row count takes w bytes.  `planes` is the
+def file_size(n, sigma, rate, n_separators=0, planes=None):
+    """MEMLIDX8: header, alphabet, separators, the order, the planes, the
+    sample rows and the checksum; every row takes w bytes.  `planes` is the
     planes' stored length; by default their raw size, which makes the result
     an upper bound, exact when the planes stay raw."""
     width = (n.bit_length() + 7) // 8
     if planes is None:
-        planes = raw_planes(n, sigma - len(listed_counts))
-    return (8 + 56 + sigma + n_separators + len(listed_counts) * (1 + width)
-            + sum(listed_counts) * width + planes + (n // rate + 1) * width + 4)
+        planes = raw_planes(n, sigma)
+    return 8 + 48 + 2 * sigma + n_separators + planes + (n // rate + 1) * width + 4
 
 
-def raw_planes(n, unlisted):
-    """Bytes of the planes over `unlisted` symbols, stored raw."""
-    return (unlisted - 1).bit_length() * ((n >> 3) + 1)
+def raw_planes(n, sigma):
+    """Bytes of the planes over sigma symbols, stored raw."""
+    return (sigma - 1).bit_length() * ((n >> 3) + 1)
 
 
-PLANES_FIELD = 8 + 6 * 8  # the stored length of the planes, the seventh header field
+ALPHABET_AT = 8 + 6 * 8  # after the magic and the six header fields
+PLANES_FIELD = 8 + 5 * 8  # the stored length of the planes, the sixth header field
 
 
 def stored_planes(data):
@@ -469,10 +470,8 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     rate = data.draw(st.integers(1, 12), label="sample rate")
     index = build_fm(text, sample_rate=rate, separators=separators)
     saved = index.to_bytes()
-    listed_counts = [len(rows) for rows in index._listed.values()]
-    assert stored_planes(saved) <= raw_planes(n, sigma - len(listed_counts))
-    assert len(saved) == file_size(n, sigma, rate, len(separators), listed_counts,
-                                   stored_planes(saved))
+    assert stored_planes(saved) <= raw_planes(n, sigma)
+    assert len(saved) == file_size(n, sigma, rate, len(separators), stored_planes(saved))
     reloaded = FmIndex.from_bytes(saved)
     # load derives C alone: rank, BWT bytes, k-mers and positions wait for use
     assert not {"_rank", "_bwt", "_kmers", "_sampled"} & reloaded.__dict__.keys()
@@ -486,7 +485,7 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     assert reloaded._c == [col[0] for col in cols] + [cols[-1][-1]]
     assert reloaded._kmers == index._kmers
     if sigma == 256:
-        assert (len(reloaded._planes), reloaded._listed, reloaded._kmers[0]) == (8, {}, 1)
+        assert (len(reloaded._planes), reloaded._kmers[0]) == (8, 1)
     for _ in range(3):
         lo = data.draw(st.integers(0, n + 1))
         hi = data.draw(st.integers(lo, n + 1))
@@ -509,12 +508,10 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
 @given(st.integers(1, 7), st.integers(1, 3), st.integers(1500, 4000), st.integers(0, 2**32),
        st.sampled_from(["none", "rare", "common"]))
 @settings(max_examples=40, deadline=None)
-def test_rare_symbols_listed_by_rows_keep_every_answer(common, rare, n, seed, separate):
-    # 2 to 8 symbols, 1 to 3 of them occurring 1 to 5 times each: listing
-    # them by rows costs less than a plane, so the fewest of them that make
-    # the plane count smallest are listed (all of sigma = 2's one: 0 planes);
-    # the separator, if any, is a rare symbol (as with --concat-sep) or a
-    # common one
+def test_symbols_numbered_by_frequency_keep_every_answer(common, rare, n, seed, separate):
+    # 2 to 8 symbols, 1 to 3 of them occurring 1 to 5 times each, so that
+    # they take the top numbers; the separator, if any, is a rare symbol
+    # (as with --concat-sep) or a common one
     rare = min(rare, 8 - common)
     rng = random.Random(seed)
     symbols = rng.sample(range(256), common + rare)
@@ -531,28 +528,22 @@ def test_rare_symbols_listed_by_rows_keep_every_answer(common, rare, n, seed, se
     index = build_fm(text, sample_rate=rate, separators=separators)
     sa = naive_suffix_array(text.code_bytes)
     bwt = bytes(text.code_bytes[i - 1] if i else 0 for i in sa)
-    # the same index with every symbol in the planes
-    full = FmIndex(text.alphabet, n, planes_of(bwt, sigma), index.sentinel_row, rate,
-                   index._sample_rows, separators)
+    # the same index with its planes in code order
+    full = FmIndex(text.alphabet, n, planes_of(bwt, sigma), bytes(range(sigma)),
+                   index.sentinel_row, rate, index._sample_rows, separators)
     counts = [bwt.count(c) - (c == 0) for c in range(sigma)]  # not the sentinel row
-    listed = index._listed
-    planes = [(sigma - r - 1).bit_length() for r in range(rare + 1)]
-    assert len(listed) == planes.index(min(planes))
-    assert len(index._planes) == min(planes)
-    # the rarest symbols, in order
-    assert [counts[c] for c in listed] == sorted(counts)[:len(listed)]
+    assert list(index._order) == sorted(range(sigma), key=lambda c: (-counts[c], c))
+    assert len(index._planes) == len(full._planes) == (sigma - 1).bit_length()
     saved = index.to_bytes()
-    assert stored_planes(saved) <= raw_planes(n, sigma - len(listed))
-    assert len(saved) == file_size(n, sigma, rate, len(separators), [counts[c] for c in listed],
-                                   stored_planes(saved))
-    assert (len(saved) < len(full.to_bytes())) == bool(listed)
+    assert stored_planes(saved) <= raw_planes(n, sigma)
+    assert len(saved) == file_size(n, sigma, rate, len(separators), stored_planes(saved))
     reloaded = FmIndex.from_bytes(saved)
     assert reloaded.to_bytes() == saved
-    assert reloaded._bwt == index._bwt == bwt
-    assert reloaded._c == full._c
+    assert reloaded._bwt == index._bwt == full._bwt == bwt
+    assert reloaded._c == index._c == full._c
     for c in range(sigma):
-        hits = [code == c and i != 0 for code, i in zip(bwt, sa)]
-        assert [reloaded.rank(c, k) for k in range(n + 2)] == [0, *accumulate(hits)]
+        assert [reloaded.rank(c, k) for k in range(n + 2)] == [
+            full.rank(c, k) for k in range(n + 2)]
     assert reloaded._kmers == full._kmers
     for _ in range(5):
         lo = rng.randint(0, n + 1)
@@ -601,14 +592,11 @@ def test_load_rejects_truncation(tmp_path, demo_index):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(IndexFormatError, match="truncated"):
         FmIndex.load(path)
-    path.write_bytes(b"MEMLIDX7")  # the magic alone
-    with pytest.raises(IndexFormatError, match="^truncated index file$"):
-        FmIndex.load(path)
-    # files that end inside the listed symbols' row counts, two bytes each
-    # at n = 300, or before a checksum could follow them
-    header = struct.pack("<7Q", 300, 3, 1, 0, 0, 1, raw_planes(300, 2))
-    for end in range(6):
-        path.write_bytes(b"MEMLIDX7" + header + b"abc" + b"\0" + bytes(end))
+    # the magic alone, files that end inside the header, and a header with
+    # no room for a checksum after it
+    header = struct.pack("<6Q", 300, 3, 1, 0, 0, raw_planes(300, 3))
+    for end in range(len(header) + 4):
+        path.write_bytes(b"MEMLIDX8" + (header + b"abc")[:end])
         with pytest.raises(IndexFormatError, match="^truncated index file$"):
             FmIndex.load(path)
     # one trailing byte: rejected, and not called truncated
@@ -649,13 +637,14 @@ def row_width(index):
     return (index.n.bit_length() + 7) // 8
 
 
+def order_offset(index):
+    # magic, six header fields, alphabet, separators
+    return ALPHABET_AT + index.alphabet.size + len(index.separators)
+
+
 def plane_offset(index, plane=0):
-    # magic, seven header fields, alphabet, separators, the listed symbols'
-    # codes, row counts and rows, the planes before
-    listed = index._listed.values()
-    return (8 + 56 + index.alphabet.size + len(index.separators)
-            + (len(listed) + sum(map(len, listed))) * row_width(index) + len(listed)
-            + plane * ((index.n >> 3) + 1))
+    # the order, then the planes before
+    return order_offset(index) + index.alphabet.size + plane * ((index.n >> 3) + 1)
 
 
 def set_plane_bit(data, index, plane, row):
@@ -676,8 +665,7 @@ def test_load_rejects_resealed_positions_sharing_a_row(demo_index):
 def test_load_rejects_resealed_unsorted_alphabet(demo_index):
     _, index = demo_index
     data = bytearray(index.to_bytes())
-    alphabet = plane_offset(index) - index.alphabet.size
-    data[alphabet], data[alphabet + 1] = data[alphabet + 1], data[alphabet]
+    data[ALPHABET_AT], data[ALPHABET_AT + 1] = data[ALPHABET_AT + 1], data[ALPHABET_AT]
     with pytest.raises(IndexFormatError, match="distinct and ascending"):
         FmIndex.from_bytes(reseal(bytes(data)))
 
@@ -733,133 +721,95 @@ def test_load_rejects_resealed_sentinel_row_on_another_filler_row(demo_index):
 
 
 def test_load_rejects_resealed_symbol_past_the_alphabet():
-    # sigma = 3 takes two planes, which can also spell code 3; sigma = 5
+    # sigma = 3 takes two planes, which can also spell number 3; sigma = 5
     # takes three, which can also spell 5, 6 and 7
     index = build_fm(Text.from_bytes(b"banana"))
     assert index._bwt == bytes([0, 2, 2, 1, 0, 0, 0])
+    assert index._order == bytes([0, 2, 1])  # "a", then "n", then "b"
     # rows 0 and n too, the first row and the last before the padding bits
     assert (index.sentinel_row, index.n) == (4, 6)
-    cases = [(index, row, 3) for row in (0, 1, 3, 6)]  # a code 0, 2, 1 or 0 made 3
+    cases = [(index, row, 3) for row in (0, 1, 3, 6)]  # a number 0, 1, 2 or 0 made 3
     index = build_fm(Text.from_bytes(b"abracadabra"))
+    assert index._order == bytes([0, 1, 4, 2, 3])  # "a", "b", "r", "c", "d"
     row = next(r for r, code in enumerate(index._bwt)
                if code == 0 and r not in (0, index.sentinel_row))
     assert index.sentinel_row not in (0, index.n)
-    # the bits of 5, 6 or 7 set in a code 0 (rows 0 and `row`) or 1 (row n)
-    cases += [(index, r, code) for r in (0, row, index.n) for code in (5, 6, 7)]
-    for index, row, code in cases:
+    assert index._bwt[index.n] == 1
+    # the bits of 5, 6 or 7 set in a number 0 (rows 0 and `row`) or 1 (row n)
+    cases += [(index, r, number) for r in (0, row, index.n) for number in (5, 6, 7)]
+    for index, row, number in cases:
         data = bytearray(index.to_bytes())
         for plane in range(len(index._planes)):
-            if code >> plane & 1:
+            if number >> plane & 1:
                 set_plane_bit(data, index, plane, row)
         with pytest.raises(IndexFormatError, match="out of range"):
             FmIndex.from_bytes(reseal(bytes(data)))
 
 
-@pytest.fixture(scope="module")
-def listed_index():
-    # "c" once and "d" twice among 400 of "a" and "b": both are listed, and
-    # one plane numbers "a" and "b"
-    rng = random.Random(5)
-    raw = bytearray(rng.choice(b"ab") for _ in range(400))
-    for byte in b"cdd":
-        raw.insert(rng.randrange(len(raw) + 1), byte)
-    index = build_fm(Text.from_bytes(bytes(raw)), sample_rate=8)
-    assert [(code, len(rows)) for code, rows in index._listed.items()] == [(2, 1), (3, 2)]
-    assert (len(index._planes), row_width(index)) == (1, 2)
-    return index
+def test_build_numbers_symbols_by_descending_count_ties_by_code():
+    # "mississippi": "i" and "s" four times each, "p" twice, "m" once; "i"
+    # has the lower code of the tie, so it takes number 0
+    index = build_fm(Text.from_bytes(b"mississippi"))
+    assert index.alphabet.symbols == b"imps"
+    assert index._order == bytes([0, 3, 2, 1])
+    # each row holds the number of its code: the planes spell the numbers
+    numbers = [sum((plane >> row & 1) << j for j, plane in enumerate(index._planes))
+               for row in range(index.n + 1)]
+    assert bytes(index._order[number] for number in numbers) == index._bwt
+    assert numbers[index.sentinel_row] == 0
 
 
-def listed_codes_offset(index):
-    return 8 + 56 + index.alphabet.size + len(index.separators)
+def test_file_stores_the_order_after_the_separators():
+    # the demo text counts A 5, T 4, G 2 and C 1 times; joined by two
+    # separators of one occurrence each, ties broken by code
+    raw = DEMO_TEXT[:4] + b"\x01" + DEMO_TEXT[4:8] + b"\x02" + DEMO_TEXT[8:]
+    index = build_fm(Text.from_bytes(raw), sample_rate=4, separators=b"\x01\x02")
+    assert index.alphabet.symbols == b"\x01\x02ACGT"
+    assert index._order == bytes([2, 5, 4, 0, 1, 3])
+    data = index.to_bytes()
+    at = order_offset(index)
+    assert data[at - 2 : at] == b"\x01\x02"
+    assert data[at : at + 6] == index._order
+    assert FmIndex.from_bytes(data)._order == index._order
 
 
-def resealed_with_listed_row(index, k, row):
-    """The saved index with its k-th listed row, counted across symbols, set to row."""
+@pytest.mark.parametrize("order", [b"\0\0\1\2", b"\0\1\2\4", b"\3\2\1\xff"])
+def test_load_rejects_resealed_order_not_a_permutation(demo_index, order):
+    # a repeated code, a code just past the alphabet of four, and one far past
+    _, index = demo_index
     data = bytearray(index.to_bytes())
-    at = listed_codes_offset(index) + 3 * len(index._listed) + 2 * k  # codes, counts, rows
-    data[at : at + 2] = row.to_bytes(2, "little")
-    return reseal(bytes(data))
-
-
-def test_load_rejects_resealed_repeated_listed_row(listed_index):
-    # "d"'s second row made its first, then "d"'s first made "c"'s
-    rows = [row for rows in listed_index._listed.values() for row in rows]
-    for k, row in ((2, rows[1]), (1, rows[0])):
-        with pytest.raises(IndexFormatError, match="^listed symbol rows repeat$"):
-            FmIndex.from_bytes(resealed_with_listed_row(listed_index, k, row))
-
-
-def test_load_rejects_resealed_listed_row_outside_the_bwt(listed_index):
-    # row n + 1 falls in the planes' padding bits, row 2**16 - 1 past them
-    for row in (listed_index.n + 1, 2**16 - 1):
-        with pytest.raises(IndexFormatError, match="^listed symbol rows lie outside the BWT$"):
-            FmIndex.from_bytes(resealed_with_listed_row(listed_index, 0, row))
-
-
-def test_load_rejects_resealed_listed_sentinel_row(listed_index):
-    data = resealed_with_listed_row(listed_index, 0, listed_index.sentinel_row)
-    with pytest.raises(IndexFormatError, match="^a listed symbol row is the sentinel row$"):
-        FmIndex.from_bytes(data)
-
-
-def test_load_rejects_resealed_plane_bit_at_a_listed_row(listed_index):
-    data = bytearray(listed_index.to_bytes())
-    set_plane_bit(data, listed_index, 0, listed_index._listed[3][1])
+    at = order_offset(index)
+    data[at : at + 4] = order
     with pytest.raises(IndexFormatError,
-                       match="^listed symbol rows must hold 0 in every bit plane$"):
-        FmIndex.from_bytes(reseal(bytes(data)))
-
-
-@pytest.mark.parametrize("code, message", [
-    (2, "listed symbol codes repeat"),  # "d" listed as "c" a second time
-    (4, "listed symbol codes lie outside the alphabet"),
-    (255, "listed symbol codes lie outside the alphabet")])
-def test_load_rejects_resealed_listed_code(listed_index, code, message):
-    data = bytearray(listed_index.to_bytes())
-    data[listed_codes_offset(listed_index) + 1] = code
-    with pytest.raises(IndexFormatError, match=f"^{message}$"):
-        FmIndex.from_bytes(reseal(bytes(data)))
-
-
-def test_load_rejects_listing_every_symbol(listed_index):
-    data = bytearray(listed_index.to_bytes())
-    struct.pack_into("<Q", data, 8 + 5 * 8, listed_index.alphabet.size)
-    with pytest.raises(IndexFormatError, match="^index header is inconsistent$"):
+                       match="^the plane order is not a permutation of the alphabet codes$"):
         FmIndex.from_bytes(reseal(bytes(data)))
 
 
 def test_stored_rows_take_the_bytes_that_n_needs():
-    # a header alone names the size the file must have: every row and row
-    # count takes ceil(bit_length(n) / 8) bytes, and the header has no field
-    # for it; a listed symbol's codes and row counts follow the separators
-    def expected_size(n, sigma, s, listed_counts=()):
-        width = (n.bit_length() + 7) // 8
-        header = struct.pack("<7Q", n, sigma, s, 0, 0, len(listed_counts),
-                             raw_planes(n, sigma - len(listed_counts)))
-        listed = bytes(len(listed_counts)) + b"".join(
-            count.to_bytes(width, "little") for count in listed_counts)
+    # a header alone names the size the file must have: every row takes
+    # ceil(bit_length(n) / 8) bytes, and the header has no field for it
+    def expected_size(n, sigma, s):
+        header = struct.pack("<6Q", n, sigma, s, 0, 0, raw_planes(n, sigma))
         with pytest.raises(IndexFormatError, match="truncated") as caught:
-            FmIndex.from_bytes(b"MEMLIDX7" + header + bytes(sigma) + listed + b"\0\0\0\0")
+            FmIndex.from_bytes(b"MEMLIDX8" + header + bytes(2 * sigma) + b"\0\0\0\0")
         return int(str(caught.value).rsplit(" ", 1)[1])
 
     for n, width in ((12, 1), (2**8 - 1, 1), (2**8, 2), (2**24 - 1, 3), (2**24, 4),
                      (2**32 - 1, 4), (2**32, 5), (2**40, 6)):
         plane = (n >> 3) + 1
-        assert expected_size(n, 2, 2**40) == 8 + 56 + 2 + plane + (n // 2**40 + 1) * width + 4
-        assert expected_size(n, 5, 2**31) == 8 + 56 + 5 + 3 * plane + (n // 2**31 + 1) * width + 4
+        assert expected_size(n, 2, 2**40) == 8 + 48 + 4 + plane + (n // 2**40 + 1) * width + 4
+        assert expected_size(n, 5, 2**31) == 8 + 48 + 10 + 3 * plane + (n // 2**31 + 1) * width + 4
         assert expected_size(n, 5, 2**31) == file_size(n, 5, 2**31)
-        # one symbol listed by 7 rows leaves four for two planes
-        assert expected_size(n, 5, 2**31, [7]) == file_size(n, 5, 2**31, 0, [7]) == (
-            8 + 56 + 5 + 1 + width + 7 * width + 2 * plane + (n // 2**31 + 1) * width + 4)
 
 
 def test_load_rejects_old_format(demo_index):
     _, index = demo_index
-    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5", b"MEMLIDX6"):
+    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5", b"MEMLIDX6",
+                  b"MEMLIDX7"):
         with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
     # a later version is not called old, and rebuilding would not help
-    for magic in (b"MEMLIDX8", b"MEMLIDX9"):
+    for magic in (b"MEMLIDX9",):
         with pytest.raises(IndexFormatError,
                            match=f"^index is in the newer {magic.decode()} format; "
                                  "it was written by a newer memlight$"):
@@ -882,7 +832,7 @@ def deflated_index():
     index = build_fm(Text.from_bytes(repetitive_text(random.Random(9), 40, 500, 0.01)),
                      sample_rate=16)
     data = index.to_bytes()
-    assert (len(index._planes), index._listed) == (2, {})
+    assert len(index._planes) == 2
     assert stored_planes(data) < raw_planes(index.n, 4) == 5002
     return index, data
 
@@ -980,29 +930,28 @@ def test_load_rejects_resealed_bytes_after_the_stream(deflated_index):
         FmIndex.from_bytes(with_plane_stream(index, data, stream + b"\0\0"))
 
 
-def test_load_rejects_resealed_stored_length_past_the_planes(deflated_index, listed_index):
+def test_load_rejects_resealed_stored_length_past_the_planes(deflated_index, demo_index):
     # one byte more than the raw planes, which would then be read as raw;
-    # the raw planes of listed_index, which are stored raw, and 0 planes of
-    # a text of one symbol
+    # the planes of demo_index, which are stored raw, and 0 planes of a text
+    # of one symbol
     one_symbol = build_fm(Text.from_bytes(b"a" * 50))
-    for index in (deflated_index[0], listed_index, one_symbol):
+    for index in (deflated_index[0], demo_index[1], one_symbol):
         data = bytearray(index.to_bytes())
-        raw = raw_planes(index.n, index.alphabet.size - len(index._listed))
+        raw = raw_planes(index.n, index.alphabet.size)
         assert stored_planes(data) <= raw
         struct.pack_into("<Q", data, PLANES_FIELD, raw + 1)
         with pytest.raises(IndexFormatError, match="^index header is inconsistent$"):
             FmIndex.from_bytes(reseal(bytes(data)))
 
 
-@pytest.mark.parametrize("raw", [b"a" * 50, b"a" * 100 + b"b"])
-def test_one_unlisted_symbol_stores_no_planes(raw):
-    # sigma - r = 1 has no planes; their stored length is 0, never a stream
+@pytest.mark.parametrize("raw", [b"a" * 50, b"a"])
+def test_one_symbol_stores_no_planes(raw):
+    # sigma = 1 has no planes; their stored length is 0, never a stream
     index = build_fm(Text.from_bytes(raw), sample_rate=4)
-    assert (len(index._planes), index.alphabet.size - len(index._listed)) == (0, 1)
+    assert (len(index._planes), index._order) == (0, b"\0")
     data = index.to_bytes()
     assert stored_planes(data) == 0
-    assert len(data) == file_size(index.n, index.alphabet.size, 4, 0,
-                                  [len(rows) for rows in index._listed.values()])
+    assert len(data) == file_size(index.n, 1, 4)
     reloaded = FmIndex.from_bytes(data)
     assert reloaded.to_bytes() == data
     assert reloaded._bwt == index._bwt
@@ -1020,10 +969,10 @@ def test_repetitive_records_deflate_and_keep_every_answer(seed, copies, length, 
     loaded = []
     for index in (fwd, rev):
         saved = index.to_bytes()
-        listed_counts = [len(rows) for rows in index._listed.values()]
-        assert listed_counts == [copies - 1]  # the separator
+        # the separator, code 0, is the rarest symbol and takes the top number
+        assert index._order[-1] == 0
         # the planes deflate: the file is smaller than with raw planes
-        assert len(saved) < file_size(text.n, 5, sample, 1, listed_counts)
+        assert len(saved) < file_size(text.n, 5, sample, 1)
         reloaded = FmIndex.from_bytes(saved)
         assert reloaded.to_bytes() == saved
         assert reloaded._bwt == index._bwt
