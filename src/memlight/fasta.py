@@ -22,7 +22,19 @@ class FastaRecord(_RecordFields):
         return super().__new__(cls, id, sequence)
 
 
+# a sequence is its lines with ASCII whitespace removed and a-z folded to
+# A-Z, as BWA and Bowtie 2 read soft-masked references
+_FOLD = bytes.maketrans(b"abcdefghijklmnopqrstuvwxyz", b"ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def _sequence(chunks: list[bytes]) -> bytes:
+    return b"".join(chunks).translate(_FOLD, _WHITESPACE)
+
+
 def parse_fasta(data: bytes) -> list[FastaRecord]:
+    """The records of FASTA data, each sequence without whitespace and in
+    upper case."""
     records = []
     name = None
     chunks: list[bytes] = []
@@ -32,7 +44,7 @@ def parse_fasta(data: bytes) -> list[FastaRecord]:
             continue
         if line.startswith(b">"):
             if name is not None:
-                records.append(FastaRecord(name, b"".join(chunks)))
+                records.append(FastaRecord(name, _sequence(chunks)))
             name = line[1:].split()[0].decode() if line[1:].split() else ""
             chunks = []
         elif name is not None:
@@ -40,7 +52,7 @@ def parse_fasta(data: bytes) -> list[FastaRecord]:
         else:
             raise ValueError("sequence data before the first FASTA header")
     if name is not None:
-        records.append(FastaRecord(name, b"".join(chunks)))
+        records.append(FastaRecord(name, _sequence(chunks)))
     return records
 
 

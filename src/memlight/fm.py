@@ -4,18 +4,19 @@ The index stores the BWT of text plus sentinel as bit planes.  The symbols
 are numbered by descending count in the BWT, ties by code, and the order
 table holds the code of each number; ceil(log2 sigma) bit planes store the
 numbers, bit r of plane j being bit j of row r's number.  The sentinel's
-row holds 0 in every plane and is kept as a row index.  A sampled suffix
-array serves locating: the row of every text position that is a multiple
-of the sample rate, in text order.  Every stored row takes
-ceil(bit_length(n) / 8) bytes.  The planes are saved one after the other,
-as one raw DEFLATE stream when that is shorter (the runs of a repetitive
-text's BWT make it so, as in Ferragina and Manzini's opportunistic
-compression, and numbering by frequency leaves the top plane sparse when
-the rarest symbols are rare); load inflates them, never past their raw
-size.  Load splits the rows by the planes, from the top, into one bitmap
-per number, and keeps only the popcounts, each under its number's code:
-the C array, whose last entry shows whether every row holds a number of
-the alphabet.  The first search splits the rows again into 64-row words
+row holds 0 in every plane.  A sampled suffix array serves locating: the
+row of every text position that is a multiple of the sample rate, in text
+order, so that the first is the sentinel's row, the row of text position 0.
+The saved index holds the planes and then the sample rows as one raw
+DEFLATE stream, each row's bytes grouped by byte position; the runs of a
+repetitive text's BWT deflate (Ferragina and Manzini's opportunistic
+compression), numbering by frequency leaves the top plane sparse when the
+rarest symbols are rare, and a byte position of the rows that holds few
+values costs few bits.  Load inflates the stream, never past the size the
+header implies, and splits the rows by the planes, from the top, into one
+bitmap per number, keeping only the popcounts, each under its number's
+code: the C array, whose last entry shows whether every row holds a number
+of the alphabet.  The first search splits the rows again into 64-row words
 per symbol, beside a running count per word that starts at C[c]
 (Jacobson's rank), so that a backward step or an LF step is a count read
 plus one popcount for each end of the interval.  The sentinel's row is in
@@ -47,10 +48,11 @@ from .sequence import Alphabet, QueryStats, Text
 if TYPE_CHECKING:
     from .suffixes import SuffixArray
 
-MAGIC = b"MEMLIDX8"  # any other MEMLIDX<digit> is another version of the format
-# n, alphabet size, sample rate, sentinel row, separator count, stored length
-# of the planes
-_HEADER = struct.Struct("<6Q")
+# the eighth byte is the version: a file whose eighth byte is lower is in an
+# older format, and one whose eighth byte is higher in a newer one
+MAGIC = b"MEMLIDX9"
+# n, alphabet size, sample rate, separator count
+_HEADER = struct.Struct("<4Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
 _BELOW = tuple((1 << i) - 1 for i in range(64))
 # _DIGITS[j] turns plane j's binary digits into bytes holding bit j
@@ -83,33 +85,25 @@ def _row_type(n: int) -> str:
     return "I" if n < 1 << 32 else "Q"
 
 
-def _row_width(n: int) -> int:
-    """Bytes per stored row of rows 0..n."""
-    return (n.bit_length() + 7) >> 3
-
-
-def _pack_rows(rows: array, n: int) -> bytes:
-    """The rows, little-endian in _row_width(n) bytes each: the low bytes of
-    the array's items, one strided slice per stored byte."""
+def _pack_rows(rows: array) -> bytes:
+    """The rows' little-endian bytes grouped by byte position: every row's
+    lowest byte, then every row's next byte, and so on, one strided slice
+    per position, so that DEFLATE sees each position's values apart."""
     if sys.byteorder == "big":
         rows = array(rows.typecode, rows)
         rows.byteswap()
-    items, size, width = rows.tobytes(), rows.itemsize, _row_width(n)
-    out = bytearray(len(rows) * width)
-    for j in range(width):
-        out[j::width] = items[j::size]
-    return bytes(out)
+    items, size = rows.tobytes(), rows.itemsize
+    return b"".join(items[j::size] for j in range(size))
 
 
 def _unpack_rows(data, n: int) -> array:
-    """Rows stored by _pack_rows, widened into an array of _row_type(n) by
-    one strided slice per stored byte."""
+    """Rows packed by _pack_rows, into an array of _row_type(n), by one
+    strided slice per byte position."""
     rows = array(_row_type(n))
-    size, width = rows.itemsize, _row_width(n)
-    data = bytes(data)  # strided slices of bytes copy 5 times faster than of a memoryview
-    wide = bytearray(len(data) // width * size)
-    for j in range(width):
-        wide[j::size] = data[j::width]
+    size, count = rows.itemsize, len(data) // rows.itemsize
+    wide = bytearray(len(data))
+    for j in range(size):
+        wide[j::size] = data[j * count : (j + 1) * count]
     rows.frombytes(wide)
     if sys.byteorder == "big":
         rows.byteswap()
@@ -117,17 +111,19 @@ def _unpack_rows(data, n: int) -> array:
 
 
 def _inflate(stream, size: int) -> bytes:
-    """The size bytes that a raw DEFLATE stream holds, inflating no further
-    (a header's size can pass sys.maxsize, which no stream reaches)."""
+    """The size bytes that a saved index's raw DEFLATE stream holds,
+    inflating no further (a header's size can pass sys.maxsize, which no
+    stream reaches)."""
     inflater = zlib.decompressobj(wbits=-15)
     try:
         out = inflater.decompress(stream, min(size, sys.maxsize))
     except zlib.error:
-        raise IndexFormatError("BWT bit plane stream is corrupt") from None
+        raise IndexFormatError("index payload stream is corrupt") from None
     if not inflater.eof or len(out) != size:
-        raise IndexFormatError("BWT bit plane stream does not inflate to the planes' size")
+        raise IndexFormatError(f"index payload does not inflate to the {size} bytes "
+                               "the header implies")
     if inflater.unused_data:
-        raise IndexFormatError("BWT bit plane stream has trailing bytes")
+        raise IndexFormatError("index payload stream has trailing bytes")
     return out
 
 
@@ -143,21 +139,32 @@ class FmIndex:
     """
 
     def __init__(self, alphabet: Alphabet, n: int, planes: list[int], order: bytes,
-                 sentinel_row: int, sample_rate: int, sample_rows, separators: bytes = b""):
+                 sample_rate: int, sample_rows, separators: bytes = b""):
         """`planes[j]` has bit r set when BWT row r holds the symbol whose
         number has bit j set, for rows 0 ... n; `order[i]` is the code of
         number i; `sample_rows[k]` is the BWT row of text position
-        k * sample_rate, for k = 0 ... n // sample_rate."""
+        k * sample_rate, for k = 0 ... n // sample_rate, so that
+        `sample_rows[0]` is the sentinel's row: text position 0 is the
+        suffix that the sentinel precedes."""
         self.alphabet = alphabet
         self.n = n
         self.s = sample_rate
-        self.sentinel_row = sentinel_row
         self.separators = bytes(separators)
         self._planes = planes = list(planes)
         self._order = order = bytes(order)
         sigma = alphabet.size
-        if not 0 <= sentinel_row <= n:
-            raise IndexFormatError("sentinel row lies outside the BWT")
+        # one flag per row: a row past n raises IndexError (the rows are
+        # unsigned), and so does a row whose flag an earlier position set
+        flags = bytearray(n + 1)
+        try:
+            rows = self._sample_rows = array(_row_type(n), sample_rows)
+            for row in rows:
+                if flags[row]:
+                    raise IndexError
+                flags[row] = 1
+            self.sentinel_row = sentinel_row = rows[0]
+        except (IndexError, OverflowError):
+            raise IndexFormatError("suffix-array samples must be distinct BWT rows") from None
         if any(plane >> (n + 1) for plane in planes):
             raise IndexFormatError("BWT bit planes set padding bits past row n")
         if any(plane >> sentinel_row & 1 for plane in planes):
@@ -175,21 +182,6 @@ class FmIndex:
         if (bytes(sorted(set(self.separators))) != self.separators
                 or not set(self.separators) <= set(alphabet.symbols)):
             raise IndexFormatError("record separators must be distinct alphabet bytes, ascending")
-        # one flag per row: a row past n raises IndexError (the rows are
-        # unsigned), and so does a row whose flag an earlier position set
-        flags = bytearray(n + 1)
-        try:
-            rows = self._sample_rows = array(_row_type(n), sample_rows)
-            for row in rows:
-                if flags[row]:
-                    raise IndexError
-                flags[row] = 1
-        except (IndexError, OverflowError):
-            raise IndexFormatError("suffix-array samples must be distinct BWT rows") from None
-        # text position 0 is the suffix preceded by the sentinel: its row
-        # must be the sentinel row, which the filler byte cannot show
-        if rows[0] != sentinel_row:
-            raise IndexFormatError("the sentinel row is not the row of text position 0")
 
     def _symbol_rows(self):
         """Yield the bitmap of the rows holding each number, in number order.
@@ -359,7 +351,8 @@ class FmIndex:
         Row 0, the empty suffix, resolves to position n and is excluded.
         """
         # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix;
-        # the sentinel row is sampled (load checks it), so no walk passes it
+        # the sentinel row is sampled (it is the first sample row), so no
+        # walk passes it
         bwt, (words, cols), below = self._bwt, self._rank, _BELOW
         sampled = self._sampled.get
         n = self.n
@@ -384,24 +377,18 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """The saved index: the planes, concatenated, are stored as one raw
-        DEFLATE stream when that is shorter than they are."""
-        n = self.n
-        plane_bytes = (n >> 3) + 1  # ceil((n + 1) / 8)
-        planes = b"".join(plane.to_bytes(plane_bytes, "little") for plane in self._planes)
+        """The saved index: after the order, the planes and then the sample
+        rows, packed by _pack_rows, as one raw DEFLATE stream."""
+        plane_bytes = (self.n >> 3) + 1  # ceil((n + 1) / 8)
         packer = zlib.compressobj(wbits=-15)
-        deflated = packer.compress(planes) + packer.flush()
-        if len(deflated) < len(planes):
-            planes = deflated
-        parts = [MAGIC,
-                 _HEADER.pack(n, self.alphabet.size, self.s, self.sentinel_row,
-                              len(self.separators), len(planes)),
-                 self.alphabet.symbols,
-                 self.separators,
-                 self._order,
-                 planes,
-                 _pack_rows(self._sample_rows, n)]
-        body = b"".join(parts)
+        payload = [packer.compress(plane.to_bytes(plane_bytes, "little")) for plane in self._planes]
+        payload += [packer.compress(_pack_rows(self._sample_rows)), packer.flush()]
+        body = b"".join([MAGIC,
+                         _HEADER.pack(self.n, self.alphabet.size, self.s, len(self.separators)),
+                         self.alphabet.symbols,
+                         self.separators,
+                         self._order,
+                         *payload])
         return body + struct.pack("<I", zlib.crc32(body))
 
     def save(self, destination) -> None:
@@ -409,53 +396,43 @@ class FmIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FmIndex":
-        """Parse a saved index: planes stored in fewer than their
-        P * ceil((n + 1) / 8) bytes are inflated, never past that size, each
-        plane becomes one int, and the rows stored in _row_width(n) bytes
-        widen to an array of _row_type(n)."""
+        """Parse a saved index: the stream between the order and the
+        checksum must inflate to exactly P * ceil((n + 1) / 8) bytes of
+        planes, each becoming one int, and n // s + 1 rows of _row_type(n)."""
         magic = data[:8]
-        if magic != MAGIC and magic[:7] == MAGIC[:7] and magic[7:].isdigit():
+        if len(magic) == 8 and magic[:7] == MAGIC[:7] and magic != MAGIC:
+            name = magic.decode("ascii", "backslashreplace")
             if magic > MAGIC:
                 raise IndexFormatError(
-                    f"index is in the newer {magic.decode()} format; "
-                    "it was written by a newer memlight"
-                )
+                    f"index is in the newer {name} format; it was written by a newer memlight")
             raise IndexFormatError(
-                f"index is in the old {magic.decode()} format; "
-                "rebuild it with `memlight index`"
-            )
+                f"index is in the old {name} format; rebuild it with `memlight index`")
         if magic != MAGIC:
             raise IndexFormatError("not a memlight index")
-        size = len(data)
-        if size < 8 + _HEADER.size + 4:
+        if len(data) < 8 + _HEADER.size + 4:
             raise IndexFormatError("truncated index file")
-        n, sigma, s, sentinel_row, n_separators, stored = _HEADER.unpack_from(data, 8)
+        n, sigma, s, n_separators = _HEADER.unpack_from(data, 8)
         if n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma:
             raise IndexFormatError("index header is inconsistent")
-        plane_bytes = (n >> 3) + 1
-        raw = _plane_count(sigma) * plane_bytes  # the planes' size
-        if stored > raw:
-            raise IndexFormatError("index header is inconsistent")
-        # the alphabet, the separators, the order, the planes, the sample rows
-        sizes = (sigma, n_separators, sigma, stored, (n // s + 1) * _row_width(n))
-        expected = 8 + _HEADER.size + sum(sizes) + 4
-        if size != expected:
-            problem = "truncated index file" if size < expected else "index file too long"
-            raise IndexFormatError(f"{problem}: {size} bytes, expected {expected}")
+        # the alphabet, the separators and the order; the payload follows
+        ends = list(accumulate((sigma, n_separators, sigma), initial=8 + _HEADER.size))
+        if len(data) < ends[-1] + 4:
+            raise IndexFormatError("truncated index file")
         view = memoryview(data)
         if int.from_bytes(view[-4:], "little") != zlib.crc32(view[:-4]):
             raise IndexFormatError("index checksum mismatch")
-        ends = list(accumulate(sizes, initial=8 + _HEADER.size))
-        symbols, separators, order, planes, samples = (view[a:b] for a, b in zip(ends, ends[1:]))
-        if stored < raw:
-            planes = _inflate(planes, raw)
+        symbols, separators, order = (view[a:b] for a, b in zip(ends, ends[1:]))
+        plane_bytes = (n >> 3) + 1
+        raw = _plane_count(sigma) * plane_bytes  # the planes' size
+        payload = _inflate(view[ends[-1] : -4],
+                           raw + (n // s + 1) * array(_row_type(n)).itemsize)
         try:
             alphabet = Alphabet(bytes(symbols))
         except ValueError as exc:
             raise IndexFormatError(f"index alphabet: {exc}") from None
-        return cls(alphabet, n, [int.from_bytes(planes[a : a + plane_bytes], "little")
+        return cls(alphabet, n, [int.from_bytes(payload[a : a + plane_bytes], "little")
                                  for a in range(0, raw, plane_bytes)],
-                   order, sentinel_row, s, _unpack_rows(samples, n), separators)
+                   order, s, _unpack_rows(memoryview(payload)[raw:], n), separators)
 
     @classmethod
     def load(cls, source) -> "FmIndex":
@@ -495,8 +472,8 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
     bwt[sentinel_row] = 0
     planes = [int.from_bytes(np.packbits(bwt & (1 << j), bitorder="little").tobytes(), "little")
               for j in range(_plane_count(sigma))]
-    return FmIndex(text.alphabet, text.n, planes, order.tobytes(), sentinel_row, sample_rate,
-                   rows.tolist(), separators)
+    return FmIndex(text.alphabet, text.n, planes, order.tobytes(), sample_rate, rows.tolist(),
+                   separators)
 
 
 def index_paths(prefix: str) -> tuple[Path, Path]:
@@ -512,7 +489,7 @@ def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = 32,
     one at a time, each one's suffix array and index dropped before the
     other's are built.  The reverse index goes first, so a bad sample rate
     writes no file; only it locates.  The forward one keeps one sample (rate
-    n + 1), the row of text position 0 that load checks.
+    n + 1), the row of text position 0, which is its sentinel row.
     """
     from .suffixes import build_suffix_structures
 

@@ -1,5 +1,7 @@
 """Shared fixtures: hand-checked instances and the randomized case machinery."""
 
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,3 +150,83 @@ def replay_window_probes(pattern, pointers, lce, min_len):
         else:
             i += min_len - b
     return trail
+
+
+# -- the saved index's layout (MEMLIDX9) ----------------------------------------------
+
+ALPHABET_AT = 8 + 4 * 8  # after the magic and the four header fields
+
+
+def row_size(n):
+    """Bytes per sample row in the payload: an array('I') item below
+    n = 2**32, an array('Q') item from there on."""
+    return 4 if n < 2**32 else 8
+
+
+def plane_size(n, sigma):
+    """Bytes of the planes over sigma symbols, ceil((n + 1) / 8) each."""
+    return (sigma - 1).bit_length() * ((n >> 3) + 1)
+
+
+def payload_size(n, sigma, rate):
+    """MEMLIDX9's payload before deflating: the planes, then the sample rows."""
+    return plane_size(n, sigma) + (n // rate + 1) * row_size(n)
+
+
+def joined_planes(index):
+    """An index's planes, one after the other, as the payload holds them."""
+    return b"".join(plane.to_bytes((index.n >> 3) + 1, "little") for plane in index._planes)
+
+
+def pack_rows(rows, n):
+    """The rows as the payload holds them: every row's lowest byte, then
+    every row's next byte, and so on."""
+    return b"".join(bytes(row >> 8 * j & 255 for row in rows) for j in range(row_size(n)))
+
+
+def unpack_rows(data, n):
+    width = row_size(n)
+    count = len(data) // width
+    return [sum(data[j * count + i] << 8 * j for j in range(width)) for i in range(count)]
+
+
+def deflate(data):
+    packer = zlib.compressobj(wbits=-15)
+    return packer.compress(data) + packer.flush()
+
+
+def payload_at(data):
+    """Where the payload starts: after the magic, the header, the alphabet,
+    the separators and the order."""
+    _, sigma, _, n_separators = struct.unpack_from("<4Q", data, 8)
+    return ALPHABET_AT + 2 * sigma + n_separators
+
+
+def payload_of(data):
+    """The saved index's payload, inflated."""
+    return zlib.decompress(data[payload_at(data) : -4], wbits=-15)
+
+
+def reseal(data: bytes) -> bytes:
+    body = data[:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_stream(data, stream):
+    """The saved index with the stream as its payload, resealed."""
+    return reseal(data[: payload_at(data)] + stream + bytes(4))
+
+
+def reseal_payload(data, edit):
+    """The saved index with its payload inflated, `edit(planes, rows)`
+    applied to the planes' bytes (a bytearray) and the sample rows (a
+    list), and the two deflated again and resealed."""
+    n, sigma, _, _ = struct.unpack_from("<4Q", data, 8)
+    payload, split = payload_of(data), plane_size(n, sigma)
+    planes, rows = bytearray(payload[:split]), unpack_rows(payload[split:], n)
+    edit(planes, rows)
+    return with_stream(data, deflate(bytes(planes) + pack_rows(rows, n)))
+
+
+def set_plane_bit(planes, n, plane, row):
+    planes[plane * ((n >> 3) + 1) + (row >> 3)] |= 1 << (row & 7)

@@ -5,7 +5,6 @@ import signal
 import struct
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,8 @@ import memlight
 from memlight.cli import main
 from memlight.fm import FmIndex
 
-from conftest import DEMO_PATTERN, DEMO_TEXT
+from conftest import (DEMO_PATTERN, DEMO_TEXT, payload_of, plane_size, reseal,
+                      reseal_payload, unpack_rows)
 
 
 @pytest.fixture()
@@ -250,22 +250,50 @@ def test_concat_sep_joins_hundreds_of_records_with_one_separator(tmp_path, capsy
 
 
 def test_concat_sep_is_the_smallest_byte_no_record_uses(tmp_path, capsys):
-    # a FASTA record can hold every byte value but the line breaks, so
-    # records using all of those are still joined, by b"\n"
+    # a FASTA record can hold every byte value but the line breaks; reading
+    # drops its other whitespace and folds its lower case, so records using
+    # all the rest are joined by the smallest whitespace byte, b"\t"
     usable = bytes(b for b in range(256) if b not in b"\n\r")
+    kept = bytes(b for b in usable if b not in b" \t\x0b\x0c")
     fasta = tmp_path / "all.fa"
     fasta.write_bytes(b">a\nX" + usable + b"X\n>b\nXACGTX\n")
     prefix = str(tmp_path / "all")
     assert main(["index", str(fasta), "--concat-sep", "-o", prefix]) == 0
-    assert capsys.readouterr().out.startswith(f"n={len(usable) + 2 + 1 + 6}\tsigma=255")
-    assert FmIndex.load(prefix + ".fwd.memidx").separators == b"\n"
+    sigma = len(kept) - 26 + 1  # a-z fold onto A-Z; the separator
+    assert capsys.readouterr().out.startswith(f"n={len(kept) + 2 + 1 + 6}\tsigma={sigma}")
+    assert FmIndex.load(prefix + ".fwd.memidx").separators == b"\t"
     pattern = tmp_path / "q.txt"
-    pattern.write_bytes(b"ACGTX\nXACGT")  # the separator splits the pattern
+    pattern.write_bytes(b"ACGTX\tXACGT")  # the separator splits the pattern
     code, rows = run_lines(capsys, ["mems", prefix, str(pattern), "--raw", "-L", "5",
                                     "--locate"])
     assert code == 0
-    assert rows == [["q", "1", "5", "5", "1", str(len(usable) + 5)],
-                    ["q", "7", "11", "5", "1", str(len(usable) + 4)]]
+    assert rows == [["q", "1", "5", "5", "1", str(len(kept) + 5)],
+                    ["q", "7", "11", "5", "1", str(len(kept) + 4)]]
+
+
+def test_fasta_sequence_drops_whitespace_inside_a_line(tmp_path, capsys):
+    fasta = tmp_path / "t.fa"
+    fasta.write_bytes(b">a\nAC GT\tAC\n")
+    assert main(["index", str(fasta), "-o", str(tmp_path / "x")]) == 0
+    assert capsys.readouterr().out.startswith("n=6\tsigma=4")
+
+
+def test_fasta_text_and_patterns_fold_lower_case(tmp_path, capsys):
+    # a soft-masked text and a read in the other case match in full; --raw
+    # keeps the bytes as they are
+    fasta, read = tmp_path / "t.fa", tmp_path / "q.fa"
+    fasta.write_bytes(b">a\nacgtACGT\n")
+    read.write_bytes(b">q\nACGTacgt\n")
+    prefix = str(tmp_path / "x")
+    assert main(["index", str(fasta), "-o", prefix]) == 0
+    assert capsys.readouterr().out.startswith("n=8\tsigma=4")
+    code, rows = run_lines(capsys, ["mems", prefix, str(read), "--all"])
+    assert code == 0
+    assert rows == [["q", "1", "8", "8", "1"]]
+    raw = tmp_path / "t.txt"
+    raw.write_bytes(b"acgtACGT")
+    assert main(["index", str(raw), "--raw", "-o", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().out.startswith("n=8\tsigma=8")
 
 
 def test_raw_with_concat_sep_is_a_usage_error(demo_files, tmp_path, capsys):
@@ -329,29 +357,40 @@ def test_old_format_index_is_a_format_error(demo_files, capsys):
     _, pattern, prefix = demo_files
     path = prefix + ".fwd.memidx"
     data = open(path, "rb").read()
-    for magic in ("MEMLIDX1", "MEMLIDX5", "MEMLIDX6", "MEMLIDX7"):
-        open(path, "wb").write(magic.encode() + data[8:])
+    for magic in (b"MEMLIDX1", b"MEMLIDX5", b"MEMLIDX7", b"MEMLIDX8"):
+        open(path, "wb").write(magic + data[8:])
         assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
         err = capsys.readouterr().err
-        assert magic in err and "rebuild" in err
+        assert magic.decode() in err and "rebuild" in err
+    # a higher eighth byte is a newer format
+    for magic, name in ((b"MEMLIDXA", "MEMLIDXA"), (b"MEMLIDX\xff", "MEMLIDX\\xff")):
+        open(path, "wb").write(magic + data[8:])
+        assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
+        err = capsys.readouterr().err
+        assert f"newer {name} format" in err and "rebuild" not in err
 
 
 def test_moved_sentinel_row_is_a_format_error(tmp_path, capsys):
-    # a resealed file whose sentinel row names another row holding code 0
+    # a resealed forward file whose first sample row, the sentinel's, names
+    # another row: row 3 holds a nonzero number, which load rejects; row 10
+    # also holds 0, so the file loads as the index of a rotated text, and
+    # the scan finds that the pair disagrees
     text, pattern = tmp_path / "t.txt", tmp_path / "p.txt"
     text.write_bytes(DEMO_TEXT)
     pattern.write_bytes(DEMO_PATTERN)
     prefix = str(tmp_path / "x")
     assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
     path = prefix + ".fwd.memidx"
-    data = bytearray(open(path, "rb").read())
-    sentinel_row_field = 8 + 3 * 8
-    assert struct.unpack_from("<Q", data, sentinel_row_field) == (8,)
-    struct.pack_into("<Q", data, sentinel_row_field, 10)
-    data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
-    open(path, "wb").write(bytes(data))
-    assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
-    assert "row of text position 0" in capsys.readouterr().err
+    data = open(path, "rb").read()
+    for row, message in ((3, "the sentinel row must hold the filler byte 0"),
+                         (10, "the forward and reverse indexes disagree")):
+        def edit(planes, rows):
+            assert rows == [8]  # the forward file keeps only the sentinel's row
+            rows[0] = row
+        open(path, "wb").write(reseal_payload(data, edit))
+        capsys.readouterr()
+        assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
+        assert message in capsys.readouterr().err
 
 
 def test_plane_order_not_a_permutation_is_a_format_error(demo_files, capsys):
@@ -359,34 +398,31 @@ def test_plane_order_not_a_permutation_is_a_format_error(demo_files, capsys):
     _, pattern, prefix = demo_files
     path = prefix + ".rev.memidx"
     data = bytearray(open(path, "rb").read())
-    sigma = struct.unpack_from("<6Q", data, 8)[1]
-    order = 8 + 6 * 8 + sigma  # after the magic, the header and the alphabet
+    sigma = struct.unpack_from("<4Q", data, 8)[1]
+    order = 8 + 4 * 8 + sigma  # after the magic, the header and the alphabet
     data[order + 1] = data[order]
-    data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
-    open(path, "wb").write(bytes(data))
+    open(path, "wb").write(reseal(bytes(data)))
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
     assert "plane order is not a permutation" in capsys.readouterr().err
 
 
 def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
-    # only the reverse index locates; the forward one keeps the sample that
-    # load checks against its sentinel row
+    # only the reverse index locates; the forward one keeps one sample, the
+    # row of text position 0, which is its sentinel row
     text = tmp_path / "t.txt"
     text.write_bytes(DEMO_TEXT)
     prefix = str(tmp_path / "x")
     assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
     n = len(DEMO_TEXT)
-    for suffix, rate in ((".fwd.memidx", n + 1), (".rev.memidx", 4)):
+    for suffix, rate, raw in ((".fwd.memidx", n + 1, DEMO_TEXT),
+                              (".rev.memidx", 4, DEMO_TEXT[::-1])):
         data = open(prefix + suffix, "rb").read()
-        _, sigma, s, sentinel_row, k, stored = struct.unpack_from("<6Q", data, 8)
-        planes = (sigma - 1).bit_length() * ((n >> 3) + 1)  # ceil((n + 1) / 8) bytes each
-        assert stored == planes  # too few to deflate
-        # after the alphabet, the separators and the order; one byte each
-        # below n = 256
-        rows = data[8 + 6 * 8 + 2 * sigma + k + planes:-4]
+        _, sigma, s, _ = struct.unpack_from("<4Q", data, 8)
+        rows = unpack_rows(payload_of(data)[plane_size(n, sigma):], n)
         assert s == rate
         assert len(rows) == n // rate + 1
-        assert rows[0] == sentinel_row
+        # the row of text position 0 among the suffixes in sorted order
+        assert rows[0] == sorted(range(n + 1), key=lambda i: raw[i:]).index(0)
 
 
 def test_index_pair_of_two_texts_is_a_format_error(tmp_path, capsys):
@@ -417,17 +453,19 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command, tamper, mes
     assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
     path = prefix + ".fwd.memidx"
     data = bytearray(open(path, "rb").read())
-    order = 8 + 6 * 8 + 4  # after the magic, the header and the alphabet
-    planes = order + 4
     if tamper == "order":
+        order = 8 + 4 * 8 + 4  # after the magic, the header and the alphabet
         data[order], data[order + 1] = data[order + 1], data[order]
-    for plane in (planes, planes + (len(DEMO_TEXT) >> 3) + 1):
-        # rows 0 and 3 are bits 0 and 3 of each plane's first byte; two
-        # bits swap by flipping both when they differ
-        if tamper == "rows" and (data[plane] ^ data[plane] >> 3) & 1:
-            data[plane] ^= 0b1001
-    data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
-    open(path, "wb").write(bytes(data))
+        data = reseal(bytes(data))
+    else:
+        def edit(planes, rows):
+            # rows 0 and 3 are bits 0 and 3 of each plane's first byte; two
+            # bits swap by flipping both when they differ
+            for plane in (0, (len(DEMO_TEXT) >> 3) + 1):
+                if (planes[plane] ^ planes[plane] >> 3) & 1:
+                    planes[plane] ^= 0b1001
+        data = reseal_payload(bytes(data), edit)
+    open(path, "wb").write(data)
     src = Path(memlight.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-m", "memlight.cli", command[0], prefix, str(pattern),

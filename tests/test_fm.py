@@ -1,7 +1,7 @@
 import random
+import re
 import struct
 import tracemalloc
-import zlib
 from itertools import accumulate
 
 import numpy as np
@@ -15,7 +15,9 @@ from memlight import (BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
                       find_all_mems, find_in_raw, find_long_mems_fm,
                       find_long_mems_lce, invert_bwt)
 
-from conftest import DEMO_PATTERN, DEMO_TEXT
+from conftest import (ALPHABET_AT, DEMO_PATTERN, DEMO_TEXT, deflate, joined_planes, pack_rows,
+                      payload_at, payload_of, payload_size, plane_size, reseal,
+                      reseal_payload, set_plane_bit, with_stream)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +47,7 @@ def index_from_bwt(index, bwt, sample_rows):
     planes in code order."""
     sigma = index.alphabet.size
     return FmIndex(index.alphabet, index.n, planes_of(bwt, sigma), bytes(range(sigma)),
-                   index.sentinel_row, index.s, sample_rows)
+                   index.s, sample_rows)
 
 
 # -- construction ---------------------------------------------------------------
@@ -420,30 +422,6 @@ def test_save_load_save_is_the_identity(raw, rate, n_separators):
     assert reloaded.separators == separators
 
 
-def file_size(n, sigma, rate, n_separators=0, planes=None):
-    """MEMLIDX8: header, alphabet, separators, the order, the planes, the
-    sample rows and the checksum; every row takes w bytes.  `planes` is the
-    planes' stored length; by default their raw size, which makes the result
-    an upper bound, exact when the planes stay raw."""
-    width = (n.bit_length() + 7) // 8
-    if planes is None:
-        planes = raw_planes(n, sigma)
-    return 8 + 48 + 2 * sigma + n_separators + planes + (n // rate + 1) * width + 4
-
-
-def raw_planes(n, sigma):
-    """Bytes of the planes over sigma symbols, stored raw."""
-    return (sigma - 1).bit_length() * ((n >> 3) + 1)
-
-
-ALPHABET_AT = 8 + 6 * 8  # after the magic and the six header fields
-PLANES_FIELD = 8 + 5 * 8  # the stored length of the planes, the sixth header field
-
-
-def stored_planes(data):
-    return struct.unpack_from("<Q", data, PLANES_FIELD)[0]
-
-
 def naive_suffix_array(codes):
     """Rows in suffix order of text plus sentinel; row 0 is position n."""
     return sorted(range(len(codes) + 1), key=lambda i: codes[i:])
@@ -470,8 +448,9 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     rate = data.draw(st.integers(1, 12), label="sample rate")
     index = build_fm(text, sample_rate=rate, separators=separators)
     saved = index.to_bytes()
-    assert stored_planes(saved) <= raw_planes(n, sigma)
-    assert len(saved) == file_size(n, sigma, rate, len(separators), stored_planes(saved))
+    # the payload inflates to the planes and then the rows, byte by byte
+    assert len(payload_of(saved)) == payload_size(n, sigma, rate)
+    assert payload_of(saved) == joined_planes(index) + pack_rows(index._sample_rows, n)
     reloaded = FmIndex.from_bytes(saved)
     # load derives C alone: rank, BWT bytes, k-mers and positions wait for use
     assert not {"_rank", "_bwt", "_kmers", "_sampled"} & reloaded.__dict__.keys()
@@ -529,14 +508,13 @@ def test_symbols_numbered_by_frequency_keep_every_answer(common, rare, n, seed, 
     sa = naive_suffix_array(text.code_bytes)
     bwt = bytes(text.code_bytes[i - 1] if i else 0 for i in sa)
     # the same index with its planes in code order
-    full = FmIndex(text.alphabet, n, planes_of(bwt, sigma), bytes(range(sigma)),
-                   index.sentinel_row, rate, index._sample_rows, separators)
+    full = FmIndex(text.alphabet, n, planes_of(bwt, sigma), bytes(range(sigma)), rate,
+                   index._sample_rows, separators)
     counts = [bwt.count(c) - (c == 0) for c in range(sigma)]  # not the sentinel row
     assert list(index._order) == sorted(range(sigma), key=lambda c: (-counts[c], c))
     assert len(index._planes) == len(full._planes) == (sigma - 1).bit_length()
     saved = index.to_bytes()
-    assert stored_planes(saved) <= raw_planes(n, sigma)
-    assert len(saved) == file_size(n, sigma, rate, len(separators), stored_planes(saved))
+    assert len(payload_of(saved)) == payload_size(n, sigma, rate)
     reloaded = FmIndex.from_bytes(saved)
     assert reloaded.to_bytes() == saved
     assert reloaded._bwt == index._bwt == full._bwt == bwt
@@ -577,9 +555,9 @@ def test_loaded_index_answers_queries(tmp_path):
 
 def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.memidx"
-    # a foreign file, an empty one, one of 5 bytes, a prefix of the magic,
-    # and one whose version is not a digit
-    for data in (b"NOTANIDX" + b"\x00" * 64, b"", b"MEMLI", b"MEMLIDXa" + b"\x00" * 64):
+    # a foreign file, an empty one, one of 5 bytes, and the magic's first
+    # seven bytes alone, which name no version
+    for data in (b"NOTANIDX" + b"\x00" * 64, b"", b"MEMLI", b"MEMLIDX"):
         path.write_bytes(data)
         with pytest.raises(IndexFormatError, match="not a memlight index"):
             FmIndex.load(path)
@@ -594,72 +572,58 @@ def test_load_rejects_truncation(tmp_path, demo_index):
         FmIndex.load(path)
     # the magic alone, files that end inside the header, and a header with
     # no room for a checksum after it
-    header = struct.pack("<6Q", 300, 3, 1, 0, 0, raw_planes(300, 3))
+    header = struct.pack("<4Q", 300, 3, 1, 0)
     for end in range(len(header) + 4):
-        path.write_bytes(b"MEMLIDX8" + (header + b"abc")[:end])
+        path.write_bytes(b"MEMLIDX9" + (header + b"abc")[:end])
         with pytest.raises(IndexFormatError, match="^truncated index file$"):
             FmIndex.load(path)
-    # one trailing byte: rejected, and not called truncated
-    path.write_bytes(data + b"\x00")
-    with pytest.raises(IndexFormatError,
-                       match=f"^index file too long: {len(data) + 1} bytes, expected {len(data)}$"):
-        FmIndex.load(path)
+    # files that end inside the alphabet or the order, or leave no room for
+    # a checksum after them
+    for end in range(2 * 3 + 4):
+        path.write_bytes(b"MEMLIDX9" + header + (b"abc\0\1\2" + b"crc!")[:end])
+        with pytest.raises(IndexFormatError, match="^truncated index file$"):
+            FmIndex.load(path)
+    # no length is stored: a file cut inside the payload or the checksum,
+    # or one with a trailing byte, fails the checksum over what it holds
+    for cut in (data[: payload_at(data) + 4], data[:-4], data[:-1], data + b"\0"):
+        path.write_bytes(cut)
+        with pytest.raises(IndexFormatError, match="^index checksum mismatch$"):
+            FmIndex.load(path)
 
 
 def test_load_rejects_corruption(tmp_path, demo_index):
     _, index = demo_index
     data = bytearray(index.to_bytes())
-    data[plane_offset(index)] ^= 0x5A  # a BWT byte, past the header
+    data[payload_at(data)] ^= 0x5A  # the payload's first byte, past the header
     path = tmp_path / "corrupt.memidx"
     path.write_bytes(bytes(data))
     with pytest.raises(IndexFormatError, match="checksum"):
         FmIndex.load(path)
 
 
-def reseal(data: bytes) -> bytes:
-    body = data[:-4]
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
 def test_load_rejects_resealed_wrong_sample(demo_index):
+    # the first sample row (the sentinel's) or the last, one past the BWT
     _, index = demo_index
-    data = bytearray(index.to_bytes())
-    assert row_width(index) == 1  # n is 12
-    data[-5] = 13  # the last sample row
-    with pytest.raises(IndexFormatError, match="samples"):
-        FmIndex.from_bytes(reseal(bytes(data)))
-
-
-SENTINEL_ROW_FIELD = 8 + 3 * 8  # after the magic, n, sigma and the sample rate
-
-
-def row_width(index):
-    return (index.n.bit_length() + 7) // 8
+    for k in (0, -1):
+        def edit(planes, rows):
+            rows[k] = index.n + 1
+        with pytest.raises(IndexFormatError, match="samples"):
+            FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
 
 
 def order_offset(index):
-    # magic, six header fields, alphabet, separators
+    # magic, four header fields, alphabet, separators
     return ALPHABET_AT + index.alphabet.size + len(index.separators)
-
-
-def plane_offset(index, plane=0):
-    # the order, then the planes before
-    return order_offset(index) + index.alphabet.size + plane * ((index.n >> 3) + 1)
-
-
-def set_plane_bit(data, index, plane, row):
-    data[plane_offset(index, plane) + (row >> 3)] |= 1 << (row & 7)
 
 
 def test_load_rejects_resealed_positions_sharing_a_row(demo_index):
     # positions 4 and 8 both claim position 8's row
     _, index = demo_index
-    data = bytearray(index.to_bytes())
-    assert row_width(index) == 1  # n is 12
-    at_4 = len(data) - 4 - 3  # the rows of positions 0, 4, 8 and 12 end the file
-    data[at_4] = data[at_4 + 1]
+
+    def edit(planes, rows):
+        rows[1] = rows[2]
     with pytest.raises(IndexFormatError, match="samples must be distinct"):
-        FmIndex.from_bytes(reseal(bytes(data)))
+        FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
 
 
 def test_load_rejects_resealed_unsorted_alphabet(demo_index):
@@ -670,32 +634,24 @@ def test_load_rejects_resealed_unsorted_alphabet(demo_index):
         FmIndex.from_bytes(reseal(bytes(data)))
 
 
-def test_load_rejects_resealed_sentinel_row_past_the_bwt(demo_index):
-    _, index = demo_index
-    data = bytearray(index.to_bytes())
-    data[SENTINEL_ROW_FIELD : SENTINEL_ROW_FIELD + 8] = struct.pack("<Q", index.n + 1)
-    with pytest.raises(IndexFormatError, match="sentinel row lies outside"):
-        FmIndex.from_bytes(reseal(bytes(data)))
-
-
 def test_load_rejects_resealed_sentinel_row_without_filler(demo_index):
     # a bit of either plane set at the sentinel row
     _, index = demo_index
     for plane in (0, 1):
-        data = bytearray(index.to_bytes())
-        set_plane_bit(data, index, plane, index.sentinel_row)
+        def edit(planes, rows):
+            set_plane_bit(planes, index.n, plane, index.sentinel_row)
         with pytest.raises(IndexFormatError, match="filler byte 0"):
-            FmIndex.from_bytes(reseal(bytes(data)))
+            FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
 
 
 def test_load_rejects_resealed_padding_bit(demo_index):
     # n + 1 = 13 rows leave bits 13 to 15 of each plane's last byte unused
     _, index = demo_index
     for plane, row in ((0, 13), (1, 15)):
-        data = bytearray(index.to_bytes())
-        set_plane_bit(data, index, plane, row)
+        def edit(planes, rows):
+            set_plane_bit(planes, index.n, plane, row)
         with pytest.raises(IndexFormatError, match="padding bits past row n"):
-            FmIndex.from_bytes(reseal(bytes(data)))
+            FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
 
 
 def test_invert_rejects_a_walk_that_reaches_the_sentinel_early(demo_index):
@@ -710,14 +666,25 @@ def test_invert_rejects_a_walk_that_reaches_the_sentinel_early(demo_index):
 
 
 def test_load_rejects_resealed_sentinel_row_on_another_filler_row(demo_index):
-    # row 10 also holds code 0, so only the samples show that the sentinel
-    # row was moved there
+    # the sentinel row is the first sample row: moved to row 3, which holds
+    # a nonzero number, it fails the filler check at load; moved to row 10,
+    # which also holds 0, the file loads as the index of a rotated text, and
+    # only a locate (or the pair's scan) shows that the row was moved
     _, index = demo_index
-    assert (index.sentinel_row, index._bwt[10]) == (8, 0)
-    data = bytearray(index.to_bytes())
-    data[SENTINEL_ROW_FIELD : SENTINEL_ROW_FIELD + 8] = struct.pack("<Q", 10)
-    with pytest.raises(IndexFormatError, match="row of text position 0"):
-        FmIndex.from_bytes(reseal(bytes(data)))
+    assert (index.sentinel_row, index._bwt[3], index._bwt[10]) == (8, 1, 0)
+    data = index.to_bytes()
+
+    def moved_to(row):
+        def edit(planes, rows):
+            assert rows[0] == index.sentinel_row
+            rows[0] = row
+        return reseal_payload(data, edit)
+    with pytest.raises(IndexFormatError, match="^the sentinel row must hold the filler byte 0$"):
+        FmIndex.from_bytes(moved_to(3))
+    moved = FmIndex.from_bytes(moved_to(10))
+    assert moved.sentinel_row == 10
+    with pytest.raises(IndexFormatError, match="past the text"):
+        moved.locate_all(BwtInterval(0, moved.n + 1))
 
 
 def test_load_rejects_resealed_symbol_past_the_alphabet():
@@ -738,12 +705,12 @@ def test_load_rejects_resealed_symbol_past_the_alphabet():
     # the bits of 5, 6 or 7 set in a number 0 (rows 0 and `row`) or 1 (row n)
     cases += [(index, r, number) for r in (0, row, index.n) for number in (5, 6, 7)]
     for index, row, number in cases:
-        data = bytearray(index.to_bytes())
-        for plane in range(len(index._planes)):
-            if number >> plane & 1:
-                set_plane_bit(data, index, plane, row)
+        def edit(planes, rows):
+            for plane in range(len(index._planes)):
+                if number >> plane & 1:
+                    set_plane_bit(planes, index.n, plane, row)
         with pytest.raises(IndexFormatError, match="out of range"):
-            FmIndex.from_bytes(reseal(bytes(data)))
+            FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
 
 
 def test_build_numbers_symbols_by_descending_count_ties_by_code():
@@ -770,6 +737,7 @@ def test_file_stores_the_order_after_the_separators():
     at = order_offset(index)
     assert data[at - 2 : at] == b"\x01\x02"
     assert data[at : at + 6] == index._order
+    assert payload_at(data) == at + 6
     assert FmIndex.from_bytes(data)._order == index._order
 
 
@@ -786,37 +754,39 @@ def test_load_rejects_resealed_order_not_a_permutation(demo_index, order):
 
 
 def test_stored_rows_take_the_bytes_that_n_needs():
-    # a header alone names the size the file must have: every row takes
-    # ceil(bit_length(n) / 8) bytes, and the header has no field for it
+    # a header alone names the size the payload must inflate to: P planes
+    # of ceil((n + 1) / 8) bytes, then n // s + 1 rows of 4 bytes below
+    # n = 2**32 and of 8 from there on; the header has no field for it
     def expected_size(n, sigma, s):
-        header = struct.pack("<6Q", n, sigma, s, 0, 0, raw_planes(n, sigma))
-        with pytest.raises(IndexFormatError, match="truncated") as caught:
-            FmIndex.from_bytes(b"MEMLIDX8" + header + bytes(2 * sigma) + b"\0\0\0\0")
-        return int(str(caught.value).rsplit(" ", 1)[1])
+        body = b"MEMLIDX9" + struct.pack("<4Q", n, sigma, s, 0) + bytes(2 * sigma)
+        with pytest.raises(IndexFormatError, match="does not inflate") as caught:
+            FmIndex.from_bytes(reseal(body + deflate(b"") + bytes(4)))
+        return int(str(caught.value).split(" bytes ")[0].rsplit(" ", 1)[1])
 
-    for n, width in ((12, 1), (2**8 - 1, 1), (2**8, 2), (2**24 - 1, 3), (2**24, 4),
-                     (2**32 - 1, 4), (2**32, 5), (2**40, 6)):
+    for n, width in ((12, 4), (2**8, 4), (2**24, 4), (2**32 - 1, 4), (2**32, 8), (2**40, 8)):
         plane = (n >> 3) + 1
-        assert expected_size(n, 2, 2**40) == 8 + 48 + 4 + plane + (n // 2**40 + 1) * width + 4
-        assert expected_size(n, 5, 2**31) == 8 + 48 + 10 + 3 * plane + (n // 2**31 + 1) * width + 4
-        assert expected_size(n, 5, 2**31) == file_size(n, 5, 2**31)
+        assert expected_size(n, 2, 2**40) == plane + (n // 2**40 + 1) * width
+        assert expected_size(n, 5, 2**31) == 3 * plane + (n // 2**31 + 1) * width
+        assert expected_size(n, 5, 2**31) == payload_size(n, 5, 2**31)
 
 
 def test_load_rejects_old_format(demo_index):
+    # the eighth byte is the version, compared as a byte
     _, index = demo_index
-    for magic in (b"MEMLIDX1", b"MEMLIDX2", b"MEMLIDX3", b"MEMLIDX4", b"MEMLIDX5", b"MEMLIDX6",
-                  b"MEMLIDX7"):
+    for digit in b"12345678":
+        magic = b"MEMLIDX" + bytes((digit,))
         with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
     # a later version is not called old, and rebuilding would not help
-    for magic in (b"MEMLIDX9",):
+    for magic, name in ((b"MEMLIDXA", "MEMLIDXA"), (b"MEMLIDXa", "MEMLIDXa"),
+                        (b"MEMLIDX\xff", "MEMLIDX\\xff")):
         with pytest.raises(IndexFormatError,
-                           match=f"^index is in the newer {magic.decode()} format; "
+                           match=f"^index is in the newer {re.escape(name)} format; "
                                  "it was written by a newer memlight$"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
 
 
-# -- deflated planes ------------------------------------------------------------------
+# -- the deflated payload --------------------------------------------------------------
 
 def repetitive_text(rng, copies, length, rate, separator=b""):
     """Mutated copies of one random ACGT record, each symbol replaced with
@@ -828,64 +798,34 @@ def repetitive_text(rng, copies, length, rate, separator=b""):
 
 @pytest.fixture(scope="module")
 def deflated_index():
-    # 40 copies of a 500-symbol record: 2 planes of 2,501 bytes, which deflate
+    # 40 copies of a 500-symbol record: 2 planes of 2,501 bytes and 1,251
+    # rows, which deflate to fewer bytes than the planes alone
     index = build_fm(Text.from_bytes(repetitive_text(random.Random(9), 40, 500, 0.01)),
                      sample_rate=16)
     data = index.to_bytes()
     assert len(index._planes) == 2
-    assert stored_planes(data) < raw_planes(index.n, 4) == 5002
+    assert len(data) - payload_at(data) - 4 < plane_size(index.n, 4) == 5002
     return index, data
-
-
-def with_plane_stream(index, data, stream):
-    """The saved index with the stream as its planes and their stored
-    length in the header, resealed."""
-    at = plane_offset(index)
-    out = bytearray(data[:at] + stream + data[at + stored_planes(data):])
-    struct.pack_into("<Q", out, PLANES_FIELD, len(stream))
-    return reseal(bytes(out))
-
-
-def joined_planes(index):
-    """An index's planes, one after the other, as stored raw."""
-    return b"".join(plane.to_bytes((index.n >> 3) + 1, "little") for plane in index._planes)
-
-
-def deflate(data):
-    packer = zlib.compressobj(wbits=-15)
-    return packer.compress(data) + packer.flush()
 
 
 def test_deflated_planes_load_back(deflated_index):
     index, data = deflated_index
-    at = plane_offset(index)
-    planes = joined_planes(index)
-    assert data[at : at + stored_planes(data)] == deflate(planes)
+    assert payload_of(data) == joined_planes(index) + pack_rows(index._sample_rows, index.n)
     reloaded = FmIndex.from_bytes(data)
     assert reloaded._planes == index._planes
+    assert reloaded._sample_rows == index._sample_rows
     assert reloaded.to_bytes() == data
-
-
-def test_planes_deflating_to_their_own_size_stay_raw():
-    # a stored length equal to the planes' size means raw planes
-    index = build_fm(Text.from_bytes(b"acgt" * 13))
-    data = index.to_bytes()
-    at = plane_offset(index)
-    planes = joined_planes(index)
-    assert len(deflate(planes)) == len(planes) == stored_planes(data)
-    assert data[at : at + len(planes)] == planes
-    assert FmIndex.from_bytes(data)._planes == index._planes
 
 
 def test_load_rejects_resealed_flipped_stream_byte(deflated_index):
     index, data = deflated_index
-    at = plane_offset(index)
+    at = payload_at(data)
     flipped = bytearray(data)
     flipped[at + 5] ^= 0xFF
-    with pytest.raises(IndexFormatError, match="^BWT bit plane stream is corrupt$"):
+    with pytest.raises(IndexFormatError, match="^index payload stream is corrupt$"):
         FmIndex.from_bytes(reseal(bytes(flipped)))
     # any flipped byte either loads or is a format error, never a zlib.error
-    for k in range(stored_planes(data)):
+    for k in range(len(data) - at - 4):
         flipped = bytearray(data)
         flipped[at + k] ^= 0xFF
         try:
@@ -895,17 +835,16 @@ def test_load_rejects_resealed_flipped_stream_byte(deflated_index):
 
 
 def test_load_rejects_resealed_stream_past_the_planes(deflated_index):
-    # a stream of 5,002 bytes of planes and a million more is shorter than
-    # the planes, and is inflated no further than their size
+    # a stream of the payload and a million bytes more is inflated no
+    # further than the payload's size
     index, data = deflated_index
-    planes = joined_planes(index)
-    stream = deflate(planes + bytes(1 << 20))
-    assert len(stream) < len(planes)
-    resealed = with_plane_stream(index, data, stream)
+    stream = deflate(payload_of(data) + bytes(1 << 20))
+    resealed = with_stream(data, stream)
     tracemalloc.start()
     try:
         with pytest.raises(IndexFormatError,
-                           match="^BWT bit plane stream does not inflate to the planes' size$"):
+                           match="^index payload does not inflate to the 10006 bytes "
+                                 "the header implies$"):
             FmIndex.from_bytes(resealed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -914,44 +853,44 @@ def test_load_rejects_resealed_stream_past_the_planes(deflated_index):
 
 
 def test_load_rejects_resealed_stream_ending_short(deflated_index):
-    # the planes but their last byte, in a whole stream and in a cut one
+    # the payload but its last byte, in a whole stream and in a cut one
     index, data = deflated_index
-    planes = joined_planes(index)
-    for stream in (deflate(planes[:-1]), deflate(planes)[:-3]):
-        with pytest.raises(IndexFormatError,
-                           match="^BWT bit plane stream does not inflate to the planes' size$"):
-            FmIndex.from_bytes(with_plane_stream(index, data, stream))
+    payload = payload_of(data)
+    for stream in (deflate(payload[:-1]), deflate(payload)[:-3]):
+        with pytest.raises(IndexFormatError, match="^index payload does not inflate"):
+            FmIndex.from_bytes(with_stream(data, stream))
+
+
+def test_load_rejects_resealed_payload_a_row_short_or_a_byte_long(deflated_index, demo_index):
+    # a payload that holds one sample row too few, or one byte more than
+    # its planes and rows; also for the demo index, whose one row per
+    # byte position makes a row short mean 4 bytes short
+    for index in (deflated_index[0], demo_index[1]):
+        def drop_a_row(planes, rows):
+            del rows[-1]
+
+        def add_a_byte(planes, rows):
+            planes.append(0)
+        for edit in (drop_a_row, add_a_byte):
+            with pytest.raises(IndexFormatError, match="^index payload does not inflate"):
+                FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
 
 
 def test_load_rejects_resealed_bytes_after_the_stream(deflated_index):
     index, data = deflated_index
-    stream = data[plane_offset(index) :][: stored_planes(data)]
-    with pytest.raises(IndexFormatError, match="^BWT bit plane stream has trailing bytes$"):
-        FmIndex.from_bytes(with_plane_stream(index, data, stream + b"\0\0"))
-
-
-def test_load_rejects_resealed_stored_length_past_the_planes(deflated_index, demo_index):
-    # one byte more than the raw planes, which would then be read as raw;
-    # the planes of demo_index, which are stored raw, and 0 planes of a text
-    # of one symbol
-    one_symbol = build_fm(Text.from_bytes(b"a" * 50))
-    for index in (deflated_index[0], demo_index[1], one_symbol):
-        data = bytearray(index.to_bytes())
-        raw = raw_planes(index.n, index.alphabet.size)
-        assert stored_planes(data) <= raw
-        struct.pack_into("<Q", data, PLANES_FIELD, raw + 1)
-        with pytest.raises(IndexFormatError, match="^index header is inconsistent$"):
-            FmIndex.from_bytes(reseal(bytes(data)))
+    stream = data[payload_at(data) : -4]
+    with pytest.raises(IndexFormatError, match="^index payload stream has trailing bytes$"):
+        FmIndex.from_bytes(with_stream(data, stream + b"\0\0"))
 
 
 @pytest.mark.parametrize("raw", [b"a" * 50, b"a"])
 def test_one_symbol_stores_no_planes(raw):
-    # sigma = 1 has no planes; their stored length is 0, never a stream
+    # sigma = 1 has no planes: the payload holds the sample rows alone
     index = build_fm(Text.from_bytes(raw), sample_rate=4)
     assert (len(index._planes), index._order) == (0, b"\0")
     data = index.to_bytes()
-    assert stored_planes(data) == 0
-    assert len(data) == file_size(index.n, 1, 4)
+    assert payload_of(data) == pack_rows(index._sample_rows, index.n)
+    assert len(payload_of(data)) == payload_size(index.n, 1, 4)
     reloaded = FmIndex.from_bytes(data)
     assert reloaded.to_bytes() == data
     assert reloaded._bwt == index._bwt
@@ -971,8 +910,9 @@ def test_repetitive_records_deflate_and_keep_every_answer(seed, copies, length, 
         saved = index.to_bytes()
         # the separator, code 0, is the rarest symbol and takes the top number
         assert index._order[-1] == 0
-        # the planes deflate: the file is smaller than with raw planes
-        assert len(saved) < file_size(text.n, 5, sample, 1)
+        # the payload deflates: its stream is shorter than the planes and
+        # rows it holds
+        assert len(saved) - payload_at(saved) - 4 < payload_size(text.n, 5, sample)
         reloaded = FmIndex.from_bytes(saved)
         assert reloaded.to_bytes() == saved
         assert reloaded._bwt == index._bwt
