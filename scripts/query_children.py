@@ -16,10 +16,13 @@ are printed first, as rows named `(setup) CMD`.  A round runs every
 command once under each tree, back to back; which tree goes first
 alternates from round to round.  For each command and tree the script
 prints the median wall time with its quartiles, the median peak RSS
-(`ru_maxrss` from `os.wait4`), and whether every run of the command printed
-the same stdout; then the same for one round of all commands; and in how
+(`ru_maxrss` from `os.wait4`), and whether every run of the command gave
+the same output; then the same for one round of all commands; and in how
 many rounds the second tree was faster, for each command and for the whole
-round.  It exits 1 when a child fails or the outputs differ.
+round.  It exits 1 when a child fails or the outputs differ.  The output of
+an `index` command is the pair of files it writes at `-o PREFIX`, since
+its stdout holds timings: `-c "index text.raw --raw -o idx{tree}"` times
+`index` under both trees and checks that they write the same bytes.
 
 This launcher imports only the standard library and spawns the children
 itself, because a child's `ru_maxrss` keeps its parent's high-water mark
@@ -39,8 +42,24 @@ import tempfile
 import time
 
 
+def output_digest(args: list[str], out) -> bytes:
+    """The digest of a child's output: for `index -o PREFIX`, whose stdout
+    holds timings, the two index files it wrote; else its stdout."""
+    digest = hashlib.sha256()
+    if args[:1] == ["index"]:
+        prefix = next(value for flag, value in zip(args, args[1:])
+                      if flag in ("-o", "--output"))
+        for suffix in (".fwd.memidx", ".rev.memidx"):
+            with open(prefix + suffix, "rb") as written:
+                digest.update(written.read())
+    else:
+        out.seek(0)
+        digest.update(out.read())
+    return digest.digest()
+
+
 def run_child(src: str, args: list[str], out) -> tuple[float, float, bytes]:
-    """Wall seconds, peak RSS in MB and the stdout digest of one child."""
+    """Wall seconds, peak RSS in MB and the output digest of one child."""
     out.seek(0)
     out.truncate()
     env = dict(os.environ, PYTHONPATH=src)
@@ -53,8 +72,7 @@ def run_child(src: str, args: list[str], out) -> tuple[float, float, bytes]:
     if proc.returncode:
         sys.exit(f"query_children: {shlex.join(args)} under {src} "
                  f"exited with {proc.returncode}")
-    out.seek(0)
-    return wall, usage.ru_maxrss / 1024.0, hashlib.sha256(out.read()).digest()
+    return wall, usage.ru_maxrss / 1024.0, output_digest(args, out)
 
 
 def tree_args(command: str, tree: int) -> list[str]:
@@ -101,7 +119,7 @@ def main(argv=None) -> int:
                     rss[t][c].append(peak)
                     digests[c].add(digest)
 
-    print("command\ttree\twall_ms_median\twall_ms_q1-q3\trss_mb_median\tstdout")
+    print("command\ttree\twall_ms_median\twall_ms_q1-q3\trss_mb_median\toutput")
     for tree, (wall, peak) in zip(args.trees, setup):
         print(f"(setup) {args.setup}\t{tree}\t{wall * 1e3:.1f}\t-\t{peak:.1f}\t-")
     for c, command in enumerate(args.command):

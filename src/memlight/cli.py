@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 from .fasta import read_fasta
 from .finders import find_in_raw
 from .fm import FmIndex, IndexFormatError, index_paths, write_index_pair
+from .sequence import BYTES
 
 # `mems` and `lcs` import only the standard library: `index` and
 # `experiment` import their numpy modules when they run
@@ -46,7 +48,7 @@ def _read_text_input(path: Path, raw: bool, concat_sep: bool) -> tuple[bytes, by
     if not concat_sep:
         raise ValueError(f"{path} holds {len(sequences)} FASTA records; "
                          "index them all with --concat-sep")
-    separator = bytes((min(set(range(256)).difference(*sequences)),))
+    separator = BYTES.translate(None, b"".join(sequences))[:1]
     return separator.join(sequences), separator
 
 
@@ -204,6 +206,10 @@ def entry() -> None:
     # as it ends `cat`, instead of raising BrokenPipeError
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # memlight calls no BLAS routine, so numpy's OpenBLAS, which reads this
+    # when numpy is first imported, need not start and stop a thread per
+    # core; a value the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -454,12 +454,18 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
         raise ValueError("sample rate must be at least 1 and below 2**63")
     if sa is None:
         sa = build_suffix_structures(text)
-    marks = (sa.sa % sample_rate) == 0
+    # a rate past n samples text position 0 alone (the forward index's
+    # rate n + 1), which one comparison per row finds
+    sampled = np.flatnonzero(sa.sa == 0 if sample_rate > text.n else sa.sa % sample_rate == 0)
     rows = np.empty(text.n // sample_rate + 1, dtype=np.int64)
-    rows[sa.sa[marks] // sample_rate] = np.flatnonzero(marks)
+    rows[sa.sa[sampled] // sample_rate] = sampled
     sentinel_row = int(rows[0])  # the row of suffix 0
-    bwt = text.data[sa.sa - 1]
-    bwt[sentinel_row] = 0
+    # row r holds the symbol before suffix sa[r]: shifted by one, the text
+    # is gathered by the suffix array as it is, and the sentinel's row
+    # gets the filler 0
+    shifted = np.empty(text.n + 1, dtype=np.uint8)
+    shifted[0], shifted[1:] = 0, text.data
+    bwt = np.take(shifted, sa.sa)
     # number the symbols by descending count, ties by code, so that the top
     # plane holds only the rarest symbols' rows; the sentinel row holds 0
     sigma = text.alphabet.size

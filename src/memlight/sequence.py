@@ -17,6 +17,11 @@ if TYPE_CHECKING:
     from .fm import BwtInterval
 
 
+# every byte value, ascending: deleting a text's bytes from it leaves the
+# values the text does not use, and deleting those leaves the ones it does
+BYTES = bytes(range(256))
+
+
 class ForeignSymbolError(ValueError):
     """A byte outside the alphabet appeared where only alphabet symbols are allowed."""
 
@@ -95,7 +100,7 @@ def build_alphabet(text_bytes: bytes) -> Alphabet:
     """Alphabet of exactly the distinct bytes present, coded in ascending byte order."""
     if len(text_bytes) == 0:
         raise ValueError("empty text")
-    return Alphabet(bytes(sorted(set(text_bytes))))
+    return Alphabet(BYTES.translate(None, BYTES.translate(None, text_bytes)))
 
 
 def _as_bytes(codes) -> bytes:

@@ -13,58 +13,87 @@ import numpy as np
 from .sequence import MemRecord, Pattern, Text
 
 
-def _packed_prefix_key(ext: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each suffix's first h symbols packed into one int64, and h.
+def _packed_prefix_key(ext: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Each suffix's first h symbols and its position packed into one int64;
+    h, and the width w of the position.
 
-    Symbols are shifted so the sentinel is 0 and the rest are positive; h is
-    as many as fit in 62 bits.  The zero padding past the end cannot cause a
-    tie: the sentinel, the only other 0, is unique.
+    The position takes the w = bit_length(n - 1) low bits.  Above it, the
+    first h symbols are one number in base b = max(ext) + 1 (b <= 257 for a
+    byte text), h as many as fit in the other 63 - w bits, so h >= 1 while
+    n < 2**53; packing in base b rather than in whole bits per symbol fits,
+    for a binary text, 27 symbols beside a 20-bit position instead of 21.
+    The number is built in O(log h) passes by doubling, two int64 buffers
+    taking turns.  The zero padding past the end cannot cause a tie, since
+    the sentinel, the only other 0, is unique.  `rows` is 0 ... n - 1.
     """
     n = ext.size
-    vals = ext.astype(np.int64) - int(ext.min())
-    bits = max(int(vals.max()).bit_length(), 1)
-    h = max(min(62 // bits, n), 1)
-    key = np.zeros(n, dtype=np.int64)
-    for j in range(h):
-        key <<= bits
-        key[: n - j] |= vals[j:]
-    return key, h
+    base = int(ext.max()) + 1
+    width = (n - 1).bit_length()
+    h = 1
+    while h < n and base ** (h + 1) <= 1 << (63 - width):
+        h += 1
+    key, spare = ext.astype(np.int64), np.empty(n, dtype=np.int64)
+    span = 1  # key holds each suffix's first `span` symbols
+    for bit in bin(h)[3:]:
+        np.multiply(key, base ** span, out=spare)
+        spare[: n - span] += key[span:]
+        key, spare, span = spare, key, 2 * span
+        if bit == "1":
+            key *= base
+            key[: n - span] += ext[span:]
+            span += 1
+    del spare
+    key <<= width
+    key |= rows
+    return key, h, width
 
 
 def _suffix_sort(ext: np.ndarray) -> np.ndarray:
     """Suffix array of an int sequence by prefix doubling over unresolved groups.
 
-    The input must end in a unique smallest value (the sentinel), which makes
-    all suffixes distinct and guarantees termination.
+    The input's last value, the sentinel, must be its only 0, and the others
+    positive, which makes all suffixes distinct and guarantees termination.
 
-    One sort on a packed key of the first h symbols groups the suffixes by
-    their h-prefix.  A suffix's rank is the row its group starts at.  The
-    round from k to 2k symbols sorts only the rows still in groups of size
-    > 1, by (rank of p, rank of p + k), and writes them back into the same
-    rows; rows already resolved are never sorted again (Larsson & Sadakane,
-    "Faster suffix sorting", TCS 2007).  So the cost depends on the longest
-    repeat: about log2(longest repeat / h) rounds, each over only the
-    suffixes whose k-prefix still repeats.
+    One in-place `np.sort` of the packed key (the first h symbols above the
+    position, see _packed_prefix_key) gives both the suffix array of the
+    h-prefixes, from the low bits, and their groups, from the high bits.  A
+    suffix's rank is the row its group starts at.  The round from k to 2k
+    symbols sorts only the rows still in groups of size > 1, by (rank of p,
+    rank of p + k), and writes them back into the same rows; rows already
+    resolved are never sorted again (Larsson & Sadakane, "Faster suffix
+    sorting", TCS 2007).  So the cost depends on the longest repeat: about
+    log2(longest repeat / h) rounds, each over only the suffixes whose
+    k-prefix still repeats.  Ranks, rows and the working suffix array are
+    int32 while n < 2**31, and each round's keys are dropped once its groups
+    are found; the result is int64.
     """
     n = ext.size
-    key, h = _packed_prefix_key(ext)
-    sa = np.argsort(key)
-    key = key[sa]
-    rank = np.empty(n, dtype=np.int64)
-    rows, p, k = np.arange(n), sa, h
+    index = np.int32 if n < 1 << 31 else np.int64
+    rows = np.arange(n, dtype=index)
+    key, h, width = _packed_prefix_key(ext, rows)
+    key.sort()
+    sa = np.empty(n, dtype=index)
+    np.bitwise_and(key, (1 << width) - 1, out=sa, casting="unsafe")
+    key >>= width
+    rank = np.empty(n, dtype=index)
+    p, k = sa, h
     while True:
         # rows: unresolved rows, ascending; p = sa[rows]; key: their sort keys
         starts = np.ones(rows.size + 1, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=starts[1:-1])
-        rank[p] = np.maximum.accumulate(np.where(starts[:-1], rows, 0))
+        del key
+        # the row each group starts at, carried forward over the group
+        heads = np.where(starts[:-1], rows, 0)
+        rank[p] = np.maximum.accumulate(heads, out=heads)
         rows = rows[~(starts[:-1] & starts[1:])]
         if rows.size == 0:
-            return sa
+            return sa.astype(np.int64)
         # an unresolved suffix shares its first k symbols with another one,
         # and the sentinel is unique, so p + k stays inside the text; sorting
         # by rank first keeps each group in its own rows
         p = sa[rows]
-        key = rank[p] * n + rank[p + k]
+        key = np.multiply(rank[p], n, dtype=np.int64)
+        key += rank[p + k]
         order = np.argsort(key, kind="stable")
         p, key = p[order], key[order]
         sa[rows] = p
@@ -90,9 +119,9 @@ class SuffixArray:
     def __init__(self, text: Text, sa: np.ndarray | None = None):
         self.text = text
         if sa is None:
-            ext = np.empty(text.n + 1, dtype=np.int32)
-            ext[: text.n] = text.data
-            ext[text.n] = -1
+            # codes shifted up by one, so that the sentinel is the only 0
+            ext = np.zeros(text.n + 1, dtype=np.uint16)
+            np.add(text.data, 1, out=ext[: text.n], dtype=np.uint16)
             sa = _suffix_sort(ext)
         else:
             sa = np.ascontiguousarray(sa, dtype=np.int64)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlight import (BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
-                      NaiveLce, Pattern, QueryStats, Text, brute_force_mems,
+                      NaiveLce, Pattern, QueryStats, SuffixArray, Text, brute_force_mems,
                       build_fm, build_suffix_structures, compute_match_pointers,
                       find_all_mems, find_in_raw, find_long_mems_fm,
                       find_long_mems_lce, invert_bwt)
@@ -425,6 +425,21 @@ def test_save_load_save_is_the_identity(raw, rate, n_separators):
 def naive_suffix_array(codes):
     """Rows in suffix order of text plus sentinel; row 0 is position n."""
     return sorted(range(len(codes) + 1), key=lambda i: codes[i:])
+
+
+@given(st.lists(st.binary(min_size=1, max_size=60), min_size=1, max_size=4),
+       st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_build_equals_a_build_from_a_brute_force_suffix_array(records, rate):
+    # records joined as `index --concat-sep` joins them; a rate past n
+    # (the forward index's n + 1) samples text position 0 alone
+    separator = bytes((min(set(range(256)).difference(*records)),))
+    text = Text.from_bytes(separator.join(records))
+    separators = separator if len(records) > 1 else b""
+    naive = SuffixArray(text, sa=naive_suffix_array(text.code_bytes))
+    for s in (rate, text.n, text.n + 1):
+        assert (build_fm(text, s, separators=separators).to_bytes()
+                == build_fm(text, s, sa=naive, separators=separators).to_bytes())
 
 
 @given(st.data())

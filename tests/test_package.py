@@ -1,5 +1,6 @@
 """The package's lazy exports, a query process that imports neither numpy nor
-dataclasses, and the value semantics of the records it uses instead."""
+dataclasses, the value semantics of the records it uses instead, and the
+one BLAS thread that `index` asks numpy for."""
 
 import os
 import subprocess
@@ -23,6 +24,21 @@ QUERY_CHILD = ("import sys\n"
                "code = main(sys.argv[1:])\n"
                "heavy = [name for name in ('numpy', 'dataclasses') if name in sys.modules]\n"
                "sys.exit(code or (f'{heavy} imported' if heavy else 0))\n")
+
+# runs one CLI command through the console entry point, then prints the
+# value OPENBLAS_NUM_THREADS had when numpy was first imported
+BLAS_CHILD = ("import os, sys\n"
+              "seen = []\n"
+              "class Spy:\n"
+              "    def find_spec(self, name, path=None, target=None):\n"
+              "        if name == 'numpy' and not seen:\n"
+              "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+              "sys.meta_path.insert(0, Spy())\n"
+              "from memlight.cli import entry\n"
+              "try:\n"
+              "    entry()\n"
+              "finally:\n"
+              "    print(seen)\n")
 
 
 def test_every_exported_name_resolves():
@@ -74,3 +90,22 @@ def test_records_compare_by_value_hash_and_reject_assignment():
         assert record == same
     with pytest.raises(AttributeError):
         Text.from_bytes(b"GATTACA").alphabet = alphabet
+
+
+@pytest.mark.parametrize("user_value,expected", [(None, "1"), ("3", "3")])
+def test_index_imports_numpy_with_one_blas_thread_unless_the_user_says(
+        tmp_path, user_value, expected):
+    # memlight calls no BLAS routine: OpenBLAS need not start a thread per core
+    (tmp_path / "text.fa").write_bytes(b">t\n" + DEMO_TEXT + b"\n")
+    env = {name: value for name, value in os.environ.items()
+           if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS_CHILD, "index", str(tmp_path / "text.fa"),
+         "-o", str(tmp_path / "idx")],
+        capture_output=True, env=env, timeout=60)
+    assert done.stderr == b""
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == repr([expected]).encode()

@@ -24,6 +24,11 @@ def test_build_alphabet_binary_at_scale():
     assert build_alphabet(bits.tobytes()).size == 2
 
 
+@given(st.binary(min_size=1, max_size=600))
+def test_build_alphabet_holds_exactly_the_bytes_present(raw):
+    assert build_alphabet(raw).symbols == bytes(sorted(set(raw)))
+
+
 def test_build_alphabet_rejects_empty():
     with pytest.raises(ValueError, match="empty text"):
         build_alphabet(b"")

@@ -23,8 +23,9 @@ def spans_1based(mems):
     (b"b", [1, 0]),
     (b"ab", [2, 0, 1]),
     (b"ba", [2, 1, 0]),
-    # all-equal texts around the packed first key's 62 symbols
-    *[(b"a" * n, list(range(n, -1, -1))) for n in (61, 62, 63, 64, 500)],
+    # all-equal texts around the 57 symbols that the packed first key holds
+    # for them beside a 6-bit position, and where the position widens to 7
+    *[(b"a" * n, list(range(n, -1, -1))) for n in (56, 57, 58, 63, 64, 500)],
 ])
 def test_suffix_array_known_values(raw, expected_sa):
     sa = build_suffix_structures(Text.from_bytes(raw))
@@ -63,6 +64,48 @@ def test_suffix_array_full_byte_alphabet(symbols, tail):
     text = Text.from_bytes(bytes(symbols) + tail + tail)
     assert text.alphabet.size == 256
     assert build_suffix_structures(text).sa.tolist() == brute_force_order(text)
+
+
+def packed_symbols(n, sigma):
+    """The symbols the first sort key holds for a text of n symbols over
+    sigma codes: as many as fit, as one number in base sigma + 1, in the
+    63 bits left beside a position of bit_length(n) bits."""
+    room, h = 1 << (63 - n.bit_length()), 1
+    while (sigma + 1) ** (h + 1) <= room:
+        h += 1
+    return h
+
+
+# (n, sigma) with n one below, at or one above the symbols the key holds
+KEY_BOUNDARIES = [(n, sigma) for sigma in (1, 2, 4, 5, 256) for n in range(1, 80)
+                  if abs(n - packed_symbols(n, sigma)) <= 1]
+
+
+def test_key_boundaries_cover_every_alphabet():
+    assert [sigma for _, sigma in KEY_BOUNDARIES] == [s for s in (1, 2, 4, 5, 256) for _ in "abc"]
+    assert [n for n, sigma in KEY_BOUNDARIES if sigma in (1, 256)] == [56, 57, 58, 6, 7, 8]
+
+
+@pytest.mark.parametrize("n,sigma", KEY_BOUNDARIES)
+@pytest.mark.parametrize("shape", ["equal", "periodic"])
+def test_suffix_array_around_the_first_key_length(n, sigma, shape):
+    # the top code makes the key's base sigma + 1, as in a text that uses it
+    top = sigma - 1
+    codes = bytes(top if shape == "equal" else (top - i) % sigma for i in range(n))
+    text = Text(Alphabet(bytes(range(sigma))), codes)
+    assert build_suffix_structures(text).sa.tolist() == brute_force_order(text)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+@pytest.mark.parametrize("shape", ["random", "periodic"])
+def test_suffix_array_where_the_position_widens(k, shape):
+    # the position field takes bit_length(n) bits, one more from n = 2**k on
+    rng = np.random.default_rng(k)
+    for n in (2**k - 1, 2**k, 2**k + 1):
+        raw = (bytes(rng.integers(65, 69, n, dtype=np.uint8)) if shape == "random"
+               else (b"ACA" * n)[:n])
+        text = Text.from_bytes(raw)
+        assert build_suffix_structures(text).sa.tolist() == brute_force_order(text)
 
 
 def test_suffix_array_long_internal_copy():
