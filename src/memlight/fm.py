@@ -12,12 +12,13 @@ DEFLATE stream, each row's bytes grouped by byte position; the runs of a
 repetitive text's BWT deflate (Ferragina and Manzini's opportunistic
 compression), numbering by frequency leaves the top plane sparse when the
 rarest symbols are rare, and a byte position of the rows that holds few
-values costs few bits.  Load inflates the stream, never past the size the
-header implies, and splits the rows by the planes, from the top, into one
-bitmap per number, keeping only the popcounts, each under its number's
-code: the C array, whose last entry shows whether every row holds a number
-of the alphabet.  The first search splits the rows again into 64-row words
-per symbol, beside a running count per word that starts at C[c]
+values costs few bits; a text holds fewer than 2**31 symbols, so a row
+takes 4 bytes.  Load inflates the stream, never past the size the header
+implies, and ANDs the planes or their complements into one bitmap per
+number, keeping only the popcounts, each under its number's code: the C
+array, whose last entry shows whether every row holds a number of the
+alphabet.  The first search splits the rows again into 64-row words per
+symbol, beside a running count per word that starts at C[c]
 (Jacobson's rank), so that a backward step or an LF step is a count read
 plus one popcount for each end of the interval.  The sentinel's row is in
 no bitmap and needs no correction.  Locating reads one code byte per row,
@@ -38,12 +39,12 @@ import sys
 import time
 import zlib
 from array import array
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .sequence import Alphabet, QueryStats, Text
+from .sequence import Alphabet, QueryStats, Text, check_text_length
 
 if TYPE_CHECKING:
     from .suffixes import SuffixArray
@@ -80,11 +81,6 @@ def _plane_count(sigma: int) -> int:
     return (sigma - 1).bit_length()
 
 
-def _row_type(n: int) -> str:
-    """The array type of rows in memory: 4 bytes when n < 2**32, else 8."""
-    return "I" if n < 1 << 32 else "Q"
-
-
 def _pack_rows(rows: array) -> bytes:
     """The rows' little-endian bytes grouped by byte position: every row's
     lowest byte, then every row's next byte, and so on, one strided slice
@@ -96,15 +92,13 @@ def _pack_rows(rows: array) -> bytes:
     return b"".join(items[j::size] for j in range(size))
 
 
-def _unpack_rows(data, n: int) -> array:
-    """Rows packed by _pack_rows, into an array of _row_type(n), by one
-    strided slice per byte position."""
-    rows = array(_row_type(n))
-    size, count = rows.itemsize, len(data) // rows.itemsize
-    wide = bytearray(len(data))
-    for j in range(size):
-        wide[j::size] = data[j * count : (j + 1) * count]
-    rows.frombytes(wide)
+def _unpack_rows(data) -> array:
+    """Rows packed by _pack_rows, into an array('I'), by one strided slice
+    per byte position."""
+    count, wide = len(data) // 4, bytearray(len(data))
+    for j in range(4):
+        wide[j::4] = data[j * count : (j + 1) * count]
+    rows = array("I", wide)
     if sys.byteorder == "big":
         rows.byteswap()
     return rows
@@ -112,8 +106,8 @@ def _unpack_rows(data, n: int) -> array:
 
 def _inflate(stream, size: int) -> bytes:
     """The size bytes that a saved index's raw DEFLATE stream holds,
-    inflating no further (a header's size can pass sys.maxsize, which no
-    stream reaches)."""
+    inflating no further (on a 32-bit build a header's size can pass
+    sys.maxsize, which no stream reaches)."""
     inflater = zlib.decompressobj(wbits=-15)
     try:
         out = inflater.decompress(stream, min(size, sys.maxsize))
@@ -157,7 +151,7 @@ class FmIndex:
         # unsigned), and so does a row whose flag an earlier position set
         flags = bytearray(n + 1)
         try:
-            rows = self._sample_rows = array(_row_type(n), sample_rows)
+            rows = self._sample_rows = array("I", sample_rows)
             for row in rows:
                 if flags[row]:
                     raise IndexError
@@ -186,25 +180,17 @@ class FmIndex:
     def _symbol_rows(self):
         """Yield the bitmap of the rows holding each number, in number order.
 
-        The rows, minus the sentinel's, are split by the top plane into the
-        rows with that bit clear and those with it set, and each part by the
-        planes below, clear part first, so that the leaves are the numbers'
-        bitmaps in order; a part whose numbers are all past the alphabet is
-        never split, so a row holding such a number is in no bitmap.  The
-        stack holds at most one part per plane.
+        A number's rows are the AND, over the planes, of plane j where the
+        number has bit j set and of its complement over the rows but the
+        sentinel's where it has not; with no planes, all rows but the
+        sentinel's.  Only the numbers of the alphabet are yielded, so a row
+        holding a number past it is in no bitmap.
         """
-        planes, sigma = self._planes, self.alphabet.size
-        # rows whose number's bits from plane j up spell number
-        stack = [(((1 << (self.n + 1)) - 1) ^ (1 << self.sentinel_row), len(planes), 0)]
-        while stack:
-            rows, j, number = stack.pop()
-            while j:
-                j -= 1
-                high = rows & planes[j]
-                if number | 1 << j < sigma:
-                    stack.append((high, j, number | 1 << j))
-                rows ^= high
-            yield rows
+        rows = ((1 << (self.n + 1)) - 1) ^ (1 << self.sentinel_row)
+        # per plane, its complement and itself, indexed by a number's bit
+        pairs = [(rows ^ plane, plane) for plane in self._planes] or [(rows,)]
+        for number in range(self.alphabet.size):
+            yield reduce(int.__and__, (pair[number >> j & 1] for j, pair in enumerate(pairs)))
 
     # the rank structures are built on first search and the sampled rows'
     # positions on first locate: `memlight index` saves an index without
@@ -396,9 +382,9 @@ class FmIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FmIndex":
-        """Parse a saved index: the stream between the order and the
-        checksum must inflate to exactly P * ceil((n + 1) / 8) bytes of
-        planes, each becoming one int, and n // s + 1 rows of _row_type(n)."""
+        """Parse a saved index: n must be below 2**31, and the stream between
+        the order and the checksum must inflate to exactly P * ceil((n + 1) / 8)
+        bytes of planes, each one int, and n // s + 1 rows of 4 bytes."""
         magic = data[:8]
         if len(magic) == 8 and magic[:7] == MAGIC[:7] and magic != MAGIC:
             name = magic.decode("ascii", "backslashreplace")
@@ -414,6 +400,7 @@ class FmIndex:
         n, sigma, s, n_separators = _HEADER.unpack_from(data, 8)
         if n < 1 or not 1 <= sigma <= 256 or s < 1 or n_separators > sigma:
             raise IndexFormatError("index header is inconsistent")
+        check_text_length(n, IndexFormatError)
         # the alphabet, the separators and the order; the payload follows
         ends = list(accumulate((sigma, n_separators, sigma), initial=8 + _HEADER.size))
         if len(data) < ends[-1] + 4:
@@ -424,15 +411,14 @@ class FmIndex:
         symbols, separators, order = (view[a:b] for a, b in zip(ends, ends[1:]))
         plane_bytes = (n >> 3) + 1
         raw = _plane_count(sigma) * plane_bytes  # the planes' size
-        payload = _inflate(view[ends[-1] : -4],
-                           raw + (n // s + 1) * array(_row_type(n)).itemsize)
+        payload = _inflate(view[ends[-1] : -4], raw + (n // s + 1) * 4)
         try:
             alphabet = Alphabet(bytes(symbols))
         except ValueError as exc:
             raise IndexFormatError(f"index alphabet: {exc}") from None
         return cls(alphabet, n, [int.from_bytes(payload[a : a + plane_bytes], "little")
                                  for a in range(0, raw, plane_bytes)],
-                   order, s, _unpack_rows(memoryview(payload)[raw:], n), separators)
+                   order, s, _unpack_rows(memoryview(payload)[raw:]), separators)
 
     @classmethod
     def load(cls, source) -> "FmIndex":
@@ -495,8 +481,10 @@ def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = 32,
     one at a time, each one's suffix array and index dropped before the
     other's are built.  The reverse index goes first, so a bad sample rate
     writes no file; only it locates.  The forward one keeps one sample (rate
-    n + 1), the row of text position 0, which is its sentinel row.
+    n + 1), the row of text position 0, which is its sentinel row.  A text
+    of 2**31 symbols or more raises ValueError before anything is built.
     """
+    check_text_length(len(text_bytes))
     from .suffixes import build_suffix_structures
 
     fwd_path, rev_path = index_paths(prefix)

@@ -144,6 +144,14 @@ class _Encoded(_Frozen):
         return self.alphabet.decode(self.code_bytes)
 
 
+def check_text_length(n: int, error: type[ValueError] = ValueError) -> None:
+    """Raise `error`, naming the limit, for a text of 2**31 symbols or more:
+    suffix-array ranks, BWT rows and sample rows are 32-bit, and the suffix
+    sort's doubling key rank * n + rank stays below 2**62."""
+    if n >= 1 << 31:
+        raise error(f"a text of {n} symbols is too long: memlight indexes fewer than 2**31")
+
+
 class Text(_Encoded):
     """An encoded text over an alphabet; immutable after construction."""
 

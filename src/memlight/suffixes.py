@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequence import MemRecord, Pattern, Text
+from .sequence import MemRecord, Pattern, Text, check_text_length
 
 
 def _packed_prefix_key(ext: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -19,9 +19,9 @@ def _packed_prefix_key(ext: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, i
 
     The position takes the w = bit_length(n - 1) low bits.  Above it, the
     first h symbols are one number in base b = max(ext) + 1 (b <= 257 for a
-    byte text), h as many as fit in the other 63 - w bits, so h >= 1 while
-    n < 2**53; packing in base b rather than in whole bits per symbol fits,
-    for a binary text, 27 symbols beside a 20-bit position instead of 21.
+    byte text), h as many as fit in the other 63 - w bits, so h >= min(n, 3)
+    below 2**31 symbols; packing in base b rather than in whole bits per
+    symbol fits, for a binary text, 27 symbols beside a 20-bit position.
     The number is built in O(log h) passes by doubling, two int64 buffers
     taking turns.  The zero padding past the end cannot cause a tie, since
     the sentinel, the only other 0, is unique.  `rows` is 0 ... n - 1.
@@ -64,18 +64,17 @@ def _suffix_sort(ext: np.ndarray) -> np.ndarray:
     sorting", TCS 2007).  So the cost depends on the longest repeat: about
     log2(longest repeat / h) rounds, each over only the suffixes whose
     k-prefix still repeats.  Ranks, rows and the working suffix array are
-    int32 while n < 2**31, and each round's keys are dropped once its groups
-    are found; the result is int64.
+    int32, a text having fewer than 2**31 symbols, and each round's keys are
+    dropped once its groups are found; the result is int64.
     """
     n = ext.size
-    index = np.int32 if n < 1 << 31 else np.int64
-    rows = np.arange(n, dtype=index)
+    rows = np.arange(n, dtype=np.int32)
     key, h, width = _packed_prefix_key(ext, rows)
     key.sort()
-    sa = np.empty(n, dtype=index)
+    sa = np.empty(n, dtype=np.int32)
     np.bitwise_and(key, (1 << width) - 1, out=sa, casting="unsafe")
     key >>= width
-    rank = np.empty(n, dtype=index)
+    rank = np.empty(n, dtype=np.int32)
     p, k = sa, h
     while True:
         # rows: unresolved rows, ascending; p = sa[rows]; key: their sort keys
@@ -113,10 +112,12 @@ class SuffixArray:
     """Suffix array of a text plus sentinel, with binary searches over suffix order.
 
     Suffix order includes the empty sentinel suffix at rank 0.  The sentinel
-    is a value below every alphabet code and takes no part in matching.
+    is a value below every alphabet code and takes no part in matching.  A
+    text of 2**31 symbols or more raises ValueError before anything is sorted.
     """
 
     def __init__(self, text: Text, sa: np.ndarray | None = None):
+        check_text_length(text.n)
         self.text = text
         if sa is None:
             # codes shifted up by one, so that the sentinel is the only 0

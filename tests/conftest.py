@@ -157,20 +157,15 @@ def replay_window_probes(pattern, pointers, lce, min_len):
 ALPHABET_AT = 8 + 4 * 8  # after the magic and the four header fields
 
 
-def row_size(n):
-    """Bytes per sample row in the payload: an array('I') item below
-    n = 2**32, an array('Q') item from there on."""
-    return 4 if n < 2**32 else 8
-
-
 def plane_size(n, sigma):
     """Bytes of the planes over sigma symbols, ceil((n + 1) / 8) each."""
     return (sigma - 1).bit_length() * ((n >> 3) + 1)
 
 
 def payload_size(n, sigma, rate):
-    """MEMLIDX9's payload before deflating: the planes, then the sample rows."""
-    return plane_size(n, sigma) + (n // rate + 1) * row_size(n)
+    """MEMLIDX9's payload before deflating: the planes, then the sample
+    rows, 4 bytes each."""
+    return plane_size(n, sigma) + (n // rate + 1) * 4
 
 
 def joined_planes(index):
@@ -178,16 +173,15 @@ def joined_planes(index):
     return b"".join(plane.to_bytes((index.n >> 3) + 1, "little") for plane in index._planes)
 
 
-def pack_rows(rows, n):
+def pack_rows(rows):
     """The rows as the payload holds them: every row's lowest byte, then
-    every row's next byte, and so on."""
-    return b"".join(bytes(row >> 8 * j & 255 for row in rows) for j in range(row_size(n)))
+    every row's next byte, and so on, 4 bytes per row."""
+    return b"".join(bytes(row >> 8 * j & 255 for row in rows) for j in range(4))
 
 
-def unpack_rows(data, n):
-    width = row_size(n)
-    count = len(data) // width
-    return [sum(data[j * count + i] << 8 * j for j in range(width)) for i in range(count)]
+def unpack_rows(data):
+    count = len(data) // 4
+    return [sum(data[j * count + i] << 8 * j for j in range(4)) for i in range(count)]
 
 
 def deflate(data):
@@ -223,9 +217,9 @@ def reseal_payload(data, edit):
     list), and the two deflated again and resealed."""
     n, sigma, _, _ = struct.unpack_from("<4Q", data, 8)
     payload, split = payload_of(data), plane_size(n, sigma)
-    planes, rows = bytearray(payload[:split]), unpack_rows(payload[split:], n)
+    planes, rows = bytearray(payload[:split]), unpack_rows(payload[split:])
     edit(planes, rows)
-    return with_stream(data, deflate(bytes(planes) + pack_rows(rows, n)))
+    return with_stream(data, deflate(bytes(planes) + pack_rows(rows)))
 
 
 def set_plane_bit(planes, n, plane, row):

@@ -7,13 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import memlight
+from memlight import cli
 from memlight.cli import main
 from memlight.fm import FmIndex
 
-from conftest import (DEMO_PATTERN, DEMO_TEXT, payload_of, plane_size, reseal,
+from conftest import (DEMO_PATTERN, DEMO_TEXT, payload_at, payload_of, plane_size, reseal,
                       reseal_payload, unpack_rows)
 
 
@@ -42,6 +44,63 @@ def test_index_prints_dimensions(tmp_path, capsys):
     assert out.startswith("n=12\tsigma=4")
     assert sorted(p.name for p in tmp_path.glob("x.*")) == ["x.fwd.memidx",
                                                            "x.rev.memidx"]
+
+
+# per file, the bytes before the payload (the magic; n, sigma, s and the
+# separator count; the alphabet, the separators and the order) and the
+# inflated payload (the planes; the sample rows, grouped by byte position),
+# in hex; the DEFLATE stream itself is not pinned, since its bytes depend on
+# the zlib build
+GOLDEN_INDEX_FILES = {
+    "demo": {
+        ".fwd.memidx": ("4d454d4c49445839"
+                        "0c00000000000000" "0400000000000000" "0d00000000000000" "0000000000000000"
+                        "41434754" "" "00030201",
+                        "0f083800" "08000000"),
+        ".rev.memidx": ("4d454d4c49445839"
+                        "0c00000000000000" "0400000000000000" "2000000000000000" "0000000000000000"
+                        "41434754" "" "00030201",
+                        "1e043100" "09000000"),
+    },
+    "two": {
+        ".fwd.memidx": ("4d454d4c49445839"
+                        "1900000000000000" "0500000000000000" "1a00000000000000" "0100000000000000"
+                        "0041434754" "00" "0104030200",
+                        "fe026000810f000000001000" "11000000"),
+        ".rev.memidx": ("4d454d4c49445839"
+                        "1900000000000000" "0500000000000000" "0400000000000000" "0100000000000000"
+                        "0041434754" "00" "0104030200",
+                        "fe026000810f000000001000"
+                        "11050201090a0e" "00000000000000" "00000000000000" "00000000000000"),
+    },
+}
+
+
+def test_index_files_hold_the_golden_content(tmp_path):
+    # the demo text, and two records joined by a separator at sample rate 4
+    (tmp_path / "demo.txt").write_bytes(DEMO_TEXT + b"\n")
+    (tmp_path / "two.fa").write_bytes(b">r1\n" + DEMO_TEXT + b"\n>r2\n" + DEMO_PATTERN + b"\n")
+    assert main(["index", "--raw", str(tmp_path / "demo.txt"), "-o", str(tmp_path / "demo")]) == 0
+    assert main(["index", "--concat-sep", "--sample-rate", "4", str(tmp_path / "two.fa"),
+                 "-o", str(tmp_path / "two")]) == 0
+    for prefix, files in GOLDEN_INDEX_FILES.items():
+        for suffix, (head, payload) in files.items():
+            data = (tmp_path / (prefix + suffix)).read_bytes()
+            assert data[: payload_at(data)].hex() == head
+            assert payload_of(data).hex() == payload
+
+
+def test_index_refuses_a_text_of_2_31_symbols(tmp_path, monkeypatch, capsys):
+    # a broadcast view stands for the text read: 2**31 bytes long, one
+    # stored, so the refusal must come before anything reads or copies it
+    huge = np.broadcast_to(np.uint8(ord("A")), 2**31)
+    monkeypatch.setattr(cli, "_read_text_input", lambda *args: (huge, b""))
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"A")
+    assert main(["index", str(text), "--raw", "-o", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == ("memlight: a text of 2147483648 symbols is too long: "
+                                       "memlight indexes fewer than 2**31\n")
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_index_reports_build_phases(tmp_path, capsys):
@@ -418,7 +477,7 @@ def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
                               (".rev.memidx", 4, DEMO_TEXT[::-1])):
         data = open(prefix + suffix, "rb").read()
         _, sigma, s, _ = struct.unpack_from("<4Q", data, 8)
-        rows = unpack_rows(payload_of(data)[plane_size(n, sigma):], n)
+        rows = unpack_rows(payload_of(data)[plane_size(n, sigma):])
         assert s == rate
         assert len(rows) == n // rate + 1
         # the row of text position 0 among the suffixes in sorted order

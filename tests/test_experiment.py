@@ -162,6 +162,15 @@ def test_reports_are_byte_identical_for_equal_specs():
     assert a.to_tsv() == b.to_tsv()
 
 
+def test_default_report_equals_the_committed_one():
+    # the default `memlight experiment` report, kept byte-identical across
+    # changes to the index and the finders
+    golden = (Path(__file__).parent / "data" / "experiment_default.tsv").read_bytes()
+    assert run_comparison(ExperimentSpec()).to_tsv().encode() == golden, (
+        "the default report differs from tests/data/experiment_default.tsv, which was "
+        "generated with numpy 2.4.6's PCG64 streams: another numpy may draw other instances")
+
+
 def test_report_crosscheck_and_tallies():
     report = run_comparison(ExperimentSpec(**SMALL))
     assert report.crosscheck_ok

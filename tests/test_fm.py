@@ -3,13 +3,14 @@ import re
 import struct
 import tracemalloc
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlight import (BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
+from memlight import (Alphabet, BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
                       NaiveLce, Pattern, QueryStats, SuffixArray, Text, brute_force_mems,
                       build_fm, build_suffix_structures, compute_match_pointers,
                       find_all_mems, find_in_raw, find_long_mems_fm,
@@ -465,7 +466,7 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     saved = index.to_bytes()
     # the payload inflates to the planes and then the rows, byte by byte
     assert len(payload_of(saved)) == payload_size(n, sigma, rate)
-    assert payload_of(saved) == joined_planes(index) + pack_rows(index._sample_rows, n)
+    assert payload_of(saved) == joined_planes(index) + pack_rows(index._sample_rows)
     reloaded = FmIndex.from_bytes(saved)
     # load derives C alone: rank, BWT bytes, k-mers and positions wait for use
     assert not {"_rank", "_bwt", "_kmers", "_sampled"} & reloaded.__dict__.keys()
@@ -728,6 +729,30 @@ def test_load_rejects_resealed_symbol_past_the_alphabet():
             FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_split_by_ands_equals_a_decode_of_every_row(data):
+    # random plane bits over rows 0 ... n, so that a row may hold a number
+    # past the alphabet; only the sentinel's row is cleared, as load requires
+    n, sigma = data.draw(st.integers(1, 256)), data.draw(st.integers(1, 256))
+    sentinel_row = data.draw(st.integers(0, n))
+    planes = [data.draw(st.integers(0, (1 << (n + 1)) - 1)) & ~(1 << sentinel_row)
+              for _ in range((sigma - 1).bit_length())]
+    numbers = [sum((plane >> row & 1) << j for j, plane in enumerate(planes))
+               for row in range(n + 1)]
+    expected = [sum(1 << row for row, number in enumerate(numbers)
+                    if number == x and row != sentinel_row) for x in range(sigma)]
+    alphabet = Alphabet(bytes(range(sigma)))
+    fields = SimpleNamespace(n=n, sentinel_row=sentinel_row, _planes=planes, alphabet=alphabet)
+    assert list(FmIndex._symbol_rows(fields)) == expected
+    args = (alphabet, n, planes, bytes(range(sigma)), n + 1, [sentinel_row])
+    if any(number >= sigma for row, number in enumerate(numbers) if row != sentinel_row):
+        with pytest.raises(IndexFormatError, match="^BWT symbols out of range for the alphabet$"):
+            FmIndex(*args)
+    else:
+        assert FmIndex(*args)._c == list(accumulate(map(int.bit_count, expected), initial=1))
+
+
 def test_build_numbers_symbols_by_descending_count_ties_by_code():
     # "mississippi": "i" and "s" four times each, "p" twice, "m" once; "i"
     # has the lower code of the tie, so it takes number 0
@@ -770,19 +795,27 @@ def test_load_rejects_resealed_order_not_a_permutation(demo_index, order):
 
 def test_stored_rows_take_the_bytes_that_n_needs():
     # a header alone names the size the payload must inflate to: P planes
-    # of ceil((n + 1) / 8) bytes, then n // s + 1 rows of 4 bytes below
-    # n = 2**32 and of 8 from there on; the header has no field for it
-    def expected_size(n, sigma, s):
+    # of ceil((n + 1) / 8) bytes, then n // s + 1 rows of 4 bytes, up to
+    # the largest text, of 2**31 - 1 symbols; the header has no field for it
+    def saved(n, sigma, s):
         body = b"MEMLIDX9" + struct.pack("<4Q", n, sigma, s, 0) + bytes(2 * sigma)
+        return reseal(body + deflate(b"") + bytes(4))
+
+    def expected_size(n, sigma, s):
         with pytest.raises(IndexFormatError, match="does not inflate") as caught:
-            FmIndex.from_bytes(reseal(body + deflate(b"") + bytes(4)))
+            FmIndex.from_bytes(saved(n, sigma, s))
         return int(str(caught.value).split(" bytes ")[0].rsplit(" ", 1)[1])
 
-    for n, width in ((12, 4), (2**8, 4), (2**24, 4), (2**32 - 1, 4), (2**32, 8), (2**40, 8)):
+    for n in (12, 2**8, 2**24, 2**31 - 1):
         plane = (n >> 3) + 1
-        assert expected_size(n, 2, 2**40) == plane + (n // 2**40 + 1) * width
-        assert expected_size(n, 5, 2**31) == 3 * plane + (n // 2**31 + 1) * width
+        assert expected_size(n, 2, 2**40) == plane + (n // 2**40 + 1) * 4
+        assert expected_size(n, 5, 2**31) == 3 * plane + (n // 2**31 + 1) * 4
         assert expected_size(n, 5, 2**31) == payload_size(n, 5, 2**31)
+    # a longer text is refused by the header alone, whatever the payload
+    for n in (2**31, 2**32, 2**40):
+        with pytest.raises(IndexFormatError, match=f"^a text of {n} symbols is too long: "
+                                                   r"memlight indexes fewer than 2\*\*31$"):
+            FmIndex.from_bytes(saved(n, 5, 2**31))
 
 
 def test_load_rejects_old_format(demo_index):
@@ -825,7 +858,7 @@ def deflated_index():
 
 def test_deflated_planes_load_back(deflated_index):
     index, data = deflated_index
-    assert payload_of(data) == joined_planes(index) + pack_rows(index._sample_rows, index.n)
+    assert payload_of(data) == joined_planes(index) + pack_rows(index._sample_rows)
     reloaded = FmIndex.from_bytes(data)
     assert reloaded._planes == index._planes
     assert reloaded._sample_rows == index._sample_rows
@@ -904,7 +937,7 @@ def test_one_symbol_stores_no_planes(raw):
     index = build_fm(Text.from_bytes(raw), sample_rate=4)
     assert (len(index._planes), index._order) == (0, b"\0")
     data = index.to_bytes()
-    assert payload_of(data) == pack_rows(index._sample_rows, index.n)
+    assert payload_of(data) == pack_rows(index._sample_rows)
     assert len(payload_of(data)) == payload_size(index.n, 1, 4)
     reloaded = FmIndex.from_bytes(data)
     assert reloaded.to_bytes() == data

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlight import (Alphabet, Pattern, Text, brute_force_mems,
+from memlight import (Alphabet, Pattern, SuffixArray, Text, brute_force_mems, build_fm,
                       build_suffix_structures, compute_match_pointers)
 
 from conftest import (ADVERSARIAL_BACKWARD_1BASED, DEMO_ALL_SPANS_1BASED,
@@ -30,6 +32,20 @@ def spans_1based(mems):
 def test_suffix_array_known_values(raw, expected_sa):
     sa = build_suffix_structures(Text.from_bytes(raw))
     assert sa.sa.tolist() == expected_sa
+
+
+LIMIT_MESSAGE = "^a text of {} symbols is too long: memlight indexes fewer than 2\\*\\*31$"
+
+
+@pytest.mark.parametrize("n", [2**31, 2**31 + 1, 2**40])
+def test_a_text_of_2_31_symbols_or_more_is_refused_before_sorting(n):
+    # a stand-in that holds only its length: the guard must not read or
+    # allocate anything the size of the text
+    stub = SimpleNamespace(n=n)
+    with pytest.raises(ValueError, match=LIMIT_MESSAGE.format(n)):
+        SuffixArray(stub)
+    with pytest.raises(ValueError, match=LIMIT_MESSAGE.format(n)):
+        build_fm(stub, sample_rate=32)
 
 
 def brute_force_order(text):
