@@ -31,7 +31,8 @@ def main() -> None:
 
     print(f"indexing n={args.n} (cyclic window {window})...", flush=True)
     started = time.perf_counter()
-    fm_fwd = build_fm(indexed)
+    # the forward index never locates: it samples only its sentinel row
+    fm_fwd = build_fm(indexed, indexed.n + 1)
     fm_rev = build_fm(indexed.reversed())
     print(f"  built in {time.perf_counter() - started:.1f}s")
 

@@ -70,7 +70,7 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _print_mems(args, min_len: int | None, longest: bool = False) -> int:
+def _print_mems(args, min_len: int, longest: bool = False) -> int:
     """One TSV row per MEM: id, 1-based start and end, length, occurrences.
 
     Each pattern's rows go out in one write: on an unbuffered stdout, one
@@ -98,7 +98,7 @@ def _print_mems(args, min_len: int | None, longest: bool = False) -> int:
 
 
 def cmd_mems(args) -> int:
-    return _print_mems(args, None if args.all else args.min_mem_length)
+    return _print_mems(args, args.min_mem_length)
 
 
 def cmd_lcs(args) -> int:
@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan = p.add_mutually_exclusive_group()
     scan.add_argument("-L", "--L", "--min-mem-length", dest="min_mem_length",
                       type=_min_length, default=1)
-    scan.add_argument("--all", action="store_true", help="report every MEM (full scan)")
+    scan.add_argument("--all", action="store_const", dest="min_mem_length", const=1,
+                      help="report every MEM: the same as -L 1")
     p.add_argument("--locate", action="store_true",
                    help="append 1-based occurrence positions")
     p.add_argument("--intervals", action="store_true",

@@ -44,17 +44,12 @@ class ExperimentSpec:
             raise ValueError("mutation rate must be in [0, 1]")
         if self.sigma < 1:
             raise ValueError("alphabet size must be at least 1")
+        if self.sigma > 207:  # the symbols are the byte values from '0' up
+            raise ValueError("experiment alphabets are limited to 207 symbols")
         if self.mutation not in ("flip", "replace_uniform"):
             raise ValueError(f"unknown mutation model: {self.mutation}")
         if self.min_len < 1:
             raise ValueError("minimum MEM length must be at least 1")
-
-
-def _symbols(sigma: int) -> bytes:
-    # consecutive byte values starting at '0': printable for the usual sizes
-    if sigma > 207:
-        raise ValueError("experiment alphabets are limited to 207 symbols")
-    return bytes(range(48, 48 + sigma))
 
 
 def generate_instance(spec: ExperimentSpec) -> tuple[Text, Pattern]:
@@ -66,7 +61,8 @@ def generate_instance(spec: ExperimentSpec) -> tuple[Text, Pattern]:
     uniformly over the whole alphabet (possibly onto itself).
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    alphabet = Alphabet(_symbols(spec.sigma))
+    # consecutive byte values starting at '0': printable for the usual sizes
+    alphabet = Alphabet(bytes(range(48, 48 + spec.sigma)))
     t_codes = rng.integers(0, spec.sigma, size=spec.n, dtype=np.uint8)
     p_codes = t_codes[: spec.m].copy()
     hit = rng.random(spec.m) < spec.rate
@@ -77,7 +73,7 @@ def generate_instance(spec: ExperimentSpec) -> tuple[Text, Pattern]:
     else:
         repl = rng.integers(0, spec.sigma, size=spec.m, dtype=np.uint8)
         p_codes[hit] = repl[hit]
-    return Text(alphabet, t_codes), Pattern(alphabet, p_codes)
+    return Text(alphabet, t_codes.tobytes()), Pattern(alphabet, p_codes.tobytes())
 
 
 def make_cyclic_text(text: Text, window: int) -> Text:
@@ -193,7 +189,9 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
         window = min(spec.m + CYCLIC_MARGIN, spec.n)
         indexed = make_cyclic_text(text, window)
     sa_fwd = build_suffix_structures(indexed)
-    fm_fwd = build_fm(indexed, spec.sample_rate, sa=sa_fwd)
+    # the forward index never locates: like `memlight index`, it samples
+    # only its sentinel row; the reverse one samples at the spec's rate
+    fm_fwd = build_fm(indexed, indexed.n + 1, sa=sa_fwd)
     fm_rev = build_fm(indexed.reversed(), spec.sample_rate)
 
     full = find_all_mems_fm(pattern, fm_fwd, fm_rev)

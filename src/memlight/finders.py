@@ -9,9 +9,10 @@ backward-search indexes (text and reversed text).  Match functions that
 contradict each other stop a scan with the family's error: ValueError for
 match pointers, IndexFormatError for an index pair.  All results are in
 pattern coordinates, 0-based, left to right.
-`find_in_raw` answers the CLI's query on a raw pattern: every MEM, the MEMs
-of length at least L, or one longest, over the pieces the index alphabet
-and record separators leave, with the counters of all pieces summed.
+`find_in_raw` answers the CLI's query on a raw pattern: the MEMs of length
+at least L, by the full scan at L = 1, or one longest, over the pieces the
+index alphabet and record separators leave, with the counters of all pieces
+summed.
 """
 
 from __future__ import annotations
@@ -190,23 +191,24 @@ def longest_common_substring(pattern: Pattern, fwd_index: FmIndex,
 
 
 def find_in_raw(raw_pattern: bytes, fwd_index: FmIndex, rev_index: FmIndex,
-                min_len: int | None = None, longest: bool = False) -> FinderResult:
-    """The MEMs of a raw pattern in an index pair, each with its interval.
+                min_len: int, longest: bool = False) -> FinderResult:
+    """The MEMs of length at least min_len of a raw pattern in an index pair,
+    each with its interval.
 
-    `min_len=None` runs the full scan (every MEM), an int the thresholded
-    scan (the MEMs of length at least min_len).  `longest` keeps one
-    leftmost longest MEM, of any length if min_len is None.  The pattern is
-    split on foreign bytes and on the index's record separators, so no match
-    crosses a record boundary.  One QueryStats counts the work of every
-    piece; in longest mode each piece starts one above the best length so far.
+    At min_len 1 the thresholded scan's probes would skip nothing, so the
+    full scan, which takes fewer steps, answers; any other min_len, and
+    `longest` (one leftmost longest MEM), run the thresholded scan.  The
+    pattern is split on foreign bytes and on the index's record separators,
+    so no match crosses a record boundary.  One QueryStats counts the work
+    of every piece; in longest mode each piece starts one above the best
+    length so far.
     """
-    if longest and min_len is None:
-        min_len = 1
+    full = min_len == 1 and not longest
     result = FinderResult()
     for offset, piece in split_by_foreign_chars(raw_pattern, fwd_index.alphabet,
                                                 fwd_index.separators):
         matches = _fm_matches(piece, fwd_index, rev_index, result.stats)
-        part = (_full_scan(piece.m, *matches, report_intervals=True) if min_len is None
+        part = (_full_scan(piece.m, *matches, report_intervals=True) if full
                 else _thresholded_scan(piece.m, *matches, min_len, longest,
                                        report_intervals=True))
         if longest and part.mems:

@@ -103,30 +103,16 @@ def build_alphabet(text_bytes: bytes) -> Alphabet:
     return Alphabet(BYTES.translate(None, BYTES.translate(None, text_bytes)))
 
 
-def _as_bytes(codes) -> bytes:
-    """Integer codes as bytes, one per code; ValueError for a code outside 0..255.
-
-    A byte buffer, such as a uint8 array, is copied whole; any other
-    sequence is read code by code.
-    """
-    try:
-        if memoryview(codes).format == "B":
-            return memoryview(codes).tobytes()
-    except TypeError:  # not a buffer
-        pass
-    # list() refuses a lone integer, which bytes() would take as a length
-    return bytes(list(codes))
-
-
 class _Encoded(_Frozen):
-    """Symbol codes over an alphabet, held as bytes, one per symbol.
+    """Symbol codes over an alphabet, given and held as bytes, one per symbol.
 
-    Codes given in any other form are converted here, once.
+    Any other form, even a bytearray, raises TypeError: the codes must not
+    change after they are checked.
     """
 
     def __init__(self, alphabet: Alphabet, code_bytes: bytes):
         if not isinstance(code_bytes, bytes):
-            code_bytes = _as_bytes(code_bytes)
+            raise TypeError(f"codes must be bytes, not {type(code_bytes).__name__}")
         if code_bytes.translate(None, bytes(range(alphabet.size))):
             kind = type(self).__name__.lower()
             raise ValueError(f"{kind} contains codes outside the alphabet")
@@ -175,14 +161,6 @@ class Text(_Encoded):
 
 class Pattern(_Encoded):
     """An encoded pattern sharing the alphabet of the text it queries."""
-
-    def __eq__(self, other):
-        if type(other) is not Pattern:
-            return NotImplemented
-        return (self.alphabet, self.code_bytes) == (other.alphabet, other.code_bytes)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.code_bytes))
 
     @classmethod
     def from_bytes(cls, raw: bytes, alphabet: Alphabet) -> "Pattern":

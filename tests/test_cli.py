@@ -394,6 +394,24 @@ def test_all_with_min_length_is_a_usage_error(demo_files, capsys):
         assert "not allowed with" in capsys.readouterr().err
 
 
+def test_mems_without_l_prints_as_l_one_and_as_all(demo_files, tmp_path, capsys):
+    # at L = 1 mems runs the full scan, whatever the flags
+    _, pattern, prefix = demo_files
+    fasta, reads = tmp_path / "t.fa", tmp_path / "q.fa"
+    fasta.write_bytes(b">a\nGATTACAGATTA\n>b\nCATTAGATTACA\n")
+    reads.write_bytes(b">q\nTTACACATTAGNNGATTACAGAT\n>r\nACAGATTA\n")
+    assert main(["index", str(fasta), "--concat-sep", "-o", str(tmp_path / "x")]) == 0
+    for query in ([prefix, str(pattern), "--raw"], [str(tmp_path / "x"), str(reads)]):
+        capsys.readouterr()
+        outs = []
+        for flags in ([], ["-L", "1"], ["--all"]):
+            assert main(["mems", *query, *flags, "--intervals", "--locate"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].count("\n") >= 4
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert main(["mems", prefix, str(pattern), "--raw", "-L", "4", "--all"]) == 2
+
+
 def test_bad_min_length_is_a_usage_error(demo_files, tmp_path):
     _, pattern, prefix = demo_files
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "0"]) == 2

@@ -32,6 +32,14 @@ def test_spec_rejects_bad_values(kwargs):
         ExperimentSpec(**{**dict(n=100, m=10), **kwargs})
 
 
+def test_spec_names_the_alphabet_limit():
+    # checked when the spec is made, not when its instance is generated
+    text, _ = generate_instance(ExperimentSpec(n=300, m=10, sigma=207))
+    assert text.alphabet.symbols == bytes(range(48, 255))
+    with pytest.raises(ValueError, match="limited to 207 symbols"):
+        ExperimentSpec(sigma=208)
+
+
 # -- instance generation -------------------------------------------------------------
 
 def test_zero_rate_copies_the_prefix():

@@ -158,8 +158,8 @@ def kept_runs(raw: bytes, kept: bytes) -> list[tuple[int, bytes]]:
 
 
 # texts over ACGT,; with any subset of their symbols as record separators;
-# patterns add the foreign bytes N and #; the mode is the full scan, the
-# thresholded scan at min_len, or the longest MEM of length at least min_len
+# patterns add the foreign bytes N and #; the mode asks for every MEM (L = 1),
+# the MEMs of length at least min_len, or the longest of at least min_len
 @given(st.binary(min_size=1, max_size=60).map(lambda b: bytes(b"ACGT,;"[x % 6] for x in b)),
        st.binary(max_size=60).map(lambda b: bytes(b"ACGT,;N#"[x % 8] for x in b)),
        st.sets(st.sampled_from(b"ACGT,;")), st.integers(1, 4),
@@ -172,13 +172,15 @@ def test_find_in_raw_equals_a_direct_run_on_each_piece(t_raw, p_raw, separators,
     separators = bytes(sorted(separators & set(alphabet.symbols)))
     fwd = build_fm(text, sample_rate=3, separators=separators)
     rev = build_fm(text.reversed(), sample_rate=3, separators=separators)
-    got = find_in_raw(p_raw, fwd, rev, None if mode == "full" else min_len,
-                      longest=mode == "longest")
+    if mode == "full":
+        min_len = 1
+    got = find_in_raw(p_raw, fwd, rev, min_len, longest=mode == "longest")
     expect, stats = [], QueryStats()
     for offset, piece in kept_runs(p_raw, alphabet.symbols.translate(None, separators)):
         sub = Pattern.from_bytes(piece, alphabet)
+        # at L = 1 the full scan answers: it takes fewer steps
         part = (find_long_mems_fm(sub, fwd, rev, min_len, report_intervals=True)
-                if mode == "threshold" else
+                if mode == "threshold" and min_len > 1 else
                 find_all_mems_fm(sub, fwd, rev, report_intervals=True))
         expect += [(offset + m.start, m.length, m.bwt_interval) for m in part.mems]
         for name in vars(stats):
@@ -201,7 +203,7 @@ def test_find_in_raw_equals_a_direct_run_on_each_piece(t_raw, p_raw, separators,
        st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
 def test_one_separator_answers_as_one_per_boundary(records, p_raw, min_len):
-    modes = ((None, False), (min_len, False), (min_len, True))
+    modes = ((1, False), (min_len, False), (min_len, True))
     answers = []
     boundaries = range(len(records) - 1)
     for seps in ([b"\x00" for _ in boundaries], [bytes((i,)) for i in boundaries]):
@@ -219,7 +221,7 @@ def test_one_separator_answers_as_one_per_boundary(records, p_raw, min_len):
 
 
 def test_all_foreign_pattern_finds_nothing(demo_bench):
-    for mode in ((None, False), (4, False), (1, True)):
+    for mode in ((1, False), (4, False), (1, True)):
         merged = find_in_raw(b"XXXX", demo_bench.fm_fwd, demo_bench.fm_rev, *mode)
         assert merged.mems == []
         assert merged.stats == QueryStats()
@@ -228,7 +230,7 @@ def test_all_foreign_pattern_finds_nothing(demo_bench):
 def test_absent_symbol_degrades_gracefully_in_fm_finders():
     # alphabet includes a symbol the text never uses
     big = Text.from_bytes(b"ab")
-    text = Text(big.alphabet, np.frombuffer(big.alphabet.encode_bytes(b"aaaa"), dtype=np.uint8))
+    text = Text(big.alphabet, big.alphabet.encode_bytes(b"aaaa"))
     fm_f = build_fm(text)
     fm_r = build_fm(text.reversed())
     pattern = Pattern.from_bytes(b"aabaa", big.alphabet)

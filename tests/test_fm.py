@@ -495,8 +495,8 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
                  min_size=1, max_size=4), label="pattern pieces")
         for b in raw[start : start + size] + bytes(noise) if b not in separators)
     rev = build_fm(text.reversed(), sample_rate=rate, separators=separators)
-    for min_len in (None, 1, 5):
-        expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text, min_len or 1)
+    for min_len in (1, 5):
+        expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text, min_len)
         assert find_in_raw(pattern, reloaded, rev, min_len).spans == [m.span for m in expect]
 
 
@@ -553,9 +553,9 @@ def test_symbols_numbered_by_frequency_keep_every_answer(common, rare, n, seed, 
             pattern[k] = rng.choice(kept)
     pattern = bytes(b for b in pattern if b not in separators) or bytes(kept[:1])
     sa_fwd = build_suffix_structures(text)
-    for min_len in (None, 1, 4, 12):
+    for min_len in (1, 4, 12):
         expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text,
-                                  min_len or 1, sa=sa_fwd)
+                                  min_len, sa=sa_fwd)
         assert find_in_raw(pattern, reloaded, rev, min_len).spans == [m.span for m in expect]
 
 
@@ -981,9 +981,9 @@ def test_repetitive_records_deflate_and_keep_every_answer(seed, copies, length, 
             pattern[k] = rng.choice(b"ACGT")
     pattern = bytes(pattern) or b"A"
     sa = build_suffix_structures(text)
-    for min_len in (None, 1, 5):
+    for min_len in (1, 5):
         expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text,
-                                  min_len or 1, sa=sa)
+                                  min_len, sa=sa)
         assert find_in_raw(pattern, *loaded, min_len).spans == [m.span for m in expect]
 
 

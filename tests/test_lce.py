@@ -50,7 +50,7 @@ def test_self_match_runs_to_the_end():
 
 def test_no_shared_symbols_extends_nothing():
     alphabet = build_alphabet(b"AB")
-    text = Text(alphabet, np.frombuffer(alphabet.encode_bytes(b"AAAA"), dtype=np.uint8))
+    text = Text(alphabet, alphabet.encode_bytes(b"AAAA"))
     pattern = Pattern.from_bytes(b"BBB", alphabet)
     for backend in both_backends(text, pattern):
         assert backend.lce_forward(0, 0) == 0

@@ -73,8 +73,6 @@ def test_records_compare_by_value_hash_and_reject_assignment():
     # (a record, an equal one built apart, a different one, a field)
     cases = [
         (alphabet, Alphabet(b"ACGT"), Alphabet(b"ACG"), "symbols"),
-        (Pattern(alphabet, b"\x00\x01"), Pattern(Alphabet(b"ACGT"), b"\x00\x01"),
-         Pattern(alphabet, b"\x01"), "code_bytes"),
         (interval, BwtInterval(2, 5), BwtInterval(2, 6), "hi"),
         (MemRecord(1, 4, interval), MemRecord(1, 4, BwtInterval(2, 5)),
          MemRecord(1, 4), "length"),
@@ -90,6 +88,8 @@ def test_records_compare_by_value_hash_and_reject_assignment():
         assert record == same
     with pytest.raises(AttributeError):
         Text.from_bytes(b"GATTACA").alphabet = alphabet
+    with pytest.raises(AttributeError):
+        Pattern(alphabet, b"\x01").code_bytes = b"\x00"
 
 
 @pytest.mark.parametrize("user_value,expected", [(None, "1"), ("3", "3")])

@@ -170,7 +170,7 @@ def test_match_pointers_self_match_lengths():
 def test_match_pointers_reject_absent_symbol():
     # alphabet shared with a superset text; 'G' never occurs in this text
     big = Text.from_bytes(b"ACGT")
-    text = Text(big.alphabet, np.frombuffer(big.alphabet.encode_bytes(b"ACACAC"), dtype=np.uint8))
+    text = Text(big.alphabet, big.alphabet.encode_bytes(b"ACACAC"))
     pattern = Pattern.from_bytes(b"AG", big.alphabet)
     sa_f = build_suffix_structures(text)
     sa_r = build_suffix_structures(text.reversed())
