@@ -78,6 +78,13 @@ def _print_mems(args, min_len: int, longest: bool = False) -> int:
     """
     patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
     fm_fwd, fm_rev = map(FmIndex.load, index_paths(args.index))
+    symbols = fm_fwd.alphabet.symbols
+    if not args.raw and symbols.upper() != symbols:
+        # FASTA reading folds a-z to A-Z, so no pattern could reach those
+        # bytes of the index: the rows would be silently few or none
+        raise ValueError(f"the index at {args.index} holds lower-case letters, which FASTA "
+                         "patterns never hold (a-z is folded to A-Z); read the patterns "
+                         "with --raw")
     for rid, raw in patterns:
         rows = []
         for mem in find_in_raw(raw, fm_fwd, fm_rev, min_len, longest).mems:

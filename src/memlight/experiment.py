@@ -44,8 +44,8 @@ class ExperimentSpec:
             raise ValueError("mutation rate must be in [0, 1]")
         if self.sigma < 1:
             raise ValueError("alphabet size must be at least 1")
-        if self.sigma > 207:  # the symbols are the byte values from '0' up
-            raise ValueError("experiment alphabets are limited to 207 symbols")
+        if self.sigma > 208:  # the symbols are the byte values from '0' (48) up
+            raise ValueError("experiment alphabets are limited to 208 symbols")
         if self.mutation not in ("flip", "replace_uniform"):
             raise ValueError(f"unknown mutation model: {self.mutation}")
         if self.min_len < 1:

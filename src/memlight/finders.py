@@ -10,9 +10,9 @@ contradict each other stop a scan with the family's error: ValueError for
 match pointers, IndexFormatError for an index pair.  All results are in
 pattern coordinates, 0-based, left to right.
 `find_in_raw` answers the CLI's query on a raw pattern: the MEMs of length
-at least L, by the full scan at L = 1, or one longest, over the pieces the
-index alphabet and record separators leave, with the counters of all pieces
-summed.
+at least L, by the full scan when L is within chance match length, or one
+longest, over the pieces the index alphabet and record separators leave,
+with the counters of all pieces summed.
 """
 
 from __future__ import annotations
@@ -195,22 +195,33 @@ def find_in_raw(raw_pattern: bytes, fwd_index: FmIndex, rev_index: FmIndex,
     """The MEMs of length at least min_len of a raw pattern in an index pair,
     each with its interval.
 
-    At min_len 1 the thresholded scan's probes would skip nothing, so the
-    full scan, which takes fewer steps, answers; any other min_len, and
-    `longest` (one leftmost longest MEM), run the thresholded scan.  The
-    pattern is split on foreign bytes and on the index's record separators,
-    so no match crosses a record boundary.  One QueryStats counts the work
-    of every piece; in longest mode each piece starts one above the best
-    length so far.
+    The scan follows the paper's premise: the MEMs worth skipping to are
+    longer than chance matches, which on a text of n symbols over sigma'
+    (the alphabet less the record separators) are about log_sigma' n long.
+    Below that, every window's probe confirms and skips nothing, so when
+    sigma' ** (min_len - 1) < n, and always at min_len 1, the full scan
+    answers, in fewer steps, and only its MEMs of length at least min_len
+    are kept; longer min_len, and `longest` (one leftmost longest MEM), run
+    the thresholded scan.  The pattern is split on foreign bytes and on the
+    index's record separators, so no match crosses a record boundary.  One
+    QueryStats counts the work of every piece; in longest mode each piece
+    starts one above the best length so far.
     """
-    full = min_len == 1 and not longest
+    if min_len < 1:
+        raise ValueError("minimum length must be at least 1")
+    n, sigma = fwd_index.n, fwd_index.alphabet.size - len(fwd_index.separators)
+    # past n.bit_length() factors of 2 or more the power has passed n
+    full = not longest and (min_len == 1 or sigma ** min(min_len - 1, n.bit_length()) < n)
     result = FinderResult()
     for offset, piece in split_by_foreign_chars(raw_pattern, fwd_index.alphabet,
                                                 fwd_index.separators):
         matches = _fm_matches(piece, fwd_index, rev_index, result.stats)
-        part = (_full_scan(piece.m, *matches, report_intervals=True) if full
-                else _thresholded_scan(piece.m, *matches, min_len, longest,
-                                       report_intervals=True))
+        if full:
+            part = _full_scan(piece.m, *matches, report_intervals=True)
+            part.mems = [mem for mem in part.mems if mem.length >= min_len]
+        else:
+            part = _thresholded_scan(piece.m, *matches, min_len, longest,
+                                     report_intervals=True)
         if longest and part.mems:
             result.mems, min_len = [], part.mems[0].length + 1
         result.mems += (mem._replace(start=mem.start + offset) for mem in part.mems)

@@ -8,21 +8,24 @@ row holds 0 in every plane.  A sampled suffix array serves locating: the
 row of every text position that is a multiple of the sample rate, in text
 order, so that the first is the sentinel's row, the row of text position 0.
 The saved index holds the planes and then the sample rows as one raw
-DEFLATE stream, each row's bytes grouped by byte position; the runs of a
-repetitive text's BWT deflate (Ferragina and Manzini's opportunistic
-compression), numbering by frequency leaves the top plane sparse when the
-rarest symbols are rare, and a byte position of the rows that holds few
+DEFLATE stream: planes 2k and 2k + 1 as one stream of 2-bit fields, one per
+row, and an odd last plane alone; each row's bytes grouped by byte
+position.  The runs of a repetitive text's BWT deflate (Ferragina and
+Manzini's opportunistic compression), and a pair's fields keep a run of one
+symbol one run of one field value, where two planes apart split it into two
+unrelated bit runs; numbering by frequency leaves the top plane sparse when
+the rarest symbols are rare, and a byte position of the rows that holds few
 values costs few bits; a text holds fewer than 2**31 symbols, so a row
 takes 4 bytes.  Load inflates the stream, never past the size the header
-implies, and ANDs the planes or their complements into one bitmap per
-number, keeping only the popcounts, each under its number's code: the C
-array, whose last entry shows whether every row holds a number of the
-alphabet.  The first search splits the rows again into 64-row words per
-symbol, beside a running count per word that starts at C[c]
-(Jacobson's rank), so that a backward step or an LF step is a count read
-plus one popcount for each end of the interval.  The sentinel's row is in
-no bitmap and needs no correction.  Locating reads one code byte per row,
-derived from the planes and the order on first locate.
+implies, splits the pairs back into planes, and ANDs the planes or their
+complements into one bitmap per number, keeping only the popcounts, each
+under its number's code: the C array, whose last entry shows whether every
+row holds a number of the alphabet.  The first search splits the rows again
+into 64-row words per symbol, beside a running count per word that starts
+at C[c] (Jacobson's rank), so that a backward step or an LF step is a count
+read plus one popcount for each end of the interval.  The sentinel's row is
+in no bitmap and needs no correction.  Locating reads one code byte per
+row, derived from the planes and the order on first locate.
 Backward search reports how many characters of a query prefix matched,
 which is the single primitive the deterministic MEM finder needs.
 It starts from a table, also built on first search, of the interval of
@@ -51,13 +54,21 @@ if TYPE_CHECKING:
 
 # the eighth byte is the version: a file whose eighth byte is lower is in an
 # older format, and one whose eighth byte is higher in a newer one
-MAGIC = b"MEMLIDX9"
+MAGIC = b"MEMLIDXA"
 # n, alphabet size, sample rate, separator count
 _HEADER = struct.Struct("<4Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
 _BELOW = tuple((1 << i) - 1 for i in range(64))
 # _DIGITS[j] turns plane j's binary digits into bytes holding bit j
 _DIGITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
+# _NIBBLE[x] moves bit i of a 4-bit x to bit 2i of a byte; _SPREAD[j][h]
+# moves bit i of half h (0 low, 1 high) of a plane byte to bit 2i + j of a
+# byte, and _GATHER[j][h] moves bit 2i + j of a byte back to bit i of half h
+_NIBBLE = [sum((x >> i & 1) << 2 * i for i in range(4)) for x in range(16)]
+_SPREAD = tuple(tuple(bytes(_NIBBLE[x >> 4 * h & 15] << j for x in range(256))
+                      for h in (0, 1)) for j in (0, 1))
+_GATHER = tuple(tuple(bytes(_NIBBLE.index(x >> j & 0x55) << 4 * h for x in range(256))
+                      for h in (0, 1)) for j in (0, 1))
 _KMER_LANES = 1 << 10  # k is the largest with at most this many k-mers
 
 
@@ -102,6 +113,28 @@ def _unpack_rows(data) -> array:
     if sys.byteorder == "big":
         rows.byteswap()
     return rows
+
+
+def _pair_planes(low: int, high: int, size: int) -> bytes:
+    """Two planes of size bytes as one stream of 2-bit fields, 2 * size
+    bytes: byte i holds rows 4i ... 4i + 3, row 4i + j's bit of low at bit
+    2j and of high at bit 2j + 1.  Each plane byte's halves are spread by
+    translation into the even or the odd bytes, and the two planes ORed."""
+    fields = 0
+    for plane, (low_half, high_half) in zip((low, high), _SPREAD):
+        data, spread = plane.to_bytes(size, "little"), bytearray(2 * size)
+        spread[0::2], spread[1::2] = data.translate(low_half), data.translate(high_half)
+        fields |= int.from_bytes(spread, "little")
+    return fields.to_bytes(2 * size, "little")
+
+
+def _split_pair(stream: bytes) -> list[int]:
+    """The two planes that a stream of _pair_planes holds: each plane byte's
+    halves are gathered by translation from an even and an odd byte."""
+    halves = stream[0::2], stream[1::2]
+    return [int.from_bytes(halves[0].translate(low_half), "little")
+            | int.from_bytes(halves[1].translate(high_half), "little")
+            for low_half, high_half in _GATHER]
 
 
 def _inflate(stream, size: int) -> bytes:
@@ -363,11 +396,15 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """The saved index: after the order, the planes and then the sample
-        rows, packed by _pack_rows, as one raw DEFLATE stream."""
-        plane_bytes = (self.n >> 3) + 1  # ceil((n + 1) / 8)
+        """The saved index: after the order, the planes, paired by
+        _pair_planes with an odd last one alone, and then the sample rows,
+        packed by _pack_rows, as one raw DEFLATE stream."""
+        plane_bytes, planes = (self.n >> 3) + 1, self._planes  # ceil((n + 1) / 8) each
         packer = zlib.compressobj(wbits=-15)
-        payload = [packer.compress(plane.to_bytes(plane_bytes, "little")) for plane in self._planes]
+        payload = [packer.compress(_pair_planes(*planes[j : j + 2], plane_bytes))
+                   for j in range(0, len(planes) - 1, 2)]
+        if len(planes) & 1:
+            payload.append(packer.compress(planes[-1].to_bytes(plane_bytes, "little")))
         payload += [packer.compress(_pack_rows(self._sample_rows)), packer.flush()]
         body = b"".join([MAGIC,
                          _HEADER.pack(self.n, self.alphabet.size, self.s, len(self.separators)),
@@ -384,7 +421,8 @@ class FmIndex:
     def from_bytes(cls, data: bytes) -> "FmIndex":
         """Parse a saved index: n must be below 2**31, and the stream between
         the order and the checksum must inflate to exactly P * ceil((n + 1) / 8)
-        bytes of planes, each one int, and n // s + 1 rows of 4 bytes."""
+        bytes of planes, split into one int each, and n // s + 1 rows of 4
+        bytes."""
         magic = data[:8]
         if len(magic) == 8 and magic[:7] == MAGIC[:7] and magic != MAGIC:
             name = magic.decode("ascii", "backslashreplace")
@@ -409,16 +447,21 @@ class FmIndex:
         if int.from_bytes(view[-4:], "little") != zlib.crc32(view[:-4]):
             raise IndexFormatError("index checksum mismatch")
         symbols, separators, order = (view[a:b] for a, b in zip(ends, ends[1:]))
-        plane_bytes = (n >> 3) + 1
-        raw = _plane_count(sigma) * plane_bytes  # the planes' size
+        count, plane_bytes = _plane_count(sigma), (n >> 3) + 1
+        raw = count * plane_bytes  # the planes' size
         payload = _inflate(view[ends[-1] : -4], raw + (n // s + 1) * 4)
         try:
             alphabet = Alphabet(bytes(symbols))
         except ValueError as exc:
             raise IndexFormatError(f"index alphabet: {exc}") from None
-        return cls(alphabet, n, [int.from_bytes(payload[a : a + plane_bytes], "little")
-                                 for a in range(0, raw, plane_bytes)],
-                   order, s, _unpack_rows(memoryview(payload)[raw:]), separators)
+        # the pairs' streams, 2 * plane_bytes each, and an odd last plane
+        planes = []
+        for a in range(0, raw - plane_bytes, 2 * plane_bytes):
+            planes += _split_pair(payload[a : a + 2 * plane_bytes])
+        if count & 1:
+            planes.append(int.from_bytes(payload[raw - plane_bytes : raw], "little"))
+        return cls(alphabet, n, planes, order, s, _unpack_rows(memoryview(payload)[raw:]),
+                   separators)
 
     @classmethod
     def load(cls, source) -> "FmIndex":

@@ -152,7 +152,7 @@ def replay_window_probes(pattern, pointers, lce, min_len):
     return trail
 
 
-# -- the saved index's layout (MEMLIDX9) ----------------------------------------------
+# -- the saved index's layout (MEMLIDXA) ----------------------------------------------
 
 ALPHABET_AT = 8 + 4 * 8  # after the magic and the four header fields
 
@@ -163,14 +163,49 @@ def plane_size(n, sigma):
 
 
 def payload_size(n, sigma, rate):
-    """MEMLIDX9's payload before deflating: the planes, then the sample
+    """MEMLIDXA's payload before deflating: the planes, then the sample
     rows, 4 bytes each."""
     return plane_size(n, sigma) + (n // rate + 1) * 4
 
 
+def _move_plane_bits(source, n, count, to_pairs):
+    """The bytes of `count` planes moved between two layouts: one plane
+    after the other, and as the payload holds them, planes 2k and 2k + 1 as
+    one stream of 2-bit fields, whose byte i holds rows 4i ... 4i + 3, row
+    4i + j's plane-2k bit at bit 2j and its plane-(2k + 1) bit at bit
+    2j + 1, and an odd last plane alone.  Bytes past the pairs stay as
+    they are."""
+    size, out = (n >> 3) + 1, bytearray(source)
+    paired = count // 2 * 2 * size
+    out[:paired] = bytes(paired)
+    for k in range(0, count - 1, 2):
+        for j in (0, 1):
+            for row in range(8 * size):
+                plane = ((k + j) * size + (row >> 3), 1 << (row & 7))
+                field = (k * size + (row >> 2), 1 << (2 * (row & 3) + j))
+                (at, bit), (to, to_bit) = (plane, field) if to_pairs else (field, plane)
+                if source[at] & bit:
+                    out[to] |= to_bit
+    return out
+
+
+def pair_planes(planes, n, count):
+    """The bytes of `count` planes, one after the other, as the payload
+    holds them."""
+    return _move_plane_bits(planes, n, count, to_pairs=True)
+
+
+def split_planes(paired, n, count):
+    """The bytes of `count` planes, one after the other, from the payload's
+    form."""
+    return _move_plane_bits(paired, n, count, to_pairs=False)
+
+
 def joined_planes(index):
-    """An index's planes, one after the other, as the payload holds them."""
-    return b"".join(plane.to_bytes((index.n >> 3) + 1, "little") for plane in index._planes)
+    """An index's planes as the payload holds them."""
+    size = (index.n >> 3) + 1
+    planes = b"".join(plane.to_bytes(size, "little") for plane in index._planes)
+    return bytes(pair_planes(planes, index.n, len(index._planes)))
 
 
 def pack_rows(rows):
@@ -213,13 +248,15 @@ def with_stream(data, stream):
 
 def reseal_payload(data, edit):
     """The saved index with its payload inflated, `edit(planes, rows)`
-    applied to the planes' bytes (a bytearray) and the sample rows (a
-    list), and the two deflated again and resealed."""
+    applied to the planes' bytes, one plane after the other (a bytearray,
+    split from the pairs), and the sample rows (a list), and the two
+    paired, deflated again and resealed."""
     n, sigma, _, _ = struct.unpack_from("<4Q", data, 8)
     payload, split = payload_of(data), plane_size(n, sigma)
-    planes, rows = bytearray(payload[:split]), unpack_rows(payload[split:])
+    count = (sigma - 1).bit_length()
+    planes, rows = split_planes(payload[:split], n, count), unpack_rows(payload[split:])
     edit(planes, rows)
-    return with_stream(data, deflate(bytes(planes) + pack_rows(rows)))
+    return with_stream(data, deflate(bytes(pair_planes(planes, n, count)) + pack_rows(rows)))
 
 
 def set_plane_bit(planes, n, plane, row):

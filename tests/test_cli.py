@@ -48,29 +48,30 @@ def test_index_prints_dimensions(tmp_path, capsys):
 
 # per file, the bytes before the payload (the magic; n, sigma, s and the
 # separator count; the alphabet, the separators and the order) and the
-# inflated payload (the planes; the sample rows, grouped by byte position),
-# in hex; the DEFLATE stream itself is not pinned, since its bytes depend on
+# inflated payload (planes 0 and 1 as one stream of 2-bit fields, then
+# plane 2 at sigma = 5; the sample rows, grouped by byte position), in
+# hex; the DEFLATE stream itself is not pinned, since its bytes depend on
 # the zlib build
 GOLDEN_INDEX_FILES = {
     "demo": {
-        ".fwd.memidx": ("4d454d4c49445839"
+        ".fwd.memidx": ("4d454d4c49445841"
                         "0c00000000000000" "0400000000000000" "0d00000000000000" "0000000000000000"
                         "41434754" "" "00030201",
-                        "0f083800" "08000000"),
-        ".rev.memidx": ("4d454d4c49445839"
+                        "d50a4000" "08000000"),
+        ".rev.memidx": ("4d454d4c49445841"
                         "0c00000000000000" "0400000000000000" "2000000000000000" "0000000000000000"
                         "41434754" "" "00030201",
-                        "1e043100" "09000000"),
+                        "560b1000" "09000000"),
     },
     "two": {
-        ".fwd.memidx": ("4d454d4c49445839"
+        ".fwd.memidx": ("4d454d4c49445841"
                         "1900000000000000" "0500000000000000" "1a00000000000000" "0100000000000000"
                         "0041434754" "00" "0104030200",
-                        "fe026000810f000000001000" "11000000"),
-        ".rev.memidx": ("4d454d4c49445839"
+                        "56d5ae0000140000" "00001000" "11000000"),
+        ".rev.memidx": ("4d454d4c49445841"
                         "1900000000000000" "0500000000000000" "0400000000000000" "0100000000000000"
                         "0041434754" "00" "0104030200",
-                        "fe026000810f000000001000"
+                        "56d5ae0000140000" "00001000"
                         "11050201090a0e" "00000000000000" "00000000000000" "00000000000000"),
     },
 }
@@ -412,6 +413,30 @@ def test_mems_without_l_prints_as_l_one_and_as_all(demo_files, tmp_path, capsys)
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "4", "--all"]) == 2
 
 
+@pytest.mark.parametrize("command", [["mems", "-L", "3"], ["lcs"]])
+def test_fasta_patterns_against_a_lower_case_index_are_a_usage_error(tmp_path, capsys, command):
+    # FASTA reading folds a-z to A-Z, so against a raw index of lower-case
+    # text every FASTA pattern byte would be foreign and no row printed
+    (tmp_path / "low.raw").write_bytes(b"acgtacgtttgca\n")
+    (tmp_path / "low.fa").write_bytes(b">p\nacgtacg\n")
+    (tmp_path / "lowp.raw").write_bytes(b"acgtacg\n")
+    prefix = str(tmp_path / "low")
+    assert main(["index", str(tmp_path / "low.raw"), "--raw", "-o", prefix]) == 0
+    capsys.readouterr()
+    assert main([command[0], prefix, str(tmp_path / "low.fa"), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--raw" in captured.err and "lower-case" in captured.err
+    # the same pattern read with --raw matches byte for byte
+    assert main([command[0], prefix, str(tmp_path / "lowp.raw"), "--raw", *command[1:]]) == 0
+    assert capsys.readouterr().out == "lowp\t1\t7\t7\t1\n"
+    # a FASTA-built index is folded too, so FASTA patterns match it
+    (tmp_path / "low.fa.txt").write_bytes(b">t\nacgtacgtttgca\n")
+    assert main(["index", str(tmp_path / "low.fa.txt"), "-o", prefix + "fa"]) == 0
+    capsys.readouterr()
+    assert main([command[0], prefix + "fa", str(tmp_path / "low.fa"), *command[1:]]) == 0
+    assert capsys.readouterr().out == "p\t1\t7\t7\t1\n"
+
+
 def test_bad_min_length_is_a_usage_error(demo_files, tmp_path):
     _, pattern, prefix = demo_files
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "0"]) == 2
@@ -423,25 +448,25 @@ def test_bad_min_length_is_a_usage_error(demo_files, tmp_path):
 def test_corrupted_index_is_a_format_error(demo_files, tmp_path, capsys):
     _, pattern, prefix = demo_files
     path = prefix + ".fwd.memidx"
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[len(data) // 2] ^= 0xFF
-    open(path, "wb").write(bytes(data))
+    Path(path).write_bytes(bytes(data))
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
     assert "checksum" in capsys.readouterr().err
 
 
 def test_old_format_index_is_a_format_error(demo_files, capsys):
     _, pattern, prefix = demo_files
-    path = prefix + ".fwd.memidx"
-    data = open(path, "rb").read()
-    for magic in (b"MEMLIDX1", b"MEMLIDX5", b"MEMLIDX7", b"MEMLIDX8"):
-        open(path, "wb").write(magic + data[8:])
+    path = Path(prefix + ".fwd.memidx")
+    data = path.read_bytes()
+    for magic in (b"MEMLIDX1", b"MEMLIDX5", b"MEMLIDX7", b"MEMLIDX8", b"MEMLIDX9"):
+        path.write_bytes(magic + data[8:])
         assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
         err = capsys.readouterr().err
         assert magic.decode() in err and "rebuild" in err
     # a higher eighth byte is a newer format
-    for magic, name in ((b"MEMLIDXA", "MEMLIDXA"), (b"MEMLIDX\xff", "MEMLIDX\\xff")):
-        open(path, "wb").write(magic + data[8:])
+    for magic, name in ((b"MEMLIDXB", "MEMLIDXB"), (b"MEMLIDX\xff", "MEMLIDX\\xff")):
+        path.write_bytes(magic + data[8:])
         assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
         err = capsys.readouterr().err
         assert f"newer {name} format" in err and "rebuild" not in err
@@ -457,14 +482,14 @@ def test_moved_sentinel_row_is_a_format_error(tmp_path, capsys):
     pattern.write_bytes(DEMO_PATTERN)
     prefix = str(tmp_path / "x")
     assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
-    path = prefix + ".fwd.memidx"
-    data = open(path, "rb").read()
+    path = Path(prefix + ".fwd.memidx")
+    data = path.read_bytes()
     for row, message in ((3, "the sentinel row must hold the filler byte 0"),
                          (10, "the forward and reverse indexes disagree")):
         def edit(planes, rows):
             assert rows == [8]  # the forward file keeps only the sentinel's row
             rows[0] = row
-        open(path, "wb").write(reseal_payload(data, edit))
+        path.write_bytes(reseal_payload(data, edit))
         capsys.readouterr()
         assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
         assert message in capsys.readouterr().err
@@ -473,12 +498,12 @@ def test_moved_sentinel_row_is_a_format_error(tmp_path, capsys):
 def test_plane_order_not_a_permutation_is_a_format_error(demo_files, capsys):
     # a resealed reverse file whose order names one code twice
     _, pattern, prefix = demo_files
-    path = prefix + ".rev.memidx"
-    data = bytearray(open(path, "rb").read())
+    path = Path(prefix + ".rev.memidx")
+    data = bytearray(path.read_bytes())
     sigma = struct.unpack_from("<4Q", data, 8)[1]
     order = 8 + 4 * 8 + sigma  # after the magic, the header and the alphabet
     data[order + 1] = data[order]
-    open(path, "wb").write(reseal(bytes(data)))
+    path.write_bytes(reseal(bytes(data)))
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
     assert "plane order is not a permutation" in capsys.readouterr().err
 
@@ -493,7 +518,7 @@ def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
     n = len(DEMO_TEXT)
     for suffix, rate, raw in ((".fwd.memidx", n + 1, DEMO_TEXT),
                               (".rev.memidx", 4, DEMO_TEXT[::-1])):
-        data = open(prefix + suffix, "rb").read()
+        data = Path(prefix + suffix).read_bytes()
         _, sigma, s, _ = struct.unpack_from("<4Q", data, 8)
         rows = unpack_rows(payload_of(data)[plane_size(n, sigma):])
         assert s == rate
@@ -528,8 +553,8 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command, tamper, mes
     pattern.write_bytes(DEMO_PATTERN)
     prefix = str(tmp_path / "x")
     assert main(["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]) == 0
-    path = prefix + ".fwd.memidx"
-    data = bytearray(open(path, "rb").read())
+    path = Path(prefix + ".fwd.memidx")
+    data = bytearray(path.read_bytes())
     if tamper == "order":
         order = 8 + 4 * 8 + 4  # after the magic, the header and the alphabet
         data[order], data[order + 1] = data[order + 1], data[order]
@@ -542,7 +567,7 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command, tamper, mes
                 if (planes[plane] ^ planes[plane] >> 3) & 1:
                     planes[plane] ^= 0b1001
         data = reseal_payload(bytes(data), edit)
-    open(path, "wb").write(data)
+    path.write_bytes(data)
     src = Path(memlight.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-m", "memlight.cli", command[0], prefix, str(pattern),

@@ -34,10 +34,10 @@ def test_spec_rejects_bad_values(kwargs):
 
 def test_spec_names_the_alphabet_limit():
     # checked when the spec is made, not when its instance is generated
-    text, _ = generate_instance(ExperimentSpec(n=300, m=10, sigma=207))
-    assert text.alphabet.symbols == bytes(range(48, 255))
-    with pytest.raises(ValueError, match="limited to 207 symbols"):
-        ExperimentSpec(sigma=208)
+    text, _ = generate_instance(ExperimentSpec(n=300, m=10, sigma=208))
+    assert text.alphabet.symbols == bytes(range(48, 256))
+    with pytest.raises(ValueError, match="limited to 208 symbols"):
+        ExperimentSpec(sigma=209)
 
 
 # -- instance generation -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 import signal
 
 import numpy as np
@@ -175,14 +176,17 @@ def test_find_in_raw_equals_a_direct_run_on_each_piece(t_raw, p_raw, separators,
     if mode == "full":
         min_len = 1
     got = find_in_raw(p_raw, fwd, rev, min_len, longest=mode == "longest")
+    # below chance match length, sigma' ** (L - 1) < n with sigma' the
+    # symbols but the separators, and at L = 1 the full scan answers
+    full = min_len == 1 or (alphabet.size - len(separators)) ** (min_len - 1) < text.n
     expect, stats = [], QueryStats()
     for offset, piece in kept_runs(p_raw, alphabet.symbols.translate(None, separators)):
         sub = Pattern.from_bytes(piece, alphabet)
-        # at L = 1 the full scan answers: it takes fewer steps
         part = (find_long_mems_fm(sub, fwd, rev, min_len, report_intervals=True)
-                if mode == "threshold" and min_len > 1 else
+                if mode == "threshold" and not full else
                 find_all_mems_fm(sub, fwd, rev, report_intervals=True))
-        expect += [(offset + m.start, m.length, m.bwt_interval) for m in part.mems]
+        expect += [(offset + m.start, m.length, m.bwt_interval) for m in part.mems
+                   if mode == "longest" or m.length >= min_len]
         for name in vars(stats):
             setattr(stats, name, getattr(stats, name) + getattr(part.stats, name))
     if mode == "longest":
@@ -218,6 +222,80 @@ def test_one_separator_answers_as_one_per_boundary(records, p_raw, min_len):
                                         rev.locate_all(m.bwt_interval)) for m in got.mems]))
         answers.append(answer)
     assert answers[0] == answers[1]
+
+
+def scan_run_by_find_in_raw(t_raw, p_raw, min_len, separators=b""):
+    """"full" or "thresholded": the scan whose summed stats over the
+    pattern's pieces find_in_raw's stats equal, the two scans' stats being
+    checked to differ; the rows must be the full scan's of length >= L."""
+    text = Text.from_bytes(t_raw)
+    fwd = build_fm(text, sample_rate=3, separators=separators)
+    rev = build_fm(text.reversed(), sample_rate=3, separators=separators)
+    got = find_in_raw(p_raw, fwd, rev, min_len)
+    full, thresholded, rows = QueryStats(), QueryStats(), []
+    for offset, piece in kept_runs(p_raw, text.alphabet.symbols.translate(None, separators)):
+        sub = Pattern.from_bytes(piece, text.alphabet)
+        every = find_all_mems_fm(sub, fwd, rev, report_intervals=True)
+        rows += [(offset + m.start, m.length, m.bwt_interval) for m in every.mems
+                 if m.length >= min_len]
+        for total, part in ((full, every.stats),
+                            (thresholded, find_long_mems_fm(sub, fwd, rev, min_len).stats)):
+            for name in vars(total):
+                setattr(total, name, getattr(total, name) + getattr(part, name))
+    assert [(m.start, m.length, m.bwt_interval) for m in got.mems] == rows
+    assert full != thresholded
+    assert got.stats in (full, thresholded)
+    return "full" if got.stats == full else "thresholded"
+
+
+def test_scan_follows_chance_match_length():
+    # the full scan answers while sigma' ** (L - 1) < n, sigma' counting the
+    # symbols but the separators: the thresholded scan's probes skip nothing
+    # at chance match length (about log_sigma' n) and below
+    rng = random.Random(12)
+    dna = bytes(rng.choice(b"ACGT") for _ in range(64))
+    mutated = bytes(rng.choice(b"ACGT") if rng.random() < 0.2 else b for b in dna)
+    binary = bytes(rng.choice(b"ab") for _ in range(16))
+    for t_raw, p_raw, separators, edge in [
+            (binary, binary[::-1] + binary, b"", 4),  # 2 ** 3 < 16 <= 2 ** 4
+            (dna, mutated, b"", 3),  # 4 ** 2 < 64 <= 4 ** 3
+            (dna + b"A", mutated, b"", 4),  # 4 ** 3 < 65 <= 4 ** 4
+            # one separator joins two records into 65 symbols: sigma' is 4,
+            # not 5, so L = 4 is still below the edge
+            (dna[:30] + b"#" + dna[30:], mutated, b"#", 4),
+            (dna[:30] + b"#" + dna[30:], mutated, b"", 3)]:  # 5 ** 2 < 65 <= 5 ** 3
+        assert scan_run_by_find_in_raw(t_raw, p_raw, edge, separators) == "full"
+        assert scan_run_by_find_in_raw(t_raw, p_raw, edge + 1, separators) == "thresholded"
+
+
+def test_one_symbol_text_always_takes_the_full_scan():
+    # sigma' = 1: 1 ** (L - 1) < n at every L from n = 2 on, however large L
+    # is; at n = 1 only L = 1, where no MEM is short, takes it
+    for min_len in (1, 2, 5, 9, 10, 10**9):
+        assert scan_run_by_find_in_raw(b"a" * 9, b"ab" * 3 + b"a" * 12, min_len) == "full"
+    assert scan_run_by_find_in_raw(b"a", b"aba", 1) == "full"
+    assert scan_run_by_find_in_raw(b"a", b"aba", 2) == "thresholded"
+
+
+# texts over ACGT,; with any subset of their symbols as record separators,
+# at every L, whichever scan answers
+@given(st.binary(min_size=1, max_size=300).map(lambda b: bytes(b"ACGT,;"[x % 6] for x in b)),
+       st.binary(max_size=100).map(lambda b: bytes(b"ACGT,;N"[x % 7] for x in b)),
+       st.sets(st.sampled_from(b"ACGT,;")), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_find_in_raw_rows_are_the_long_mems_of_the_full_scan(t_raw, p_raw, separators, min_len):
+    text = Text.from_bytes(t_raw)
+    separators = bytes(sorted(separators & set(text.alphabet.symbols)))
+    fwd = build_fm(text, sample_rate=3, separators=separators)
+    rev = build_fm(text.reversed(), sample_rate=3, separators=separators)
+    expect = []
+    for offset, piece in kept_runs(p_raw, text.alphabet.symbols.translate(None, separators)):
+        every = find_all_mems_fm(Pattern.from_bytes(piece, text.alphabet), fwd, rev,
+                                 report_intervals=True)
+        expect += [(offset + m.start, m.length, m.bwt_interval) for m in every.mems
+                   if m.length >= min_len]
+    got = find_in_raw(p_raw, fwd, rev, min_len)
+    assert [(m.start, m.length, m.bwt_interval) for m in got.mems] == expect
 
 
 def test_all_foreign_pattern_finds_nothing(demo_bench):
@@ -275,6 +353,9 @@ def test_min_len_must_be_positive(demo_bench):
     with pytest.raises(ValueError):
         find_long_mems_fm(demo_bench.pattern, demo_bench.fm_fwd,
                           demo_bench.fm_rev, 0)
+    for raw in (DEMO_PATTERN, b"XXXX"):  # a pattern of pieces, and one of none
+        with pytest.raises(ValueError, match="at least 1"):
+            find_in_raw(raw, demo_bench.fm_fwd, demo_bench.fm_rev, 0)
 
 
 def _stop_hung_test(signum, frame):

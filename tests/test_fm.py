@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlight import fm
 from memlight import (Alphabet, BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
                       NaiveLce, Pattern, QueryStats, SuffixArray, Text, brute_force_mems,
                       build_fm, build_suffix_structures, compute_match_pointers,
@@ -17,7 +18,7 @@ from memlight import (Alphabet, BwtInterval, FingerprintLce, FmIndex, IndexForma
                       find_long_mems_lce, invert_bwt)
 
 from conftest import (ALPHABET_AT, DEMO_PATTERN, DEMO_TEXT, deflate, joined_planes, pack_rows,
-                      payload_at, payload_of, payload_size, plane_size, reseal,
+                      pair_planes, payload_at, payload_of, payload_size, plane_size, reseal,
                       reseal_payload, set_plane_bit, with_stream)
 
 
@@ -590,13 +591,13 @@ def test_load_rejects_truncation(tmp_path, demo_index):
     # no room for a checksum after it
     header = struct.pack("<4Q", 300, 3, 1, 0)
     for end in range(len(header) + 4):
-        path.write_bytes(b"MEMLIDX9" + (header + b"abc")[:end])
+        path.write_bytes(b"MEMLIDXA" + (header + b"abc")[:end])
         with pytest.raises(IndexFormatError, match="^truncated index file$"):
             FmIndex.load(path)
     # files that end inside the alphabet or the order, or leave no room for
     # a checksum after them
     for end in range(2 * 3 + 4):
-        path.write_bytes(b"MEMLIDX9" + header + (b"abc\0\1\2" + b"crc!")[:end])
+        path.write_bytes(b"MEMLIDXA" + header + (b"abc\0\1\2" + b"crc!")[:end])
         with pytest.raises(IndexFormatError, match="^truncated index file$"):
             FmIndex.load(path)
     # no length is stored: a file cut inside the payload or the checksum,
@@ -798,7 +799,7 @@ def test_stored_rows_take_the_bytes_that_n_needs():
     # of ceil((n + 1) / 8) bytes, then n // s + 1 rows of 4 bytes, up to
     # the largest text, of 2**31 - 1 symbols; the header has no field for it
     def saved(n, sigma, s):
-        body = b"MEMLIDX9" + struct.pack("<4Q", n, sigma, s, 0) + bytes(2 * sigma)
+        body = b"MEMLIDXA" + struct.pack("<4Q", n, sigma, s, 0) + bytes(2 * sigma)
         return reseal(body + deflate(b"") + bytes(4))
 
     def expected_size(n, sigma, s):
@@ -821,17 +822,59 @@ def test_stored_rows_take_the_bytes_that_n_needs():
 def test_load_rejects_old_format(demo_index):
     # the eighth byte is the version, compared as a byte
     _, index = demo_index
-    for digit in b"12345678":
+    for digit in b"123456789":
         magic = b"MEMLIDX" + bytes((digit,))
         with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
     # a later version is not called old, and rebuilding would not help
-    for magic, name in ((b"MEMLIDXA", "MEMLIDXA"), (b"MEMLIDXa", "MEMLIDXa"),
+    for magic, name in ((b"MEMLIDXB", "MEMLIDXB"), (b"MEMLIDXa", "MEMLIDXa"),
                         (b"MEMLIDX\xff", "MEMLIDX\\xff")):
         with pytest.raises(IndexFormatError,
                            match=f"^index is in the newer {re.escape(name)} format; "
                                  "it was written by a newer memlight$"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
+
+
+# -- the paired planes ------------------------------------------------------------------
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_pair_stream_splits_into_its_two_planes(data):
+    # n + 1 rows, n from 1 to a few thousand, on both sides of a multiple
+    # of 4 and of 8, any bits, padding bits past row n included
+    nrows = data.draw(st.sampled_from([8 * k + d for k in (1, 2, 3, 250) for d in range(-3, 4)])
+                      | st.integers(2, 4000), label="n + 1")
+    size = (nrows - 1 >> 3) + 1
+    low, high = (data.draw(st.integers(0, (1 << 8 * size) - 1)) for _ in range(2))
+    stream = fm._pair_planes(low, high, size)
+    planes = low.to_bytes(size, "little") + high.to_bytes(size, "little")
+    assert stream == bytes(pair_planes(planes, nrows - 1, 2))
+    assert fm._split_pair(stream) == [low, high]
+
+
+def test_load_rejects_resealed_pair_field_past_row_n(demo_index):
+    # n + 1 = 13 rows: the pair stream's last byte holds rows 12 to 15, so
+    # its bits 2 to 7 are the fields of rows 13 to 15, past row n
+    _, index = demo_index
+    data = index.to_bytes()
+    payload = bytearray(payload_of(data))
+    assert plane_size(index.n, 4) == 4 and payload[3] >> 2 == 0
+    for bit in range(2, 8):
+        field = bytearray(payload)
+        field[3] |= 1 << bit
+        with pytest.raises(IndexFormatError, match="^BWT bit planes set padding bits past row n$"):
+            FmIndex.from_bytes(with_stream(data, deflate(bytes(field))))
+
+
+def test_every_alphabet_size_round_trips():
+    rng = random.Random(5)
+    for sigma in range(1, 257):
+        raw = bytes(range(sigma)) + bytes(rng.choices(range(sigma), k=300))
+        index = build_fm(Text.from_bytes(raw), sample_rate=5)
+        data = index.to_bytes()
+        reloaded = FmIndex.from_bytes(data)
+        assert reloaded.to_bytes() == data
+        assert reloaded._planes == index._planes
 
 
 # -- the deflated payload --------------------------------------------------------------
