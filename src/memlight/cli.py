@@ -70,8 +70,9 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _print_mems(args, min_len: int, longest: bool = False) -> int:
-    """One TSV row per MEM: id, 1-based start and end, length, occurrences.
+def _print_mems(args) -> int:
+    """One TSV row per MEM: id, 1-based start and end, length, occurrences;
+    `lcs` is `mems -L 1` that keeps one longest MEM per pattern.
 
     Each pattern's rows go out in one write: on an unbuffered stdout, one
     print per row would cost two system calls.
@@ -87,7 +88,7 @@ def _print_mems(args, min_len: int, longest: bool = False) -> int:
                          "with --raw")
     for rid, raw in patterns:
         rows = []
-        for mem in find_in_raw(raw, fm_fwd, fm_rev, min_len, longest).mems:
+        for mem in find_in_raw(raw, fm_fwd, fm_rev, args.min_len, args.longest).mems:
             iv = mem.bwt_interval
             fields = [rid, str(mem.start + 1), str(mem.end), str(mem.length),
                       str(iv.width)]
@@ -104,22 +105,12 @@ def _print_mems(args, min_len: int, longest: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_mems(args) -> int:
-    return _print_mems(args, args.min_mem_length)
-
-
-def cmd_lcs(args) -> int:
-    return _print_mems(args, 1, longest=True)
-
-
 def cmd_experiment(args) -> int:
     from .experiment import ExperimentSpec, run_comparison
 
-    spec = ExperimentSpec(n=args.n, m=args.m, sigma=args.sigma,
-                          mutation=args.mutation, rate=args.rate,
-                          min_len=args.min_mem_length, seed=args.seed,
-                          cyclic=args.cyclic, sample_rate=args.sample_rate)
-    report = run_comparison(spec)
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "func", "output")}
+    report = run_comparison(ExperimentSpec(**given))
     text = report.to_tsv()
     if args.output:
         Path(args.output).write_text(text)
@@ -129,8 +120,8 @@ def cmd_experiment(args) -> int:
 
 
 def _min_length(value: str) -> int:
-    # checked here too: a file whose patterns are all foreign bytes never
-    # reaches the finders, which check it for library callers
+    # checked here too: a patterns file with no records never reaches
+    # find_in_raw, which checks it for library callers
     length = int(value)
     if length < 1:
         raise argparse.ArgumentTypeError("minimum MEM length must be at least 1")
@@ -159,36 +150,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index", help="index path prefix")
     p.add_argument("patterns", help="pattern file (FASTA by default)")
     scan = p.add_mutually_exclusive_group()
-    scan.add_argument("-L", "--L", "--min-mem-length", dest="min_mem_length",
+    scan.add_argument("-L", "--L", "--min-mem-length", dest="min_len",
                       type=_min_length, default=1)
-    scan.add_argument("--all", action="store_const", dest="min_mem_length", const=1,
+    scan.add_argument("--all", action="store_const", dest="min_len", const=1,
                       help="report every MEM: the same as -L 1")
     p.add_argument("--locate", action="store_true",
                    help="append 1-based occurrence positions")
     p.add_argument("--intervals", action="store_true",
                    help="append the suffix-order interval")
     p.add_argument("--raw", action="store_true")
-    p.set_defaults(func=cmd_mems)
+    p.set_defaults(func=_print_mems, longest=False)
 
     p = sub.add_parser("lcs", help="report one longest MEM per pattern")
     p.add_argument("index")
     p.add_argument("patterns")
     p.add_argument("--raw", action="store_true")
-    p.set_defaults(func=cmd_lcs, intervals=False, locate=False)
+    p.set_defaults(func=_print_mems, longest=True, min_len=1, intervals=False, locate=False)
 
-    p = sub.add_parser("experiment", help="run a step-count comparison")
-    p.add_argument("--n", type=int, default=1_000_000)
-    p.add_argument("--m", type=int, default=10_000)
-    p.add_argument("--sigma", type=int, default=2)
-    p.add_argument("--mutation", choices=("flip", "replace_uniform"),
-                   default="flip")
-    p.add_argument("--rate", type=float, default=0.1)
-    p.add_argument("-L", "--L", "--min-mem-length", dest="min_mem_length",
-                   type=int, default=40)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cyclic", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--sample-rate", type=int, default=32)
-    p.add_argument("--output", help="write the report here instead of stdout")
+    # the defaults are ExperimentSpec's: an option not given is left out
+    p = sub.add_parser("experiment", help="run a step-count comparison",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--sigma", type=int)
+    p.add_argument("--mutation", choices=("flip", "replace_uniform"))
+    p.add_argument("--rate", type=float)
+    p.add_argument("-L", "--L", "--min-mem-length", dest="min_len", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cyclic", action=argparse.BooleanOptionalAction)
+    p.add_argument("--sample-rate", type=int)
+    p.add_argument("--output", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=cmd_experiment)
     return parser
 

@@ -32,7 +32,8 @@ It starts from a table, also built on first search, of the interval of
 every k-mer of the text (k = 10 on binary text, 5 on DNA), so that the
 first k steps of a search are one lookup.
 
-Loading and querying use the standard library only; building imports numpy.
+Building imports numpy, writes the saved bytes and parses them as a load
+does; loading and querying use the standard library only.
 """
 
 from __future__ import annotations
@@ -61,12 +62,9 @@ _HEADER = struct.Struct("<4Q")
 _BELOW = tuple((1 << i) - 1 for i in range(64))
 # _DIGITS[j] turns plane j's binary digits into bytes holding bit j
 _DIGITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
-# _NIBBLE[x] moves bit i of a 4-bit x to bit 2i of a byte; _SPREAD[j][h]
-# moves bit i of half h (0 low, 1 high) of a plane byte to bit 2i + j of a
-# byte, and _GATHER[j][h] moves bit 2i + j of a byte back to bit i of half h
+# _NIBBLE[x] moves bit i of a 4-bit x to bit 2i of a byte; _GATHER[j][h]
+# moves bit 2i + j of a byte to bit i of half h (0 low, 1 high) of a byte
 _NIBBLE = [sum((x >> i & 1) << 2 * i for i in range(4)) for x in range(16)]
-_SPREAD = tuple(tuple(bytes(_NIBBLE[x >> 4 * h & 15] << j for x in range(256))
-                      for h in (0, 1)) for j in (0, 1))
 _GATHER = tuple(tuple(bytes(_NIBBLE.index(x >> j & 0x55) << 4 * h for x in range(256))
                       for h in (0, 1)) for j in (0, 1))
 _KMER_LANES = 1 << 10  # k is the largest with at most this many k-mers
@@ -92,20 +90,9 @@ def _plane_count(sigma: int) -> int:
     return (sigma - 1).bit_length()
 
 
-def _pack_rows(rows: array) -> bytes:
-    """The rows' little-endian bytes grouped by byte position: every row's
-    lowest byte, then every row's next byte, and so on, one strided slice
-    per position, so that DEFLATE sees each position's values apart."""
-    if sys.byteorder == "big":
-        rows = array(rows.typecode, rows)
-        rows.byteswap()
-    items, size = rows.tobytes(), rows.itemsize
-    return b"".join(items[j::size] for j in range(size))
-
-
 def _unpack_rows(data) -> array:
-    """Rows packed by _pack_rows, into an array('I'), by one strided slice
-    per byte position."""
+    """Rows stored one byte position after another, every row's lowest byte
+    first, into an array('I'), by one strided slice per position."""
     count, wide = len(data) // 4, bytearray(len(data))
     for j in range(4):
         wide[j::4] = data[j * count : (j + 1) * count]
@@ -115,22 +102,10 @@ def _unpack_rows(data) -> array:
     return rows
 
 
-def _pair_planes(low: int, high: int, size: int) -> bytes:
-    """Two planes of size bytes as one stream of 2-bit fields, 2 * size
-    bytes: byte i holds rows 4i ... 4i + 3, row 4i + j's bit of low at bit
-    2j and of high at bit 2j + 1.  Each plane byte's halves are spread by
-    translation into the even or the odd bytes, and the two planes ORed."""
-    fields = 0
-    for plane, (low_half, high_half) in zip((low, high), _SPREAD):
-        data, spread = plane.to_bytes(size, "little"), bytearray(2 * size)
-        spread[0::2], spread[1::2] = data.translate(low_half), data.translate(high_half)
-        fields |= int.from_bytes(spread, "little")
-    return fields.to_bytes(2 * size, "little")
-
-
 def _split_pair(stream: bytes) -> list[int]:
-    """The two planes that a stream of _pair_planes holds: each plane byte's
-    halves are gathered by translation from an even and an odd byte."""
+    """The planes, low and high, of a stream of 2-bit fields whose byte i
+    holds row 4i + j's bits at bits 2j (low) and 2j + 1 (high), j = 0 ... 3:
+    each plane byte's halves are gathered by translation from two bytes."""
     halves = stream[0::2], stream[1::2]
     return [int.from_bytes(halves[0].translate(low_half), "little")
             | int.from_bytes(halves[1].translate(high_half), "little")
@@ -160,6 +135,8 @@ class FmIndex:
     Query stats are owned by the caller and passed in explicitly, keeping
     the index itself stateless.  Construction validates the BWT and the
     suffix-array samples, so a file that loads cannot locate outside the text.
+    An index that `build_fm` or `load` gives keeps the bytes it was parsed
+    from for `to_bytes` and `save`; one made by the constructor has none.
 
     `separators` are the alphabet bytes that join records of a concatenated
     text; callers splitting raw patterns treat them as foreign bytes.
@@ -175,6 +152,7 @@ class FmIndex:
         suffix that the sentinel precedes."""
         self.alphabet = alphabet
         self.n = n
+        self._saved = None  # set by from_bytes
         self.s = sample_rate
         self.separators = bytes(separators)
         self._planes = planes = list(planes)
@@ -396,25 +374,14 @@ class FmIndex:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """The saved index: after the order, the planes, paired by
-        _pair_planes with an odd last one alone, and then the sample rows,
-        packed by _pack_rows, as one raw DEFLATE stream."""
-        plane_bytes, planes = (self.n >> 3) + 1, self._planes  # ceil((n + 1) / 8) each
-        packer = zlib.compressobj(wbits=-15)
-        payload = [packer.compress(_pair_planes(*planes[j : j + 2], plane_bytes))
-                   for j in range(0, len(planes) - 1, 2)]
-        if len(planes) & 1:
-            payload.append(packer.compress(planes[-1].to_bytes(plane_bytes, "little")))
-        payload += [packer.compress(_pack_rows(self._sample_rows)), packer.flush()]
-        body = b"".join([MAGIC,
-                         _HEADER.pack(self.n, self.alphabet.size, self.s, len(self.separators)),
-                         self.alphabet.symbols,
-                         self.separators,
-                         self._order,
-                         *payload])
-        return body + struct.pack("<I", zlib.crc32(body))
+        """The saved bytes this index was parsed from, as `build_fm` wrote
+        them or `load` read them."""
+        if self._saved is None:
+            raise ValueError("an index made from its parts has no saved bytes")
+        return self._saved
 
     def save(self, destination) -> None:
+        """Write the bytes of to_bytes to the destination."""
         Path(destination).write_bytes(self.to_bytes())
 
     @classmethod
@@ -460,8 +427,10 @@ class FmIndex:
             planes += _split_pair(payload[a : a + 2 * plane_bytes])
         if count & 1:
             planes.append(int.from_bytes(payload[raw - plane_bytes : raw], "little"))
-        return cls(alphabet, n, planes, order, s, _unpack_rows(memoryview(payload)[raw:]),
-                   separators)
+        index = cls(alphabet, n, planes, order, s, _unpack_rows(memoryview(payload)[raw:]),
+                    separators)
+        index._saved = bytes(data)
+        return index
 
     @classmethod
     def load(cls, source) -> "FmIndex":
@@ -473,7 +442,8 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
     """FM-index of the text, built from its suffix array.
 
     `separators` names the alphabet bytes that join the records of a
-    concatenated text; they are stored with the index.
+    concatenated text; they are stored with the index.  The index is what
+    from_bytes parses from the saved bytes that numpy writes here.
     """
     import numpy as np
 
@@ -486,7 +456,7 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
     # a rate past n samples text position 0 alone (the forward index's
     # rate n + 1), which one comparison per row finds
     sampled = np.flatnonzero(sa.sa == 0 if sample_rate > text.n else sa.sa % sample_rate == 0)
-    rows = np.empty(text.n // sample_rate + 1, dtype=np.int64)
+    rows = np.empty(text.n // sample_rate + 1, dtype="<u4")
     rows[sa.sa[sampled] // sample_rate] = sampled
     sentinel_row = int(rows[0])  # the row of suffix 0
     # row r holds the symbol before suffix sa[r]: shifted by one, the text
@@ -494,21 +464,31 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
     # gets the filler 0
     shifted = np.empty(text.n + 1, dtype=np.uint8)
     shifted[0], shifted[1:] = 0, text.data
-    bwt = np.take(shifted, sa.sa)
+    codes = np.take(shifted, sa.sa)
     # number the symbols by descending count, ties by code, so that the top
-    # plane holds only the rarest symbols' rows; the sentinel row holds 0
+    # plane holds only the rarest symbols' rows; the sentinel row holds 0,
+    # and so do the rows past n that fill the planes' last bytes
     sigma = text.alphabet.size
-    counts = np.bincount(bwt, minlength=sigma)
+    counts = np.bincount(codes, minlength=sigma)
     counts[0] -= 1  # the sentinel row's filler
     order = np.argsort(-counts, kind="stable").astype(np.uint8)
     numbers = np.empty_like(order)
     numbers[order] = np.arange(sigma)
-    bwt = np.take(numbers, bwt)
+    bwt = np.zeros(8 * ((text.n >> 3) + 1), dtype=np.uint8)
+    np.take(numbers, codes, out=bwt[: text.n + 1])
     bwt[sentinel_row] = 0
-    planes = [int.from_bytes(np.packbits(bwt & (1 << j), bitorder="little").tobytes(), "little")
-              for j in range(_plane_count(sigma))]
-    return FmIndex(text.alphabet, text.n, planes, order.tobytes(), sample_rate, rows.tolist(),
-                   separators)
+    payload, count = [], _plane_count(sigma)
+    for j in range(0, count - 1, 2):
+        d = (bwt >> j & 3).reshape(-1, 4)
+        payload.append(d[:, 0] | d[:, 1] << 2 | d[:, 2] << 4 | d[:, 3] << 6)
+    if count & 1:
+        payload.append(np.packbits(bwt >> (count - 1), bitorder="little"))
+    payload.append(rows.view(np.uint8).reshape(-1, 4).T)
+    packer = zlib.compressobj(wbits=-15)
+    body = b"".join([MAGIC, _HEADER.pack(text.n, sigma, sample_rate, len(separators)),
+                     text.alphabet.symbols, separators, order.tobytes(),
+                     *(packer.compress(part.tobytes()) for part in payload), packer.flush()])
+    return FmIndex.from_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def index_paths(prefix: str) -> tuple[Path, Path]:

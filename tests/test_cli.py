@@ -443,6 +443,9 @@ def test_bad_min_length_is_a_usage_error(demo_files, tmp_path):
     foreign = tmp_path / "foreign.txt"
     foreign.write_bytes(b"xyz")  # no piece reaches a finder
     assert main(["mems", prefix, str(foreign), "--raw", "-L", "0"]) == 2
+    empty = tmp_path / "empty.fa"
+    empty.write_bytes(b"")  # no record reaches find_in_raw, which checks L too
+    assert main(["mems", prefix, str(empty), "-L", "0"]) == 2
 
 
 def test_corrupted_index_is_a_format_error(demo_files, tmp_path, capsys):
@@ -653,6 +656,25 @@ def test_experiment_command_is_deterministic(tmp_path, capsys):
     a = (tmp_path / "a.tsv").read_bytes()
     assert a == (tmp_path / "b.tsv").read_bytes()
     assert a.startswith(b"# memlight experiment report")
+
+
+def test_experiment_defaults_write_the_committed_report(tmp_path):
+    # the command's defaults are ExperimentSpec's
+    golden = Path(__file__).parent / "data" / "experiment_default.tsv"
+    assert main(["experiment", "--output", str(tmp_path / "default.tsv")]) == 0
+    assert (tmp_path / "default.tsv").read_bytes() == golden.read_bytes()
+
+
+def test_experiment_options_reach_the_spec(tmp_path):
+    # every option, none at its default
+    from memlight.experiment import ExperimentSpec, run_comparison
+    argv = ["experiment", "--n", "1500", "--m", "250", "--sigma", "3",
+            "--mutation", "replace_uniform", "--rate", "0.2", "-L", "7", "--seed", "5",
+            "--no-cyclic", "--sample-rate", "8", "--output", str(tmp_path / "given.tsv")]
+    assert main(argv) == 0
+    spec = ExperimentSpec(n=1500, m=250, sigma=3, mutation="replace_uniform", rate=0.2,
+                          min_len=7, seed=5, cyclic=False, sample_rate=8)
+    assert (tmp_path / "given.tsv").read_text() == run_comparison(spec).to_tsv()
 
 
 def test_experiment_rejects_pattern_longer_than_text(capsys):

@@ -846,10 +846,58 @@ def test_a_pair_stream_splits_into_its_two_planes(data):
                       | st.integers(2, 4000), label="n + 1")
     size = (nrows - 1 >> 3) + 1
     low, high = (data.draw(st.integers(0, (1 << 8 * size) - 1)) for _ in range(2))
-    stream = fm._pair_planes(low, high, size)
     planes = low.to_bytes(size, "little") + high.to_bytes(size, "little")
-    assert stream == bytes(pair_planes(planes, nrows - 1, 2))
+    stream = bytes(pair_planes(planes, nrows - 1, 2))
     assert fm._split_pair(stream) == [low, high]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_build_writes_the_payload_of_a_brute_force_bwt(data):
+    # the payload that build_fm writes against one made row by row from a
+    # brute-force suffix array: sigma 1 to 256, so odd and even plane
+    # counts, n + 1 rows on both sides of a multiple of 4 and of 8, sample
+    # rates 1 to 12 and n + 1, with and without separators
+    sigma = data.draw(st.integers(1, 9) | st.integers(10, 256), label="sigma")
+    nrows = data.draw(st.sampled_from([8 * k + d for k in (1, 2, 3, 33) for d in range(-3, 4)])
+                      | st.integers(2, 300), label="n + 1")
+    n = max(nrows - 1, sigma)
+    codes = data.draw(st.permutations(list(range(sigma)) + data.draw(
+        st.lists(st.integers(0, sigma - 1), min_size=n - sigma, max_size=n - sigma))))
+    text = Text.from_bytes(bytes(codes))
+    separators = text.alphabet.symbols[:data.draw(st.integers(0, min(2, sigma)))]
+    rate = data.draw(st.sampled_from([*range(1, 13), n + 1]), label="sample rate")
+    saved = build_fm(text, rate, separators=separators).to_bytes()
+    sa = naive_suffix_array(text.code_bytes)
+    bwt = [text.code_bytes[i - 1] if i else 0 for i in sa]
+    counts = [bwt.count(c) - (c == 0) for c in range(sigma)]  # not the sentinel row
+    order = sorted(range(sigma), key=lambda c: (-counts[c], c))
+    numbers = [order.index(c) for c in bwt]
+    numbers[sa.index(0)] = 0  # the sentinel's row
+    size = (n >> 3) + 1
+    planes = b"".join(plane.to_bytes(size, "little") for plane in planes_of(numbers, sigma))
+    rows = [sa.index(k) for k in range(0, n + 1, rate)]
+    count = (sigma - 1).bit_length()
+    assert payload_of(saved) == bytes(pair_planes(planes, n, count)) + pack_rows(rows)
+    at = payload_at(saved)
+    assert saved[at - sigma - len(separators) : at] == separators + bytes(order)
+
+
+def test_a_built_index_keeps_the_bytes_it_was_parsed_from(tmp_path, monkeypatch):
+    parsed = []
+    from_bytes = FmIndex.from_bytes.__func__
+
+    def spy(cls, data):
+        parsed.append(data)
+        return from_bytes(cls, data)
+    monkeypatch.setattr(FmIndex, "from_bytes", classmethod(spy))
+    index = build_fm(Text.from_bytes(DEMO_TEXT), sample_rate=4)
+    assert len(parsed) == 1 and index.to_bytes() == parsed[0]
+    index.save(tmp_path / "demo.memidx")
+    assert (tmp_path / "demo.memidx").read_bytes() == parsed[0]
+    # an index made from its parts was parsed from no bytes
+    with pytest.raises(ValueError, match="^an index made from its parts has no saved bytes$"):
+        index_from_bwt(index, index._bwt, index._sample_rows).to_bytes()
 
 
 def test_load_rejects_resealed_pair_field_past_row_n(demo_index):
