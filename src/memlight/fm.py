@@ -133,60 +133,14 @@ class FmIndex:
     """Immutable backward-search index; concurrent queries are safe.
 
     Query stats are owned by the caller and passed in explicitly, keeping
-    the index itself stateless.  Construction validates the BWT and the
-    suffix-array samples, so a file that loads cannot locate outside the text.
-    An index that `build_fm` or `load` gives keeps the bytes it was parsed
-    from for `to_bytes` and `save`; one made by the constructor has none.
+    the index itself stateless.  An index exists only as `from_bytes`
+    parsed it from saved bytes, which `build_fm` writes and `load` reads,
+    so every index has passed the load checks and cannot locate outside
+    the text; `to_bytes` and `save` give back the bytes parsed.
 
     `separators` are the alphabet bytes that join records of a concatenated
     text; callers splitting raw patterns treat them as foreign bytes.
     """
-
-    def __init__(self, alphabet: Alphabet, n: int, planes: list[int], order: bytes,
-                 sample_rate: int, sample_rows, separators: bytes = b""):
-        """`planes[j]` has bit r set when BWT row r holds the symbol whose
-        number has bit j set, for rows 0 ... n; `order[i]` is the code of
-        number i; `sample_rows[k]` is the BWT row of text position
-        k * sample_rate, for k = 0 ... n // sample_rate, so that
-        `sample_rows[0]` is the sentinel's row: text position 0 is the
-        suffix that the sentinel precedes."""
-        self.alphabet = alphabet
-        self.n = n
-        self._saved = None  # set by from_bytes
-        self.s = sample_rate
-        self.separators = bytes(separators)
-        self._planes = planes = list(planes)
-        self._order = order = bytes(order)
-        sigma = alphabet.size
-        # one flag per row: a row past n raises IndexError (the rows are
-        # unsigned), and so does a row whose flag an earlier position set
-        flags = bytearray(n + 1)
-        try:
-            rows = self._sample_rows = array("I", sample_rows)
-            for row in rows:
-                if flags[row]:
-                    raise IndexError
-                flags[row] = 1
-            self.sentinel_row = sentinel_row = rows[0]
-        except (IndexError, OverflowError):
-            raise IndexFormatError("suffix-array samples must be distinct BWT rows") from None
-        if any(plane >> (n + 1) for plane in planes):
-            raise IndexFormatError("BWT bit planes set padding bits past row n")
-        if any(plane >> sentinel_row & 1 for plane in planes):
-            raise IndexFormatError("the sentinel row must hold the filler byte 0")
-        if sorted(order) != list(range(sigma)):
-            raise IndexFormatError("the plane order is not a permutation of the alphabet codes")
-        # C[c], the rows before symbol c's: the sentinel's row, then each
-        # symbol's rows; a row holding a number past the alphabet is in none
-        counts = [0] * sigma
-        for code, bitmap in zip(order, self._symbol_rows()):
-            counts[code] = bitmap.bit_count()
-        self._c = list(accumulate(counts, initial=1))
-        if self._c[sigma] != n + 1:
-            raise IndexFormatError("BWT symbols out of range for the alphabet")
-        if (bytes(sorted(set(self.separators))) != self.separators
-                or not set(self.separators) <= set(alphabet.symbols)):
-            raise IndexFormatError("record separators must be distinct alphabet bytes, ascending")
 
     def _symbol_rows(self):
         """Yield the bitmap of the rows holding each number, in number order.
@@ -344,7 +298,8 @@ class FmIndex:
     def locate_all(self, iv: BwtInterval) -> list[int]:
         """Text positions of every row in the interval, ascending.
 
-        Each row walks fewer than sample_rate LF steps to a sampled row.
+        Each row walks at most sample_rate - 1 LF steps to a sampled row,
+        since the samples are in text order; one that walks further raises.
         Row 0, the empty suffix, resolves to position n and is excluded.
         """
         # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix;
@@ -352,18 +307,18 @@ class FmIndex:
         # walk passes it
         bwt, (words, cols), below = self._bwt, self._rank, _BELOW
         sampled = self._sampled.get
-        n = self.n
+        n, s = self.n, self.s
         out = []
         for row in range(iv.lo, iv.hi):
-            r, steps = row, 0
-            pos = sampled(r)
-            while pos is None:
+            r = row
+            for steps in range(s):
+                pos = sampled(r)
+                if pos is not None:
+                    break
                 sym = bwt[r]
                 r = cols[sym][r >> 6] + (words[sym][r >> 6] & below[r & 63]).bit_count()
-                steps += 1
-                if steps > n:
-                    raise IndexFormatError("suffix-array samples are unreachable")
-                pos = sampled(r)
+            else:
+                raise IndexFormatError("suffix-array samples are unreachable")
             pos += steps
             if pos > n:
                 raise IndexFormatError("suffix-array samples point past the text")
@@ -376,8 +331,6 @@ class FmIndex:
     def to_bytes(self) -> bytes:
         """The saved bytes this index was parsed from, as `build_fm` wrote
         them or `load` read them."""
-        if self._saved is None:
-            raise ValueError("an index made from its parts has no saved bytes")
         return self._saved
 
     def save(self, destination) -> None:
@@ -386,10 +339,11 @@ class FmIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FmIndex":
-        """Parse a saved index: n must be below 2**31, and the stream between
-        the order and the checksum must inflate to exactly P * ceil((n + 1) / 8)
-        bytes of planes, split into one int each, and n // s + 1 rows of 4
-        bytes."""
+        """Parse a saved index, the only way to make one: n must be below
+        2**31, and the stream between the order and the checksum must
+        inflate to exactly P * ceil((n + 1) / 8) bytes of planes, split into
+        one int each (bit r of plane j is bit j of row r's number), and
+        n // s + 1 rows of 4 bytes, the row of each text position k * s."""
         magic = data[:8]
         if len(magic) == 8 and magic[:7] == MAGIC[:7] and magic != MAGIC:
             name = magic.decode("ascii", "backslashreplace")
@@ -427,9 +381,39 @@ class FmIndex:
             planes += _split_pair(payload[a : a + 2 * plane_bytes])
         if count & 1:
             planes.append(int.from_bytes(payload[raw - plane_bytes : raw], "little"))
-        index = cls(alphabet, n, planes, order, s, _unpack_rows(memoryview(payload)[raw:]),
-                    separators)
-        index._saved = bytes(data)
+        index = cls.__new__(cls)
+        index.alphabet, index.n, index.s, index._saved = alphabet, n, s, bytes(data)
+        index.separators, index._planes = bytes(separators), planes
+        order = index._order = bytes(order)
+        # one flag per row: a row past n raises IndexError, and so does a
+        # row whose flag an earlier position set
+        flags = bytearray(n + 1)
+        try:
+            rows = index._sample_rows = _unpack_rows(memoryview(payload)[raw:])
+            for row in rows:
+                if flags[row]:
+                    raise IndexError
+                flags[row] = 1
+        except IndexError:
+            raise IndexFormatError("suffix-array samples must be distinct BWT rows") from None
+        index.sentinel_row = sentinel_row = rows[0]
+        if any(plane >> (n + 1) for plane in planes):
+            raise IndexFormatError("BWT bit planes set padding bits past row n")
+        if any(plane >> sentinel_row & 1 for plane in planes):
+            raise IndexFormatError("the sentinel row must hold the filler byte 0")
+        if sorted(order) != list(range(sigma)):
+            raise IndexFormatError("the plane order is not a permutation of the alphabet codes")
+        # C[c], the rows before symbol c's: the sentinel's row, then each
+        # symbol's rows; a row holding a number past the alphabet is in none
+        counts = [0] * sigma
+        for code, bitmap in zip(order, index._symbol_rows()):
+            counts[code] = bitmap.bit_count()
+        index._c = list(accumulate(counts, initial=1))
+        if index._c[sigma] != n + 1:
+            raise IndexFormatError("BWT symbols out of range for the alphabet")
+        if (bytes(sorted(set(index.separators))) != index.separators
+                or not set(index.separators) <= set(alphabet.symbols)):
+            raise IndexFormatError("record separators must be distinct alphabet bytes, ascending")
         return index
 
     @classmethod

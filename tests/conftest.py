@@ -201,11 +201,12 @@ def split_planes(paired, n, count):
     return _move_plane_bits(paired, n, count, to_pairs=False)
 
 
-def joined_planes(index):
-    """An index's planes as the payload holds them."""
-    size = (index.n >> 3) + 1
-    planes = b"".join(plane.to_bytes(size, "little") for plane in index._planes)
-    return bytes(pair_planes(planes, index.n, len(index._planes)))
+def paired_planes(planes, n):
+    """Plane ints, bit r of plane j being bit j of row r's number, as the
+    payload holds them."""
+    size = (n >> 3) + 1
+    joined = b"".join(plane.to_bytes(size, "little") for plane in planes)
+    return bytes(pair_planes(joined, n, len(planes)))
 
 
 def pack_rows(rows):
@@ -257,6 +258,17 @@ def reseal_payload(data, edit):
     planes, rows = split_planes(payload[:split], n, count), unpack_rows(payload[split:])
     edit(planes, rows)
     return with_stream(data, deflate(bytes(pair_planes(planes, n, count)) + pack_rows(rows)))
+
+
+def index_file(alphabet, n, planes, order, rate, rows, separators=b""):
+    """The saved bytes of an index given by its parts: the header, the
+    alphabet, the separators and the order, then the planes (ints, bit r of
+    plane j being bit j of row r's number), paired, and the sample rows as
+    one raw DEFLATE stream, then the CRC."""
+    body = (b"MEMLIDXA" + struct.pack("<4Q", n, alphabet.size, rate, len(separators))
+            + alphabet.symbols + bytes(separators) + bytes(order)
+            + deflate(paired_planes(planes, n) + pack_rows(rows)))
+    return reseal(body + bytes(4))
 
 
 def set_plane_bit(planes, n, plane, row):

@@ -17,9 +17,9 @@ from memlight import (Alphabet, BwtInterval, FingerprintLce, FmIndex, IndexForma
                       find_all_mems, find_in_raw, find_long_mems_fm,
                       find_long_mems_lce, invert_bwt)
 
-from conftest import (ALPHABET_AT, DEMO_PATTERN, DEMO_TEXT, deflate, joined_planes, pack_rows,
-                      pair_planes, payload_at, payload_of, payload_size, plane_size, reseal,
-                      reseal_payload, set_plane_bit, with_stream)
+from conftest import (ALPHABET_AT, DEMO_PATTERN, DEMO_TEXT, deflate, index_file, pack_rows,
+                      pair_planes, paired_planes, payload_at, payload_of, payload_size, plane_size,
+                      reseal, reseal_payload, set_plane_bit, with_stream)
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +46,10 @@ def planes_of(bwt, sigma):
 
 def index_from_bwt(index, bwt, sample_rows):
     """An index like `index` with the BWT bytes and sample rows given, its
-    planes in code order."""
+    planes in code order, parsed from the bytes of its file."""
     sigma = index.alphabet.size
-    return FmIndex(index.alphabet, index.n, planes_of(bwt, sigma), bytes(range(sigma)),
-                   index.s, sample_rows)
+    return FmIndex.from_bytes(index_file(index.alphabet, index.n, planes_of(bwt, sigma),
+                                         bytes(range(sigma)), index.s, sample_rows))
 
 
 # -- construction ---------------------------------------------------------------
@@ -396,6 +396,24 @@ def test_locate_rejects_a_walk_past_the_text(demo_index):
         broken.locate_all(BwtInterval(0, broken.n + 1))
 
 
+def test_locate_stops_within_the_sample_rate(demo_index):
+    # position 4's sample row replaced by position 5's, at s = 4: the file
+    # loads, but the row of position 4 meets no sampled row in s - 1 = 3 LF
+    # steps; a walk that went on would locate every row without a word,
+    # position 6's row at 5
+    _, index = demo_index
+    row_of = {pos: row for row in range(index.n + 1)
+              for pos in index.locate_all(BwtInterval(row, row + 1))}
+    assert index.s == 4 and [row_of[pos] for pos in (0, 4, 8)] == list(index._sample_rows[:3])
+
+    def edit(planes, rows):
+        rows[1] = row_of[5]
+    broken = FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
+    for interval in (BwtInterval(0, index.n + 1), BwtInterval(row_of[4], row_of[4] + 1)):
+        with pytest.raises(IndexFormatError, match="^suffix-array samples are unreachable$"):
+            broken.locate_all(interval)
+
+
 # -- serialization -------------------------------------------------------------------
 
 def test_save_load_round_trip_is_byte_exact(tmp_path, demo_index):
@@ -467,7 +485,8 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     saved = index.to_bytes()
     # the payload inflates to the planes and then the rows, byte by byte
     assert len(payload_of(saved)) == payload_size(n, sigma, rate)
-    assert payload_of(saved) == joined_planes(index) + pack_rows(index._sample_rows)
+    assert payload_of(saved) == (paired_planes(index._planes, index.n)
+                                 + pack_rows(index._sample_rows))
     reloaded = FmIndex.from_bytes(saved)
     # load derives C alone: rank, BWT bytes, k-mers and positions wait for use
     assert not {"_rank", "_bwt", "_kmers", "_sampled"} & reloaded.__dict__.keys()
@@ -525,8 +544,9 @@ def test_symbols_numbered_by_frequency_keep_every_answer(common, rare, n, seed, 
     sa = naive_suffix_array(text.code_bytes)
     bwt = bytes(text.code_bytes[i - 1] if i else 0 for i in sa)
     # the same index with its planes in code order
-    full = FmIndex(text.alphabet, n, planes_of(bwt, sigma), bytes(range(sigma)), rate,
-                   index._sample_rows, separators)
+    full = FmIndex.from_bytes(index_file(text.alphabet, n, planes_of(bwt, sigma),
+                                         bytes(range(sigma)), rate, index._sample_rows,
+                                         separators))
     counts = [bwt.count(c) - (c == 0) for c in range(sigma)]  # not the sentinel row
     assert list(index._order) == sorted(range(sigma), key=lambda c: (-counts[c], c))
     assert len(index._planes) == len(full._planes) == (sigma - 1).bit_length()
@@ -686,7 +706,8 @@ def test_load_rejects_resealed_sentinel_row_on_another_filler_row(demo_index):
     # the sentinel row is the first sample row: moved to row 3, which holds
     # a nonzero number, it fails the filler check at load; moved to row 10,
     # which also holds 0, the file loads as the index of a rotated text, and
-    # only a locate (or the pair's scan) shows that the row was moved
+    # only a locate (or the pair's scan) shows that the row was moved: some
+    # row meets no sampled row within s - 1 steps
     _, index = demo_index
     assert (index.sentinel_row, index._bwt[3], index._bwt[10]) == (8, 1, 0)
     data = index.to_bytes()
@@ -700,7 +721,7 @@ def test_load_rejects_resealed_sentinel_row_on_another_filler_row(demo_index):
         FmIndex.from_bytes(moved_to(3))
     moved = FmIndex.from_bytes(moved_to(10))
     assert moved.sentinel_row == 10
-    with pytest.raises(IndexFormatError, match="past the text"):
+    with pytest.raises(IndexFormatError, match="^suffix-array samples are unreachable$"):
         moved.locate_all(BwtInterval(0, moved.n + 1))
 
 
@@ -746,12 +767,14 @@ def test_split_by_ands_equals_a_decode_of_every_row(data):
     alphabet = Alphabet(bytes(range(sigma)))
     fields = SimpleNamespace(n=n, sentinel_row=sentinel_row, _planes=planes, alphabet=alphabet)
     assert list(FmIndex._symbol_rows(fields)) == expected
-    args = (alphabet, n, planes, bytes(range(sigma)), n + 1, [sentinel_row])
+    data = index_file(alphabet, n, planes, bytes(range(sigma)), n + 1, [sentinel_row])
     if any(number >= sigma for row, number in enumerate(numbers) if row != sentinel_row):
         with pytest.raises(IndexFormatError, match="^BWT symbols out of range for the alphabet$"):
-            FmIndex(*args)
+            FmIndex.from_bytes(data)
     else:
-        assert FmIndex(*args)._c == list(accumulate(map(int.bit_count, expected), initial=1))
+        index = FmIndex.from_bytes(data)
+        assert index._c == list(accumulate(map(int.bit_count, expected), initial=1))
+        assert index.to_bytes() == data
 
 
 def test_build_numbers_symbols_by_descending_count_ties_by_code():
@@ -895,9 +918,6 @@ def test_a_built_index_keeps_the_bytes_it_was_parsed_from(tmp_path, monkeypatch)
     assert len(parsed) == 1 and index.to_bytes() == parsed[0]
     index.save(tmp_path / "demo.memidx")
     assert (tmp_path / "demo.memidx").read_bytes() == parsed[0]
-    # an index made from its parts was parsed from no bytes
-    with pytest.raises(ValueError, match="^an index made from its parts has no saved bytes$"):
-        index_from_bwt(index, index._bwt, index._sample_rows).to_bytes()
 
 
 def test_load_rejects_resealed_pair_field_past_row_n(demo_index):
@@ -949,7 +969,8 @@ def deflated_index():
 
 def test_deflated_planes_load_back(deflated_index):
     index, data = deflated_index
-    assert payload_of(data) == joined_planes(index) + pack_rows(index._sample_rows)
+    assert payload_of(data) == (paired_planes(index._planes, index.n)
+                                + pack_rows(index._sample_rows))
     reloaded = FmIndex.from_bytes(data)
     assert reloaded._planes == index._planes
     assert reloaded._sample_rows == index._sample_rows
