@@ -34,6 +34,8 @@ import sys
 import time
 from pathlib import Path
 
+from query_children import quartiles
+
 
 def import_tree(src: str, name: str):
     """The `memlight` package of a src directory, imported as `name`."""
@@ -57,13 +59,6 @@ def search_pass(memlight, fwd, rev, patterns, min_len, longest, locate):
             rows.append((mem.start, mem.end, iv.lo, iv.hi,
                          rev.locate_all(iv) if locate else None))
     return rows, steps
-
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return q1, median, q3
 
 
 def main(argv=None) -> int:
