@@ -48,6 +48,16 @@ def import_tree(src: str, name: str):
     return module
 
 
+def read_patterns(memlight, path: Path, raw: bool) -> list[bytes]:
+    """The patterns as `mems` reads them: the sequences of a FASTA file, or
+    with `raw` the file's bytes minus one trailing newline."""
+    if not raw:
+        fasta = importlib.import_module(f"{memlight.__name__}.fasta")
+        return [record.sequence for record in fasta.read_fasta(path)]
+    data = path.read_bytes()
+    return [data.removesuffix(b"\r\n") if data.endswith(b"\r\n") else data.removesuffix(b"\n")]
+
+
 def search_pass(memlight, fwd, rev, patterns, min_len, longest, locate):
     """The rows of one pass over every pattern and its backward steps."""
     rows, steps = [], 0
@@ -77,8 +87,7 @@ def main(argv=None) -> int:
     if args.rounds < 1 or args.min_len < 1:
         parser.error("--rounds and -L must be at least 1")
     trees = [import_tree(src, f"memlight_tree{t + 1}") for t, src in enumerate(args.trees)]
-    cli = importlib.import_module("memlight_tree2.cli")
-    patterns = [raw for _, raw in cli._read_pattern_inputs(Path(args.patterns), args.raw)]
+    patterns = read_patterns(trees[1], Path(args.patterns), args.raw)
     pairs = [[memlight.FmIndex.load(path) for path in memlight.index_paths(
         args.prefix.replace("{tree}", str(t + 1)))] for t, memlight in enumerate(trees)]
 

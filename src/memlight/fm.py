@@ -298,8 +298,8 @@ class FmIndex:
     def locate_all(self, iv: BwtInterval) -> list[int]:
         """Text positions of every row in the interval, ascending.
 
-        Each row walks at most sample_rate - 1 LF steps to a sampled row,
-        since the samples are in text order; one that walks further raises.
+        Each row walks at most min(sample_rate - 1, n) LF steps to a sampled
+        row, since the samples are in text order; one that walks further raises.
         Row 0, the empty suffix, resolves to position n and is excluded.
         """
         # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix;
@@ -307,11 +307,11 @@ class FmIndex:
         # walk passes it
         bwt, (words, cols), below = self._bwt, self._rank, _BELOW
         sampled = self._sampled.get
-        n, s = self.n, self.s
+        n, walk = self.n, min(self.s, self.n + 1)
         out = []
         for row in range(iv.lo, iv.hi):
             r = row
-            for steps in range(s):
+            for steps in range(walk):
                 pos = sampled(r)
                 if pos is not None:
                     break

@@ -414,6 +414,22 @@ def test_locate_stops_within_the_sample_rate(demo_index):
             broken.locate_all(interval)
 
 
+def test_locate_stops_within_n_steps_at_a_rate_past_the_text():
+    # banana's BWT with rows 0 and 1 swapped keeps its counts and its
+    # sentinel row, so it loads, but its LF splits into two cycles; at rate
+    # 2**62 the one sample is the sentinel's row, which the cycle without it
+    # never meets, and the walk ends after n + 1 steps, not after s
+    index = build_fm(Text.from_bytes(b"banana"))
+    assert (index._bwt, index.sentinel_row) == (bytes([0, 2, 2, 1, 0, 0, 0]), 4)
+    sigma = index.alphabet.size
+    broken = FmIndex.from_bytes(index_file(index.alphabet, index.n,
+                                           planes_of(bytes([2, 0, 2, 1, 0, 0, 0]), sigma),
+                                           bytes(range(sigma)), 1 << 62, [index.sentinel_row]))
+    assert broken.s == 1 << 62
+    with pytest.raises(IndexFormatError, match="^suffix-array samples are unreachable$"):
+        broken.locate_all(BwtInterval(0, broken.n + 1))
+
+
 # -- serialization -------------------------------------------------------------------
 
 def test_save_load_round_trip_is_byte_exact(tmp_path, demo_index):
