@@ -9,12 +9,12 @@ loads its own index pair at PREFIX; a literal `{tree}` in PREFIX becomes 1
 under the first tree and 2 under the second, as in `query_children.py`, so
 that two trees whose index formats differ can each read a pair they built
 themselves.  The patterns are read once, as `mems` reads them, by the
-second tree.  A pass runs `find_in_raw` over every pattern at `-L`
-(default 1), or for one longest MEM with `--lcs`, and with `--locate` also
-locates every MEM in the reverse index.  One warm-up pass per tree builds
-what the first search and the first locate build; then each round times
-one pass per tree, back to back, and which tree goes first alternates from
-round to round.
+second tree's `memlight.fasta.read_patterns`.  A pass runs `find_in_raw`
+over every pattern at `-L` (default 1), or for one longest MEM with
+`--lcs`, and with `--locate` also locates every MEM in the reverse index.
+One warm-up pass per tree builds what the first search and the first
+locate build; then each round times one pass per tree, back to back, and
+which tree goes first alternates from round to round.
 
 The script prints each tree's median pass time with its quartiles, the
 median of the per-round ratio of the second tree's time to the first's,
@@ -48,16 +48,6 @@ def import_tree(src: str, name: str):
     return module
 
 
-def read_patterns(memlight, path: Path, raw: bool) -> list[bytes]:
-    """The patterns as `mems` reads them: the sequences of a FASTA file, or
-    with `raw` the file's bytes minus one trailing newline."""
-    if not raw:
-        fasta = importlib.import_module(f"{memlight.__name__}.fasta")
-        return [record.sequence for record in fasta.read_fasta(path)]
-    data = path.read_bytes()
-    return [data.removesuffix(b"\r\n") if data.endswith(b"\r\n") else data.removesuffix(b"\n")]
-
-
 def search_pass(memlight, fwd, rev, patterns, min_len, longest, locate):
     """The rows of one pass over every pattern and its backward steps."""
     rows, steps = [], 0
@@ -87,7 +77,8 @@ def main(argv=None) -> int:
     if args.rounds < 1 or args.min_len < 1:
         parser.error("--rounds and -L must be at least 1")
     trees = [import_tree(src, f"memlight_tree{t + 1}") for t, src in enumerate(args.trees)]
-    patterns = read_patterns(trees[1], Path(args.patterns), args.raw)
+    fasta = importlib.import_module(f"{trees[1].__name__}.fasta")
+    patterns = [raw for _, raw in fasta.read_patterns(args.patterns, args.raw)]
     pairs = [[memlight.FmIndex.load(path) for path in memlight.index_paths(
         args.prefix.replace("{tree}", str(t + 1)))] for t, memlight in enumerate(trees)]
 

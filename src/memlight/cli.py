@@ -8,10 +8,9 @@ import signal
 import sys
 from pathlib import Path
 
-from .fasta import read_fasta
+from .fasta import read_patterns, read_text
 from .finders import find_in_raw
 from .fm import FmIndex, IndexFormatError, index_paths, write_index_pair
-from .sequence import BYTES
 
 # `mems` and `lcs` import only the standard library: `index` and
 # `experiment` import their numpy modules when they run
@@ -21,48 +20,10 @@ EXIT_USAGE = 2
 EXIT_INDEX = 3
 
 
-# -- input reading -----------------------------------------------------------
-
-def _read_raw(path: Path) -> bytes:
-    """The file's bytes minus one trailing newline, as `--raw` promises."""
-    data = path.read_bytes()
-    for end in (b"\r\n", b"\n"):
-        if data.endswith(end):
-            return data[: -len(end)]
-    return data
-
-
-def _read_text_input(path: Path, raw: bool, concat_sep: bool) -> tuple[bytes, bytes]:
-    """The text to index and the record separator it holds, if any.
-
-    A FASTA text is its one record, or with `concat_sep` all its records
-    joined by one byte value: the smallest that no record uses.  There is
-    always one, since no record holds a line break.  Several records without
-    `concat_sep` are a usage error, not a text of the first one.
-    """
-    if raw:
-        return _read_raw(path), b""
-    sequences = [r.sequence for r in read_fasta(path)]
-    if len(sequences) < 2:
-        return b"".join(sequences), b""
-    if not concat_sep:
-        raise ValueError(f"{path} holds {len(sequences)} FASTA records; "
-                         "index them all with --concat-sep")
-    separator = BYTES.translate(None, b"".join(sequences))[:1]
-    return separator.join(sequences), separator
-
-
-def _read_pattern_inputs(path: Path, raw: bool) -> list[tuple[str, bytes]]:
-    if raw:
-        return [(path.stem, _read_raw(path))]
-    return [(r.id, r.sequence) for r in read_fasta(path)]
-
-
 # -- commands ----------------------------------------------------------------
 
 def cmd_index(args) -> int:
-    text_bytes, separators = _read_text_input(Path(args.text), args.raw,
-                                              args.concat_sep)
+    text_bytes, separators = read_text(args.text, args.raw, args.concat_sep)
     n, sigma, seconds = write_index_pair(text_bytes, args.output,
                                          args.sample_rate, separators)
     print(f"n={n}\tsigma={sigma}",
@@ -77,7 +38,7 @@ def _print_mems(args) -> int:
     Each pattern's rows go out in one write: on an unbuffered stdout, one
     print per row would cost two system calls.
     """
-    patterns = _read_pattern_inputs(Path(args.patterns), args.raw)
+    patterns = read_patterns(args.patterns, args.raw)
     fm_fwd, fm_rev = map(FmIndex.load, index_paths(args.index))
     symbols = fm_fwd.alphabet.symbols
     if not args.raw and symbols.upper() != symbols:

@@ -1,10 +1,13 @@
-"""Minimal FASTA reading: headers, sequences, blank lines and ';' comments."""
+"""Reading texts and patterns as the CLI reads them: minimal FASTA (headers,
+sequences, blank lines and ';' comments), or with `raw` a file's bytes."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
 from typing import NamedTuple
+
+from .sequence import BYTES
 
 
 class _RecordFields(NamedTuple):
@@ -70,3 +73,40 @@ def parse_fasta(data: bytes) -> list[FastaRecord]:
 
 def read_fasta(path) -> list[FastaRecord]:
     return parse_fasta(Path(path).read_bytes())
+
+
+def read_raw(path) -> bytes:
+    """The file's bytes minus one trailing newline, as `--raw` promises."""
+    data = Path(path).read_bytes()
+    for end in (b"\r\n", b"\n"):
+        if data.endswith(end):
+            return data[: -len(end)]
+    return data
+
+
+def read_text(path, raw: bool, concat_sep: bool) -> tuple[bytes, bytes]:
+    """The text to index and the record separator it holds, if any.
+
+    A FASTA text is its one record, or with `concat_sep` all its records
+    joined by one byte value: the smallest that no record uses.  There is
+    always one, since no record holds a line break.  Several records without
+    `concat_sep` are a usage error, not a text of the first one.
+    """
+    if raw:
+        return read_raw(path), b""
+    sequences = [r.sequence for r in read_fasta(path)]
+    if len(sequences) < 2:
+        return b"".join(sequences), b""
+    if not concat_sep:
+        raise ValueError(f"{Path(path)} holds {len(sequences)} FASTA records; "
+                         "index them all with --concat-sep")
+    separator = BYTES.translate(None, b"".join(sequences))[:1]
+    return separator.join(sequences), separator
+
+
+def read_patterns(path, raw: bool) -> list[tuple[str, bytes]]:
+    """Each pattern's id and bytes: the records of a FASTA file, or with
+    `raw` the file's bytes as one pattern named by the file's stem."""
+    if raw:
+        return [(Path(path).stem, read_raw(path))]
+    return [(r.id, r.sequence) for r in read_fasta(path)]

@@ -442,25 +442,21 @@ def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
     sampled = np.flatnonzero(sa.sa == 0 if sample_rate > text.n else sa.sa % sample_rate == 0)
     rows = np.empty(text.n // sample_rate + 1, dtype="<u4")
     rows[sa.sa[sampled] // sample_rate] = sampled
-    sentinel_row = int(rows[0])  # the row of suffix 0
-    # row r holds the symbol before suffix sa[r]: shifted by one, the text
-    # is gathered by the suffix array as it is, and the sentinel's row
-    # gets the filler 0
-    shifted = np.empty(text.n + 1, dtype=np.uint8)
-    shifted[0], shifted[1:] = 0, text.data
-    codes = np.take(shifted, sa.sa)
     # number the symbols by descending count, ties by code, so that the top
-    # plane holds only the rarest symbols' rows; the sentinel row holds 0,
-    # and so do the rows past n that fill the planes' last bytes
+    # plane holds only the rarest symbols' rows; the BWT holds the text's
+    # symbols and one filler, so the text's counts give the same order
     sigma = text.alphabet.size
-    counts = np.bincount(codes, minlength=sigma)
-    counts[0] -= 1  # the sentinel row's filler
+    counts = np.bincount(text.data, minlength=sigma)
     order = np.argsort(-counts, kind="stable").astype(np.uint8)
     numbers = np.empty_like(order)
     numbers[order] = np.arange(sigma)
+    # row r holds the number of the symbol before suffix sa[r]: the text's
+    # numbers behind a filler 0, gathered once by the suffix array; the
+    # sentinel's row and the rows past n that fill the last bytes hold 0
+    shifted = np.zeros(text.n + 1, dtype=np.uint8)
+    np.take(numbers, text.data, out=shifted[1:])
     bwt = np.zeros(8 * ((text.n >> 3) + 1), dtype=np.uint8)
-    np.take(numbers, codes, out=bwt[: text.n + 1])
-    bwt[sentinel_row] = 0
+    np.take(shifted, sa.sa, out=bwt[: text.n + 1])
     payload, count = [], _plane_count(sigma)
     for j in range(0, count - 1, 2):
         d = (bwt >> j & 3).reshape(-1, 4)

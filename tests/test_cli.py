@@ -95,7 +95,7 @@ def test_index_refuses_a_text_of_2_31_symbols(tmp_path, monkeypatch, capsys):
     # a broadcast view stands for the text read: 2**31 bytes long, one
     # stored, so the refusal must come before anything reads or copies it
     huge = np.broadcast_to(np.uint8(ord("A")), 2**31)
-    monkeypatch.setattr(cli, "_read_text_input", lambda *args: (huge, b""))
+    monkeypatch.setattr(cli, "read_text", lambda *args: (huge, b""))
     text = tmp_path / "t.txt"
     text.write_bytes(b"A")
     assert main(["index", str(text), "--raw", "-o", str(tmp_path / "x")]) == 2
@@ -642,6 +642,28 @@ def test_query_children_launcher_runs_both_trees(demo_files):
     for command in commands:
         mine = [row for row in rows if row[0] == command]
         assert [row[-1] for row in mine] == ["same", "same"]
+
+
+@pytest.mark.parametrize("fasta", [False, True], ids=["raw", "fasta"])
+def test_paired_search_times_both_trees(demo_files, tmp_path, fasta):
+    text, pattern, prefix = demo_files
+    src = str(Path(memlight.__file__).resolve().parents[1])
+    script = Path(__file__).resolve().parents[1] / "scripts" / "paired_search.py"
+    if fasta:
+        pattern = tmp_path / "patterns.fa"
+        # the first record reads as the demo pattern only when folded and
+        # joined, as `mems` reads FASTA
+        pattern.write_bytes(b">p1\n" + DEMO_PATTERN[:5].lower() + b"\n" + DEMO_PATTERN[5:]
+                            + b"\n>p2 second\n" + DEMO_TEXT + b"\n")
+    done = subprocess.run(
+        [sys.executable, str(script), src, src, prefix, str(pattern),
+         *([] if fasta else ["--raw"]), "-L", "4", "--locate", "--rounds", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.splitlines()[-1]
+    # the demo pattern has three MEMs of length 4 or more; the text has one,
+    # itself
+    assert last == f"# MEMs per pass: {4 if fasta else 3}; rows: same"
 
 
 def test_unknown_arguments_exit_two():
