@@ -1,32 +1,41 @@
 #!/usr/bin/env python3
-"""Time memlight CLI commands as child processes under two source trees.
+"""Time memlight CLI commands under two source trees, as children and in process.
 
     python3 scripts/query_children.py OLD/src NEW/src --rounds 20 \\
-        -c "mems PREFIX pattern.raw --raw -L 40" -c "lcs PREFIX pattern.raw --raw"
+        --setup "index text.raw --raw -o idx{tree}" \\
+        -c "mems idx{tree} pattern.raw --raw -L 40" -c "lcs idx{tree} pattern.raw --raw"
 
-Each command runs as `python -m memlight.cli ...` with one tree's `src` on
-PYTHONPATH.  A literal `{tree}` in a command becomes 1 under the first
-tree and 2 under the second, so that two trees whose index formats differ
-can each query an index they built themselves: `-c "lcs idx{tree} p.raw
---raw"` reads `idx1.*.memidx` under the first tree.  `--setup CMD` runs
-one command once under each tree before the first round, `{tree}`
-substituted the same way, so that each tree can build its own index:
-`--setup "index text.raw -o idx{tree} --raw"`; its wall time and peak RSS
-are printed first, as rows named `(setup) CMD`.  A round runs every
-command once under each tree, back to back; which tree goes first
-alternates from round to round.  For each command and tree the script
-prints the median wall time with its quartiles, the median peak RSS
-(`ru_maxrss` from `os.wait4`), and whether every run of the command gave
-the same output; then the same for one round of all commands; and in how
-many rounds the second tree was faster, for each command and for the whole
-round.  It exits 1 when a child fails or the outputs differ.  The output of
-an `index` command is the pair of files it writes at `-o PREFIX`, since
-its stdout holds timings: `-c "index text.raw --raw -o idx{tree}"` times
-`index` under both trees and checks that they write the same bytes.
+A literal `{tree}` in a command becomes 1 under the first tree and 2 under
+the second, so that each tree can query an index it built itself: `--setup
+CMD` runs once under each tree before the first round, and its wall time
+and peak RSS are printed as rows named `(setup) CMD`.  A round runs every
+command as `python -m memlight.cli ...` once under each tree, with that
+tree's `src` on PYTHONPATH; which tree goes first alternates from round to
+round.  For each command and tree, and for one round of all commands, the
+script prints the median wall time with its quartiles, the median peak RSS
+(`ru_maxrss` from `os.wait4`) and whether every run gave the same output,
+which for `index -o PREFIX` is the two files it wrote, since its stdout
+holds timings; then in how many rounds the second tree was faster.
 
-This launcher imports only the standard library and spawns the children
-itself, because a child's `ru_maxrss` keeps its parent's high-water mark
-through exec: spawned from a large process, it reads that process's size.
+Then each `mems` and `lcs` command is timed in this process for as many
+rounds: each tree's `memlight` is imported under its own package name and
+parses the command with its own CLI parser.  The patterns are read once,
+by the second tree's `memlight.fasta.read_patterns`; each tree loads its
+own pair and runs one warm-up pass.  A pass runs `find_in_raw` over every
+pattern and, under `--locate`, locates every MEM in the reverse index.
+Rows named `(in process) CMD` give each tree's median pass time with its
+quartiles and its `backward_steps` per pass; a line per command gives the
+median per-round ratio of the second tree's time to the first's, the
+rounds the second tree won, the MEMs per pass and whether the trees' rows
+are the same.  A pass carries no interpreter start-up and none of the
+noise between processes, so a change of a few percent in the search shows.
+
+Every child, `--setup` included, exits before either tree is imported: a
+child's `ru_maxrss` keeps its parent's high-water mark through exec, so a
+child spawned later would read the size of this process and its indexes.
+For the same reason the modules that only the in-process phase needs are
+imported in it.
+The script exits 1 when a child fails or the outputs or the rows differ.
 """
 
 from __future__ import annotations
@@ -80,11 +89,91 @@ def tree_args(command: str, tree: int) -> list[str]:
     return shlex.split(command.replace("{tree}", str(tree)))
 
 
+def tree_order(round_: int) -> tuple[int, int]:
+    return (0, 1) if round_ % 2 == 0 else (1, 0)
+
+
+def faster_in(old: list[float], new: list[float]) -> str:
+    wins = sum(b < a for a, b in zip(old, new))
+    return f"the second tree was faster in {wins} of {len(old)} rounds"
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
+
+
+def import_tree(src: str, name: str):
+    """The `memlight` package of a src directory, imported as `name`."""
+    import importlib.util
+
+    package = os.path.join(src, "memlight")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def search_pass(memlight, fwd, rev, patterns, min_len, longest, locate):
+    """The rows of one pass over every pattern and its backward steps."""
+    rows, steps = [], 0
+    for raw in patterns:
+        result = memlight.find_in_raw(raw, fwd, rev, min_len, longest)
+        steps += result.stats.backward_steps
+        for mem in result.mems:
+            iv = mem.bwt_interval
+            rows.append((mem.start, mem.end, iv.lo, iv.hi,
+                         rev.locate_all(iv) if locate else None))
+    return rows, steps
+
+
+def time_in_process(trees: list[str], commands: list[str], rounds: int) -> bool:
+    """Time each `mems` and `lcs` command's pass under both trees in this
+    process, print the rows and return whether the trees' rows differ.
+
+    It imports both trees, so no child may be spawned after it is called.
+    """
+    import importlib
+
+    memlights = [import_tree(src, f"memlight_tree{t + 1}") for t, src in enumerate(trees)]
+    parsers = [importlib.import_module(f"{m.__name__}.cli").build_parser() for m in memlights]
+    fasta = importlib.import_module(f"{memlights[1].__name__}.fasta")
+    differ = False
+    print("command\ttree\tpass_ms_median\tpass_ms_q1-q3\tbackward_steps")
+    for command in commands:
+        parsed = [parser.parse_args(tree_args(command, t + 1))
+                  for t, parser in enumerate(parsers)]
+        patterns = [raw for _, raw in fasta.read_patterns(parsed[1].patterns, parsed[1].raw)]
+        pairs = [[m.FmIndex.load(path) for path in m.index_paths(a.index)]
+                 for m, a in zip(memlights, parsed)]
+
+        def run(t):
+            a = parsed[t]
+            return search_pass(memlights[t], *pairs[t], patterns, a.min_len, a.longest,
+                               a.locate)
+
+        warm = [run(t) for t in (0, 1)]
+        walls = [[], []]
+        for round_ in range(rounds):
+            for t in tree_order(round_):
+                started = time.perf_counter()
+                run(t)
+                walls[t].append(time.perf_counter() - started)
+        for src, wall, (_, steps) in zip(trees, walls, warm):
+            q1, median, q3 = quartiles(wall)
+            print(f"(in process) {command}\t{src}\t{median * 1e3:.2f}"
+                  f"\t{q1 * 1e3:.2f}-{q3 * 1e3:.2f}\t{steps}")
+        ratio = statistics.median(new / old for old, new in zip(*walls))
+        same = warm[0][0] == warm[1][0]
+        differ |= not same
+        print(f"# (in process) {command}: second / first, median of {rounds} rounds: "
+              f"{ratio:.3f}; {faster_in(*walls)}; MEMs per pass: {len(warm[1][0])}; "
+              f"rows: {'same' if same else 'DIFFERENT'}")
+    return differ
 
 
 def main(argv=None) -> int:
@@ -111,9 +200,8 @@ def main(argv=None) -> int:
             for t, tree in enumerate(args.trees):
                 setup.append(run_child(tree, tree_args(args.setup, t + 1), out)[:2])
         for round_ in range(args.rounds):
-            order = (0, 1) if round_ % 2 == 0 else (1, 0)
             for c in range(len(args.command)):
-                for t in order:
+                for t in tree_order(round_):
                     wall, peak, digest = run_child(args.trees[t], commands[t][c], out)
                     walls[t][c].append(wall)
                     rss[t][c].append(peak)
@@ -138,9 +226,12 @@ def main(argv=None) -> int:
              for c, command in enumerate(args.command)]
     pairs.append(("one round", *rounds))
     for name, old, new in pairs:
-        wins = sum(b < a for a, b in zip(old, new))
-        print(f"# {name}: the second tree was faster in {wins} of {args.rounds} rounds")
-    return int(any(len(d) > 1 for d in digests))
+        print(f"# {name}: {faster_in(old, new)}")
+    differ = any(len(d) > 1 for d in digests)
+    queries = [c for c in args.command if tree_args(c, 1)[:1] in (["mems"], ["lcs"])]
+    if queries:
+        differ |= time_in_process(args.trees, queries, args.rounds)
+    return int(differ)
 
 
 if __name__ == "__main__":

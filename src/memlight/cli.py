@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .fasta import read_patterns, read_text
 from .finders import find_in_raw
-from .fm import FmIndex, IndexFormatError, index_paths, write_index_pair
+from .fm import SAMPLE_RATE, FmIndex, IndexFormatError, index_paths, write_index_pair
 
 # `mems` and `lcs` import only the standard library: `index` and
 # `experiment` import their numpy modules when they run
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build and save an index")
     p.add_argument("text", help="text file (FASTA by default)")
     p.add_argument("-o", "--output", required=True, help="output path prefix")
-    p.add_argument("--sample-rate", type=int, default=32,
+    p.add_argument("--sample-rate", type=int, default=SAMPLE_RATE,
                    help="sample rate of the reverse index, the one that locates")
     layout = p.add_mutually_exclusive_group()
     layout.add_argument("--raw", action="store_true", help="treat input as raw bytes")

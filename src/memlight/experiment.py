@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .finders import find_all_mems_fm, find_long_mems_fm, longest_common_substring
-from .fm import build_fm
+from .fm import SAMPLE_RATE, build_fm
 from .sequence import Alphabet, MemRecord, Pattern, Text
 from .suffixes import SuffixArray, build_suffix_structures
 
@@ -35,7 +35,7 @@ class ExperimentSpec:
     min_len: int = 40
     seed: int = 42
     cyclic: bool = True
-    sample_rate: int = 32
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         if not 1 <= self.m <= self.n:

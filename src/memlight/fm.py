@@ -56,6 +56,8 @@ if TYPE_CHECKING:
 # the eighth byte is the version: a file whose eighth byte is lower is in an
 # older format, and one whose eighth byte is higher in a newer one
 MAGIC = b"MEMLIDXA"
+# the default sample rate of the index that locates
+SAMPLE_RATE = 32
 # n, alphabet size, sample rate, separator count
 _HEADER = struct.Struct("<4Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
@@ -421,7 +423,7 @@ class FmIndex:
         return cls.from_bytes(Path(source).read_bytes())
 
 
-def build_fm(text: Text, sample_rate: int = 32, sa: SuffixArray | None = None,
+def build_fm(text: Text, sample_rate: int = SAMPLE_RATE, sa: SuffixArray | None = None,
              separators: bytes = b"") -> FmIndex:
     """FM-index of the text, built from its suffix array.
 
@@ -476,7 +478,7 @@ def index_paths(prefix: str) -> tuple[Path, Path]:
     return Path(prefix + ".fwd.memidx"), Path(prefix + ".rev.memidx")
 
 
-def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = 32,
+def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = SAMPLE_RATE,
                      separators: bytes = b"") -> tuple[int, int, dict[str, float]]:
     """Build and save a text's index pair; n, sigma and the seconds per phase.
 

@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 import shlex
@@ -616,54 +617,104 @@ def test_sample_rate_past_63_bits_is_a_usage_error(tmp_path, capsys):
     assert "sample rate" in capsys.readouterr().err
 
 
+def test_one_default_sample_rate():
+    from memlight import fm
+    from memlight.experiment import ExperimentSpec
+    index = cli.build_parser().parse_args(["index", "t.txt", "-o", "x"])
+    defaults = {inspect.signature(build).parameters["sample_rate"].default
+                for build in (fm.build_fm, fm.write_index_pair)}
+    defaults |= {index.sample_rate, ExperimentSpec().sample_rate}
+    assert defaults == {fm.SAMPLE_RATE}
+
+
+QUERY_CHILDREN = Path(__file__).resolve().parents[1] / "scripts" / "query_children.py"
+
+
+def run_query_children(*args):
+    """Run the launcher for one round with this src as both trees; its exit
+    code, its tab-split rows and its stderr."""
+    src = str(Path(memlight.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(QUERY_CHILDREN), src, src, "--rounds", "1",
+                           *args], capture_output=True, text=True, timeout=120)
+    return done.returncode, [line.split("\t") for line in done.stdout.splitlines()], done.stderr
+
+
+def commands_of(*commands):
+    return [arg for command in commands for arg in ("-c", command)]
+
+
+def in_process_summary(rows, command):
+    """The end of the in-process summary line of a command."""
+    line, = (row[0] for row in rows if row[0].startswith(f"# (in process) {command}: "))
+    return line.split("; MEMs per pass: ")[1]
+
+
 def test_query_children_launcher_runs_both_trees(demo_files):
     text, pattern, prefix = demo_files
     src = str(Path(memlight.__file__).resolve().parents[1])
-    script = Path(__file__).resolve().parents[1] / "scripts" / "query_children.py"
     # {tree} names each tree's own index: only prefix-1 and prefix-2 exist,
     # each built by the setup command under its own tree
     setup = shlex.join(["index", str(text), "--raw", "-o", prefix + "-{tree}",
                         "--sample-rate", "3"])
-    commands = [shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4"]),
-                shlex.join(["lcs", prefix, str(pattern), "--raw"]),
-                shlex.join(["mems", prefix + "-{tree}", str(pattern), "--raw", "-L", "4",
-                            "--locate"])]
-    done = subprocess.run(
-        [sys.executable, str(script), src, src, "--rounds", "1", "--setup", setup,
-         *(arg for command in commands for arg in ("-c", command))],
-        capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    rows = [line.split("\t") for line in done.stdout.splitlines()]
+    queries = [shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4"]),
+               shlex.join(["lcs", prefix, str(pattern), "--raw"]),
+               shlex.join(["mems", prefix + "-{tree}", str(pattern), "--raw", "-L", "4",
+                           "--locate"])]
+    index = shlex.join(["index", str(text), "--raw", "-o", prefix + "-again{tree}"])
+    code, rows, err = run_query_children("--setup", setup, *commands_of(*queries, index))
+    assert code == 0, err
     setups = [row for row in rows if row[0] == "(setup) " + setup]
     assert [row[1] for row in setups] == [src, src]
     assert all(float(row[2]) > 0 and float(row[4]) > 0 for row in setups)
     for tree in ("1", "2"):
         assert os.path.exists(f"{prefix}-{tree}.rev.memidx")
-    for command in commands:
+    for command in queries + [index]:
         mine = [row for row in rows if row[0] == command]
         assert [row[-1] for row in mine] == ["same", "same"]
+    # each query is timed again in process, where both trees take the same
+    # steps; index is timed as a child only
+    for command, mems in zip(queries, ("3", "1", "3")):
+        mine = [row for row in rows if row[0] == "(in process) " + command]
+        assert [row[1] for row in mine] == [src, src]
+        assert mine[0][-1] == mine[1][-1] and int(mine[0][-1]) > 0
+        assert in_process_summary(rows, command) == f"{mems}; rows: same"
+    assert not [row for row in rows if row[0] == "(in process) " + index]
 
 
 @pytest.mark.parametrize("fasta", [False, True], ids=["raw", "fasta"])
-def test_paired_search_times_both_trees(demo_files, tmp_path, fasta):
+def test_query_children_times_queries_in_process(demo_files, tmp_path, fasta):
     text, pattern, prefix = demo_files
-    src = str(Path(memlight.__file__).resolve().parents[1])
-    script = Path(__file__).resolve().parents[1] / "scripts" / "paired_search.py"
     if fasta:
         pattern = tmp_path / "patterns.fa"
         # the first record reads as the demo pattern only when folded and
         # joined, as `mems` reads FASTA
         pattern.write_bytes(b">p1\n" + DEMO_PATTERN[:5].lower() + b"\n" + DEMO_PATTERN[5:]
                             + b"\n>p2 second\n" + DEMO_TEXT + b"\n")
-    done = subprocess.run(
-        [sys.executable, str(script), src, src, prefix, str(pattern),
-         *([] if fasta else ["--raw"]), "-L", "4", "--locate", "--rounds", "1"],
-        capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    last = done.stdout.splitlines()[-1]
+    command = shlex.join(["mems", prefix, str(pattern), *([] if fasta else ["--raw"]),
+                          "-L", "4", "--locate"])
+    code, rows, err = run_query_children(*commands_of(command))
+    assert code == 0, err
     # the demo pattern has three MEMs of length 4 or more; the text has one,
     # itself
-    assert last == f"# MEMs per pass: {4 if fasta else 3}; rows: same"
+    assert in_process_summary(rows, command) == f"{4 if fasta else 3}; rows: same"
+
+
+def test_query_children_exits_1_when_the_rows_in_process_differ(tmp_path):
+    # the text with one more symbol at its end has the same MEMs and
+    # occurrence counts, so the children print the same rows, but other
+    # suffix-order intervals
+    for tree, text in ((1, DEMO_TEXT), (2, DEMO_TEXT + b"C")):
+        (tmp_path / f"text{tree}.txt").write_bytes(text)
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_bytes(DEMO_PATTERN)
+    prefix = str(tmp_path / "idx{tree}")
+    command = shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4"])
+    code, rows, err = run_query_children(
+        "--setup", shlex.join(["index", str(tmp_path / "text{tree}.txt"), "--raw", "-o", prefix]),
+        *commands_of(command))
+    assert code == 1, err
+    assert [row[-1] for row in rows if row[0] == command] == ["same", "same"]
+    assert in_process_summary(rows, command) == "3; rows: DIFFERENT"
 
 
 def test_unknown_arguments_exit_two():
