@@ -21,8 +21,9 @@ Then each `mems` and `lcs` command is timed in this process for as many
 rounds: each tree's `memlight` is imported under its own package name and
 parses the command with its own CLI parser.  The patterns are read once,
 by the second tree's `memlight.fasta.read_patterns`; each tree loads its
-own pair and runs one warm-up pass.  A pass runs `find_in_raw` over every
-pattern and, under `--locate`, locates every MEM in the reverse index.
+own `IndexPair` and runs one warm-up pass.  A pass runs `find_in_raw` over
+every pattern and, under `--locate`, gives every MEM's text positions, the
+ones `--locate` prints.
 Rows named `(in process) CMD` give each tree's median pass time with its
 quartiles and its `backward_steps` per pass; a line per command gives the
 median per-round ratio of the second tree's time to the first's, the
@@ -33,41 +34,39 @@ noise between processes, so a change of a few percent in the search shows.
 Every child, `--setup` included, exits before either tree is imported: a
 child's `ru_maxrss` keeps its parent's high-water mark through exec, so a
 child spawned later would read the size of this process and its indexes.
-For the same reason the modules that only the in-process phase needs are
-imported in it.
+For the same reason the modules that only the in-process phase and the
+summary need are imported there, and outputs are digested by zlib's CRC-32:
+zlib is loaded at start-up anyway, where hashlib would add megabytes.
 The script exits 1 when a child fails or the outputs or the rows differ.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import shlex
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 
 
-def output_digest(args: list[str], out) -> bytes:
-    """The digest of a child's output: for `index -o PREFIX`, whose stdout
+def output_digest(args: list[str], out) -> int:
+    """The CRC-32 of a child's output: for `index -o PREFIX`, whose stdout
     holds timings, the two index files it wrote; else its stdout."""
-    digest = hashlib.sha256()
-    if args[:1] == ["index"]:
-        prefix = next(value for flag, value in zip(args, args[1:])
-                      if flag in ("-o", "--output"))
-        for suffix in (".fwd.memidx", ".rev.memidx"):
-            with open(prefix + suffix, "rb") as written:
-                digest.update(written.read())
-    else:
+    if args[:1] != ["index"]:
         out.seek(0)
-        digest.update(out.read())
-    return digest.digest()
+        return zlib.crc32(out.read())
+    prefix = next(value for flag, value in zip(args, args[1:]) if flag in ("-o", "--output"))
+    digest = 0
+    for suffix in (".fwd.memidx", ".rev.memidx"):
+        with open(prefix + suffix, "rb") as written:
+            digest = zlib.crc32(written.read(), digest)
+    return digest
 
 
-def run_child(src: str, args: list[str], out) -> tuple[float, float, bytes]:
+def run_child(src: str, args: list[str], out) -> tuple[float, float, int]:
     """Wall seconds, peak RSS in MB and the output digest of one child."""
     out.seek(0)
     out.truncate()
@@ -99,6 +98,9 @@ def faster_in(old: list[float], new: list[float]) -> str:
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The first quartile, the median and the third quartile."""
+    import statistics
+
     if len(values) < 2:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4)
@@ -118,16 +120,16 @@ def import_tree(src: str, name: str):
     return module
 
 
-def search_pass(memlight, fwd, rev, patterns, min_len, longest, locate):
+def search_pass(memlight, pair, patterns, min_len, longest, locate):
     """The rows of one pass over every pattern and its backward steps."""
     rows, steps = [], 0
     for raw in patterns:
-        result = memlight.find_in_raw(raw, fwd, rev, min_len, longest)
+        result = memlight.find_in_raw(raw, pair, min_len, longest)
         steps += result.stats.backward_steps
         for mem in result.mems:
             iv = mem.bwt_interval
             rows.append((mem.start, mem.end, iv.lo, iv.hi,
-                         rev.locate_all(iv) if locate else None))
+                         pair.locate(mem) if locate else None))
     return rows, steps
 
 
@@ -148,12 +150,11 @@ def time_in_process(trees: list[str], commands: list[str], rounds: int) -> bool:
         parsed = [parser.parse_args(tree_args(command, t + 1))
                   for t, parser in enumerate(parsers)]
         patterns = [raw for _, raw in fasta.read_patterns(parsed[1].patterns, parsed[1].raw)]
-        pairs = [[m.FmIndex.load(path) for path in m.index_paths(a.index)]
-                 for m, a in zip(memlights, parsed)]
+        pairs = [m.IndexPair.load(a.index) for m, a in zip(memlights, parsed)]
 
         def run(t):
             a = parsed[t]
-            return search_pass(memlights[t], *pairs[t], patterns, a.min_len, a.longest,
+            return search_pass(memlights[t], pairs[t], patterns, a.min_len, a.longest,
                                a.locate)
 
         warm = [run(t) for t in (0, 1)]
@@ -167,7 +168,7 @@ def time_in_process(trees: list[str], commands: list[str], rounds: int) -> bool:
             q1, median, q3 = quartiles(wall)
             print(f"(in process) {command}\t{src}\t{median * 1e3:.2f}"
                   f"\t{q1 * 1e3:.2f}-{q3 * 1e3:.2f}\t{steps}")
-        ratio = statistics.median(new / old for old, new in zip(*walls))
+        ratio = quartiles([new / old for old, new in zip(*walls)])[1]
         same = warm[0][0] == warm[1][0]
         differ |= not same
         print(f"# (in process) {command}: second / first, median of {rounds} rounds: "
@@ -216,12 +217,12 @@ def main(argv=None) -> int:
             q1, median, q3 = quartiles(walls[t][c])
             print(f"{command}\t{tree}\t{median * 1e3:.1f}"
                   f"\t{q1 * 1e3:.1f}-{q3 * 1e3:.1f}"
-                  f"\t{statistics.median(rss[t][c]):.1f}\t{same}")
+                  f"\t{quartiles(rss[t][c])[1]:.1f}\t{same}")
     rounds = [list(map(sum, zip(*walls[t]))) for t in range(2)]
     for t, tree in enumerate(args.trees):
         q1, median, q3 = quartiles(rounds[t])
         print(f"(one round)\t{tree}\t{median * 1e3:.1f}\t{q1 * 1e3:.1f}-{q3 * 1e3:.1f}"
-              f"\t{max(map(statistics.median, rss[t])):.1f}\t-")
+              f"\t{max(quartiles(peaks)[1] for peaks in rss[t]):.1f}\t-")
     pairs = [(command, walls[0][c], walls[1][c])
              for c, command in enumerate(args.command)]
     pairs.append(("one round", *rounds))

@@ -19,8 +19,8 @@ _EXPORTS = {
     "suffixes": ("MatchPointers", "SuffixArray", "brute_force_mems",
                  "build_suffix_structures", "compute_match_pointers"),
     "lce": ("MODULUS", "FingerprintLce", "NaiveLce"),
-    "fm": ("BwtInterval", "FmIndex", "IndexFormatError", "build_fm", "index_paths",
-           "invert_bwt", "write_index_pair"),
+    "fm": ("BwtInterval", "FmIndex", "IndexFormatError", "IndexPair", "build_fm",
+           "index_paths", "invert_bwt", "write_index_pair"),
     "finders": ("FinderResult", "find_all_mems", "find_all_mems_fm",
                 "find_in_raw", "find_long_mems_fm", "find_long_mems_lce",
                 "longest_common_substring"),

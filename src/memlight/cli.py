@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .fasta import read_patterns, read_text
 from .finders import find_in_raw
-from .fm import SAMPLE_RATE, FmIndex, IndexFormatError, index_paths, write_index_pair
+from .fm import SAMPLE_RATE, IndexFormatError, IndexPair, write_index_pair
 
 # `mems` and `lcs` import only the standard library: `index` and
 # `experiment` import their numpy modules when they run
@@ -38,9 +38,13 @@ def _print_mems(args) -> int:
     Each pattern's rows go out in one write: on an unbuffered stdout, one
     print per row would cost two system calls.
     """
+    # checked here too: a patterns file with no records never reaches
+    # find_in_raw, which checks it for library callers
+    if args.min_len < 1:
+        raise ValueError("minimum MEM length must be at least 1")
     patterns = read_patterns(args.patterns, args.raw)
-    fm_fwd, fm_rev = map(FmIndex.load, index_paths(args.index))
-    symbols = fm_fwd.alphabet.symbols
+    pair = IndexPair.load(args.index)
+    symbols = pair.fwd.alphabet.symbols
     if not args.raw and symbols.upper() != symbols:
         # FASTA reading folds a-z to A-Z, so no pattern could reach those
         # bytes of the index: the rows would be silently few or none
@@ -49,18 +53,14 @@ def _print_mems(args) -> int:
                          "with --raw")
     for rid, raw in patterns:
         rows = []
-        for mem in find_in_raw(raw, fm_fwd, fm_rev, args.min_len, args.longest).mems:
+        for mem in find_in_raw(raw, pair, args.min_len, args.longest).mems:
             iv = mem.bwt_interval
             fields = [rid, str(mem.start + 1), str(mem.end), str(mem.length),
                       str(iv.width)]
             if args.intervals:
                 fields.append(f"{iv.lo}:{iv.hi}")
             if args.locate:
-                # the reverse index finds the reversed MEM at p, so the MEM
-                # is at 1-based text position n - length + 1 - p: mirroring
-                # turns ascending positions into descending ones
-                last = fm_rev.n - mem.length + 1
-                fields.extend(str(last - p) for p in reversed(fm_rev.locate_all(iv)))
+                fields.extend(str(p + 1) for p in pair.locate(mem))
             rows.append("\t".join(fields) + "\n")
         sys.stdout.write("".join(rows))
     return EXIT_OK
@@ -78,15 +78,6 @@ def cmd_experiment(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _min_length(value: str) -> int:
-    # checked here too: a patterns file with no records never reaches
-    # find_in_raw, which checks it for library callers
-    length = int(value)
-    if length < 1:
-        raise argparse.ArgumentTypeError("minimum MEM length must be at least 1")
-    return length
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("patterns", help="pattern file (FASTA by default)")
     scan = p.add_mutually_exclusive_group()
     scan.add_argument("-L", "--L", "--min-mem-length", dest="min_len",
-                      type=_min_length, default=1)
+                      type=int, default=1)
     scan.add_argument("--all", action="store_const", dest="min_len", const=1,
                       help="report every MEM: the same as -L 1")
     p.add_argument("--locate", action="store_true",

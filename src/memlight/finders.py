@@ -4,8 +4,8 @@ Both families run the same two scans, each over two match functions:
 match_from(i), the longest text match starting at pattern offset i (length,
 interval or None), and match_to(e), the length of the longest one ending
 just before e.  The pointer+LCE family serves them from match pointers and
-an extension backend; the FM family, deterministically, from a pair of
-backward-search indexes (text and reversed text).  Match functions that
+an extension backend; the FM family, deterministically, from an IndexPair
+of backward-search indexes (text and reversed text).  Match functions that
 contradict each other stop a scan with the family's error: ValueError for
 match pointers, IndexFormatError for an index pair.  All results are in
 pattern coordinates, 0-based, left to right.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .fm import FmIndex, IndexFormatError
+from .fm import FmIndex, IndexFormatError, IndexPair
 from .sequence import MemRecord, Pattern, QueryStats, split_by_foreign_chars
 
 if TYPE_CHECKING:
@@ -46,8 +46,7 @@ def _lce_matches(pointers: MatchPointers, lce):
             ValueError("the match pointers are inconsistent with the pattern and text"))
 
 
-def _fm_matches(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
-                stats: QueryStats | None = None):
+def _fm_matches(pattern: Pattern, pair: IndexPair, stats: QueryStats | None = None):
     """(stats, match_from, match_to, disagreement) by backward search in the index pair.
 
     The longest match ending before e is the longest suffix of the first e
@@ -55,17 +54,12 @@ def _fm_matches(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
     the first m - i reversed symbols in the reversed text, with its interval.
     Steps are counted into `stats`, a new QueryStats if none is given.
     """
-    if fwd_index.alphabet != rev_index.alphabet:
-        raise IndexFormatError("forward and reverse indexes use different alphabets")
-    if (fwd_index.n, fwd_index._c, fwd_index.separators) != (
-            rev_index.n, rev_index._c, rev_index.separators):
-        raise IndexFormatError("forward and reverse indexes describe different texts")
-    if pattern.alphabet != fwd_index.alphabet:
+    if pattern.alphabet != pair.fwd.alphabet:
         raise ValueError("pattern alphabet differs from the index alphabet")
     stats = QueryStats() if stats is None else stats
     codes = pattern.code_bytes
     rcodes, m = codes[::-1], len(codes)
-    search, reverse_search = fwd_index.backward_search_prefix, rev_index.backward_search_prefix
+    search, reverse_search = pair.fwd.backward_search_prefix, pair.rev.backward_search_prefix
     return (stats, lambda i: reverse_search(rcodes, m - i, stats),
             lambda e: search(codes, e, stats)[0],
             IndexFormatError("the forward and reverse indexes disagree"))
@@ -163,7 +157,7 @@ def find_long_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
     Same output as find_long_mems_lce.  When requested, each record carries
     the interval of the reversed MEM in the reversed-text index.
     """
-    return _thresholded_scan(pattern.m, *_fm_matches(pattern, fwd_index, rev_index),
+    return _thresholded_scan(pattern.m, *_fm_matches(pattern, IndexPair(fwd_index, rev_index)),
                              min_len, report_intervals=report_intervals)
 
 
@@ -174,7 +168,7 @@ def find_all_mems_fm(pattern: Pattern, fwd_index: FmIndex, rev_index: FmIndex,
     Pattern symbols absent from the text extend nothing and are skipped one
     position at a time, so unsplit patterns degrade gracefully.
     """
-    return _full_scan(pattern.m, *_fm_matches(pattern, fwd_index, rev_index),
+    return _full_scan(pattern.m, *_fm_matches(pattern, IndexPair(fwd_index, rev_index)),
                       report_intervals)
 
 
@@ -186,12 +180,12 @@ def longest_common_substring(pattern: Pattern, fwd_index: FmIndex,
     length found so far, so every confirmed window strictly improves on the
     current best and everything shorter is skipped wholesale.
     """
-    return _thresholded_scan(pattern.m, *_fm_matches(pattern, fwd_index, rev_index),
+    return _thresholded_scan(pattern.m, *_fm_matches(pattern, IndexPair(fwd_index, rev_index)),
                              1, longest=True, report_intervals=True)
 
 
-def find_in_raw(raw_pattern: bytes, fwd_index: FmIndex, rev_index: FmIndex,
-                min_len: int, longest: bool = False) -> FinderResult:
+def find_in_raw(raw_pattern: bytes, pair: IndexPair, min_len: int,
+                longest: bool = False) -> FinderResult:
     """The MEMs of length at least min_len of a raw pattern in an index pair,
     each with its interval.
 
@@ -209,13 +203,13 @@ def find_in_raw(raw_pattern: bytes, fwd_index: FmIndex, rev_index: FmIndex,
     """
     if min_len < 1:
         raise ValueError("minimum length must be at least 1")
-    n, sigma = fwd_index.n, fwd_index.alphabet.size - len(fwd_index.separators)
+    fwd = pair.fwd
+    n, sigma = fwd.n, fwd.alphabet.size - len(fwd.separators)
     # past n.bit_length() factors of 2 or more the power has passed n
     full = not longest and (min_len == 1 or sigma ** min(min_len - 1, n.bit_length()) < n)
     result = FinderResult()
-    for offset, piece in split_by_foreign_chars(raw_pattern, fwd_index.alphabet,
-                                                fwd_index.separators):
-        matches = _fm_matches(piece, fwd_index, rev_index, result.stats)
+    for offset, piece in split_by_foreign_chars(raw_pattern, fwd.alphabet, fwd.separators):
+        matches = _fm_matches(piece, pair, result.stats)
         if full:
             part = _full_scan(piece.m, *matches, report_intervals=True)
             part.mems = [mem for mem in part.mems if mem.length >= min_len]

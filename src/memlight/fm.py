@@ -48,7 +48,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .sequence import Alphabet, QueryStats, Text, check_text_length
+from .sequence import Alphabet, MemRecord, QueryStats, Text, check_text_length
 
 if TYPE_CHECKING:
     from .suffixes import SuffixArray
@@ -476,6 +476,37 @@ def build_fm(text: Text, sample_rate: int = SAMPLE_RATE, sa: SuffixArray | None 
 def index_paths(prefix: str) -> tuple[Path, Path]:
     """The forward and the reverse index files at a path prefix."""
     return Path(prefix + ".fwd.memidx"), Path(prefix + ".rev.memidx")
+
+
+class _PairFields(NamedTuple):
+    fwd: FmIndex
+    rev: FmIndex
+
+
+class IndexPair(_PairFields):
+    """A text's forward index, which answers the window probes, and its
+    reverse index, which answers the extensions and locates; the two must
+    describe one text."""
+
+    __slots__ = ()
+
+    def __new__(cls, fwd: FmIndex, rev: FmIndex):
+        if fwd.alphabet != rev.alphabet:
+            raise IndexFormatError("forward and reverse indexes use different alphabets")
+        if (fwd.n, fwd._c, fwd.separators) != (rev.n, rev._c, rev.separators):
+            raise IndexFormatError("forward and reverse indexes describe different texts")
+        return super().__new__(cls, fwd, rev)
+
+    @classmethod
+    def load(cls, prefix: str) -> "IndexPair":
+        """The pair that `write_index_pair` saved at a path prefix."""
+        return cls(*map(FmIndex.load, index_paths(prefix)))
+
+    def locate(self, mem: MemRecord) -> list[int]:
+        """The 0-based text positions of a MEM, ascending: the reverse index
+        finds the reversed MEM at p, so the MEM is at n - length - p."""
+        last = self.rev.n - mem.length
+        return [last - p for p in reversed(self.rev.locate_all(mem.bwt_interval))]
 
 
 def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = SAMPLE_RATE,

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from memlight import (FmIndex, MatchPointers, NaiveLce, Pattern, SuffixArray,
-                      Text, build_fm, build_suffix_structures,
+from memlight import (FmIndex, IndexPair, MatchPointers, NaiveLce, Pattern,
+                      SuffixArray, Text, build_fm, build_suffix_structures,
                       compute_match_pointers)
 
 # A 12-symbol instance small enough to check every value by hand.
@@ -61,6 +61,10 @@ class Bench:
 
     def naive_lce(self) -> NaiveLce:
         return NaiveLce(self.text, self.pattern)
+
+    @property
+    def pair(self) -> IndexPair:
+        return IndexPair(self.fm_fwd, self.fm_rev)
 
 
 def make_bench(text_bytes: bytes, pattern_bytes: bytes, sample_rate: int = 8) -> Bench:

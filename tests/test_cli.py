@@ -438,8 +438,11 @@ def test_fasta_patterns_against_a_lower_case_index_are_a_usage_error(tmp_path, c
     assert capsys.readouterr().out == "p\t1\t7\t7\t1\n"
 
 
-def test_bad_min_length_is_a_usage_error(demo_files, tmp_path):
+def test_bad_min_length_is_a_usage_error(demo_files, tmp_path, capsys):
     _, pattern, prefix = demo_files
+    assert main(["mems", prefix, str(pattern), "--raw", "-L", "abc"]) == 2
+    assert ("argument -L/--L/--min-mem-length: invalid int value: 'abc'"
+            in capsys.readouterr().err)
     assert main(["mems", prefix, str(pattern), "--raw", "-L", "0"]) == 2
     foreign = tmp_path / "foreign.txt"
     foreign.write_bytes(b"xyz")  # no piece reaches a finder
@@ -540,6 +543,13 @@ def test_index_pair_of_two_texts_is_a_format_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["mems", str(tmp_path / "a"), str(text), "--raw", "-L", "2"]) == 3
     assert "describe different texts" in capsys.readouterr().err
+    # the pair is checked at load, so a pattern of no piece is refused too
+    foreign = tmp_path / "foreign.txt"
+    foreign.write_bytes(b"xyz")
+    for command in (["mems", "-L", "2"], ["mems", "--all", "--locate"], ["lcs"]):
+        assert main([command[0], str(tmp_path / "a"), str(foreign), "--raw",
+                     *command[1:]]) == 3
+        assert "describe different texts" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -647,6 +657,19 @@ def in_process_summary(rows, command):
     """The end of the in-process summary line of a command."""
     line, = (row[0] for row in rows if row[0].startswith(f"# (in process) {command}: "))
     return line.split("; MEMs per pass: ")[1]
+
+
+def test_query_children_imports_nothing_heavy_before_its_children():
+    # a child's ru_maxrss starts at the launcher's size, so the launcher
+    # must not load hashlib (megabytes with OpenSSL) or statistics before it
+    # spawns; only what a bare interpreter loads anyway may be loaded
+    show = "import sys\n{}\nprint(' '.join(sys.modules))"
+    loaded = [set(subprocess.run(
+        [sys.executable, "-c", show.format(code)], capture_output=True, text=True,
+        check=True, cwd=QUERY_CHILDREN.parent).stdout.split())
+        for code in ("pass", "import query_children")]
+    assert "query_children" in loaded[1]
+    assert not {"hashlib", "statistics"} & (loaded[1] - loaded[0])
 
 
 def test_query_children_launcher_runs_both_trees(demo_files):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memlight import (Alphabet, FingerprintLce, MatchPointers,
+from memlight import (Alphabet, FingerprintLce, IndexFormatError, IndexPair, MatchPointers,
                       Pattern, QueryStats, Text, brute_force_mems,
                       build_fm, build_suffix_structures, compute_match_pointers,
                       find_all_mems, find_all_mems_fm, find_in_raw,
@@ -90,11 +90,10 @@ def test_longest_common_substring_demo(demo_bench):
     assert spans_1based(result) == [(7, 12)]
     assert result.mems[0].length == 6
     assert result.mems[0].bwt_interval.width == 1
-    fwd, rev = demo_bench.fm_fwd, demo_bench.fm_rev
-    at_six = find_in_raw(DEMO_PATTERN, fwd, rev, 6, longest=True)
+    at_six = find_in_raw(DEMO_PATTERN, demo_bench.pair, 6, longest=True)
     assert at_six.spans == [(6, 6)]
     assert at_six.mems[0].bwt_interval == result.mems[0].bwt_interval
-    assert find_in_raw(DEMO_PATTERN, fwd, rev, 7, longest=True).mems == []
+    assert find_in_raw(DEMO_PATTERN, demo_bench.pair, 7, longest=True).mems == []
 
 
 def test_adversarial_pattern_is_its_own_single_mem(adversarial_bench):
@@ -132,18 +131,35 @@ def test_reported_intervals_have_occurrence_width(demo_bench):
         count = sum(1 for s in range(len(t_raw) - mem.length + 1)
                     if t_raw[s : s + mem.length] == sub)
         assert mem.bwt_interval.width == count
-        # rows belong to the reversed-text index: mirror and check positions
-        rev_positions = demo_bench.fm_rev.locate_all(mem.bwt_interval)
-        fwd = sorted(demo_bench.text.n - p - mem.length for p in rev_positions)
-        assert fwd == [s for s in range(len(t_raw) - mem.length + 1)
-                       if t_raw[s : s + mem.length] == sub]
+
+
+# records over ACGT, joined as `index --concat-sep` joins them (one byte that
+# no record uses, stored as the separator) or as one text; patterns hold N
+# and the separator byte
+@given(st.lists(st.binary(min_size=1, max_size=40).map(lambda b: bytes(b"ACGT"[x % 4] for x in b)),
+                min_size=1, max_size=5),
+       st.booleans(),
+       st.binary(max_size=80).map(lambda b: bytes(b"ACGTN\x00"[x % 6] for x in b)),
+       st.integers(1, 6), st.booleans(), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_pair_locates_every_mem_where_a_naive_scan_finds_it(records, concat_sep, p_raw,
+                                                            min_len, longest, sample_rate):
+    t_raw = (b"\x00" if concat_sep else b"").join(records)
+    separators = b"\x00" if b"\x00" in t_raw else b""  # a record joins nothing
+    text = Text.from_bytes(t_raw)
+    pair = IndexPair(build_fm(text, sample_rate, separators=separators),
+                     build_fm(text.reversed(), sample_rate, separators=separators))
+    for mem in find_in_raw(p_raw, pair, min_len, longest).mems:
+        sub = p_raw[mem.start : mem.end]
+        assert pair.locate(mem) == [s for s in range(len(t_raw) - mem.length + 1)
+                                    if t_raw[s : s + mem.length] == sub]
 
 
 def test_split_results_use_original_coordinates(demo_bench):
-    fwd, rev = demo_bench.fm_fwd, demo_bench.fm_rev
-    merged = find_in_raw(b"NNTACATNNNGATTAGNN", fwd, rev, 4)
+    merged = find_in_raw(b"NNTACATNNNGATTAGNN", demo_bench.pair, 4)
     assert merged.spans == [(2, 5), (10, 6)]
-    assert find_in_raw(b"NNTACATNNNGATTAGNN", fwd, rev, 1, longest=True).spans == [(10, 6)]
+    assert find_in_raw(b"NNTACATNNNGATTAGNN", demo_bench.pair, 1,
+                       longest=True).spans == [(10, 6)]
 
 
 def kept_runs(raw: bytes, kept: bytes) -> list[tuple[int, bytes]]:
@@ -175,7 +191,7 @@ def test_find_in_raw_equals_a_direct_run_on_each_piece(t_raw, p_raw, separators,
     rev = build_fm(text.reversed(), sample_rate=3, separators=separators)
     if mode == "full":
         min_len = 1
-    got = find_in_raw(p_raw, fwd, rev, min_len, longest=mode == "longest")
+    got = find_in_raw(p_raw, IndexPair(fwd, rev), min_len, longest=mode == "longest")
     # below chance match length, sigma' ** (L - 1) < n with sigma' the
     # symbols but the separators, and at L = 1 the full scan answers
     full = min_len == 1 or (alphabet.size - len(separators)) ** (min_len - 1) < text.n
@@ -217,7 +233,7 @@ def test_one_separator_answers_as_one_per_boundary(records, p_raw, min_len):
         rev = build_fm(text.reversed(), sample_rate=3, separators=used)
         answer = []
         for threshold, longest in modes:
-            got = find_in_raw(p_raw, fwd, rev, threshold, longest)
+            got = find_in_raw(p_raw, IndexPair(fwd, rev), threshold, longest)
             answer.append((got.stats, [(m.start, m.length, m.bwt_interval,
                                         rev.locate_all(m.bwt_interval)) for m in got.mems]))
         answers.append(answer)
@@ -231,7 +247,7 @@ def scan_run_by_find_in_raw(t_raw, p_raw, min_len, separators=b""):
     text = Text.from_bytes(t_raw)
     fwd = build_fm(text, sample_rate=3, separators=separators)
     rev = build_fm(text.reversed(), sample_rate=3, separators=separators)
-    got = find_in_raw(p_raw, fwd, rev, min_len)
+    got = find_in_raw(p_raw, IndexPair(fwd, rev), min_len)
     full, thresholded, rows = QueryStats(), QueryStats(), []
     for offset, piece in kept_runs(p_raw, text.alphabet.symbols.translate(None, separators)):
         sub = Pattern.from_bytes(piece, text.alphabet)
@@ -294,13 +310,13 @@ def test_find_in_raw_rows_are_the_long_mems_of_the_full_scan(t_raw, p_raw, separ
                                  report_intervals=True)
         expect += [(offset + m.start, m.length, m.bwt_interval) for m in every.mems
                    if m.length >= min_len]
-    got = find_in_raw(p_raw, fwd, rev, min_len)
+    got = find_in_raw(p_raw, IndexPair(fwd, rev), min_len)
     assert [(m.start, m.length, m.bwt_interval) for m in got.mems] == expect
 
 
 def test_all_foreign_pattern_finds_nothing(demo_bench):
     for mode in ((1, False), (4, False), (1, True)):
-        merged = find_in_raw(b"XXXX", demo_bench.fm_fwd, demo_bench.fm_rev, *mode)
+        merged = find_in_raw(b"XXXX", demo_bench.pair, *mode)
         assert merged.mems == []
         assert merged.stats == QueryStats()
 
@@ -320,10 +336,11 @@ def test_absent_symbol_degrades_gracefully_in_fm_finders():
 
 
 def test_mismatched_index_pair_is_rejected(demo_bench):
-    other = Text.from_bytes(b"xyz")
+    other = build_fm(Text.from_bytes(b"xyz"))
     with pytest.raises(ValueError, match="alphabet"):
-        find_long_mems_fm(demo_bench.pattern, demo_bench.fm_fwd,
-                          build_fm(other), 2)
+        find_long_mems_fm(demo_bench.pattern, demo_bench.fm_fwd, other, 2)
+    with pytest.raises(IndexFormatError, match="different alphabets"):
+        IndexPair(demo_bench.fm_fwd, other)
 
 
 def test_index_pair_over_different_texts_is_rejected(demo_bench):
@@ -332,6 +349,8 @@ def test_index_pair_over_different_texts_is_rejected(demo_bench):
         rev = build_fm(Text.from_bytes(other).reversed())
         with pytest.raises(ValueError, match="different texts"):
             find_long_mems_fm(demo_bench.pattern, demo_bench.fm_fwd, rev, 2)
+        with pytest.raises(IndexFormatError, match="different texts"):
+            IndexPair(demo_bench.fm_fwd, rev)
 
 
 @pytest.mark.parametrize("finder", [
@@ -355,7 +374,7 @@ def test_min_len_must_be_positive(demo_bench):
                           demo_bench.fm_rev, 0)
     for raw in (DEMO_PATTERN, b"XXXX"):  # a pattern of pieces, and one of none
         with pytest.raises(ValueError, match="at least 1"):
-            find_in_raw(raw, demo_bench.fm_fwd, demo_bench.fm_rev, 0)
+            find_in_raw(raw, demo_bench.pair, 0)
 
 
 def _stop_hung_test(signum, frame):

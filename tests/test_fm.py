@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from memlight import fm
 from memlight import (Alphabet, BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
-                      NaiveLce, Pattern, QueryStats, SuffixArray, Text, brute_force_mems,
-                      build_fm, build_suffix_structures, compute_match_pointers,
-                      find_all_mems, find_in_raw, find_long_mems_fm,
+                      IndexPair, NaiveLce, Pattern, QueryStats, SuffixArray, Text,
+                      brute_force_mems, build_fm, build_suffix_structures,
+                      compute_match_pointers, find_all_mems, find_in_raw, find_long_mems_fm,
                       find_long_mems_lce, invert_bwt)
 
 from conftest import (ALPHABET_AT, DEMO_PATTERN, DEMO_TEXT, deflate, index_file, pack_rows,
@@ -533,7 +533,8 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     rev = build_fm(text.reversed(), sample_rate=rate, separators=separators)
     for min_len in (1, 5):
         expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text, min_len)
-        assert find_in_raw(pattern, reloaded, rev, min_len).spans == [m.span for m in expect]
+        assert find_in_raw(pattern, IndexPair(reloaded, rev),
+                           min_len).spans == [m.span for m in expect]
 
 
 @given(st.integers(1, 7), st.integers(1, 3), st.integers(1500, 4000), st.integers(0, 2**32),
@@ -593,7 +594,8 @@ def test_symbols_numbered_by_frequency_keep_every_answer(common, rare, n, seed, 
     for min_len in (1, 4, 12):
         expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text,
                                   min_len, sa=sa_fwd)
-        assert find_in_raw(pattern, reloaded, rev, min_len).spans == [m.span for m in expect]
+        assert find_in_raw(pattern, IndexPair(reloaded, rev),
+                           min_len).spans == [m.span for m in expect]
 
 
 def test_loaded_index_answers_queries(tmp_path):
@@ -1112,7 +1114,8 @@ def test_repetitive_records_deflate_and_keep_every_answer(seed, copies, length, 
     for min_len in (1, 5):
         expect = brute_force_mems(Pattern.from_bytes(pattern, text.alphabet), text,
                                   min_len, sa=sa)
-        assert find_in_raw(pattern, *loaded, min_len).spans == [m.span for m in expect]
+        assert find_in_raw(pattern, IndexPair(*loaded),
+                           min_len).spans == [m.span for m in expect]
 
 
 # -- agreement with the oracle --------------------------------------------------------
