@@ -30,6 +30,9 @@ median per-round ratio of the second tree's time to the first's, the
 rounds the second tree won, the MEMs per pass and whether the trees' rows
 are the same.  A pass carries no interpreter start-up and none of the
 noise between processes, so a change of a few percent in the search shows.
+A tree that lacks the library API this phase calls, such as one from
+before `IndexPair`, gets a line `# (in process) CMD: skipped, SRC cannot be
+driven: ERROR` for each command instead.
 
 Every child, `--setup` included, exits before either tree is imported: a
 child's `ru_maxrss` keeps its parent's high-water mark through exec, so a
@@ -142,22 +145,29 @@ def time_in_process(trees: list[str], commands: list[str], rounds: int) -> bool:
     import importlib
 
     memlights = [import_tree(src, f"memlight_tree{t + 1}") for t, src in enumerate(trees)]
-    parsers = [importlib.import_module(f"{m.__name__}.cli").build_parser() for m in memlights]
-    fasta = importlib.import_module(f"{memlights[1].__name__}.fasta")
     differ = False
     print("command\ttree\tpass_ms_median\tpass_ms_q1-q3\tbackward_steps")
     for command in commands:
-        parsed = [parser.parse_args(tree_args(command, t + 1))
-                  for t, parser in enumerate(parsers)]
-        patterns = [raw for _, raw in fasta.read_patterns(parsed[1].patterns, parsed[1].raw)]
-        pairs = [m.IndexPair.load(a.index) for m, a in zip(memlights, parsed)]
-
         def run(t):
             a = parsed[t]
             return search_pass(memlights[t], pairs[t], patterns, a.min_len, a.longest,
                                a.locate)
 
-        warm = [run(t) for t in (0, 1)]
+        # a tree without the library API called here, such as an older one,
+        # is named and the command skipped
+        parsed, pairs, warm, t = [], [], [], 0
+        try:
+            for t, m in enumerate(memlights):
+                parsed.append(importlib.import_module(f"{m.__name__}.cli").build_parser()
+                              .parse_args(tree_args(command, t + 1)))
+                pairs.append(m.IndexPair.load(parsed[t].index))
+            fasta = importlib.import_module(f"{memlights[1].__name__}.fasta")
+            patterns = [raw for _, raw in fasta.read_patterns(parsed[1].patterns, parsed[1].raw)]
+            for t in (0, 1):
+                warm.append(run(t))
+        except (AttributeError, ImportError, TypeError) as exc:
+            print(f"# (in process) {command}: skipped, {trees[t]} cannot be driven: {exc}")
+            continue
         walls = [[], []]
         for round_ in range(rounds):
             for t in tree_order(round_):

@@ -24,8 +24,8 @@ row holds a number of the alphabet.  The first search splits the rows again
 into 64-row words per symbol, beside a running count per word that starts
 at C[c] (Jacobson's rank), so that a backward step or an LF step is a count
 read plus one popcount for each end of the interval.  The sentinel's row is
-in no bitmap and needs no correction.  Locating reads one code byte per
-row, derived from the planes and the order on first locate.
+in no bitmap and needs no correction.  Locating reads one code byte and
+one sample flag per row, both derived on first locate.
 Backward search reports how many characters of a query prefix matched,
 which is the single primitive the deterministic MEM finder needs.
 It starts from a table, also built on first search, of the interval of
@@ -44,7 +44,7 @@ import time
 import zlib
 from array import array
 from functools import cached_property, reduce
-from itertools import accumulate
+from itertools import accumulate, compress
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -57,7 +57,7 @@ if TYPE_CHECKING:
 # older format, and one whose eighth byte is higher in a newer one
 MAGIC = b"MEMLIDXA"
 # the default sample rate of the index that locates
-SAMPLE_RATE = 32
+SAMPLE_RATE = 48
 # n, alphabet size, sample rate, separator count
 _HEADER = struct.Struct("<4Q")
 # _BELOW[i] keeps the bits of a 64-row word's rows before row i
@@ -70,6 +70,8 @@ _NIBBLE = [sum((x >> i & 1) << 2 * i for i in range(4)) for x in range(16)]
 _GATHER = tuple(tuple(bytes(_NIBBLE.index(x >> j & 0x55) << 4 * h for x in range(256))
                       for h in (0, 1)) for j in (0, 1))
 _KMER_LANES = 1 << 10  # k is the largest with at most this many k-mers
+# _ONEHOT[c] translates code c to 1 and every other byte to 0
+_ONEHOT = tuple(bytes(c) + b"\1" + bytes(255 - c) for c in range(256))
 
 
 class IndexFormatError(ValueError):
@@ -235,9 +237,13 @@ class FmIndex:
         return k, {key: (lo, hi) for key, lo, hi in lanes}
 
     @cached_property
-    def _sampled(self) -> dict[int, int]:
-        """The text position of each sampled row."""
-        return dict(zip(self._sample_rows, range(0, self.n + 1, self.s)))
+    def _sampled(self) -> tuple[bytearray, dict[int, int]]:
+        """One byte per row, 1 where the row is sampled, and the text
+        position of each sampled row."""
+        flags = bytearray(self.n + 1)
+        for row in self._sample_rows:
+            flags[row] = 1
+        return flags, dict(zip(self._sample_rows, range(0, self.n + 1, self.s)))
 
     # -- queries ------------------------------------------------------------
 
@@ -286,9 +292,15 @@ class FmIndex:
             sym = codes[pos]
             if not 0 <= sym < sigma:
                 break
-            bits, col = words[sym], cols[sym]
-            new_lo = col[lo >> 6] + (bits[lo >> 6] & below[lo & 63]).bit_count()
-            new_hi = col[hi >> 6] + (bits[hi >> 6] & below[hi & 63]).bit_count()
+            bits, col, w = words[sym], cols[sym], lo >> 6
+            if w == hi >> 6:
+                # both ends in one word: one word and one count read
+                word, count = bits[w], col[w]
+                new_lo = count + (word & below[lo & 63]).bit_count()
+                new_hi = count + (word & below[hi & 63]).bit_count()
+            else:
+                new_lo = col[w] + (bits[w] & below[lo & 63]).bit_count()
+                new_hi = col[hi >> 6] + (bits[hi >> 6] & below[hi & 63]).bit_count()
             if new_lo >= new_hi:
                 break
             lo, hi = new_lo, new_hi
@@ -300,33 +312,66 @@ class FmIndex:
     def locate_all(self, iv: BwtInterval) -> list[int]:
         """Text positions of every row in the interval, ascending.
 
-        Each row walks at most min(sample_rate - 1, n) LF steps to a sampled
-        row, since the samples are in text order; one that walks further raises.
-        Row 0, the empty suffix, resolves to position n and is excluded.
+        The rows walk LF steps to sampled rows in groups: a run of rows from
+        lo, one mask byte per row (1 while it walks) and the steps taken.
+        LF keeps the order of the rows holding c, the k-th landing on
+        C[c] + rank(c, lo) + k, so a run of one symbol steps by one rank and
+        any other splits by the symbols its walking rows hold.  Finished rows
+        stay in a group, unreported, and are trimmed from its ends.  A group
+        of one walking row, or whose run holds the sentinel's row (in no
+        bitmap, but sampled, so no walk passes it), walks row by row.  No row
+        walks more than min(sample_rate, n + 1) - 1 steps, since the samples
+        are in text order; one that would raises.  Row 0, the empty suffix,
+        resolves to position n and is excluded.
         """
-        # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix;
-        # the sentinel row is sampled (it is the first sample row), so no
-        # walk passes it
+        # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix
         bwt, (words, cols), below = self._bwt, self._rank, _BELOW
-        sampled = self._sampled.get
+        (flags, sampled), sentinel = self._sampled, self.sentinel_row
         n, walk = self.n, min(self.s, self.n + 1)
-        out = []
-        for row in range(iv.lo, iv.hi):
-            r = row
-            for steps in range(walk):
-                pos = sampled(r)
-                if pos is not None:
+        out, groups = [], [(iv.lo, b"\1" * iv.width, 0)]
+        while groups:
+            lo, mask, steps = groups.pop()
+            while True:  # a turn per LF step while the group's run holds one symbol
+                trimmed = mask.lstrip(b"\0")
+                lo += len(mask) - len(trimmed)
+                mask = trimmed.rstrip(b"\0")
+                span = len(mask)
+                if span < 2 or lo <= sentinel < lo + span:
+                    for r in (lo,) if span == 1 else compress(range(lo, lo + span), mask):
+                        for step in range(steps, walk):
+                            if flags[r]:
+                                break
+                            sym, w = bwt[r], r >> 6
+                            r = cols[sym][w] + (words[sym][w] & below[r & 63]).bit_count()
+                        else:
+                            raise IndexFormatError("suffix-array samples are unreachable")
+                        out.append(sampled[r] + step)
                     break
-                sym = bwt[r]
-                r = cols[sym][r >> 6] + (words[sym][r >> 6] & below[r & 63]).bit_count()
-            else:
-                raise IndexFormatError("suffix-array samples are unreachable")
-            pos += steps
-            if pos > n:
-                raise IndexFormatError("suffix-array samples point past the text")
-            if pos != n:
-                out.append(pos)
-        return sorted(out)
+                walking = int.from_bytes(mask, "little")
+                hits = int.from_bytes(flags[lo : lo + span], "little") & walking
+                if hits:
+                    for r in compress(range(lo, lo + span), hits.to_bytes(span, "little")):
+                        out.append(sampled[r] + steps)
+                    if hits == walking:
+                        break
+                    mask = (walking ^ hits).to_bytes(span, "little")
+                if steps + 1 == walk:
+                    raise IndexFormatError("suffix-array samples are unreachable")
+                run, w, steps = bwt[lo : lo + span], lo >> 6, steps + 1
+                sym = run[0]
+                if run.count(sym) == span:
+                    lo = cols[sym][w] + (words[sym][w] & below[lo & 63]).bit_count()
+                    continue
+                for sym in set(compress(run, mask)):
+                    groups.append((cols[sym][w] + (words[sym][w] & below[lo & 63]).bit_count(),
+                                   bytes(compress(mask, run.translate(_ONEHOT[sym]))), steps))
+                break
+        out.sort()
+        if out and out[-1] > n:
+            raise IndexFormatError("suffix-array samples point past the text")
+        while out and out[-1] == n:
+            out.pop()
+        return out
 
     # -- serialization -------------------------------------------------------
 

@@ -2,6 +2,7 @@ import inspect
 import os
 import random
 import shlex
+import shutil
 import signal
 import struct
 import subprocess
@@ -60,7 +61,7 @@ GOLDEN_INDEX_FILES = {
                         "41434754" "" "00030201",
                         "d50a4000" "08000000"),
         ".rev.memidx": ("4d454d4c49445841"
-                        "0c00000000000000" "0400000000000000" "2000000000000000" "0000000000000000"
+                        "0c00000000000000" "0400000000000000" "3000000000000000" "0000000000000000"
                         "41434754" "" "00030201",
                         "560b1000" "09000000"),
     },
@@ -640,12 +641,13 @@ def test_one_default_sample_rate():
 QUERY_CHILDREN = Path(__file__).resolve().parents[1] / "scripts" / "query_children.py"
 
 
-def run_query_children(*args):
-    """Run the launcher for one round with this src as both trees; its exit
-    code, its tab-split rows and its stderr."""
+def run_query_children(*args, first=None):
+    """Run the launcher for one round with this src as the second tree and,
+    unless another is given, the first; its exit code, its tab-split rows
+    and its stderr."""
     src = str(Path(memlight.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, str(QUERY_CHILDREN), src, src, "--rounds", "1",
-                           *args], capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, str(QUERY_CHILDREN), first or src, src,
+                           "--rounds", "1", *args], capture_output=True, text=True, timeout=120)
     return done.returncode, [line.split("\t") for line in done.stdout.splitlines()], done.stderr
 
 
@@ -738,6 +740,26 @@ def test_query_children_exits_1_when_the_rows_in_process_differ(tmp_path):
     assert code == 1, err
     assert [row[-1] for row in rows if row[0] == command] == ["same", "same"]
     assert in_process_summary(rows, command) == "3; rows: DIFFERENT"
+
+
+def test_query_children_skips_a_tree_it_cannot_drive_in_process(demo_files, tmp_path):
+    # a copy of this tree whose fm.py names the pair class otherwise, as a
+    # tree from before IndexPair does: its children run, but the in-process
+    # pass cannot load its pair
+    _, pattern, prefix = demo_files
+    old = tmp_path / "old" / "memlight"
+    shutil.copytree(Path(memlight.__file__).parent, old,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for module in old.glob("*.py"):
+        module.write_text(module.read_text().replace("IndexPair", "OldPair"))
+    command = shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4", "--locate"])
+    code, rows, err = run_query_children(*commands_of(command), first=str(old.parent))
+    assert code == 0, err
+    assert [row[-1] for row in rows if row[0] == command] == ["same", "same"]
+    assert [row[0] for row in rows if row[0].startswith("# (in process)")] == [
+        f"# (in process) {command}: skipped, {old.parent} cannot be driven: "
+        "module 'memlight_tree1' has no attribute 'IndexPair'"]
+    assert "Traceback" not in err
 
 
 def test_unknown_arguments_exit_two():

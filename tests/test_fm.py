@@ -2,6 +2,7 @@ import random
 import re
 import struct
 import tracemalloc
+from functools import partial
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -428,6 +429,93 @@ def test_locate_stops_within_n_steps_at_a_rate_past_the_text():
     assert broken.s == 1 << 62
     with pytest.raises(IndexFormatError, match="^suffix-array samples are unreachable$"):
         broken.locate_all(BwtInterval(0, broken.n + 1))
+
+
+def walk_row_by_row(index, iv):
+    """What locate_all answers, by one LF step at a time from FmIndex.rank:
+    each row walks to a sampled row in at most min(s, n + 1) - 1 steps."""
+    sampled = dict(zip(index._sample_rows, range(0, index.n + 1, index.s)))
+    out = []
+    for r in range(iv.lo, iv.hi):
+        for steps in range(min(index.s, index.n + 1)):
+            if r in sampled:
+                break
+            sym = index._bwt[r]
+            r = index._c[sym] + index.rank(sym, r)
+        else:
+            raise IndexFormatError("suffix-array samples are unreachable")
+        if sampled[r] + steps > index.n:
+            raise IndexFormatError("suffix-array samples point past the text")
+        out.append(sampled[r] + steps)
+    return sorted(pos for pos in out if pos != index.n)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_grouped_locate_equals_a_walk_row_by_row(data):
+    # a repeat-rich text keeps the rows of a wide interval in one group for
+    # many steps, a random one splits them soon; separators and the
+    # sentinel's row are in no group's run, and every rate bounds the walks
+    def dna(max_size):
+        return st.binary(min_size=1, max_size=max_size).map(
+            lambda b: bytes(b"ACGT"[x & 3] for x in b))
+    if data.draw(st.booleans(), label="repeats"):
+        raw = bytearray(data.draw(dna(12), label="unit") * data.draw(st.integers(2, 40)))
+        for at in data.draw(st.lists(st.integers(0, len(raw) - 1), max_size=3), label="edits"):
+            raw[at] = ord("G")
+    else:
+        raw = bytearray(data.draw(dna(300), label="text"))
+    for at in data.draw(st.lists(st.integers(0, len(raw)), max_size=3), label="separators"):
+        raw[at:at] = b"#"
+    text = Text.from_bytes(bytes(raw))
+    n = text.n
+    rate = data.draw(st.sampled_from([1, 2, 3, 48, n + 1]) | st.integers(n + 2, 1 << 62),
+                     label="sample rate")
+    index = build_fm(text, sample_rate=rate, separators=b"#" if b"#" in raw else b"")
+    sa, sentinel = naive_suffix_array(text.code_bytes), index.sentinel_row
+    for _ in range(4):
+        kind = data.draw(st.sampled_from(["random", "holds the sentinel's row", "substring"]))
+        if kind == "substring":
+            start = data.draw(st.integers(0, n - 1))
+            size = data.draw(st.integers(1, min(8, n - start)))
+            _, (lo, hi) = index.backward_search_prefix(text.code_bytes[start : start + size], size)
+        elif kind == "random":
+            lo = data.draw(st.integers(0, n + 1))
+            hi = data.draw(st.integers(lo, n + 1))
+        else:
+            lo, hi = data.draw(st.integers(0, sentinel)), data.draw(st.integers(sentinel + 1, n + 1))
+        iv = BwtInterval(lo, hi)
+        assert index.locate_all(iv) == walk_row_by_row(index, iv) == sorted(
+            sa[r] for r in range(lo, hi) if sa[r] != n)
+
+
+def test_locate_of_a_group_raises_as_its_rows_do():
+    # in a periodic text at s equal to the period, the rows of a context
+    # that occurs only at multiples of s walk as one group; with the sample
+    # rows of positions 16 and 32 moved to the rows of 17 and 33, those two
+    # rows meet no sample in s - 1 steps, still in one group
+    text = Text.from_bytes(b"TTT" + b"ACGTTGCA" * 8)
+    index = build_fm(text, sample_rate=8)
+    row_of = {pos: row for row in range(index.n + 1)
+              for pos in index.locate_all(BwtInterval(row, row + 1))}
+    group = interval_of(index, text, b"GCAACGT")
+    assert index.locate_all(group) == list(range(8, 64, 8))
+    assert not group.lo <= index.sentinel_row < group.hi
+
+    def edit(planes, rows):
+        rows[2], rows[4] = row_of[17], row_of[33]
+    broken = FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
+    unreachable = "^suffix-array samples are unreachable$"
+    for row in range(group.lo, group.hi):
+        single = BwtInterval(row, row + 1)
+        if row in (row_of[16], row_of[32]):
+            with pytest.raises(IndexFormatError, match=unreachable):
+                broken.locate_all(single)
+        else:
+            assert broken.locate_all(single) == index.locate_all(single)
+    for locate in (broken.locate_all, partial(walk_row_by_row, broken)):
+        with pytest.raises(IndexFormatError, match=unreachable):
+            locate(group)
 
 
 # -- serialization -------------------------------------------------------------------
