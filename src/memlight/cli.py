@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-L", "--L", "--min-mem-length", dest="min_len", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--cyclic", action=argparse.BooleanOptionalAction)
-    p.add_argument("--sample-rate", type=int)
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
     p.set_defaults(func=cmd_experiment)
     return parser

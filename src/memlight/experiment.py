@@ -35,7 +35,6 @@ class ExperimentSpec:
     min_len: int = 40
     seed: int = 42
     cyclic: bool = True
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         if not 1 <= self.m <= self.n:
@@ -161,7 +160,7 @@ class ComparisonReport:
             f"# L: {spec.min_len}",
             f"# cyclic: {str(spec.cyclic).lower()}",
             f"# cyclic_window: {self.cyclic_window if self.cyclic_window is not None else '-'}",
-            f"# sample_rate: {spec.sample_rate}",
+            f"# sample_rate: {SAMPLE_RATE}",
             "# columns: length\tcount\tunique\tcorrect",
         ]
         for row in self.histogram:
@@ -189,10 +188,10 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
         window = min(spec.m + CYCLIC_MARGIN, spec.n)
         indexed = make_cyclic_text(text, window)
     sa_fwd = build_suffix_structures(indexed)
-    # the forward index never locates: like `memlight index`, it samples
-    # only its sentinel row; the reverse one samples at the spec's rate
+    # the pair `memlight index` writes: the forward index samples only its
+    # sentinel row, the reverse one the default rate (nothing here locates)
     fm_fwd = build_fm(indexed, indexed.n + 1, sa=sa_fwd)
-    fm_rev = build_fm(indexed.reversed(), spec.sample_rate)
+    fm_rev = build_fm(indexed.reversed())
 
     full = find_all_mems_fm(pattern, fm_fwd, fm_rev)
     thresholded = find_long_mems_fm(pattern, fm_fwd, fm_rev, spec.min_len)

@@ -70,24 +70,15 @@ class FingerprintLce:
     rather than always.
     """
 
-    def __init__(self, base: int, text_fwd: list[int], text_rev: list[int],
-                 pat_fwd: list[int], pat_rev: list[int], powers: list[int]):
-        self.base = base
-        self.text_fwd, self.text_rev = text_fwd, text_rev
-        self.pat_fwd, self.pat_rev = pat_fwd, pat_rev
-        self.powers = powers
-        self.n = len(text_fwd) - 1
-        self.m = len(pat_fwd) - 1
-
-    @classmethod
-    def build(cls, text: Text, pattern: Pattern, seed: int | None = None) -> "FingerprintLce":
-        base = random.Random(seed).randrange(2, MODULUS - 1)
+    def __init__(self, text: Text, pattern: Pattern, seed: int | None = None):
+        self.base = base = random.Random(seed).randrange(2, MODULUS - 1)
         t, p = text.code_bytes, pattern.code_bytes
-        powers = [1] * (max(len(t), len(p)) + 1)
+        self.text_fwd, self.text_rev = _prefix_hashes(t, base), _prefix_hashes(t[::-1], base)
+        self.pat_fwd, self.pat_rev = _prefix_hashes(p, base), _prefix_hashes(p[::-1], base)
+        self.powers = powers = [1] * (max(len(t), len(p)) + 1)
         for k in range(1, len(powers)):
             powers[k] = powers[k - 1] * base % MODULUS
-        return cls(base, _prefix_hashes(t, base), _prefix_hashes(t[::-1], base),
-                   _prefix_hashes(p, base), _prefix_hashes(p[::-1], base), powers)
+        self.n, self.m = len(t), len(p)
 
     def substring_hash(self, prefixes: list[int], i: int, j: int) -> int:
         """Hash of the slice [i, j) of the sequence behind `prefixes`."""

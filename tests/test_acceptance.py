@@ -162,7 +162,7 @@ def test_criterion_7_fingerprint_extension_queries():
             p_raw = bytes(present[c] for c in rng.integers(0, len(present), m))
         pattern = Pattern.from_bytes(p_raw, text.alphabet)
         naive = NaiveLce(text, pattern)
-        fingerprint = FingerprintLce.build(text, pattern, seed=total)
+        fingerprint = FingerprintLce(text, pattern, seed=total)
         for _ in range(5000):
             i = int(rng.integers(0, pattern.m))
             j = int(rng.integers(0, text.n))
@@ -238,7 +238,7 @@ def test_criterion_9_step_count_reduction():
 
 def test_criterion_10_determinism_and_serialization(tmp_path):
     spec = ExperimentSpec(n=2000, m=300, sigma=2, mutation="flip", rate=0.1,
-                          min_len=10, seed=123, cyclic=True, sample_rate=8)
+                          min_len=10, seed=123, cyclic=True)
     first = run_comparison(spec).to_tsv().encode()
     second = run_comparison(spec).to_tsv().encode()
     assert first == second

@@ -15,10 +15,10 @@ import pytest
 import memlight
 from memlight import cli
 from memlight.cli import main
-from memlight.fm import FmIndex
+from memlight.fm import FmIndex, index_paths
 
-from conftest import (DEMO_PATTERN, DEMO_TEXT, payload_at, payload_of, plane_size, reseal,
-                      reseal_payload, unpack_rows)
+from conftest import (DEMO_PATTERN, DEMO_TEXT, index_file, payload_at, payload_of, plane_size,
+                      reseal, reseal_payload, unpack_rows)
 
 
 @pytest.fixture()
@@ -516,6 +516,20 @@ def test_plane_order_not_a_permutation_is_a_format_error(demo_files, capsys):
     assert "plane order is not a permutation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("separators", [b"TA", b"AZ"])
+def test_bad_separators_are_a_format_error(demo_files, capsys, separators):
+    # both files of the pair rewritten with separators out of order, or
+    # with a byte outside the alphabet ACGT
+    _, pattern, prefix = demo_files
+    for path in index_paths(prefix):
+        index = FmIndex.load(path)
+        path.write_bytes(index_file(index.alphabet, index.n, index._planes, index._order,
+                                    index.s, index._sample_rows, separators=separators))
+    assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
+    assert ("record separators must be distinct alphabet bytes, ascending"
+            in capsys.readouterr().err)
+
+
 def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
     # only the reverse index locates; the forward one keeps one sample, the
     # row of text position 0, which is its sentinel row
@@ -624,17 +638,14 @@ def test_sample_rate_past_63_bits_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(index + [str(2**63)]) == 2
     assert "sample rate must be at least 1 and below 2**63" in capsys.readouterr().err
-    assert main(["experiment", "--n", "100", "--m", "10", "--sample-rate", str(10**20)]) == 2
-    assert "sample rate" in capsys.readouterr().err
 
 
 def test_one_default_sample_rate():
     from memlight import fm
-    from memlight.experiment import ExperimentSpec
     index = cli.build_parser().parse_args(["index", "t.txt", "-o", "x"])
     defaults = {inspect.signature(build).parameters["sample_rate"].default
                 for build in (fm.build_fm, fm.write_index_pair)}
-    defaults |= {index.sample_rate, ExperimentSpec().sample_rate}
+    defaults.add(index.sample_rate)
     assert defaults == {fm.SAMPLE_RATE}
 
 
@@ -768,12 +779,24 @@ def test_unknown_arguments_exit_two():
 
 def test_experiment_command_is_deterministic(tmp_path, capsys):
     argv = ["experiment", "--n", "1500", "--m", "250", "--L", "10",
-            "--seed", "5", "--sample-rate", "8"]
+            "--seed", "5"]
     assert main(argv + ["--output", str(tmp_path / "a.tsv")]) == 0
     assert main(argv + ["--output", str(tmp_path / "b.tsv")]) == 0
     a = (tmp_path / "a.tsv").read_bytes()
     assert a == (tmp_path / "b.tsv").read_bytes()
     assert a.startswith(b"# memlight experiment report")
+
+
+def test_experiment_writes_to_stdout_without_output(capsys):
+    from memlight.experiment import ExperimentSpec, run_comparison
+    assert main(["experiment", "--n", "1500", "--m", "250"]) == 0
+    assert capsys.readouterr().out == run_comparison(ExperimentSpec(n=1500, m=250)).to_tsv()
+
+
+def test_experiment_takes_no_sample_rate(capsys):
+    # the experiment never locates, so no sample rate changes its report
+    assert main(["experiment", "--n", "1500", "--m", "250", "--sample-rate", "8"]) == 2
+    assert "unrecognized arguments: --sample-rate" in capsys.readouterr().err
 
 
 def test_experiment_defaults_write_the_committed_report(tmp_path):
@@ -788,10 +811,10 @@ def test_experiment_options_reach_the_spec(tmp_path):
     from memlight.experiment import ExperimentSpec, run_comparison
     argv = ["experiment", "--n", "1500", "--m", "250", "--sigma", "3",
             "--mutation", "replace_uniform", "--rate", "0.2", "-L", "7", "--seed", "5",
-            "--no-cyclic", "--sample-rate", "8", "--output", str(tmp_path / "given.tsv")]
+            "--no-cyclic", "--output", str(tmp_path / "given.tsv")]
     assert main(argv) == 0
     spec = ExperimentSpec(n=1500, m=250, sigma=3, mutation="replace_uniform", rate=0.2,
-                          min_len=7, seed=5, cyclic=False, sample_rate=8)
+                          min_len=7, seed=5, cyclic=False)
     assert (tmp_path / "given.tsv").read_text() == run_comparison(spec).to_tsv()
 
 

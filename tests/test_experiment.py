@@ -13,7 +13,7 @@ from memlight import (ExperimentSpec, LengthHistogramRow, Pattern, Text,
 
 
 SMALL = dict(n=2500, m=350, sigma=2, mutation="flip", rate=0.1, min_len=12,
-             seed=7, cyclic=True, sample_rate=8)
+             seed=7, cyclic=True)
 
 
 # -- spec validation ---------------------------------------------------------------
@@ -196,8 +196,7 @@ def test_report_crosscheck_and_tallies():
 
 def test_whole_text_pattern_is_one_mem():
     report = run_comparison(ExperimentSpec(n=400, m=400, sigma=2, rate=0.0,
-                                           min_len=1, seed=11, cyclic=False,
-                                           sample_rate=8))
+                                           min_len=1, seed=11, cyclic=False))
     assert report.mems_total == 1
     assert report.longest_length == 400
 

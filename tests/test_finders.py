@@ -489,7 +489,7 @@ def test_fingerprint_backend_agrees_with_naive():
         t_raw, p_raw = random_raw_pair(rng, max_n=500, max_m=80)
         bench = make_bench(t_raw, p_raw)
         min_len = case_min_len(case, bench.pattern.m)
-        fingerprint = FingerprintLce.build(bench.text, bench.pattern, seed=case)
+        fingerprint = FingerprintLce(bench.text, bench.pattern, seed=case)
         exact = find_long_mems_lce(bench.pattern, bench.pointers,
                                    bench.naive_lce(), min_len)
         probabilistic = find_long_mems_lce(bench.pattern, bench.pointers,

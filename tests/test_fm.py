@@ -911,6 +911,17 @@ def test_file_stores_the_order_after_the_separators():
     assert FmIndex.from_bytes(data)._order == index._order
 
 
+@pytest.mark.parametrize("separators", [b"TA", b"AA", b"AZ"])
+def test_load_rejects_separators_not_ascending_alphabet_bytes(demo_index, separators):
+    # out of order, repeated, and a byte outside the alphabet ACGT
+    _, index = demo_index
+    data = index_file(index.alphabet, index.n, index._planes, index._order, index.s,
+                      index._sample_rows, separators=separators)
+    with pytest.raises(IndexFormatError,
+                       match="^record separators must be distinct alphabet bytes, ascending$"):
+        FmIndex.from_bytes(data)
+
+
 @pytest.mark.parametrize("order", [b"\0\0\1\2", b"\0\1\2\4", b"\3\2\1\xff"])
 def test_load_rejects_resealed_order_not_a_permutation(demo_index, order):
     # a repeated code, a code just past the alphabet of four, and one far past
@@ -1223,7 +1234,7 @@ def test_thresholded_fm_finder_equals_oracle_for_every_length(case):
     sa = build_suffix_structures(text)
     pointers = compute_match_pointers(pattern, text, sa,
                                       build_suffix_structures(text.reversed()))
-    backends = (NaiveLce(text, pattern), FingerprintLce.build(text, pattern, seed=5))
+    backends = (NaiveLce(text, pattern), FingerprintLce(text, pattern, seed=5))
     for lce in backends:
         assert find_all_mems(pattern, pointers, lce).spans == [
             m.span for m in brute_force_mems(pattern, text, 1, sa=sa)]

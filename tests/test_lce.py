@@ -11,7 +11,7 @@ from conftest import ADVERSARIAL_PATTERN, DEMO_PATTERN, DEMO_TEXT
 
 
 def both_backends(text, pattern, seed=0):
-    return NaiveLce(text, pattern), FingerprintLce.build(text, pattern, seed=seed)
+    return NaiveLce(text, pattern), FingerprintLce(text, pattern, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +69,8 @@ def test_out_of_range_positions_raise(demo_pair, i, j):
 def test_same_seed_same_base():
     text = Text.from_bytes(DEMO_TEXT)
     pattern = Pattern.from_bytes(DEMO_PATTERN, text.alphabet)
-    a = FingerprintLce.build(text, pattern, seed=99)
-    b = FingerprintLce.build(text, pattern, seed=99)
+    a = FingerprintLce(text, pattern, seed=99)
+    b = FingerprintLce(text, pattern, seed=99)
     assert a.base == b.base
     assert a.text_fwd == b.text_fwd
 
@@ -78,7 +78,7 @@ def test_same_seed_same_base():
 def test_empty_substring_hashes_to_zero():
     text = Text.from_bytes(DEMO_TEXT)
     pattern = Pattern.from_bytes(DEMO_PATTERN, text.alphabet)
-    lce = FingerprintLce.build(text, pattern, seed=1)
+    lce = FingerprintLce(text, pattern, seed=1)
     assert lce.substring_hash(lce.text_fwd, 5, 5) == 0
     assert lce.substring_hash(lce.pat_rev, 0, 0) == 0
 
@@ -109,7 +109,7 @@ def test_hash_comparisons_bounded_by_answer():
     text = Text.from_bytes(t_raw)
     p_raw = t_raw[:800]
     pattern = Pattern.from_bytes(p_raw, text.alphabet)
-    fingerprint = FingerprintLce.build(text, pattern, seed=2)
+    fingerprint = FingerprintLce(text, pattern, seed=2)
     for _ in range(2000):
         i = int(rng.integers(0, pattern.m))
         j = int(rng.integers(0, text.n))

@@ -51,6 +51,20 @@ def test_text_rejects_empty():
         Text.from_bytes(b"")
 
 
+def _delete_symbols():
+    del Alphabet(b"AC").symbols
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Alphabet(b""), ValueError, "^empty alphabet$"),
+    (lambda: Text(Alphabet(b"AC"), b""), ValueError, "^empty text$"),
+    (_delete_symbols, AttributeError, "^cannot delete field 'symbols'$"),
+])
+def test_named_construction_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.parametrize("kind", [Text, Pattern])
 def test_codes_are_taken_as_bytes_only(kind):
     alphabet = Alphabet(b"ACGT")

@@ -289,6 +289,28 @@ def test_brute_force_threshold_equals_filtered(demo_bench):
         assert [mem.span for mem in direct] == filtered
 
 
+def _absent_symbol_query(_bench):
+    # an alphabet with a symbol that this text never uses
+    big = Text.from_bytes(b"ACGT")
+    text = Text(big.alphabet, big.alphabet.encode_bytes(b"ACACAC"))
+    build_suffix_structures(text).best_match_position(big.alphabet.encode_bytes(b"GT"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda b: SuffixArray(b.text, b.sa_fwd.sa[:-1]),
+     "^suffix array length does not match the text$"),
+    (_absent_symbol_query, "^no symbol of the query occurs in the text$"),
+    (lambda b: b.sa_fwd.occurrences(b""), "^empty query$"),
+    (lambda b: compute_match_pointers(Pattern(b.text.alphabet, b""), b.text, b.sa_fwd,
+                                      b.sa_rev), "^empty pattern$"),
+    (lambda b: brute_force_mems(b.pattern, b.text, min_len=0, sa=b.sa_fwd),
+     "^minimum length must be at least 1$"),
+])
+def test_named_suffix_structure_errors(demo_bench, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(demo_bench)
+
+
 def test_pointer_family_and_oracle_reject_another_alphabet(demo_bench):
     # codes of another alphabet would be read as this text's codes
     pattern = Pattern.from_bytes(b"TT", Alphabet(b"T"))
