@@ -12,7 +12,6 @@ import time
 
 from memlight import (ExperimentSpec, build_fm, generate_instance,
                       longest_common_substring, make_cyclic_text)
-from memlight.experiment import CYCLIC_MARGIN
 
 
 def main() -> None:
@@ -27,7 +26,9 @@ def main() -> None:
     base_spec = ExperimentSpec(n=args.n, m=lengths[-1], sigma=args.sigma,
                                rate=args.rate, seed=args.seed)
     text, _ = generate_instance(base_spec)
-    window = min(lengths[-1] + CYCLIC_MARGIN, args.n)  # the rule of run_comparison
+    # the longest pattern is n long, so run_comparison's window of m plus a
+    # margin, capped at n, is always n: the text is indexed twice over
+    window = args.n
     indexed = make_cyclic_text(text, window)
 
     print(f"indexing n={args.n} (cyclic window {window})...", flush=True)

@@ -21,11 +21,12 @@ implies, splits the pairs back into planes, and ANDs the planes or their
 complements into one bitmap per number, keeping only the popcounts, each
 under its number's code: the C array, whose last entry shows whether every
 row holds a number of the alphabet.  The first search splits the rows again
-into 64-row words per symbol, beside a running count per word that starts
-at C[c] (Jacobson's rank), so that a backward step or an LF step is a count
-read plus one popcount for each end of the interval.  The sentinel's row is
-in no bitmap and needs no correction.  Locating reads one code byte and
-one sample flag per row, both derived on first locate.
+into 256-row words per symbol, held as ints in a list, beside a running
+count per word that starts at C[c] (Jacobson's rank), so that a backward
+step or an LF step is a count read plus one popcount for each end of the
+interval.  The sentinel's row is in no bitmap and needs no correction.
+Locating reads one code byte and one sample flag per row, both derived on
+first locate.
 Backward search reports how many characters of a query prefix matched,
 which is the single primitive the deterministic MEM finder needs.
 It starts from a table, also built on first search, of the interval of
@@ -57,11 +58,11 @@ if TYPE_CHECKING:
 # older format, and one whose eighth byte is higher in a newer one
 MAGIC = b"MEMLIDXA"
 # the default sample rate of the index that locates
-SAMPLE_RATE = 48
+SAMPLE_RATE = 56
 # n, alphabet size, sample rate, separator count
 _HEADER = struct.Struct("<4Q")
-# _BELOW[i] keeps the bits of a 64-row word's rows before row i
-_BELOW = tuple((1 << i) - 1 for i in range(64))
+# _BELOW[i] keeps the bits of a 256-row word's rows before row i
+_BELOW = tuple((1 << i) - 1 for i in range(256))
 # _DIGITS[j] turns plane j's binary digits into bytes holding bit j
 _DIGITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
 # _NIBBLE[x] moves bit i of a 4-bit x to bit 2i of a byte; _GATHER[j][h]
@@ -165,22 +166,24 @@ class FmIndex:
     # positions on first locate: `memlight index` saves an index without
     # either, and most queries never locate
     @cached_property
-    def _rank(self) -> tuple[list[array], list[array]]:
-        """One 64-row bitmap and one count column per symbol.
+    def _rank(self) -> tuple[list[list[int]], list[list[int]]]:
+        """One list of 256-row words and one count column per symbol.
 
-        Bit i of words[c][w] is set when BWT row 64w + i holds symbol c, and
-        cols[c][w] is C[c] plus the rows holding c before row 64w, so that
-        C[c] + rank(c, k) is cols[c][k >> 6] plus a popcount inside word
-        k >> 6.  The sentinel's row is in no bitmap; one padding word lets
-        row n + 1 be ranked.  The counts are running popcounts.
+        Bit i of words[c][w] is set when BWT row 256w + i holds symbol c,
+        and cols[c][w] is C[c] plus the rows holding c before row 256w, so
+        that C[c] + rank(c, k) is cols[c][k >> 8] plus a popcount inside
+        word k >> 8.  The words are ints in lists, whose subscript returns a
+        stored int where an array boxes a new one.  The sentinel's row is in
+        no bitmap; one padding word lets row n + 1 be ranked.  The counts
+        are running popcounts.
         """
-        nbytes = 8 * (((self.n + 1) >> 6) + 1)
+        nbytes = 32 * (((self.n + 1) >> 8) + 1)
         words, cols = [None] * self.alphabet.size, [None] * self.alphabet.size
         for code, bitmap in zip(self._order, self._symbol_rows()):
-            bits = words[code] = array("Q", bitmap.to_bytes(nbytes, "little"))
-            if sys.byteorder == "big":
-                bits.byteswap()
-            cols[code] = array("q", accumulate(map(int.bit_count, bits), initial=self._c[code]))
+            raw = bitmap.to_bytes(nbytes, "little")
+            bits = words[code] = [int.from_bytes(raw[a : a + 32], "little")
+                                  for a in range(0, nbytes, 32)]
+            cols[code] = list(accumulate(map(int.bit_count, bits), initial=self._c[code]))
         return words, cols
 
     @cached_property
@@ -229,8 +232,8 @@ class FmIndex:
                 end = end_rank = -1
                 for key, lo, hi in lanes:
                     new_lo = end_rank if lo == end else (
-                        col[lo >> 6] + (bits[lo >> 6] & below[lo & 63]).bit_count())
-                    end, end_rank = hi, col[hi >> 6] + (bits[hi >> 6] & below[hi & 63]).bit_count()
+                        col[lo >> 8] + (bits[lo >> 8] & below[lo & 255]).bit_count())
+                    end, end_rank = hi, col[hi >> 8] + (bits[hi >> 8] & below[hi & 255]).bit_count()
                     if new_lo < end_rank:
                         extended.append((head + key, new_lo, end_rank))
             lanes = extended
@@ -254,9 +257,9 @@ class FmIndex:
         and locate_all.
         """
         words, cols = self._rank
-        word = prefix_len >> 6
+        word = prefix_len >> 8
         return (cols[symbol][word] - self._c[symbol]
-                + (words[symbol][word] & _BELOW[prefix_len & 63]).bit_count())
+                + (words[symbol][word] & _BELOW[prefix_len & 255]).bit_count())
 
     def backward_search_prefix(self, codes, prefix_len: int,
                                stats: QueryStats | None = None) -> tuple[int, BwtInterval]:
@@ -292,15 +295,15 @@ class FmIndex:
             sym = codes[pos]
             if not 0 <= sym < sigma:
                 break
-            bits, col, w = words[sym], cols[sym], lo >> 6
-            if w == hi >> 6:
+            bits, col, w = words[sym], cols[sym], lo >> 8
+            if w == hi >> 8:
                 # both ends in one word: one word and one count read
                 word, count = bits[w], col[w]
-                new_lo = count + (word & below[lo & 63]).bit_count()
-                new_hi = count + (word & below[hi & 63]).bit_count()
+                new_lo = count + (word & below[lo & 255]).bit_count()
+                new_hi = count + (word & below[hi & 255]).bit_count()
             else:
-                new_lo = col[w] + (bits[w] & below[lo & 63]).bit_count()
-                new_hi = col[hi >> 6] + (bits[hi >> 6] & below[hi & 63]).bit_count()
+                new_lo = col[w] + (bits[w] & below[lo & 255]).bit_count()
+                new_hi = col[hi >> 8] + (bits[hi >> 8] & below[hi & 255]).bit_count()
             if new_lo >= new_hi:
                 break
             lo, hi = new_lo, new_hi
@@ -341,8 +344,8 @@ class FmIndex:
                         for step in range(steps, walk):
                             if flags[r]:
                                 break
-                            sym, w = bwt[r], r >> 6
-                            r = cols[sym][w] + (words[sym][w] & below[r & 63]).bit_count()
+                            sym, w = bwt[r], r >> 8
+                            r = cols[sym][w] + (words[sym][w] & below[r & 255]).bit_count()
                         else:
                             raise IndexFormatError("suffix-array samples are unreachable")
                         out.append(sampled[r] + step)
@@ -357,13 +360,13 @@ class FmIndex:
                     mask = (walking ^ hits).to_bytes(span, "little")
                 if steps + 1 == walk:
                     raise IndexFormatError("suffix-array samples are unreachable")
-                run, w, steps = bwt[lo : lo + span], lo >> 6, steps + 1
+                run, w, steps = bwt[lo : lo + span], lo >> 8, steps + 1
                 sym = run[0]
                 if run.count(sym) == span:
-                    lo = cols[sym][w] + (words[sym][w] & below[lo & 63]).bit_count()
+                    lo = cols[sym][w] + (words[sym][w] & below[lo & 255]).bit_count()
                     continue
                 for sym in set(compress(run, mask)):
-                    groups.append((cols[sym][w] + (words[sym][w] & below[lo & 63]).bit_count(),
+                    groups.append((cols[sym][w] + (words[sym][w] & below[lo & 255]).bit_count(),
                                    bytes(compress(mask, run.translate(_ONEHOT[sym]))), steps))
                 break
         out.sort()

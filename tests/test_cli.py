@@ -1,19 +1,25 @@
+import contextlib
 import inspect
+import io
 import os
 import random
+import re
 import shlex
 import shutil
 import signal
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memlight
-from memlight import cli
+from memlight import Pattern, Text, brute_force_mems, cli
 from memlight.cli import main
 from memlight.fm import FmIndex, index_paths
 
@@ -61,7 +67,7 @@ GOLDEN_INDEX_FILES = {
                         "41434754" "" "00030201",
                         "d50a4000" "08000000"),
         ".rev.memidx": ("4d454d4c49445841"
-                        "0c00000000000000" "0400000000000000" "3000000000000000" "0000000000000000"
+                        "0c00000000000000" "0400000000000000" "3800000000000000" "0000000000000000"
                         "41434754" "" "00030201",
                         "560b1000" "09000000"),
     },
@@ -820,3 +826,105 @@ def test_experiment_options_reach_the_spec(tmp_path):
 
 def test_experiment_rejects_pattern_longer_than_text(capsys):
     assert main(["experiment", "--n", "100", "--m", "200"]) == 2
+
+
+# -- the commands against brute force -------------------------------------------------
+
+def expected_rows(text, patterns, command, min_len, separator):
+    """The rows a query command must print, as lists of fields: brute_force_mems
+    over the joined text, each pattern split on the bytes no record holds by
+    a regular expression of its own, not by memlight's readers or splitter."""
+    t = Text.from_bytes(text)
+    record_bytes = t.alphabet.symbols.replace(separator, b"")
+    runs = re.compile(b"[" + b"".join(re.escape(bytes([b])) for b in record_bytes) + b"]+")
+    rows = []
+    for rid, raw in patterns:
+        mems = [(run.start() + mem.start, mem.length, sorted(mem.occurrences))
+                for run in runs.finditer(raw)
+                for mem in brute_force_mems(Pattern.from_bytes(run.group(), t.alphabet), t)]
+        if command == "lcs":
+            # the leftmost of the longest
+            mems = [max(mems, key=lambda mem: (mem[1], -mem[0]))] if mems else []
+        for start, length, occurrences in mems:
+            if length >= min_len:
+                fields = [rid, str(start + 1), str(start + length), str(length),
+                          str(len(occurrences))]
+                if command != "lcs":
+                    fields += [str(p + 1) for p in occurrences]
+                rows.append(fields)
+    return rows
+
+
+def main_output(argv):
+    """main's exit code and what it wrote to standard output."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def edited(rng, seq, edits, symbols=b"ACGT"):
+    seq = bytearray(seq)
+    for _ in range(edits):
+        seq[rng.randrange(len(seq))] = rng.choice(symbols)
+    return bytes(seq)
+
+
+def as_fasta(named, lower, width):
+    """FASTA records, each sequence wrapped at width and maybe lower-cased."""
+    out = []
+    for name, seq in named:
+        seq = seq.lower() if lower else seq
+        out += [b">" + name.encode() + b" some description"]
+        out += [seq[a : a + width] for a in range(0, len(seq), width)]
+    return b"\n".join(out) + b"\n"
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_query_commands_print_the_brute_force_rows(data):
+    # repeat-rich records (copies of one short seed with a few edits) in one
+    # layout: raw, one FASTA record or several joined by --concat-sep;
+    # patterns cut from them with edits and the foreign bytes N and #, at a
+    # sample rate of 1-5 or the default
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    layout = data.draw(st.sampled_from(["raw", "raw-newline", "fasta", "concat"]), label="layout")
+    lower = layout in ("fasta", "concat") and data.draw(st.booleans(), label="lower")
+    unit = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(4, 12)))
+    count = rng.randint(2, 5) if layout == "concat" else 1
+    records = [edited(rng, unit * rng.randint(2, 24), rng.randint(0, 3)) for _ in range(count)]
+    # upper-case records joined by the smallest byte that none holds
+    separator = bytes([min(set(range(256)) - set(b"".join(records)))]) if count > 1 else b""
+    text = separator.join(records)
+    patterns = []
+    for number in range(1 if layout.startswith("raw") else rng.randint(1, 3)):
+        record = rng.choice(records)
+        start = rng.randrange(len(record))
+        cut = edited(rng, record[start : start + rng.randint(1, 40)], rng.randint(0, 2),
+                     b"ACGTN#")
+        patterns.append((f"p{number}", cut))
+    rate = data.draw(st.sampled_from([None, 1, 2, 3, 4, 5]), label="rate")
+    min_len = data.draw(st.integers(1, 12), label="L")
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        if layout.startswith("raw"):
+            newline = b"\n" if layout == "raw-newline" else b""
+            (tmp / "text.txt").write_bytes(text + newline)
+            (tmp / "p0.txt").write_bytes(patterns[0][1] + newline)
+            index_flags, query_flags = ["--raw"], ["--raw"]
+        else:
+            (tmp / "text.txt").write_bytes(
+                as_fasta([(f"r{i}", r) for i, r in enumerate(records)], lower, rng.randint(5, 60)))
+            (tmp / "p0.txt").write_bytes(as_fasta(patterns, lower, rng.randint(5, 60)))
+            index_flags, query_flags = ["--concat-sep"] if layout == "concat" else [], []
+        if rate is not None:
+            index_flags += ["--sample-rate", str(rate)]
+        assert main_output(["index", str(tmp / "text.txt"), "-o", str(tmp / "idx"),
+                            *index_flags])[0] == 0
+        for command, options, least in (("mems", ["-L", str(min_len), "--locate"], min_len),
+                                        ("mems", ["--all", "--locate"], 1), ("lcs", [], 1)):
+            code, out = main_output([command, str(tmp / "idx"), str(tmp / "p0.txt"),
+                                     *options, *query_flags])
+            assert code == 0
+            assert ([line.split("\t") for line in out.splitlines()]
+                    == expected_rows(text, patterns, command, least, separator))

@@ -124,7 +124,7 @@ def test_rank_equals_direct_count(common, n, seed, singles, lead):
     # that many filler-like bytes lie around the sentinel row; `singles`
     # more symbols occur once each (the rows-counted checkpoint columns); a
     # unique smallest or largest first symbol puts the sentinel row in the
-    # first or the last 64-row block
+    # first or the last 256-row block
     rng = random.Random(seed)
     codes = rng.choices(range(1, common + 1), [4.0 ** -c for c in range(common)], k=n)
     for single in range(common + 1, common + 1 + singles):
@@ -140,32 +140,35 @@ def test_rank_equals_direct_count(common, n, seed, singles, lead):
                 == direct_rank_table(index, c))
     # no bitmap holds the sentinel row or a row of the padding past n
     words, _ = index._rank
-    for row in (index.sentinel_row, *range(index.n + 1, 64 * len(words[0]))):
-        assert not any(word[row >> 6] >> (row & 63) & 1 for word in words)
+    for row in (index.sentinel_row, *range(index.n + 1, 256 * len(words[0]))):
+        assert not any(word[row >> 8] >> (row & 255) & 1 for word in words)
 
 
-@pytest.mark.parametrize("raw", [b"a" * 200, b"a" * 63 + b"b" + b"a" * 70,
-                                 b"ab" * 90, b"b" + b"a" * 150])
-def test_rank_around_the_sentinel_row(raw):
-    # k on both sides of the sentinel row, in its block and in the next
+@pytest.mark.parametrize("raw, row", [(b"a" * 600, 600), (b"a" * 344 + b"b" + b"a" * 255, 256),
+                                      (b"a" * 88 + b"b" + b"a" * 511, 512),
+                                      (b"ab" * 300, 300), (b"b" + b"a" * 599, 600)])
+def test_rank_around_the_sentinel_row(raw, row):
+    # k on both sides of the sentinel row, in its block and in the next;
+    # a text of b"a" * k + b"b" + b"a" * m puts the row at m + 1, here on
+    # a 256-row edge
     index = build_fm(Text.from_bytes(raw))
-    row = index.sentinel_row
+    assert index.sentinel_row == row
     table = direct_rank_table(index, 0)
-    for k in range(max(0, row - 70), min(index.n + 1, row + 70) + 1):
+    for k in range(max(0, row - 260), min(index.n + 1, row + 260) + 1):
         assert index.rank(0, k) == table[k]
 
 
 @pytest.mark.parametrize("lead", [b"", b"A", b"z"])
-@pytest.mark.parametrize("nrows", [64, 128, 4096])
+@pytest.mark.parametrize("nrows", [64, 128, 256, 512, 4096])
 def test_rank_search_and_locate_when_rows_fill_whole_words(nrows, lead):
-    # n + 1 rows fill whole 64-row words, so hi = n + 1 lies in the padding
-    # word; a unique smallest or largest first symbol puts the sentinel row
-    # in the first or the last word
+    # n + 1 rows fill whole 256-row words, so hi = n + 1 lies in the padding
+    # word, or a quarter or a half of the one word; a unique smallest or
+    # largest first symbol puts the sentinel row in the first or the last word
     rng = random.Random(nrows)
     raw = lead + bytes(rng.choice(b"acgt") for _ in range(nrows - 1 - len(lead)))
     text = Text.from_bytes(raw)
     index = build_fm(text, sample_rate=5)
-    assert len(index._rank[0][0]) == nrows // 64 + 1
+    assert len(index._rank[0][0]) == nrows // 256 + 1
     if lead:
         assert index.sentinel_row == (1 if lead == b"A" else nrows - 1)
     for c in range(text.alphabet.size):
@@ -175,6 +178,35 @@ def test_rank_search_and_locate_when_rows_fill_whole_words(nrows, lead):
         expect = [s for s in range(len(raw) - length + 1) if raw[s : s + length] == probe]
         assert index.locate_all(interval_of(index, text, probe)) == expect
     assert index.locate_all(BwtInterval(0, nrows)) == list(range(nrows - 1))
+
+
+@given(st.sampled_from([255, 256, 257, 511, 512, 513]), st.integers(1, 4),
+       st.sampled_from([1, 3, fm.SAMPLE_RATE]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_search_and_locate_at_word_edges_equal_a_naive_scan(nrows, sigma, rate, data):
+    # n + 1 rows just below, on and just past one or two 256-row words; the
+    # queries are text substrings, some with one symbol changed, searched
+    # as bytes (from the k-mer table) and as a list (step by step)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    raw = bytes(rng.choice(b"acgt"[:sigma]) for _ in range(nrows - 1))
+    text = Text.from_bytes(raw)
+    index = build_fm(text, sample_rate=rate)
+    for _ in range(6):
+        start = data.draw(st.integers(0, len(raw) - 1), label="start")
+        query = bytearray(raw[start : start + data.draw(st.integers(1, 14), label="length")])
+        if data.draw(st.booleans(), label="edit"):
+            query[data.draw(st.integers(0, len(query) - 1), label="at")] = rng.choice(raw)
+        codes = text.alphabet.encode_bytes(bytes(query))
+        for form in (codes, list(codes)):
+            matched, iv = index.backward_search_prefix(form, len(codes))
+            # the longest suffix of the query that occurs in the text
+            assert matched == max(length for length in range(1, len(query) + 1)
+                                  if bytes(query[len(query) - length :]) in raw)
+            suffix = bytes(query[len(query) - matched :])
+            expect = [s for s in range(len(raw) - matched + 1)
+                      if raw[s : s + matched] == suffix]
+            assert iv.width == len(expect)
+            assert index.locate_all(iv) == expect
 
 
 def test_rank_search_and_locate_with_separator_symbol_zero():
