@@ -8,7 +8,9 @@
 A literal `{tree}` in a command becomes 1 under the first tree and 2 under
 the second, so that each tree can query an index it built itself: `--setup
 CMD` runs once under each tree before the first round, and its wall time
-and peak RSS are printed as rows named `(setup) CMD`.  A round runs every
+and peak RSS are printed as rows named `(setup) CMD`, whose output column
+holds, for `index -o PREFIX`, the total bytes of the two index files it
+wrote, so that a change of size shows next to the times.  A round runs every
 command as `python -m memlight.cli ...` once under each tree, with that
 tree's `src` on PYTHONPATH; which tree goes first alternates from round to
 round.  For each command and tree, and for one round of all commands, the
@@ -55,16 +57,24 @@ import time
 import zlib
 
 
+def index_files(args: list[str]) -> list[str]:
+    """The two files that `index -o PREFIX` writes; none for a query."""
+    if args[:1] != ["index"]:
+        return []
+    prefix = next(value for flag, value in zip(args, args[1:]) if flag in ("-o", "--output"))
+    return [prefix + suffix for suffix in (".fwd.memidx", ".rev.memidx")]
+
+
 def output_digest(args: list[str], out) -> int:
     """The CRC-32 of a child's output: for `index -o PREFIX`, whose stdout
     holds timings, the two index files it wrote; else its stdout."""
-    if args[:1] != ["index"]:
+    files = index_files(args)
+    if not files:
         out.seek(0)
         return zlib.crc32(out.read())
-    prefix = next(value for flag, value in zip(args, args[1:]) if flag in ("-o", "--output"))
     digest = 0
-    for suffix in (".fwd.memidx", ".rev.memidx"):
-        with open(prefix + suffix, "rb") as written:
+    for path in files:
+        with open(path, "rb") as written:
             digest = zlib.crc32(written.read(), digest)
     return digest
 
@@ -205,11 +215,15 @@ def main(argv=None) -> int:
     walls = [[[] for _ in args.command] for _ in args.trees]
     rss = [[[] for _ in args.command] for _ in args.trees]
     digests = [set() for _ in args.command]
-    setup = []  # (wall, peak) under each tree
+    setup = []  # (wall, peak, index pair bytes or "-") under each tree
     with tempfile.TemporaryFile() as out:
         if args.setup:
             for t, tree in enumerate(args.trees):
-                setup.append(run_child(tree, tree_args(args.setup, t + 1), out)[:2])
+                setup_args = tree_args(args.setup, t + 1)
+                wall, peak, _ = run_child(tree, setup_args, out)
+                # read now: the other tree's setup may write the same files
+                files = index_files(setup_args)
+                setup.append((wall, peak, sum(map(os.path.getsize, files)) if files else "-"))
         for round_ in range(args.rounds):
             for c in range(len(args.command)):
                 for t in tree_order(round_):
@@ -219,8 +233,8 @@ def main(argv=None) -> int:
                     digests[c].add(digest)
 
     print("command\ttree\twall_ms_median\twall_ms_q1-q3\trss_mb_median\toutput")
-    for tree, (wall, peak) in zip(args.trees, setup):
-        print(f"(setup) {args.setup}\t{tree}\t{wall * 1e3:.1f}\t-\t{peak:.1f}\t-")
+    for tree, (wall, peak, size) in zip(args.trees, setup):
+        print(f"(setup) {args.setup}\t{tree}\t{wall * 1e3:.1f}\t-\t{peak:.1f}\t{size}")
     for c, command in enumerate(args.command):
         same = "same" if len(digests[c]) == 1 else "DIFFERENT"
         for t, tree in enumerate(args.trees):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import signal
 import sys
@@ -160,7 +161,12 @@ def entry() -> None:
     # when numpy is first imported, need not start and stop a thread per
     # core; a value the user set wins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(main())
+    code = main()
+    # the interpreter's last collection at exit would only walk the index,
+    # the rows and every module, all about to go: frozen objects are not
+    # collected, while atexit handlers, flushes and teardown still run
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ if TYPE_CHECKING:
 # older format, and one whose eighth byte is higher in a newer one
 MAGIC = b"MEMLIDXA"
 # the default sample rate of the index that locates
-SAMPLE_RATE = 56
+SAMPLE_RATE = 64
 # n, alphabet size, sample rate, separator count
 _HEADER = struct.Struct("<4Q")
 # _BELOW[i] keeps the bits of a 256-row word's rows before row i

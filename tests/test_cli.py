@@ -67,7 +67,7 @@ GOLDEN_INDEX_FILES = {
                         "41434754" "" "00030201",
                         "d50a4000" "08000000"),
         ".rev.memidx": ("4d454d4c49445841"
-                        "0c00000000000000" "0400000000000000" "3800000000000000" "0000000000000000"
+                        "0c00000000000000" "0400000000000000" "4000000000000000" "0000000000000000"
                         "41434754" "" "00030201",
                         "560b1000" "09000000"),
     },
@@ -612,6 +612,47 @@ def test_disagreeing_index_pair_is_a_format_error(tmp_path, command, tamper, mes
     assert message in done.stderr
 
 
+# runs `python -m memlight.cli` as runpy runs it, after registering an
+# atexit handler that must still run when entry() has frozen the heap
+EXIT_CHILD = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+              "runpy.run_module('memlight.cli', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("case,code", [
+    ("index", 0), ("mems", 0), ("lcs", 0), ("no patterns", 2), ("flipped", 3)])
+def test_a_child_exits_as_main_returns(demo_files, tmp_path, capsys, case, code):
+    text, pattern, prefix = demo_files
+    if case == "flipped":
+        # one payload byte flipped: the CRC no longer matches
+        path = Path(prefix + ".fwd.memidx")
+        data = bytearray(path.read_bytes())
+        data[payload_at(data)] ^= 0xFF
+        path.write_bytes(data)
+    argv = {"index": ["index", str(text), "--raw", "-o", "{}"],
+            "mems": ["mems", prefix, str(pattern), "--raw", "-L", "4", "--locate"],
+            "lcs": ["lcs", prefix, str(pattern), "--raw"],
+            "no patterns": ["mems", prefix, str(tmp_path / "absent.txt"), "--raw"],
+            "flipped": ["mems", prefix, str(pattern), "--raw", "-L", "4"]}[case]
+    mine, child = str(tmp_path / "in-process"), str(tmp_path / "child")
+    assert main([arg.format(mine) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    src = Path(memlight.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", EXIT_CHILD, *(arg.format(child) for arg in argv)],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60)
+    assert done.returncode == code
+    assert done.stderr.decode() == err + "atexit ran\n"
+    if case != "index":
+        assert done.stdout.decode() == out
+        return
+    # the stdout of `index` holds timings, so only its dimensions compare;
+    # the files it wrote must be whole
+    assert done.stdout.split(b"\t")[:2] == [b"n=12", b"sigma=4"]
+    for suffix in (".fwd.memidx", ".rev.memidx"):
+        assert Path(child + suffix).read_bytes() == Path(mine + suffix).read_bytes()
+
+
 def test_closed_stdout_ends_a_query_quietly(tmp_path):
     # the rows fill more than the pipe's buffer, so the child is still
     # writing when its reader stops after one line, as `| head -1` does
@@ -708,8 +749,10 @@ def test_query_children_launcher_runs_both_trees(demo_files):
     setups = [row for row in rows if row[0] == "(setup) " + setup]
     assert [row[1] for row in setups] == [src, src]
     assert all(float(row[2]) > 0 and float(row[4]) > 0 for row in setups)
-    for tree in ("1", "2"):
-        assert os.path.exists(f"{prefix}-{tree}.rev.memidx")
+    # an index setup's output column holds the bytes of the pair it wrote
+    assert [row[-1] for row in setups] == [
+        str(sum(os.path.getsize(f"{prefix}-{tree}{suffix}")
+                for suffix in (".fwd.memidx", ".rev.memidx"))) for tree in ("1", "2")]
     for command in queries + [index]:
         mine = [row for row in rows if row[0] == command]
         assert [row[-1] for row in mine] == ["same", "same"]
