@@ -15,9 +15,12 @@ command as `python -m memlight.cli ...` once under each tree, with that
 tree's `src` on PYTHONPATH; which tree goes first alternates from round to
 round.  For each command and tree, and for one round of all commands, the
 script prints the median wall time with its quartiles, the median peak RSS
-(`ru_maxrss` from `os.wait4`) and whether every run gave the same output,
-which for `index -o PREFIX` is the two files it wrote, since its stdout
-holds timings; then in how many rounds the second tree was faster.
+(`ru_maxrss` from `os.wait4`) and whether every run gave the same output;
+then in how many rounds the second tree was faster.  A query's runs must
+agree under both trees.  The output of `index -o PREFIX` is the two files
+it wrote, since its stdout holds timings, and its runs must agree only
+under the same tree: two trees may write different files on purpose, at
+another sample rate or in another format.
 
 Then each `mems` and `lcs` command is timed in this process for as many
 rounds: each tree's `memlight` is imported under its own package name and
@@ -214,7 +217,8 @@ def main(argv=None) -> int:
     # walls[t][c] and rss[t][c] hold one value per round
     walls = [[[] for _ in args.command] for _ in args.trees]
     rss = [[[] for _ in args.command] for _ in args.trees]
-    digests = [set() for _ in args.command]
+    # digests[t][c] holds the output digests of command c under tree t
+    digests = [[set() for _ in args.command] for _ in args.trees]
     setup = []  # (wall, peak, index pair bytes or "-") under each tree
     with tempfile.TemporaryFile() as out:
         if args.setup:
@@ -230,13 +234,20 @@ def main(argv=None) -> int:
                     wall, peak, digest = run_child(args.trees[t], commands[t][c], out)
                     walls[t][c].append(wall)
                     rss[t][c].append(peak)
-                    digests[c].add(digest)
+                    digests[t][c].add(digest)
+
+    def agree(c):
+        """Whether command c's runs gave the same output: within each tree
+        for `index`, across both trees for a query."""
+        if index_files(commands[0][c]):
+            return all(len(d[c]) == 1 for d in digests)
+        return len(digests[0][c] | digests[1][c]) == 1
 
     print("command\ttree\twall_ms_median\twall_ms_q1-q3\trss_mb_median\toutput")
     for tree, (wall, peak, size) in zip(args.trees, setup):
         print(f"(setup) {args.setup}\t{tree}\t{wall * 1e3:.1f}\t-\t{peak:.1f}\t{size}")
     for c, command in enumerate(args.command):
-        same = "same" if len(digests[c]) == 1 else "DIFFERENT"
+        same = "same" if agree(c) else "DIFFERENT"
         for t, tree in enumerate(args.trees):
             q1, median, q3 = quartiles(walls[t][c])
             print(f"{command}\t{tree}\t{median * 1e3:.1f}"
@@ -252,7 +263,7 @@ def main(argv=None) -> int:
     pairs.append(("one round", *rounds))
     for name, old, new in pairs:
         print(f"# {name}: {faster_in(old, new)}")
-    differ = any(len(d) > 1 for d in digests)
+    differ = not all(map(agree, range(len(args.command))))
     queries = [c for c in args.command if tree_args(c, 1)[:1] in (["mems"], ["lcs"])]
     if queries:
         differ |= time_in_process(args.trees, queries, args.rounds)

@@ -822,6 +822,28 @@ def test_query_children_skips_a_tree_it_cannot_drive_in_process(demo_files, tmp_
     assert "Traceback" not in err
 
 
+def test_query_children_compares_index_files_within_each_tree(demo_files, tmp_path):
+    # a copy of this tree that samples every third position writes another
+    # reverse index file, as it should: each tree's runs agree with
+    # themselves, and nothing is DIFFERENT
+    text, _, _ = demo_files
+    old = tmp_path / "old" / "memlight"
+    shutil.copytree(Path(memlight.__file__).parent, old,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fm = old / "fm.py"
+    source = fm.read_text()
+    assert f"SAMPLE_RATE = {memlight.fm.SAMPLE_RATE}\n" in source
+    fm.write_text(source.replace(f"SAMPLE_RATE = {memlight.fm.SAMPLE_RATE}\n",
+                                 "SAMPLE_RATE = 3\n"))
+    prefix = str(tmp_path / "ix{tree}")
+    command = shlex.join(["index", str(text), "--raw", "-o", prefix])
+    code, rows, err = run_query_children(*commands_of(command), first=str(old.parent))
+    assert code == 0, err
+    assert [row[-1] for row in rows if row[0] == command] == ["same", "same"]
+    written = [Path(prefix.format(tree=t) + ".rev.memidx").read_bytes() for t in (1, 2)]
+    assert written[0] != written[1]
+
+
 def test_unknown_arguments_exit_two():
     assert main(["mems", "--bogus-flag"]) == 2
 
@@ -971,3 +993,32 @@ def test_query_commands_print_the_brute_force_rows(data):
             assert code == 0
             assert ([line.split("\t") for line in out.splitlines()]
                     == expected_rows(text, patterns, command, least, separator))
+
+
+@pytest.mark.parametrize("rate", [None, 1, 5], ids=["default", "1", "5"])
+def test_locate_across_records_prints_the_brute_force_rows(tmp_path, rate):
+    # three records of 1,500 symbols joined by --concat-sep, the third
+    # repeating a piece of the first: at the default rate a locate walks
+    # rows of several 256-row words and passes the separators' rows; one
+    # read ends at a record's end, and each has an N in its middle
+    rng = random.Random(7)
+    records = [bytes(rng.choice(b"ACGT") for _ in range(1500)) for _ in range(3)]
+    records[2] = records[2][:700] + records[0][200:500] + records[2][1000:]
+    reads = []
+    for i, (r, start) in enumerate([(0, 250), (1, 1420), (2, 650), (0, 0)]):
+        read = bytearray(records[r][start : start + 80])
+        read[40] = ord("N")
+        reads.append((f"q{i}", bytes(read)))
+    (tmp_path / "genome.fa").write_bytes(as_fasta([(f"r{i}", r) for i, r in enumerate(records)],
+                                                  False, 1500))
+    (tmp_path / "reads.fa").write_bytes(as_fasta(reads, False, 80))
+    rate_flags = [] if rate is None else ["--sample-rate", str(rate)]
+    assert main_output(["index", str(tmp_path / "genome.fa"), "--concat-sep", *rate_flags,
+                        "-o", str(tmp_path / "genome")])[0] == 0
+    code, out = main_output(["mems", "-L", "12", "--locate", str(tmp_path / "genome"),
+                             str(tmp_path / "reads.fa")])
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    # the repeated piece occurs twice, so some row locates two positions
+    assert any(int(row[4]) == 2 for row in rows)
+    assert rows == expected_rows(b"\0".join(records), reads, "mems", 12, b"\0")

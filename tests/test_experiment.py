@@ -83,15 +83,36 @@ def test_mutation_count_is_binomial_at_scale():
     assert abs(hamming - mean) <= 3 * sdev
 
 
-def test_scaling_probe_runs_three_lengths():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "scaling_probe.py"
+PROBE = Path(__file__).resolve().parents[1] / "scripts" / "scaling_probe.py"
+
+
+def run_probe(n):
     src = str(Path(memlight.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, str(script), "--n", "2000"],
+    return subprocess.run([sys.executable, str(PROBE), "--n", str(n)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_scaling_probe_runs_three_lengths():
+    done = run_probe(2000)
     assert done.returncode == 0, done.stderr
-    rows = done.stdout.split("m\tsteps\tsteps/m\tlongest\tseconds\n")[1].splitlines()
-    assert [row.split("\t")[0] for row in rows] == ["20", "200", "2000"]
+    header, *rows = [line.split("\t") for line in done.stdout.splitlines()]
+    assert header == ["sigma", "n", "m", "L", "steps/m", "full_steps/m", "mems_at_least_L"]
+    # three lengths for each alphabet
+    assert [row[:2] for row in rows] == [[sigma, n] for sigma in ("2", "4")
+                                         for n in ("20", "200", "2000")]
+    # each row is the experiment's own run at m = n/2 and L = round(2 log_sigma n)
+    report = run_comparison(ExperimentSpec(n=2000, m=1000, sigma=4, min_len=11))
+    assert rows[-1] == ["4", "2000", "1000", "11", "2.09", "4.17", "35"]
+    assert rows[-1][4:] == [f"{report.steps_thresholded / 1000:.2f}",
+                            f"{report.steps_full / 1000:.2f}", str(report.mems_thresholded)]
+
+
+def test_scaling_probe_needs_a_pattern_in_its_shortest_run():
+    # at n = 199 the shortest text holds one symbol and its pattern none
+    done = run_probe(199)
+    assert done.returncode == 2
+    assert "--n must be at least 200" in done.stderr
 
 
 # -- cyclic indexing -----------------------------------------------------------------
