@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .sequence import Pattern, Text
+from .suffixes import first_mismatch
 
 MODULUS = (1 << 61) - 1  # Mersenne prime, fast reduction and tiny collision rate
 
@@ -40,22 +39,15 @@ class NaiveLce:
         self.n = text.n
         self.m = pattern.m
 
-    @staticmethod
-    def _scan(a: np.ndarray, b: np.ndarray) -> int:
-        k = min(a.size, b.size)
-        neq = a[:k] != b[:k]
-        first = int(np.argmax(neq))
-        return first if neq[first] else k
-
     def lce_forward(self, i: int, j: int) -> int:
         """Longest common prefix of pattern[i:] and text[j:]."""
         _check(self, i, j)
-        return self._scan(self._p[i:], self._t[j:])
+        return first_mismatch(self._p[i:], self._t[j:])
 
     def lce_backward(self, i: int, j: int) -> int:
         """Longest common suffix of pattern[:i+1] and text[:j+1]."""
         _check(self, i, j)
-        return self._scan(self._p[i::-1], self._t[j::-1])
+        return first_mismatch(self._p[i::-1], self._t[j::-1])
 
 
 class FingerprintLce:

@@ -6,6 +6,7 @@ for the index-backed algorithms.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +100,15 @@ def _suffix_sort(ext: np.ndarray) -> np.ndarray:
         k *= 2
 
 
-def _common_prefix_len(a: bytes, b: bytes) -> int:
-    k = min(len(a), len(b))
-    if a[:k] == b[:k]:
-        return k
-    xa = np.frombuffer(a, dtype=np.uint8, count=k)
-    xb = np.frombuffer(b, dtype=np.uint8, count=k)
-    return int(np.argmax(xa != xb))
+def first_mismatch(a: np.ndarray, b: np.ndarray) -> int:
+    """Length of the common prefix of two arrays: the first index where they
+    differ, or the shorter length; 0 if either is empty."""
+    k = min(a.size, b.size)
+    if k == 0:
+        return 0
+    neq = a[:k] != b[:k]
+    first = int(neq.argmax())
+    return first if neq[first] else k
 
 
 class SuffixArray:
@@ -138,37 +141,19 @@ class SuffixArray:
 
     # -- binary searches over suffix order ---------------------------------
 
-    def _first_row(self, q: bytes, lo: int = 0, past: bool = False) -> int:
-        """First row from lo whose suffix's len(q)-prefix is >= q (> q if past)."""
-        sa, tb, nq = self.sa, self._tb, len(q)
-        hi = sa.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            p = sa[mid]
-            key = tb[p : p + nq]
-            if key < q or past and key == q:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def _prefix_range(self, q: bytes) -> tuple[int, int]:
         """Rows whose suffix starts with q, as a half-open range."""
-        first = self._first_row(q)
-        return first, self._first_row(q, first, past=True)
+        tb, nq = self._tb, len(q)
+        first = bisect_left(self.sa, q, key=lambda p: tb[p : p + nq])
+        return first, bisect_right(self.sa, q, first, key=lambda p: tb[p : p + nq])
 
     def longest_prefix_match(self, q: bytes) -> int:
         """Length of the longest prefix of q occurring anywhere in the text."""
         sa, tb, nq = self.sa, self._tb, len(q)
-        lo = self._first_row(q)
-        best = 0
-        if lo < sa.size:
-            p = sa[lo]
-            best = _common_prefix_len(tb[p : p + nq], q)
-        if lo > 0:
-            p = sa[lo - 1]
-            best = max(best, _common_prefix_len(tb[p : p + nq], q))
-        return best
+        row = bisect_left(sa, q, key=lambda p: tb[p : p + nq])
+        # a longest match starts at one of the suffixes sorting next to q
+        t, qd = self.text.data, np.frombuffer(q, dtype=np.uint8)
+        return max(first_mismatch(t[p:], qd) for p in sa[max(row - 1, 0) : row + 1])
 
     def best_match_position(self, q: bytes, tie: str = "min") -> tuple[int, int]:
         """(match length, text position) of a suffix maximizing the match with q.

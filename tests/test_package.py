@@ -1,6 +1,6 @@
 """The package's lazy exports, a query process that imports neither numpy nor
 dataclasses, the value semantics of the records it uses instead, and the
-one BLAS thread that `index` asks numpy for."""
+one BLAS thread that `index` asks numpy for and the modules it skips."""
 
 import os
 import subprocess
@@ -25,8 +25,9 @@ QUERY_CHILD = ("import sys\n"
                "heavy = [name for name in ('numpy', 'dataclasses') if name in sys.modules]\n"
                "sys.exit(code or (f'{heavy} imported' if heavy else 0))\n")
 
-# runs one CLI command through the console entry point, then prints the
-# value OPENBLAS_NUM_THREADS had when numpy was first imported
+# runs one CLI command through the console entry point, then prints which of
+# memlight.lce and memlight.experiment it imported, and the value
+# OPENBLAS_NUM_THREADS had when numpy was first imported
 BLAS_CHILD = ("import os, sys\n"
               "seen = []\n"
               "class Spy:\n"
@@ -38,6 +39,7 @@ BLAS_CHILD = ("import os, sys\n"
               "try:\n"
               "    entry()\n"
               "finally:\n"
+              "    print([m for m in ('memlight.lce', 'memlight.experiment') if m in sys.modules])\n"
               "    print(seen)\n")
 
 
@@ -109,3 +111,6 @@ def test_index_imports_numpy_with_one_blas_thread_unless_the_user_says(
     assert done.stderr == b""
     assert done.returncode == 0
     assert done.stdout.splitlines()[-1] == repr([expected]).encode()
+    # a process compiles each module it imports unless its bytecode is cached,
+    # so `index` leaves the LCE and experiment modules unimported
+    assert done.stdout.splitlines()[-2] == b"[]"

@@ -136,6 +136,80 @@ def test_suffix_array_long_internal_copy():
     assert all(codes[a:] < codes[b:] for a, b in zip(sa, sa[1:]))
 
 
+# -- searches over suffix order ----------------------------------------------------
+
+def edited_cut(data, tb):
+    """A substring of tb with up to three codes replaced, inserted or deleted."""
+    i = data.draw(st.integers(0, len(tb)))
+    q = bytearray(tb[i : data.draw(st.integers(i, len(tb)))])
+    for _ in range(data.draw(st.integers(0, 3))):
+        at, code = data.draw(st.integers(0, len(q))), data.draw(st.integers(0, 4))
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or at == len(q):
+            q.insert(at, code)
+        elif edit == "replace":
+            q[at] = code
+        else:
+            del q[at]
+    return bytes(q)
+
+
+def just_after_row_0(data, tb):
+    """A prefix of the smallest nonempty suffix, its last code lowered if it can be."""
+    q = bytearray(min(tb[p:] for p in range(len(tb)))[: data.draw(st.integers(1, len(tb)))])
+    if q[-1] > 0 and data.draw(st.booleans()):
+        q[-1] -= 1
+    return bytes(q)
+
+
+def with_absent_code(data, tb):
+    """An edited cut with a code the text lacks inserted."""
+    q = edited_cut(data, tb)
+    at = data.draw(st.integers(0, len(q)))
+    absent = data.draw(st.sampled_from([c for c in range(5) if c not in tb]))
+    return q[:at] + bytes([absent]) + q[at:]
+
+
+QUERIES = {
+    "edited cut": edited_cut,
+    "empty": lambda data, tb: b"",
+    "longer than the text": lambda data, tb: tb + edited_cut(data, tb) + b"\x00",
+    "a code the text lacks": with_absent_code,
+    "just after row 0": just_after_row_0,
+}
+
+
+@given(st.integers(1, 4), st.integers(1, 60), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_searches_equal_a_naive_scan(sigma, n, periodic, data):
+    # codes from `low` up; the alphabet's code 4 never occurs in the text
+    low = data.draw(st.integers(0, 4 - sigma))
+    symbols = st.integers(low, low + sigma - 1)
+    if periodic:
+        codes = data.draw(st.lists(symbols, min_size=1, max_size=5)) * n
+    else:
+        codes = data.draw(st.lists(symbols, min_size=n, max_size=n))
+    tb = bytes(codes[:n])
+    sa = SuffixArray(Text(Alphabet(bytes(range(5))), tb))
+    for kind in data.draw(st.lists(st.sampled_from(sorted(QUERIES)), min_size=5, max_size=5)):
+        q = QUERIES[kind](data, tb)
+        lengths = [naive_lcp(q, tb[p:]) for p in range(n)]
+        best = max(lengths)
+        assert sa.longest_prefix_match(q) == best, kind
+        if q:
+            assert sa.occurrences(q) == [p for p in range(n) if tb.startswith(q, p)], kind
+        else:
+            with pytest.raises(ValueError, match="^empty query$"):
+                sa.occurrences(q)
+        if best:
+            at = [p for p in range(n) if lengths[p] == best]
+            assert sa.best_match_position(q, "min") == (best, at[0]), kind
+            assert sa.best_match_position(q, "max") == (best, at[-1]), kind
+        else:
+            with pytest.raises(ValueError, match="^no symbol of the query occurs"):
+                sa.best_match_position(q)
+
+
 # -- match pointers ------------------------------------------------------------
 
 def test_match_pointers_demo_values(demo_bench):
