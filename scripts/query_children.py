@@ -28,7 +28,8 @@ parses the command with its own CLI parser.  The patterns are read once,
 by the second tree's `memlight.fasta.read_patterns`; each tree loads its
 own `IndexPair` and runs one warm-up pass.  A pass runs `find_in_raw` over
 every pattern and, under `--locate`, gives every MEM's text positions, the
-ones `--locate` prints.
+ones `--locate` prints, through one `LocateMemo` per pass, as the CLI keeps
+one per command.
 Rows named `(in process) CMD` give each tree's median pass time with its
 quartiles and its `backward_steps` per pass; a line per command gives the
 median per-round ratio of the second tree's time to the first's, the
@@ -36,8 +37,9 @@ rounds the second tree won, the MEMs per pass and whether the trees' rows
 are the same.  A pass carries no interpreter start-up and none of the
 noise between processes, so a change of a few percent in the search shows.
 A tree that lacks the library API this phase calls, such as one from
-before `IndexPair`, gets a line `# (in process) CMD: skipped, SRC cannot be
-driven: ERROR` for each command instead.
+before `IndexPair`, or, for a `--locate` command, one from before
+`LocateMemo`, gets a line `# (in process) CMD: skipped, SRC cannot be
+driven: ERROR` for each such command instead.
 
 Every child, `--setup` included, exits before either tree is imported: a
 child's `ru_maxrss` keeps its parent's high-water mark through exec, so a
@@ -139,13 +141,14 @@ def import_tree(src: str, name: str):
 def search_pass(memlight, pair, patterns, min_len, longest, locate):
     """The rows of one pass over every pattern and its backward steps."""
     rows, steps = [], 0
+    memo = memlight.LocateMemo(pair.rev) if locate else None
     for raw in patterns:
         result = memlight.find_in_raw(raw, pair, min_len, longest)
         steps += result.stats.backward_steps
         for mem in result.mems:
             iv = mem.bwt_interval
             rows.append((mem.start, mem.end, iv.lo, iv.hi,
-                         pair.locate(mem) if locate else None))
+                         pair.locate(mem, memo) if locate else None))
     return rows, steps
 
 

@@ -26,7 +26,8 @@ count per word that starts at C[c] (Jacobson's rank), so that a backward
 step or an LF step is a count read plus one popcount for each end of the
 interval.  The sentinel's row is in no bitmap and needs no correction.
 Locating reads one code byte and one sample flag per row, both derived on
-first locate.
+first locate; a caller's LocateMemo makes every row that a locate finds a
+sample for its later locates.
 Backward search reports how many characters of a query prefix matched,
 which is the single primitive the deterministic MEM finder needs.
 It starts from a table, also built on first search, of the interval of
@@ -58,7 +59,7 @@ if TYPE_CHECKING:
 # older format, and one whose eighth byte is higher in a newer one
 MAGIC = b"MEMLIDXA"
 # the default sample rate of the index that locates
-SAMPLE_RATE = 64
+SAMPLE_RATE = 72
 # n, alphabet size, sample rate, separator count
 _HEADER = struct.Struct("<4Q")
 # _BELOW[i] keeps the bits of a 256-row word's rows before row i
@@ -73,6 +74,9 @@ _GATHER = tuple(tuple(bytes(_NIBBLE.index(x >> j & 0x55) << 4 * h for x in range
 _KMER_LANES = 1 << 10  # k is the largest with at most this many k-mers
 # _ONEHOT[c] translates code c to 1 and every other byte to 0
 _ONEHOT = tuple(bytes(c) + b"\1" + bytes(255 - c) for c in range(256))
+# a locate group's first mask bytes, and the translation of every nonzero
+# byte to 1
+_OFFSETS, _NONZERO = bytes(range(1, 256)), b"\0" + b"\1" * 255
 
 
 class IndexFormatError(ValueError):
@@ -239,14 +243,17 @@ class FmIndex:
             lanes = extended
         return k, {key: (lo, hi) for key, lo, hi in lanes}
 
-    @cached_property
-    def _sampled(self) -> tuple[bytearray, dict[int, int]]:
+    def _samples(self) -> tuple[bytearray, dict[int, int]]:
         """One byte per row, 1 where the row is sampled, and the text
-        position of each sampled row."""
+        position of each sampled row: built once for the locates without a
+        memo (`_sampled`), and by the first locate through each LocateMemo,
+        which adds to its own."""
         flags = bytearray(self.n + 1)
         for row in self._sample_rows:
             flags[row] = 1
         return flags, dict(zip(self._sample_rows, range(0, self.n + 1, self.s)))
+
+    _sampled = cached_property(_samples)
 
     # -- queries ------------------------------------------------------------
 
@@ -312,35 +319,59 @@ class FmIndex:
             stats.backward_steps += matched + (matched < prefix_len)
         return matched, BwtInterval(lo, hi)
 
-    def locate_all(self, iv: BwtInterval) -> list[int]:
+    def locate_all(self, iv: BwtInterval, memo: LocateMemo | None = None) -> list[int]:
         """Text positions of every row in the interval, ascending.
 
         The rows walk LF steps to sampled rows in groups: a run of rows from
-        lo, one mask byte per row (1 while it walks) and the steps taken.
-        LF keeps the order of the rows holding c, the k-th landing on
-        C[c] + rank(c, lo) + k, so a run of one symbol steps by one rank and
-        any other splits by the symbols its walking rows hold.  Finished rows
-        stay in a group, unreported, and are trimmed from its ends.  A group
-        of one walking row, or whose run holds the sentinel's row (in no
-        bitmap, but sampled, so no walk passes it), walks row by row.  No row
-        walks more than min(sample_rate, n + 1) - 1 steps, since the samples
-        are in text order; one that would raises.  Row 0, the empty suffix,
+        lo, one mask byte per row, a base row and the steps taken.  A
+        walking row's mask byte is 1 plus the offset of its start row from
+        the base, a finished row's is 0, so that a group carries the start
+        rows of its rows, split and trimmed as its mask is; an interval of
+        more than 255 rows starts as one group per 255.  LF keeps the order
+        of the rows holding c, the k-th landing on C[c] + rank(c, lo) + k,
+        so a run of one symbol steps by one rank and any other splits by the
+        symbols its walking rows hold.  Finished rows stay in a group,
+        unreported, and are trimmed from its ends.  A group of one walking
+        row, or whose run holds the sentinel's row (in no bitmap, but
+        sampled, so no walk passes it), walks row by row.  No row walks more
+        than min(sample_rate, n + 1) - 1 steps, since the samples are in
+        text order; one that would raises.  Row 0, the empty suffix,
         resolves to position n and is excluded.
+
+        A memo, which the caller made from this index by `LocateMemo` and
+        passes to each locate of one command, flags the rows that earlier
+        locates found as well as the samples: a walk stops at either, and is
+        charged the found row's own walk too, so that the answer, or the
+        error raised, is the one a locate without the memo gives.  Every
+        start row this locate finds in fewer than 255 steps goes into the
+        memo.
         """
         # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix
         bwt, (words, cols), below = self._bwt, self._rank, _BELOW
-        (flags, sampled), sentinel = self._sampled, self.sentinel_row
-        n, walk = self.n, min(self.s, self.n + 1)
-        out, groups = [], [(iv.lo, b"\1" * iv.width, 0)]
+        if memo is None:
+            flags, positions = self._sampled
+        elif memo.index is self:
+            if memo.flags is None:
+                memo.flags, memo.positions = self._samples()
+            flags, positions = memo.flags, memo.positions
+        else:
+            raise ValueError("a locate memo serves only the index it was made from")
+        n, walk, sentinel = self.n, min(self.s, self.n + 1), self.sentinel_row
+        # per row found: its start row, the position of the sample its walk
+        # reached and the steps to it, its own and those charged at the row
+        # where it stopped; the row's position is their sum
+        found = []
+        groups = [(lo, _OFFSETS[: iv.hi - lo], lo, 0) for lo in range(iv.lo, iv.hi, 255)]
         while groups:
-            lo, mask, steps = groups.pop()
+            lo, mask, base, steps = groups.pop()
             while True:  # a turn per LF step while the group's run holds one symbol
                 trimmed = mask.lstrip(b"\0")
                 lo += len(mask) - len(trimmed)
                 mask = trimmed.rstrip(b"\0")
                 span = len(mask)
                 if span < 2 or lo <= sentinel < lo + span:
-                    for r in (lo,) if span == 1 else compress(range(lo, lo + span), mask):
+                    for i in (0,) if span == 1 else compress(range(span), mask):
+                        r = lo + i
                         for step in range(steps, walk):
                             if flags[r]:
                                 break
@@ -348,16 +379,18 @@ class FmIndex:
                             r = cols[sym][w] + (words[sym][w] & below[r & 255]).bit_count()
                         else:
                             raise IndexFormatError("suffix-array samples are unreachable")
-                        out.append(sampled[r] + step)
+                        found.append((base + mask[i] - 1, positions[r], step + flags[r] - 1))
                     break
-                walking = int.from_bytes(mask, "little")
-                hits = int.from_bytes(flags[lo : lo + span], "little") & walking
+                walking = int.from_bytes(mask.translate(_NONZERO), "little")
+                hits = int.from_bytes(flags[lo : lo + span].translate(_NONZERO), "little") & walking
                 if hits:
-                    for r in compress(range(lo, lo + span), hits.to_bytes(span, "little")):
-                        out.append(sampled[r] + steps)
+                    for i in compress(range(span), hits.to_bytes(span, "little")):
+                        found.append((base + mask[i] - 1, positions[lo + i],
+                                      steps + flags[lo + i] - 1))
                     if hits == walking:
                         break
-                    mask = (walking ^ hits).to_bytes(span, "little")
+                    # 255 times a hit's 1 clears its whole byte
+                    mask = (int.from_bytes(mask, "little") & ~(hits * 255)).to_bytes(span, "little")
                 if steps + 1 == walk:
                     raise IndexFormatError("suffix-array samples are unreachable")
                 run, w, steps = bwt[lo : lo + span], lo >> 8, steps + 1
@@ -367,11 +400,20 @@ class FmIndex:
                     continue
                 for sym in set(compress(run, mask)):
                     groups.append((cols[sym][w] + (words[sym][w] & below[lo & 255]).bit_count(),
-                                   bytes(compress(mask, run.translate(_ONEHOT[sym]))), steps))
+                                   bytes(compress(mask, run.translate(_ONEHOT[sym]))), base,
+                                   steps))
                 break
-        out.sort()
+        # a walk that stopped at a found row is charged that row's walk too,
+        # which can take it past the steps a locate without the memo allows
+        if memo is not None and any(total >= walk for _, _, total in found):
+            raise IndexFormatError("suffix-array samples are unreachable")
+        out = sorted([sample + total for _, sample, total in found])
         if out and out[-1] > n:
             raise IndexFormatError("suffix-array samples point past the text")
+        if memo is not None:
+            for start, sample, total in found:
+                if not flags[start] and total < 255:
+                    flags[start], positions[start] = total + 1, sample
         while out and out[-1] == n:
             out.pop()
         return out
@@ -471,6 +513,31 @@ class FmIndex:
         return cls.from_bytes(Path(source).read_bytes())
 
 
+class LocateMemo:
+    """The rows that one command's locates have found in an index, each as
+    good as a sample for the command's later locates.
+
+    LF walks from nearby text positions run through each other's rows, so a
+    walk that reaches a found row can stop there.  The caller owns the memo,
+    as it owns QueryStats, and the index stays immutable.  `flags` holds one
+    byte per row: 0 where a walk goes on, else 1 plus the steps that a walk
+    stopping there is charged, 0 at a sample and the row's own walk at a
+    found row, so that a row found in 255 steps or more is not kept.
+    `positions` holds, for each sampled or found row, the text position of
+    the sample its walk reaches, an int the samples already hold, so that
+    row r is at positions[r] + flags[r] - 1.  Both are built by the first
+    locate, as `_sampled` is: after the BWT bytes, whose build peaks higher
+    than it ends, so that they do not raise a command's peak memory.  A
+    memo serves one locate at a time.
+    """
+
+    __slots__ = ("index", "flags", "positions")
+
+    def __init__(self, index: FmIndex):
+        self.index = index
+        self.flags = self.positions = None
+
+
 def build_fm(text: Text, sample_rate: int = SAMPLE_RATE, sa: SuffixArray | None = None,
              separators: bytes = b"") -> FmIndex:
     """FM-index of the text, built from its suffix array.
@@ -550,11 +617,14 @@ class IndexPair(_PairFields):
         """The pair that `write_index_pair` saved at a path prefix."""
         return cls(*map(FmIndex.load, index_paths(prefix)))
 
-    def locate(self, mem: MemRecord) -> list[int]:
+    def locate(self, mem: MemRecord, memo: LocateMemo | None = None) -> list[int]:
         """The 0-based text positions of a MEM, ascending: the reverse index
-        finds the reversed MEM at p, so the MEM is at n - length - p."""
+        finds the reversed MEM at p, so the MEM is at n - length - p.  A
+        command that locates many MEMs passes each the one memo it made by
+        `LocateMemo(pair.rev)`, which makes them faster and changes no
+        answer."""
         last = self.rev.n - mem.length
-        return [last - p for p in reversed(self.rev.locate_all(mem.bwt_interval))]
+        return [last - p for p in reversed(self.rev.locate_all(mem.bwt_interval, memo))]
 
 
 def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = SAMPLE_RATE,

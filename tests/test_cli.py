@@ -67,7 +67,7 @@ GOLDEN_INDEX_FILES = {
                         "41434754" "" "00030201",
                         "d50a4000" "08000000"),
         ".rev.memidx": ("4d454d4c49445841"
-                        "0c00000000000000" "0400000000000000" "4000000000000000" "0000000000000000"
+                        "0c00000000000000" "0400000000000000" "4800000000000000" "0000000000000000"
                         "41434754" "" "00030201",
                         "560b1000" "09000000"),
     },
@@ -159,6 +159,27 @@ def test_mems_locate_positions_are_one_based(demo_files, capsys):
     # TACAT at text position 8, TAGAT at 4, GATTAG at 1 (all 1-based)
     assert [r[5:] for r in rows] == [["8"], ["4"], ["1"]]
     assert [r[4] for r in rows] == ["1", "1", "1"]
+
+
+def test_a_locate_command_shares_one_memo(demo_files, tmp_path, capsys, monkeypatch):
+    # every MEM of every pattern is located through the one memo that the
+    # command made from the reverse index
+    _, _, prefix = demo_files
+    patterns = tmp_path / "patterns.fa"
+    patterns.write_bytes(b">p1\n" + DEMO_PATTERN + b"\n>p2\n" + DEMO_TEXT + b"\n")
+    seen, locate = [], memlight.IndexPair.locate
+
+    def spy(pair, mem, memo=None):
+        seen.append((pair, memo))
+        return locate(pair, mem, memo)
+    monkeypatch.setattr(memlight.IndexPair, "locate", spy)
+    capsys.readouterr()
+    code, rows = run_lines(capsys, ["mems", prefix, str(patterns), "-L", "4", "--locate"])
+    assert code == 0
+    assert [r[5:] for r in rows] == [["8"], ["4"], ["1"], ["1"]]
+    pair, memo = seen[0]
+    assert isinstance(memo, memlight.LocateMemo) and memo.index is pair.rev
+    assert seen == [(pair, memo)] * 4
 
 
 def test_mems_intervals_column(demo_files, capsys):
@@ -820,6 +841,26 @@ def test_query_children_skips_a_tree_it_cannot_drive_in_process(demo_files, tmp_
         f"# (in process) {command}: skipped, {old.parent} cannot be driven: "
         "module 'memlight_tree1' has no attribute 'IndexPair'"]
     assert "Traceback" not in err
+
+
+def test_query_children_skips_a_locate_it_cannot_drive_in_process(demo_files, tmp_path):
+    # a copy of this tree without LocateMemo, as a tree from before the
+    # locate memo: the in-process pass drives its `mems` without
+    # `--locate`, and skips the one with it
+    _, pattern, prefix = demo_files
+    old = tmp_path / "old" / "memlight"
+    shutil.copytree(Path(memlight.__file__).parent, old,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for module in old.glob("*.py"):
+        module.write_text(module.read_text().replace("LocateMemo", "OldMemo"))
+    plain, located = (shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4", *extra])
+                      for extra in ([], ["--locate"]))
+    code, rows, err = run_query_children(*commands_of(plain, located), first=str(old.parent))
+    assert code == 0, err
+    assert in_process_summary(rows, plain) == "3; rows: same"
+    assert [row[0] for row in rows if row[0].startswith("# (in process) " + located)] == [
+        f"# (in process) {located}: skipped, {old.parent} cannot be driven: "
+        "module 'memlight_tree1' has no attribute 'LocateMemo'"]
 
 
 def test_query_children_compares_index_files_within_each_tree(demo_files, tmp_path):

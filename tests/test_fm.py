@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from memlight import fm
 from memlight import (Alphabet, BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
-                      IndexPair, NaiveLce, Pattern, QueryStats, SuffixArray, Text,
+                      IndexPair, LocateMemo, NaiveLce, Pattern, QueryStats, SuffixArray, Text,
                       brute_force_mems, build_fm, build_suffix_structures,
                       compute_match_pointers, find_all_mems, find_in_raw, find_long_mems_fm,
                       find_long_mems_lce, invert_bwt)
@@ -429,14 +429,19 @@ def test_locate_rejects_a_walk_past_the_text(demo_index):
         broken.locate_all(BwtInterval(0, broken.n + 1))
 
 
+def row_of_position(index):
+    """The row of each text position, by locating every row alone."""
+    return {pos: row for row in range(index.n + 1)
+            for pos in index.locate_all(BwtInterval(row, row + 1))}
+
+
 def test_locate_stops_within_the_sample_rate(demo_index):
     # position 4's sample row replaced by position 5's, at s = 4: the file
     # loads, but the row of position 4 meets no sampled row in s - 1 = 3 LF
     # steps; a walk that went on would locate every row without a word,
     # position 6's row at 5
     _, index = demo_index
-    row_of = {pos: row for row in range(index.n + 1)
-              for pos in index.locate_all(BwtInterval(row, row + 1))}
+    row_of = row_of_position(index)
     assert index.s == 4 and [row_of[pos] for pos in (0, 4, 8)] == list(index._sample_rows[:3])
 
     def edit(planes, rows):
@@ -528,8 +533,7 @@ def test_locate_of_a_group_raises_as_its_rows_do():
     # rows meet no sample in s - 1 steps, still in one group
     text = Text.from_bytes(b"TTT" + b"ACGTTGCA" * 8)
     index = build_fm(text, sample_rate=8)
-    row_of = {pos: row for row in range(index.n + 1)
-              for pos in index.locate_all(BwtInterval(row, row + 1))}
+    row_of = row_of_position(index)
     group = interval_of(index, text, b"GCAACGT")
     assert index.locate_all(group) == list(range(8, 64, 8))
     assert not group.lo <= index.sentinel_row < group.hi
@@ -548,6 +552,160 @@ def test_locate_of_a_group_raises_as_its_rows_do():
     for locate in (broken.locate_all, partial(walk_row_by_row, broken)):
         with pytest.raises(IndexFormatError, match=unreachable):
             locate(group)
+
+
+def outcome(locate, iv):
+    """What a locate answers: its positions, or the message it raised."""
+    try:
+        return locate(iv)
+    except IndexFormatError as exc:
+        return str(exc)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_memo_shared_by_a_commands_locates_changes_no_answer(data):
+    # a command's locates share one memo: the rows of nested, overlapping
+    # and repeated intervals of a repeat-rich text, across separators, stop
+    # at rows that earlier intervals found, and answer as without a memo
+    unit = data.draw(st.binary(min_size=1, max_size=10), label="unit")
+    raw = bytearray(bytes(b"ACGT"[x & 3] for x in unit) * data.draw(st.integers(2, 40)))
+    for at in data.draw(st.lists(st.integers(0, len(raw) - 1), max_size=3), label="edits"):
+        raw[at] = ord("G")
+    for at in data.draw(st.lists(st.integers(0, len(raw)), max_size=3), label="separators"):
+        raw[at:at] = b"#"
+    text = Text.from_bytes(bytes(raw))
+    n = text.n
+    rate = data.draw(st.sampled_from([1, 2, 3, fm.SAMPLE_RATE, n + 1]), label="sample rate")
+    index = build_fm(text, sample_rate=rate, separators=b"#" if b"#" in raw else b"")
+    intervals = []
+    for _ in range(data.draw(st.integers(1, 8), label="locates")):
+        kind = data.draw(st.sampled_from(["substring", "random", "nested", "overlapping",
+                                          "repeated"]))
+        if kind == "substring" or not intervals:
+            start = data.draw(st.integers(0, n - 1))
+            size = data.draw(st.integers(1, min(6, n - start)))
+            _, iv = index.backward_search_prefix(text.code_bytes[start : start + size], size)
+        elif kind == "random":
+            lo = data.draw(st.integers(0, n + 1))
+            iv = BwtInterval(lo, data.draw(st.integers(lo, n + 1)))
+        elif kind == "nested":
+            outer = data.draw(st.sampled_from(intervals))
+            lo = data.draw(st.integers(outer.lo, outer.hi))
+            iv = BwtInterval(lo, data.draw(st.integers(lo, outer.hi)))
+        elif kind == "overlapping":
+            other = data.draw(st.sampled_from(intervals))
+            lo = data.draw(st.integers(0, other.hi))
+            iv = BwtInterval(lo, data.draw(st.integers(max(lo, other.lo), n + 1)))
+        else:
+            iv = data.draw(st.sampled_from(intervals))
+        intervals.append(iv)
+    memo = LocateMemo(index)
+    for iv in intervals:
+        assert index.locate_all(iv, memo) == index.locate_all(iv)
+    # the memo holds the samples at flag 1 and every start row found in
+    # fewer than 255 steps at 1 plus its walk, which from position p is
+    # p % rate, beside the position of the sample it reached
+    sa = naive_suffix_array(text.code_bytes)
+    found = {row for iv in intervals for row in range(iv.lo, iv.hi) if 0 < sa[row] % rate < 255}
+    assert {row for row, flag in enumerate(memo.flags) if flag > 1} == found
+    assert all(memo.flags[row] == sa[row] % rate + 1
+               and memo.positions[row] == sa[row] - sa[row] % rate for row in found)
+    assert [row for row, flag in enumerate(memo.flags) if flag == 1] == sorted(index._sample_rows)
+    assert sorted(memo.positions) == sorted([*index._sample_rows, *found])
+
+
+def test_a_memo_row_charges_its_own_walk(demo_index):
+    # the file of test_locate_stops_within_the_sample_rate, at s = 4: the
+    # row of position 4, whose sample was moved to position 5's row, walks
+    # one step to the row of position 3, which walks 3 steps to the sample
+    # of position 0; found first, that row must not spare the walk from
+    # position 4 its fourth step, so the memo's answer is still an error
+    _, index = demo_index
+    row_of = row_of_position(index)
+
+    def edit(planes, rows):
+        rows[1] = row_of[5]
+    broken = FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
+    memo = LocateMemo(broken)
+    assert broken.locate_all(BwtInterval(row_of[3], row_of[3] + 1), memo) == [3]
+    assert [(row, flag) for row, flag in enumerate(memo.flags) if flag > 1] == [(row_of[3], 4)]
+    sym = broken._bwt[row_of[4]]
+    assert broken._c[sym] + broken.rank(sym, row_of[4]) == row_of[3]
+    for interval in (BwtInterval(row_of[4], row_of[4] + 1), BwtInterval(0, index.n + 1)):
+        with pytest.raises(IndexFormatError, match="^suffix-array samples are unreachable$"):
+            broken.locate_all(interval, memo)
+    # the rows whose walks the file leaves short enough answer as they do
+    # without the memo, the row of position 6 at 5 included
+    assert broken.locate_all(BwtInterval(row_of[6], row_of[6] + 1), memo) == [5]
+
+
+def test_a_memo_keeps_no_row_found_in_255_steps_or_more():
+    # at a rate past the text, position 0 is the one sample, and the row of
+    # position p walks p steps: rows past position 254 are located, but not
+    # kept, since their walks do not fit in a flag byte
+    text = Text.from_bytes(bytes(b"ACGT"[i * i % 7 & 3] for i in range(300)))
+    index = build_fm(text, sample_rate=text.n + 1)
+    row_of = row_of_position(index)
+    memo = LocateMemo(index)
+    for pos in (254, 255, 299):
+        assert index.locate_all(BwtInterval(row_of[pos], row_of[pos] + 1), memo) == [pos]
+    assert [memo.flags[row_of[pos]] for pos in (254, 255, 299)] == [255, 0, 0]
+    assert memo.positions == {row_of[0]: 0, row_of[254]: 0}
+
+
+def resealed_files():
+    """Files that load but whose locates raise or answer wrongly: a sample
+    row replaced by another position's, two sample rows moved in a group,
+    the sentinel's sample moved to another filler row, two sample rows
+    swapped, and an LF split into two cycles at a rate past the text."""
+    demo = build_fm(Text.from_bytes(DEMO_TEXT), sample_rate=4)
+    periodic = build_fm(Text.from_bytes(b"TTT" + b"ACGTTGCA" * 8), sample_rate=8)
+    demo_rows, periodic_rows = row_of_position(demo), row_of_position(periodic)
+
+    def replaced(planes, rows):
+        rows[1] = demo_rows[5]
+
+    def moved(planes, rows):
+        rows[2], rows[4] = periodic_rows[17], periodic_rows[33]
+
+    def sentinel_moved(planes, rows):
+        rows[0] = 10
+    yield FmIndex.from_bytes(reseal_payload(demo.to_bytes(), replaced))
+    yield FmIndex.from_bytes(reseal_payload(periodic.to_bytes(), moved))
+    yield FmIndex.from_bytes(reseal_payload(demo.to_bytes(), sentinel_moved))
+    rows = list(demo._sample_rows)
+    rows[2], rows[3] = rows[3], rows[2]
+    yield index_from_bwt(demo, demo._bwt, rows)
+    banana = build_fm(Text.from_bytes(b"banana"))
+    yield FmIndex.from_bytes(index_file(banana.alphabet, banana.n,
+                                        planes_of(bytes([2, 0, 2, 1, 0, 0, 0]), 3),
+                                        bytes(range(3)), 1 << 62, [banana.sentinel_row]))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "wide first"])
+def test_a_memo_keeps_every_error_of_a_resealed_file(order):
+    # one memo through every row alone and every interval of a few rows,
+    # in three orders: each locate answers, or raises, as without the memo
+    for broken in resealed_files():
+        rows = range(broken.n + 1)
+        intervals = [BwtInterval(lo, min(lo + width, broken.n + 1))
+                     for width in (1, 3, 8) for lo in rows]
+        if order == "descending":
+            intervals.reverse()
+        elif order == "wide first":
+            intervals = [BwtInterval(0, broken.n + 1), *intervals[::-1]]
+        memo = LocateMemo(broken)
+        answers = [outcome(partial(broken.locate_all, memo=memo), iv) for iv in intervals]
+        assert answers == [outcome(broken.locate_all, iv) for iv in intervals]
+        assert any(isinstance(answer, str) for answer in answers)
+
+
+def test_a_memo_serves_only_its_own_index(demo_index):
+    text, index = demo_index
+    other = build_fm(text, sample_rate=4)
+    with pytest.raises(ValueError, match="only the index it was made from"):
+        other.locate_all(BwtInterval(0, 3), LocateMemo(index))
 
 
 # -- serialization -------------------------------------------------------------------
