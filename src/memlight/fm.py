@@ -9,22 +9,24 @@ row of every text position that is a multiple of the sample rate, in text
 order, so that the first is the sentinel's row, the row of text position 0.
 The saved index holds the planes and then the sample rows as one raw
 DEFLATE stream: planes 2k and 2k + 1 as one stream of 2-bit fields, one per
-row, and an odd last plane alone; each row's bytes grouped by byte
-position.  The runs of a repetitive text's BWT deflate (Ferragina and
+row, and an odd last plane alone; then the rows, each n.bit_length() bits,
+its whole low bytes grouped by byte position and its other bits as bit
+planes.  The runs of a repetitive text's BWT deflate (Ferragina and
 Manzini's opportunistic compression), and a pair's fields keep a run of one
 symbol one run of one field value, where two planes apart split it into two
 unrelated bit runs; numbering by frequency leaves the top plane sparse when
 the rarest symbols are rare, and a byte position of the rows that holds few
-values costs few bits; a text holds fewer than 2**31 symbols, so a row
-takes 4 bytes.  Load inflates the stream, never past the size the header
-implies, splits the pairs back into planes, and ANDs the planes or their
-complements into one bitmap per number, keeping only the popcounts, each
-under its number's code: the C array, whose last entry shows whether every
-row holds a number of the alphabet.  The first search splits the rows again
-into 256-row words per symbol, held as ints in a list, beside a running
-count per word that starts at C[c] (Jacobson's rank), so that a backward
-step or an LF step is a count read plus one popcount for each end of the
-interval.  The sentinel's row is in no bitmap and needs no correction.
+values costs few bits, while the bits that no row needs are not stored
+(a text holds fewer than 2**31 symbols, so a row takes at most 31 bits).
+Load inflates the stream, never past the size the header implies, splits
+the pairs back into planes, and ANDs the planes or their complements into
+one bitmap per number, keeping only the popcounts, each under its number's
+code: the C array, whose last entry shows whether every row holds a number
+of the alphabet.  The first search splits the rows again into 256-row
+words per symbol, held as ints in a list, beside a running count per word
+that starts at C[c] (Jacobson's rank), so that a backward step or an LF
+step is a count read plus one popcount for each end of the interval.
+The sentinel's row is in no bitmap and needs no correction.
 Locating reads one code byte and one sample flag per row, both derived on
 first locate; a caller's LocateMemo makes every row that a locate finds a
 sample for its later locates.
@@ -46,7 +48,8 @@ import time
 import zlib
 from array import array
 from functools import cached_property, reduce
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -57,9 +60,9 @@ if TYPE_CHECKING:
 
 # the eighth byte is the version: a file whose eighth byte is lower is in an
 # older format, and one whose eighth byte is higher in a newer one
-MAGIC = b"MEMLIDXA"
+MAGIC = b"MEMLIDXB"
 # the default sample rate of the index that locates
-SAMPLE_RATE = 72
+SAMPLE_RATE = 80
 # n, alphabet size, sample rate, separator count
 _HEADER = struct.Struct("<4Q")
 # _BELOW[i] keeps the bits of a 256-row word's rows before row i
@@ -99,12 +102,32 @@ def _plane_count(sigma: int) -> int:
     return (sigma - 1).bit_length()
 
 
-def _unpack_rows(data) -> array:
-    """Rows stored one byte position after another, every row's lowest byte
-    first, into an array('I'), by one strided slice per position."""
-    count, wide = len(data) // 4, bytearray(len(data))
-    for j in range(4):
+def _row_layout(n: int, count: int) -> tuple[int, int, int]:
+    """How count sample rows of a text of n symbols are stored: each takes
+    b = n.bit_length() bits, its low 8 * (b // 8) bits in b // 8 byte
+    columns of count bytes, and its other b % 8 bits in as many bit planes
+    of ceil(count / 8) bytes; the columns, the planes and the bytes in all."""
+    columns, planes = divmod(n.bit_length(), 8)
+    return columns, planes, columns * count + planes * ((count + 7) >> 3)
+
+
+def _unpack_rows(data, n: int, count: int) -> array:
+    """The count rows stored as _row_layout gives, into an array('I'): one
+    strided copy per byte column (every row's byte at that position), and
+    the planes, bit r of plane t being bit t of row r's byte after the
+    columns, formatted as binary digits and translated as _bwt does.  A
+    plane bit set past the last row raises."""
+    columns, planes, _ = _row_layout(n, count)
+    size, top, wide = (count + 7) >> 3, 0, bytearray(4 * count)
+    for j in range(columns):
         wide[j::4] = data[j * count : (j + 1) * count]
+    for t in range(planes):
+        at = columns * count + t * size
+        plane = int.from_bytes(data[at : at + size], "little")
+        if plane >> count:
+            raise IndexFormatError("suffix-array sample planes set padding bits past the last row")
+        top |= int.from_bytes(format(plane, f"0{count}b").encode().translate(_DIGITS[t]), "big")
+    wide[columns::4] = top.to_bytes(count, "little")
     rows = array("I", wide)
     if sys.byteorder == "big":
         rows.byteswap()
@@ -179,14 +202,15 @@ class FmIndex:
         word k >> 8.  The words are ints in lists, whose subscript returns a
         stored int where an array boxes a new one.  The sentinel's row is in
         no bitmap; one padding word lets row n + 1 be ranked.  The counts
-        are running popcounts.
+        are running popcounts.  The bitmap's bytes are cut into words by
+        `struct.iter_unpack`, which makes no slice per word.
         """
         nbytes = 32 * (((self.n + 1) >> 8) + 1)
         words, cols = [None] * self.alphabet.size, [None] * self.alphabet.size
         for code, bitmap in zip(self._order, self._symbol_rows()):
             raw = bitmap.to_bytes(nbytes, "little")
-            bits = words[code] = [int.from_bytes(raw[a : a + 32], "little")
-                                  for a in range(0, nbytes, 32)]
+            chunks = map(itemgetter(0), struct.iter_unpack("32s", raw))
+            bits = words[code] = list(map(int.from_bytes, chunks, repeat("little")))
             cols[code] = list(accumulate(map(int.bit_count, bits), initial=self._c[code]))
         return words, cols
 
@@ -435,7 +459,8 @@ class FmIndex:
         2**31, and the stream between the order and the checksum must
         inflate to exactly P * ceil((n + 1) / 8) bytes of planes, split into
         one int each (bit r of plane j is bit j of row r's number), and
-        n // s + 1 rows of 4 bytes, the row of each text position k * s."""
+        n // s + 1 rows of n.bit_length() bits as _row_layout stores them,
+        the row of each text position k * s."""
         magic = data[:8]
         if len(magic) == 8 and magic[:7] == MAGIC[:7] and magic != MAGIC:
             name = magic.decode("ascii", "backslashreplace")
@@ -462,7 +487,7 @@ class FmIndex:
         symbols, separators, order = (view[a:b] for a, b in zip(ends, ends[1:]))
         count, plane_bytes = _plane_count(sigma), (n >> 3) + 1
         raw = count * plane_bytes  # the planes' size
-        payload = _inflate(view[ends[-1] : -4], raw + (n // s + 1) * 4)
+        payload = _inflate(view[ends[-1] : -4], raw + _row_layout(n, n // s + 1)[2])
         try:
             alphabet = Alphabet(bytes(symbols))
         except ValueError as exc:
@@ -481,7 +506,7 @@ class FmIndex:
         # row whose flag an earlier position set
         flags = bytearray(n + 1)
         try:
-            rows = index._sample_rows = _unpack_rows(memoryview(payload)[raw:])
+            rows = index._sample_rows = _unpack_rows(memoryview(payload)[raw:], n, n // s + 1)
             for row in rows:
                 if flags[row]:
                     raise IndexError
@@ -580,7 +605,12 @@ def build_fm(text: Text, sample_rate: int = SAMPLE_RATE, sa: SuffixArray | None 
         payload.append(d[:, 0] | d[:, 1] << 2 | d[:, 2] << 4 | d[:, 3] << 6)
     if count & 1:
         payload.append(np.packbits(bwt >> (count - 1), bitorder="little"))
-    payload.append(rows.view(np.uint8).reshape(-1, 4).T)
+    # the rows' low bytes as byte columns and their other bits as planes
+    columns, planes, _ = _row_layout(text.n, len(rows))
+    row_bytes = rows.view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(row_bytes[:, columns : columns + 1], axis=1, bitorder="little")
+    payload += [row_bytes[:, :columns].T,
+                np.packbits(bits[:, :planes].T, axis=1, bitorder="little")]
     packer = zlib.compressobj(wbits=-15)
     body = b"".join([MAGIC, _HEADER.pack(text.n, sigma, sample_rate, len(separators)),
                      text.alphabet.symbols, separators, order.tobytes(),

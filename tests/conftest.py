@@ -156,7 +156,7 @@ def replay_window_probes(pattern, pointers, lce, min_len):
     return trail
 
 
-# -- the saved index's layout (MEMLIDXA) ----------------------------------------------
+# -- the saved index's layout (MEMLIDXB) ----------------------------------------------
 
 ALPHABET_AT = 8 + 4 * 8  # after the magic and the four header fields
 
@@ -166,10 +166,18 @@ def plane_size(n, sigma):
     return (sigma - 1).bit_length() * ((n >> 3) + 1)
 
 
+def row_size(n, count):
+    """Bytes of count sample rows of n.bit_length() bits: a byte column of
+    count bytes per whole byte, then a bit plane of ceil(count / 8) bytes
+    per other bit."""
+    columns, planes = divmod(n.bit_length(), 8)
+    return columns * count + planes * ((count + 7) // 8)
+
+
 def payload_size(n, sigma, rate):
-    """MEMLIDXA's payload before deflating: the planes, then the sample
-    rows, 4 bytes each."""
-    return plane_size(n, sigma) + (n // rate + 1) * 4
+    """MEMLIDXB's payload before deflating: the planes, then the sample
+    rows."""
+    return plane_size(n, sigma) + row_size(n, n // rate + 1)
 
 
 def _move_plane_bits(source, n, count, to_pairs):
@@ -213,15 +221,31 @@ def paired_planes(planes, n):
     return bytes(pair_planes(joined, n, len(planes)))
 
 
-def pack_rows(rows):
-    """The rows as the payload holds them: every row's lowest byte, then
-    every row's next byte, and so on, 4 bytes per row."""
-    return b"".join(bytes(row >> 8 * j & 255 for row in rows) for j in range(4))
+def pack_rows(rows, n):
+    """The rows as the payload holds them, n.bit_length() bits each: every
+    row's lowest byte, then every row's next byte, for each whole byte, and
+    then one plane per other bit, bit r of the plane being that bit of row
+    r, lowest bit first in each byte."""
+    columns, planes = divmod(n.bit_length(), 8)
+    if any(row >> n.bit_length() for row in rows):
+        raise ValueError("a row does not fit in n.bit_length() bits")
+    out = b"".join(bytes(row >> 8 * j & 255 for row in rows) for j in range(columns))
+    for t in range(8 * columns, 8 * columns + planes):
+        plane = sum((row >> t & 1) << r for r, row in enumerate(rows))
+        out += plane.to_bytes((len(rows) + 7) // 8, "little")
+    return out
 
 
-def unpack_rows(data):
-    count = len(data) // 4
-    return [sum(data[j * count + i] << 8 * j for j in range(4)) for i in range(count)]
+def unpack_rows(data, n, count):
+    """The count rows that pack_rows packed."""
+    assert row_size(n, count) == len(data)
+    columns, planes = divmod(n.bit_length(), 8)
+    size = (count + 7) // 8
+    tops = [int.from_bytes(data[columns * count + t * size :][:size], "little")
+            for t in range(planes)]
+    return [sum(data[j * count + i] << 8 * j for j in range(columns))
+            + sum((top >> i & 1) << 8 * columns + t for t, top in enumerate(tops))
+            for i in range(count)]
 
 
 def deflate(data):
@@ -256,12 +280,13 @@ def reseal_payload(data, edit):
     applied to the planes' bytes, one plane after the other (a bytearray,
     split from the pairs), and the sample rows (a list), and the two
     paired, deflated again and resealed."""
-    n, sigma, _, _ = struct.unpack_from("<4Q", data, 8)
+    n, sigma, rate, _ = struct.unpack_from("<4Q", data, 8)
     payload, split = payload_of(data), plane_size(n, sigma)
     count = (sigma - 1).bit_length()
-    planes, rows = split_planes(payload[:split], n, count), unpack_rows(payload[split:])
+    planes = split_planes(payload[:split], n, count)
+    rows = unpack_rows(payload[split:], n, n // rate + 1)
     edit(planes, rows)
-    return with_stream(data, deflate(bytes(pair_planes(planes, n, count)) + pack_rows(rows)))
+    return with_stream(data, deflate(bytes(pair_planes(planes, n, count)) + pack_rows(rows, n)))
 
 
 def index_file(alphabet, n, planes, order, rate, rows, separators=b""):
@@ -269,9 +294,9 @@ def index_file(alphabet, n, planes, order, rate, rows, separators=b""):
     alphabet, the separators and the order, then the planes (ints, bit r of
     plane j being bit j of row r's number), paired, and the sample rows as
     one raw DEFLATE stream, then the CRC."""
-    body = (b"MEMLIDXA" + struct.pack("<4Q", n, alphabet.size, rate, len(separators))
+    body = (b"MEMLIDXB" + struct.pack("<4Q", n, alphabet.size, rate, len(separators))
             + alphabet.symbols + bytes(separators) + bytes(order)
-            + deflate(paired_planes(planes, n) + pack_rows(rows)))
+            + deflate(paired_planes(planes, n) + pack_rows(rows, n)))
     return reseal(body + bytes(4))
 
 

@@ -57,30 +57,30 @@ def test_index_prints_dimensions(tmp_path, capsys):
 # per file, the bytes before the payload (the magic; n, sigma, s and the
 # separator count; the alphabet, the separators and the order) and the
 # inflated payload (planes 0 and 1 as one stream of 2-bit fields, then
-# plane 2 at sigma = 5; the sample rows, grouped by byte position), in
-# hex; the DEFLATE stream itself is not pinned, since its bytes depend on
-# the zlib build
+# plane 2 at sigma = 5; the sample rows, n.bit_length() bits each: 4 bit
+# planes at n = 12 and 5 at n = 25, of one byte each, and no byte column),
+# in hex; the DEFLATE stream itself is not pinned, since its bytes depend
+# on the zlib build
 GOLDEN_INDEX_FILES = {
     "demo": {
-        ".fwd.memidx": ("4d454d4c49445841"
+        ".fwd.memidx": ("4d454d4c49445842"
                         "0c00000000000000" "0400000000000000" "0d00000000000000" "0000000000000000"
                         "41434754" "" "00030201",
-                        "d50a4000" "08000000"),
-        ".rev.memidx": ("4d454d4c49445841"
-                        "0c00000000000000" "0400000000000000" "4800000000000000" "0000000000000000"
+                        "d50a4000" "00000001"),
+        ".rev.memidx": ("4d454d4c49445842"
+                        "0c00000000000000" "0400000000000000" "5000000000000000" "0000000000000000"
                         "41434754" "" "00030201",
-                        "560b1000" "09000000"),
+                        "560b1000" "01000001"),
     },
     "two": {
-        ".fwd.memidx": ("4d454d4c49445841"
+        ".fwd.memidx": ("4d454d4c49445842"
                         "1900000000000000" "0500000000000000" "1a00000000000000" "0100000000000000"
                         "0041434754" "00" "0104030200",
-                        "56d5ae0000140000" "00001000" "11000000"),
-        ".rev.memidx": ("4d454d4c49445841"
+                        "56d5ae0000140000" "00001000" "0100000001"),
+        ".rev.memidx": ("4d454d4c49445842"
                         "1900000000000000" "0500000000000000" "0400000000000000" "0100000000000000"
                         "0041434754" "00" "0104030200",
-                        "56d5ae0000140000" "00001000"
-                        "11050201090a0e" "00000000000000" "00000000000000" "00000000000000"),
+                        "56d5ae0000140000" "00001000" "1b64427001"),
     },
 }
 
@@ -494,13 +494,13 @@ def test_old_format_index_is_a_format_error(demo_files, capsys):
     _, pattern, prefix = demo_files
     path = Path(prefix + ".fwd.memidx")
     data = path.read_bytes()
-    for magic in (b"MEMLIDX1", b"MEMLIDX5", b"MEMLIDX7", b"MEMLIDX8", b"MEMLIDX9"):
+    for magic in (b"MEMLIDX1", b"MEMLIDX5", b"MEMLIDX7", b"MEMLIDX8", b"MEMLIDX9", b"MEMLIDXA"):
         path.write_bytes(magic + data[8:])
         assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
         err = capsys.readouterr().err
         assert magic.decode() in err and "rebuild" in err
     # a higher eighth byte is a newer format
-    for magic, name in ((b"MEMLIDXB", "MEMLIDXB"), (b"MEMLIDX\xff", "MEMLIDX\\xff")):
+    for magic, name in ((b"MEMLIDXC", "MEMLIDXC"), (b"MEMLIDX\xff", "MEMLIDX\\xff")):
         path.write_bytes(magic + data[8:])
         assert main(["mems", prefix, str(pattern), "--raw", "-L", "4"]) == 3
         err = capsys.readouterr().err
@@ -569,7 +569,7 @@ def test_forward_file_keeps_only_the_row_of_text_position_0(tmp_path):
                               (".rev.memidx", 4, DEMO_TEXT[::-1])):
         data = Path(prefix + suffix).read_bytes()
         _, sigma, s, _ = struct.unpack_from("<4Q", data, 8)
-        rows = unpack_rows(payload_of(data)[plane_size(n, sigma):])
+        rows = unpack_rows(payload_of(data)[plane_size(n, sigma):], n, n // rate + 1)
         assert s == rate
         assert len(rows) == n // rate + 1
         # the row of text position 0 among the suffixes in sorted order

@@ -780,7 +780,7 @@ def test_round_trip_keeps_the_bwt_rank_kmers_and_locate(data):
     # the payload inflates to the planes and then the rows, byte by byte
     assert len(payload_of(saved)) == payload_size(n, sigma, rate)
     assert payload_of(saved) == (paired_planes(index._planes, index.n)
-                                 + pack_rows(index._sample_rows))
+                                 + pack_rows(index._sample_rows, index.n))
     reloaded = FmIndex.from_bytes(saved)
     # load derives C alone: rank, BWT bytes, k-mers and positions wait for use
     assert not {"_rank", "_bwt", "_kmers", "_sampled"} & reloaded.__dict__.keys()
@@ -907,13 +907,13 @@ def test_load_rejects_truncation(tmp_path, demo_index):
     # no room for a checksum after it
     header = struct.pack("<4Q", 300, 3, 1, 0)
     for end in range(len(header) + 4):
-        path.write_bytes(b"MEMLIDXA" + (header + b"abc")[:end])
+        path.write_bytes(b"MEMLIDXB" + (header + b"abc")[:end])
         with pytest.raises(IndexFormatError, match="^truncated index file$"):
             FmIndex.load(path)
     # files that end inside the alphabet or the order, or leave no room for
     # a checksum after them
     for end in range(2 * 3 + 4):
-        path.write_bytes(b"MEMLIDXA" + header + (b"abc\0\1\2" + b"crc!")[:end])
+        path.write_bytes(b"MEMLIDXB" + header + (b"abc\0\1\2" + b"crc!")[:end])
         with pytest.raises(IndexFormatError, match="^truncated index file$"):
             FmIndex.load(path)
     # no length is stored: a file cut inside the payload or the checksum,
@@ -1126,10 +1126,12 @@ def test_load_rejects_resealed_order_not_a_permutation(demo_index, order):
 
 def test_stored_rows_take_the_bytes_that_n_needs():
     # a header alone names the size the payload must inflate to: P planes
-    # of ceil((n + 1) / 8) bytes, then n // s + 1 rows of 4 bytes, up to
-    # the largest text, of 2**31 - 1 symbols; the header has no field for it
+    # of ceil((n + 1) / 8) bytes, then k = n // s + 1 rows of b =
+    # n.bit_length() bits, k bytes for each of the b // 8 byte columns and
+    # ceil(k / 8) for each of the b % 8 bit planes, up to the largest text,
+    # of 2**31 - 1 symbols; the header has no field for it
     def saved(n, sigma, s):
-        body = b"MEMLIDXA" + struct.pack("<4Q", n, sigma, s, 0) + bytes(2 * sigma)
+        body = b"MEMLIDXB" + struct.pack("<4Q", n, sigma, s, 0) + bytes(2 * sigma)
         return reseal(body + deflate(b"") + bytes(4))
 
     def expected_size(n, sigma, s):
@@ -1137,11 +1139,17 @@ def test_stored_rows_take_the_bytes_that_n_needs():
             FmIndex.from_bytes(saved(n, sigma, s))
         return int(str(caught.value).split(" bytes ")[0].rsplit(" ", 1)[1])
 
-    for n in (12, 2**8, 2**24, 2**31 - 1):
-        plane = (n >> 3) + 1
-        assert expected_size(n, 2, 2**40) == plane + (n // 2**40 + 1) * 4
-        assert expected_size(n, 5, 2**31) == 3 * plane + (n // 2**31 + 1) * 4
-        assert expected_size(n, 5, 2**31) == payload_size(n, 5, 2**31)
+    # n, s, and b: no columns, no planes, both, and a planes' last byte
+    # that is full (k = 16) or holds one row (k = 17)
+    for n, s, b in ((12, 1, 4), (255, 1, 8), (2**8, 1, 9), (2**16 - 1, 80, 16),
+                    (2**24, 80, 25), (2**31 - 1, 72, 31), (2**31 - 1, 2**40, 31),
+                    (15 * 80, 80, 11), (16 * 80, 80, 11)):
+        assert n.bit_length() == b
+        plane, k = (n >> 3) + 1, n // s + 1
+        rows = b // 8 * k + b % 8 * -(-k // 8)
+        assert expected_size(n, 2, s) == plane + rows
+        assert expected_size(n, 5, s) == 3 * plane + rows
+        assert expected_size(n, 5, s) == payload_size(n, 5, s)
     # a longer text is refused by the header alone, whatever the payload
     for n in (2**31, 2**32, 2**40):
         with pytest.raises(IndexFormatError, match=f"^a text of {n} symbols is too long: "
@@ -1149,15 +1157,70 @@ def test_stored_rows_take_the_bytes_that_n_needs():
             FmIndex.from_bytes(saved(n, 5, 2**31))
 
 
+@pytest.mark.parametrize("b", [1, 7, 8, 9, 16, 17])
+def test_rows_of_every_width_locate_every_position(b):
+    # at s = 1 every row is stored; n from 2**(b - 1) to 2**b - 1 gives
+    # rows of b bits: no byte column and planes alone (b = 1, 7), byte
+    # columns alone (8, 16), and both (9, 17)
+    rng = random.Random(b)
+    for n in {2 ** (b - 1), 2**b - 1}:
+        text = Text.from_bytes(bytes(rng.choices(b"ACGT", k=n)))
+        index = build_fm(text, sample_rate=1)
+        assert index.n.bit_length() == b
+        rows, planes = index._sample_rows, plane_size(n, text.alphabet.size)
+        assert payload_of(index.to_bytes())[planes:] == pack_rows(rows, n)
+        assert sorted(rows) == list(range(n + 1))
+        assert index.locate_all(BwtInterval(0, n + 1)) == list(range(n))
+
+
+def test_load_rejects_a_row_set_past_n_by_its_top_bit():
+    # n = 12 and 300 store rows of 4 and 9 bits, whose top bit is in a
+    # plane; every row in (n, 2**b) sets it, and fails load as a row past
+    # the BWT does
+    for raw in (DEMO_TEXT, (DEMO_TEXT * 25)[:300]):
+        index = build_fm(Text.from_bytes(raw), sample_rate=4)
+        n, b = index.n, index.n.bit_length()
+        assert b % 8 and 2 ** (b - 1) <= n < 2**b - 1
+        for row in range(n + 1, 2**b):
+            def edit(planes, rows):
+                rows[-1] = row
+            with pytest.raises(IndexFormatError,
+                               match="^suffix-array samples must be distinct BWT rows$"):
+                FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
+    # at n + 1 = 2**b every b-bit row is a row of the BWT: none is past n
+    index = build_fm(Text.from_bytes(DEMO_TEXT + b"GAT"), sample_rate=4)
+    assert index.n + 1 == 2 ** index.n.bit_length() == 16
+    with pytest.raises(ValueError, match="does not fit"):
+        pack_rows([index.n + 1], index.n)
+
+
+def test_load_rejects_a_row_plane_bit_past_the_last_row(demo_index):
+    # the demo index's 4 rows of 4 bits take 4 planes of one byte, whose
+    # bits 4 to 7 are padding
+    _, index = demo_index
+    data = index.to_bytes()
+    payload = payload_of(data)
+    at = plane_size(index.n, 4)
+    assert len(payload) == at + 4 and len(index._sample_rows) == 4
+    for plane in range(4):
+        for bit in range(4, 8):
+            padded = bytearray(payload)
+            padded[at + plane] |= 1 << bit
+            with pytest.raises(IndexFormatError,
+                               match="^suffix-array sample planes set padding bits "
+                                     "past the last row$"):
+                FmIndex.from_bytes(with_stream(data, deflate(bytes(padded))))
+
+
 def test_load_rejects_old_format(demo_index):
     # the eighth byte is the version, compared as a byte
     _, index = demo_index
-    for digit in b"123456789":
+    for digit in b"123456789A":
         magic = b"MEMLIDX" + bytes((digit,))
         with pytest.raises(IndexFormatError, match=magic.decode() + ".*rebuild"):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
     # a later version is not called old, and rebuilding would not help
-    for magic, name in ((b"MEMLIDXB", "MEMLIDXB"), (b"MEMLIDXa", "MEMLIDXa"),
+    for magic, name in ((b"MEMLIDXC", "MEMLIDXC"), (b"MEMLIDXa", "MEMLIDXa"),
                         (b"MEMLIDX\xff", "MEMLIDX\\xff")):
         with pytest.raises(IndexFormatError,
                            match=f"^index is in the newer {re.escape(name)} format; "
@@ -1208,7 +1271,7 @@ def test_build_writes_the_payload_of_a_brute_force_bwt(data):
     planes = b"".join(plane.to_bytes(size, "little") for plane in planes_of(numbers, sigma))
     rows = [sa.index(k) for k in range(0, n + 1, rate)]
     count = (sigma - 1).bit_length()
-    assert payload_of(saved) == bytes(pair_planes(planes, n, count)) + pack_rows(rows)
+    assert payload_of(saved) == bytes(pair_planes(planes, n, count)) + pack_rows(rows, n)
     at = payload_at(saved)
     assert saved[at - sigma - len(separators) : at] == separators + bytes(order)
 
@@ -1277,7 +1340,7 @@ def deflated_index():
 def test_deflated_planes_load_back(deflated_index):
     index, data = deflated_index
     assert payload_of(data) == (paired_planes(index._planes, index.n)
-                                + pack_rows(index._sample_rows))
+                                + pack_rows(index._sample_rows, index.n))
     reloaded = FmIndex.from_bytes(data)
     assert reloaded._planes == index._planes
     assert reloaded._sample_rows == index._sample_rows
@@ -1303,14 +1366,15 @@ def test_load_rejects_resealed_flipped_stream_byte(deflated_index):
 
 def test_load_rejects_resealed_stream_past_the_planes(deflated_index):
     # a stream of the payload and a million bytes more is inflated no
-    # further than the payload's size
+    # further than the payload's size: 5,002 bytes of planes, and 1,251
+    # rows of 15 bits, one byte column and 7 planes of 157 bytes
     index, data = deflated_index
     stream = deflate(payload_of(data) + bytes(1 << 20))
     resealed = with_stream(data, stream)
     tracemalloc.start()
     try:
         with pytest.raises(IndexFormatError,
-                           match="^index payload does not inflate to the 10006 bytes "
+                           match="^index payload does not inflate to the 7352 bytes "
                                  "the header implies$"):
             FmIndex.from_bytes(resealed)
         peak = tracemalloc.get_traced_memory()[1]
@@ -1328,11 +1392,15 @@ def test_load_rejects_resealed_stream_ending_short(deflated_index):
             FmIndex.from_bytes(with_stream(data, stream))
 
 
-def test_load_rejects_resealed_payload_a_row_short_or_a_byte_long(deflated_index, demo_index):
+def test_load_rejects_resealed_payload_a_row_short_or_a_byte_long(deflated_index):
     # a payload that holds one sample row too few, or one byte more than
-    # its planes and rows; also for the demo index, whose one row per
-    # byte position makes a row short mean 4 bytes short
-    for index in (deflated_index[0], demo_index[1]):
+    # its planes and rows; also for an index whose rows are bit planes
+    # alone, 9 rows of 5 bits, so that a row short means each plane a
+    # byte short (at 2 to 8 rows every plane takes one byte, and a
+    # missing last row reads as row 0)
+    planes_only = build_fm(Text.from_bytes(DEMO_TEXT + DEMO_PATTERN[:4]), sample_rate=2)
+    assert (planes_only.n.bit_length(), len(planes_only._sample_rows)) == (5, 9)
+    for index in (deflated_index[0], planes_only):
         def drop_a_row(planes, rows):
             del rows[-1]
 
@@ -1356,7 +1424,7 @@ def test_one_symbol_stores_no_planes(raw):
     index = build_fm(Text.from_bytes(raw), sample_rate=4)
     assert (len(index._planes), index._order) == (0, b"\0")
     data = index.to_bytes()
-    assert payload_of(data) == pack_rows(index._sample_rows)
+    assert payload_of(data) == pack_rows(index._sample_rows, index.n)
     assert len(payload_of(data)) == payload_size(index.n, 1, 4)
     reloaded = FmIndex.from_bytes(data)
     assert reloaded.to_bytes() == data
