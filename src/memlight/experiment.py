@@ -1,10 +1,10 @@
 """Randomized experiments: instance generation, MEM classification, step-count comparison.
 
 A run generates a pseudo-random text, derives a pattern by mutating its
-prefix, indexes the text (optionally as cyclic, via windowed doubling), and
-compares the backward-step budgets of the full, thresholded, and
-longest-substring finders on the same instance.  Reports are byte-identical
-for identical specs.
+prefix, indexes the text (optionally as cyclic: the text followed by its
+first min(m + 200, n) symbols), and compares the backward-step budgets of
+the full, thresholded, and longest-substring finders on the same instance.
+Reports are byte-identical for identical specs.
 """
 
 from __future__ import annotations

@@ -734,10 +734,18 @@ def commands_of(*commands):
     return [arg for command in commands for arg in ("-c", command)]
 
 
-def in_process_summary(rows, command):
-    """The end of the in-process summary line of a command."""
-    line, = (row[0] for row in rows if row[0].startswith(f"# (in process) {command}: "))
-    return line.split("; MEMs per pass: ")[1]
+def outputs(rows, command):
+    """The output column of a command's rows under both trees, as children
+    and then in process."""
+    return [row[-1] for name in (command, "(in process) " + command)
+            for row in rows if row[0] == name]
+
+
+def copy_of_this_tree(tmp_path):
+    old = tmp_path / "old" / "memlight"
+    shutil.copytree(Path(memlight.__file__).parent, old,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return old
 
 
 def test_query_children_imports_nothing_heavy_before_its_children():
@@ -757,16 +765,19 @@ def test_query_children_launcher_runs_both_trees(demo_files):
     text, pattern, prefix = demo_files
     src = str(Path(memlight.__file__).resolve().parents[1])
     # {tree} names each tree's own index: only prefix-1 and prefix-2 exist,
-    # each built by the setup command under its own tree
-    setup = shlex.join(["index", str(text), "--raw", "-o", prefix + "-{tree}",
+    # each built by the setup command under its own tree; the index prefix
+    # takes each form the CLI takes
+    setup = shlex.join(["index", str(text), "--raw", f"-o{prefix}-{{tree}}",
                         "--sample-rate", "3"])
     queries = [shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4"]),
                shlex.join(["lcs", prefix, str(pattern), "--raw"]),
                shlex.join(["mems", prefix + "-{tree}", str(pattern), "--raw", "-L", "4",
                            "--locate"])]
-    index = shlex.join(["index", str(text), "--raw", "-o", prefix + "-again{tree}"])
+    index = shlex.join(["index", str(text), "--raw", f"--output={prefix}-again{{tree}}"])
     code, rows, err = run_query_children("--setup", setup, *commands_of(*queries, index))
     assert code == 0, err
+    assert rows[0] == ["command", "tree", "wall_ms_median", "wall_ms_q1-q3", "rss_mb_median",
+                       "output"]
     setups = [row for row in rows if row[0] == "(setup) " + setup]
     assert [row[1] for row in setups] == [src, src]
     assert all(float(row[2]) > 0 and float(row[4]) > 0 for row in setups)
@@ -774,17 +785,15 @@ def test_query_children_launcher_runs_both_trees(demo_files):
     assert [row[-1] for row in setups] == [
         str(sum(os.path.getsize(f"{prefix}-{tree}{suffix}")
                 for suffix in (".fwd.memidx", ".rev.memidx"))) for tree in ("1", "2")]
+    # every command, index too, is timed as children and in process, and
+    # each gets a summary line with the median per-round ratio
     for command in queries + [index]:
-        mine = [row for row in rows if row[0] == command]
-        assert [row[-1] for row in mine] == ["same", "same"]
-    # each query is timed again in process, where both trees take the same
-    # steps; index is timed as a child only
-    for command, mems in zip(queries, ("3", "1", "3")):
-        mine = [row for row in rows if row[0] == "(in process) " + command]
-        assert [row[1] for row in mine] == [src, src]
-        assert mine[0][-1] == mine[1][-1] and int(mine[0][-1]) > 0
-        assert in_process_summary(rows, command) == f"{mems}; rows: same"
-    assert not [row for row in rows if row[0] == "(in process) " + index]
+        assert outputs(rows, command) == ["same"] * 4
+        for name in (command, "(in process) " + command):
+            assert [row[1] for row in rows if row[0] == name] == [src, src]
+            assert any(re.fullmatch(
+                rf"# {re.escape(name)}: second / first, median of 1 rounds: \d+\.\d{{3}}; "
+                r"the second tree was faster in [01] of 1 rounds", row[0]) for row in rows)
 
 
 @pytest.mark.parametrize("fasta", [False, True], ids=["raw", "fasta"])
@@ -800,67 +809,43 @@ def test_query_children_times_queries_in_process(demo_files, tmp_path, fasta):
                           "-L", "4", "--locate"])
     code, rows, err = run_query_children(*commands_of(command))
     assert code == 0, err
-    # the demo pattern has three MEMs of length 4 or more; the text has one,
-    # itself
-    assert in_process_summary(rows, command) == f"{4 if fasta else 3}; rows: same"
+    # the in-process runs print what the children print
+    assert outputs(rows, command) == ["same"] * 4
 
 
 def test_query_children_exits_1_when_the_rows_in_process_differ(tmp_path):
     # the text with one more symbol at its end has the same MEMs and
-    # occurrence counts, so the children print the same rows, but other
-    # suffix-order intervals
+    # occurrence counts, but other suffix-order intervals, which
+    # `--intervals` prints
     for tree, text in ((1, DEMO_TEXT), (2, DEMO_TEXT + b"C")):
         (tmp_path / f"text{tree}.txt").write_bytes(text)
     pattern = tmp_path / "pattern.txt"
     pattern.write_bytes(DEMO_PATTERN)
     prefix = str(tmp_path / "idx{tree}")
-    command = shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4"])
+    command = shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4", "--intervals"])
     code, rows, err = run_query_children(
         "--setup", shlex.join(["index", str(tmp_path / "text{tree}.txt"), "--raw", "-o", prefix]),
         *commands_of(command))
     assert code == 1, err
-    assert [row[-1] for row in rows if row[0] == command] == ["same", "same"]
-    assert in_process_summary(rows, command) == "3; rows: DIFFERENT"
+    assert outputs(rows, command) == ["DIFFERENT"] * 4
 
 
-def test_query_children_skips_a_tree_it_cannot_drive_in_process(demo_files, tmp_path):
-    # a copy of this tree whose fm.py names the pair class otherwise, as a
-    # tree from before IndexPair does: its children run, but the in-process
-    # pass cannot load its pair
+def test_query_children_drives_a_tree_with_other_library_names_in_process(
+        demo_files, tmp_path):
+    # a copy of this tree that names the pair and memo classes otherwise, as
+    # a tree from before them does: its `cli.main` is all the launcher calls
     _, pattern, prefix = demo_files
-    old = tmp_path / "old" / "memlight"
-    shutil.copytree(Path(memlight.__file__).parent, old,
-                    ignore=shutil.ignore_patterns("__pycache__"))
+    old = copy_of_this_tree(tmp_path)
     for module in old.glob("*.py"):
-        module.write_text(module.read_text().replace("IndexPair", "OldPair"))
+        source = module.read_text().replace("IndexPair", "OldPair")
+        module.write_text(source.replace("LocateMemo", "OldMemo"))
     command = shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4", "--locate"])
     code, rows, err = run_query_children(*commands_of(command), first=str(old.parent))
     assert code == 0, err
-    assert [row[-1] for row in rows if row[0] == command] == ["same", "same"]
-    assert [row[0] for row in rows if row[0].startswith("# (in process)")] == [
-        f"# (in process) {command}: skipped, {old.parent} cannot be driven: "
-        "module 'memlight_tree1' has no attribute 'IndexPair'"]
-    assert "Traceback" not in err
-
-
-def test_query_children_skips_a_locate_it_cannot_drive_in_process(demo_files, tmp_path):
-    # a copy of this tree without LocateMemo, as a tree from before the
-    # locate memo: the in-process pass drives its `mems` without
-    # `--locate`, and skips the one with it
-    _, pattern, prefix = demo_files
-    old = tmp_path / "old" / "memlight"
-    shutil.copytree(Path(memlight.__file__).parent, old,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    for module in old.glob("*.py"):
-        module.write_text(module.read_text().replace("LocateMemo", "OldMemo"))
-    plain, located = (shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4", *extra])
-                      for extra in ([], ["--locate"]))
-    code, rows, err = run_query_children(*commands_of(plain, located), first=str(old.parent))
-    assert code == 0, err
-    assert in_process_summary(rows, plain) == "3; rows: same"
-    assert [row[0] for row in rows if row[0].startswith("# (in process) " + located)] == [
-        f"# (in process) {located}: skipped, {old.parent} cannot be driven: "
-        "module 'memlight_tree1' has no attribute 'LocateMemo'"]
+    src = str(Path(memlight.__file__).resolve().parents[1])
+    assert [row[1] for row in rows if row[0] == "(in process) " + command] == [
+        str(old.parent), src]
+    assert outputs(rows, command) == ["same"] * 4
 
 
 def test_query_children_compares_index_files_within_each_tree(demo_files, tmp_path):
@@ -868,19 +853,16 @@ def test_query_children_compares_index_files_within_each_tree(demo_files, tmp_pa
     # reverse index file, as it should: each tree's runs agree with
     # themselves, and nothing is DIFFERENT
     text, _, _ = demo_files
-    old = tmp_path / "old" / "memlight"
-    shutil.copytree(Path(memlight.__file__).parent, old,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    fm = old / "fm.py"
+    fm = copy_of_this_tree(tmp_path) / "fm.py"
     source = fm.read_text()
     assert f"SAMPLE_RATE = {memlight.fm.SAMPLE_RATE}\n" in source
     fm.write_text(source.replace(f"SAMPLE_RATE = {memlight.fm.SAMPLE_RATE}\n",
                                  "SAMPLE_RATE = 3\n"))
     prefix = str(tmp_path / "ix{tree}")
     command = shlex.join(["index", str(text), "--raw", "-o", prefix])
-    code, rows, err = run_query_children(*commands_of(command), first=str(old.parent))
+    code, rows, err = run_query_children(*commands_of(command), first=str(fm.parents[1]))
     assert code == 0, err
-    assert [row[-1] for row in rows if row[0] == command] == ["same", "same"]
+    assert outputs(rows, command) == ["same"] * 4
     written = [Path(prefix.format(tree=t) + ".rev.memidx").read_bytes() for t in (1, 2)]
     assert written[0] != written[1]
 
