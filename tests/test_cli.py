@@ -830,15 +830,14 @@ def test_query_children_exits_1_when_the_rows_in_process_differ(tmp_path):
     assert outputs(rows, command) == ["DIFFERENT"] * 4
 
 
-def test_query_children_drives_a_tree_with_other_library_names_in_process(
-        demo_files, tmp_path):
-    # a copy of this tree that names the pair and memo classes otherwise, as
-    # a tree from before them does: its `cli.main` is all the launcher calls
+def assert_the_launcher_drives_a_copy_without(name, demo_files, tmp_path):
+    # a copy of this tree that names a library class otherwise, as a tree from
+    # before that class does: the launcher once skipped such a tree in process,
+    # and now calls its `cli.main` as it calls any tree's
     _, pattern, prefix = demo_files
     old = copy_of_this_tree(tmp_path)
     for module in old.glob("*.py"):
-        source = module.read_text().replace("IndexPair", "OldPair")
-        module.write_text(source.replace("LocateMemo", "OldMemo"))
+        module.write_text(module.read_text().replace(name, "Old" + name))
     command = shlex.join(["mems", prefix, str(pattern), "--raw", "-L", "4", "--locate"])
     code, rows, err = run_query_children(*commands_of(command), first=str(old.parent))
     assert code == 0, err
@@ -846,6 +845,15 @@ def test_query_children_drives_a_tree_with_other_library_names_in_process(
     assert [row[1] for row in rows if row[0] == "(in process) " + command] == [
         str(old.parent), src]
     assert outputs(rows, command) == ["same"] * 4
+    assert "Traceback" not in err
+
+
+def test_query_children_skips_a_tree_it_cannot_drive_in_process(demo_files, tmp_path):
+    assert_the_launcher_drives_a_copy_without("IndexPair", demo_files, tmp_path)
+
+
+def test_query_children_skips_a_locate_it_cannot_drive_in_process(demo_files, tmp_path):
+    assert_the_launcher_drives_a_copy_without("LocateMemo", demo_files, tmp_path)
 
 
 def test_query_children_compares_index_files_within_each_tree(demo_files, tmp_path):
