@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .fasta import read_patterns, read_text
 from .finders import find_in_raw
-from .fm import SAMPLE_RATE, IndexFormatError, IndexPair, LocateMemo, write_index_pair
+from .fm import SAMPLE_RATE, IndexFormatError, IndexPair, write_index_pair
 
 # `mems` and `lcs` import only the standard library: `index` and
 # `experiment` import their numpy modules when they run
@@ -37,8 +37,8 @@ def _print_mems(args) -> int:
     `lcs` is `mems -L 1` that keeps one longest MEM per pattern.
 
     Each pattern's rows go out in one write: on an unbuffered stdout, one
-    print per row would cost two system calls.  Every `--locate` of the
-    command shares one memo of the rows found so far.
+    print per row would cost two system calls.  The command loads its pair
+    once, so every `--locate` stops at the rows that earlier ones found.
     """
     # checked here too: a patterns file with no records never reaches
     # find_in_raw, which checks it for library callers
@@ -53,7 +53,6 @@ def _print_mems(args) -> int:
         raise ValueError(f"the index at {args.index} holds lower-case letters, which FASTA "
                          "patterns never hold (a-z is folded to A-Z); read the patterns "
                          "with --raw")
-    memo = LocateMemo(pair.rev) if args.locate else None
     for rid, raw in patterns:
         rows = []
         for mem in find_in_raw(raw, pair, args.min_len, args.longest).mems:
@@ -63,7 +62,7 @@ def _print_mems(args) -> int:
             if args.intervals:
                 fields.append(f"{iv.lo}:{iv.hi}")
             if args.locate:
-                fields.extend(str(p + 1) for p in pair.locate(mem, memo))
+                fields.extend(str(p + 1) for p in pair.locate(mem))
             rows.append("\t".join(fields) + "\n")
         sys.stdout.write("".join(rows))
     return EXIT_OK

@@ -28,8 +28,8 @@ that starts at C[c] (Jacobson's rank), so that a backward step or an LF
 step is a count read plus one popcount for each end of the interval.
 The sentinel's row is in no bitmap and needs no correction.
 Locating reads one code byte and one sample flag per row, both derived on
-first locate; a caller's LocateMemo makes every row that a locate finds a
-sample for its later locates.
+first locate, and every row that a locate finds becomes a sample for the
+index's later locates.
 Backward search reports how many characters of a query prefix matched,
 which is the single primitive the deterministic MEM finder needs.
 It starts from a table, also built on first search, of the interval of
@@ -111,23 +111,32 @@ def _row_layout(n: int, count: int) -> tuple[int, int, int]:
     return columns, planes, columns * count + planes * ((count + 7) >> 3)
 
 
+def _decode_planes(planes, count: int) -> bytes:
+    """count bytes, bit j of byte r being bit r of planes[j] (at most 8
+    planes, none set past bit count - 1): each plane is formatted as binary
+    digits, row count - 1 first, the digits are translated to bytes holding
+    bit j, and the planes' bytes, read as big-endian ints, are ORed."""
+    numbers = 0
+    for plane, table in zip(planes, _DIGITS):
+        numbers |= int.from_bytes(format(plane, f"0{count}b").encode().translate(table), "big")
+    return numbers.to_bytes(count, "little")
+
+
 def _unpack_rows(data, n: int, count: int) -> array:
     """The count rows stored as _row_layout gives, into an array('I'): one
     strided copy per byte column (every row's byte at that position), and
     the planes, bit r of plane t being bit t of row r's byte after the
-    columns, formatted as binary digits and translated as _bwt does.  A
-    plane bit set past the last row raises."""
+    columns, by _decode_planes.  A plane bit set past the last row raises."""
     columns, planes, _ = _row_layout(n, count)
-    size, top, wide = (count + 7) >> 3, 0, bytearray(4 * count)
+    size, wide = (count + 7) >> 3, bytearray(4 * count)
     for j in range(columns):
         wide[j::4] = data[j * count : (j + 1) * count]
-    for t in range(planes):
-        at = columns * count + t * size
-        plane = int.from_bytes(data[at : at + size], "little")
-        if plane >> count:
-            raise IndexFormatError("suffix-array sample planes set padding bits past the last row")
-        top |= int.from_bytes(format(plane, f"0{count}b").encode().translate(_DIGITS[t]), "big")
-    wide[columns::4] = top.to_bytes(count, "little")
+    at = columns * count
+    top = [int.from_bytes(data[at + t * size : at + (t + 1) * size], "little")
+           for t in range(planes)]
+    if any(plane >> count for plane in top):
+        raise IndexFormatError("suffix-array sample planes set padding bits past the last row")
+    wide[columns::4] = _decode_planes(top, count)
     rows = array("I", wide)
     if sys.byteorder == "big":
         rows.byteswap()
@@ -162,13 +171,15 @@ def _inflate(stream, size: int) -> bytes:
 
 
 class FmIndex:
-    """Immutable backward-search index; concurrent queries are safe.
+    """Backward-search index; concurrent queries are safe.
 
-    Query stats are owned by the caller and passed in explicitly, keeping
-    the index itself stateless.  An index exists only as `from_bytes`
-    parsed it from saved bytes, which `build_fm` writes and `load` reads,
-    so every index has passed the load checks and cannot locate outside
-    the text; `to_bytes` and `save` give back the bytes parsed.
+    Once parsed, an index changes only by what it builds on first use and
+    by the rows its locates find, whose values depend on the row alone.
+    Query stats are owned by the caller and passed in explicitly.  An index
+    exists only as `from_bytes` parsed it from saved bytes, which
+    `build_fm` writes and `load` reads, so every index has passed the load
+    checks and cannot locate outside the text; `to_bytes` and `save` give
+    back the bytes parsed.
 
     `separators` are the alphabet bytes that join records of a concatenated
     text; callers splitting raw patterns treat them as foreign bytes.
@@ -218,16 +229,12 @@ class FmIndex:
     def _bwt(self) -> bytes:
         """One code byte per row, the sentinel row's 0 included, for LF steps.
 
-        Each plane is formatted as binary digits, row n first, the digits
-        are translated to bytes holding the plane's bit, and the planes'
-        bytes, read as big-endian ints, are ORed into every row's number;
-        one translation by the order turns numbers into codes, and the
-        sentinel's row is then set to 0.
+        _decode_planes gives every row's number; one translation by the
+        order turns numbers into codes, and the sentinel's row is then set
+        to 0.
         """
-        nrows, numbers = self.n + 1, 0
-        for plane, table in zip(self._planes, _DIGITS):
-            numbers |= int.from_bytes(format(plane, f"0{nrows}b").encode().translate(table), "big")
-        bwt = bytearray(numbers.to_bytes(nrows, "little").translate(self._order.ljust(256, b"\0")))
+        numbers = _decode_planes(self._planes, self.n + 1)
+        bwt = bytearray(numbers.translate(self._order.ljust(256, b"\0")))
         bwt[self.sentinel_row] = 0
         return bytes(bwt)
 
@@ -267,17 +274,21 @@ class FmIndex:
             lanes = extended
         return k, {key: (lo, hi) for key, lo, hi in lanes}
 
-    def _samples(self) -> tuple[bytearray, dict[int, int]]:
-        """One byte per row, 1 where the row is sampled, and the text
-        position of each sampled row: built once for the locates without a
-        memo (`_sampled`), and by the first locate through each LocateMemo,
-        which adds to its own."""
+    @cached_property
+    def _sampled(self) -> tuple[bytearray, dict[int, int]]:
+        """The rows where a walk stops, which every locate reads and extends.
+
+        One flag byte per row: 0 where a walk goes on, else 1 plus the steps
+        charged to a walk stopping there (0 at a sample, the row's own walk
+        at a row a locate found); and, per flagged row, the position of the
+        sample its walk reaches, so that row r is at positions[r] +
+        flags[r] - 1.  Built by the first locate, after the BWT bytes, whose
+        build peaks higher than it ends.
+        """
         flags = bytearray(self.n + 1)
         for row in self._sample_rows:
             flags[row] = 1
         return flags, dict(zip(self._sample_rows, range(0, self.n + 1, self.s)))
-
-    _sampled = cached_property(_samples)
 
     # -- queries ------------------------------------------------------------
 
@@ -343,8 +354,9 @@ class FmIndex:
             stats.backward_steps += matched + (matched < prefix_len)
         return matched, BwtInterval(lo, hi)
 
-    def locate_all(self, iv: BwtInterval, memo: LocateMemo | None = None) -> list[int]:
-        """Text positions of every row in the interval, ascending.
+    def locate_all(self, iv: BwtInterval) -> list[int]:
+        """Text positions of every row in the interval, ascending; an
+        interval outside rows 0 to n raises ValueError.
 
         The rows walk LF steps to sampled rows in groups: a run of rows from
         lo, one mask byte per row, a base row and the steps taken.  A
@@ -362,24 +374,20 @@ class FmIndex:
         text order; one that would raises.  Row 0, the empty suffix,
         resolves to position n and is excluded.
 
-        A memo, which the caller made from this index by `LocateMemo` and
-        passes to each locate of one command, flags the rows that earlier
-        locates found as well as the samples: a walk stops at either, and is
-        charged the found row's own walk too, so that the answer, or the
-        error raised, is the one a locate without the memo gives.  Every
-        start row this locate finds in fewer than 255 steps goes into the
-        memo.
+        `_sampled` flags the rows that earlier locates found as well as the
+        samples: a walk stops at either, and is charged the found row's own
+        walk too, so that the answer, or the error raised, is the one a
+        fresh index gives.  Every start row this locate finds in fewer than
+        255 steps goes into it, where it stays as long as the index: about
+        65 bytes per kept row, at most n + 1 rows.  A kept row's values
+        depend on the row alone, so locates that race write the same ones,
+        and its position is written before its flag.
         """
+        if not 0 <= iv.lo <= iv.hi <= self.n + 1:
+            raise ValueError("interval out of range")
         # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix
         bwt, (words, cols), below = self._bwt, self._rank, _BELOW
-        if memo is None:
-            flags, positions = self._sampled
-        elif memo.index is self:
-            if memo.flags is None:
-                memo.flags, memo.positions = self._samples()
-            flags, positions = memo.flags, memo.positions
-        else:
-            raise ValueError("a locate memo serves only the index it was made from")
+        flags, positions = self._sampled
         n, walk, sentinel = self.n, min(self.s, self.n + 1), self.sentinel_row
         # per row found: its start row, the position of the sample its walk
         # reached and the steps to it, its own and those charged at the row
@@ -428,16 +436,16 @@ class FmIndex:
                                    steps))
                 break
         # a walk that stopped at a found row is charged that row's walk too,
-        # which can take it past the steps a locate without the memo allows
-        if memo is not None and any(total >= walk for _, _, total in found):
+        # which can take it past the steps a walk to a sample allows
+        if any(total >= walk for _, _, total in found):
             raise IndexFormatError("suffix-array samples are unreachable")
         out = sorted([sample + total for _, sample, total in found])
         if out and out[-1] > n:
             raise IndexFormatError("suffix-array samples point past the text")
-        if memo is not None:
-            for start, sample, total in found:
-                if not flags[start] and total < 255:
-                    flags[start], positions[start] = total + 1, sample
+        for start, sample, total in found:
+            if not flags[start] and total < 255:
+                positions[start] = sample
+                flags[start] = total + 1
         while out and out[-1] == n:
             out.pop()
         return out
@@ -538,31 +546,6 @@ class FmIndex:
         return cls.from_bytes(Path(source).read_bytes())
 
 
-class LocateMemo:
-    """The rows that one command's locates have found in an index, each as
-    good as a sample for the command's later locates.
-
-    LF walks from nearby text positions run through each other's rows, so a
-    walk that reaches a found row can stop there.  The caller owns the memo,
-    as it owns QueryStats, and the index stays immutable.  `flags` holds one
-    byte per row: 0 where a walk goes on, else 1 plus the steps that a walk
-    stopping there is charged, 0 at a sample and the row's own walk at a
-    found row, so that a row found in 255 steps or more is not kept.
-    `positions` holds, for each sampled or found row, the text position of
-    the sample its walk reaches, an int the samples already hold, so that
-    row r is at positions[r] + flags[r] - 1.  Both are built by the first
-    locate, as `_sampled` is: after the BWT bytes, whose build peaks higher
-    than it ends, so that they do not raise a command's peak memory.  A
-    memo serves one locate at a time.
-    """
-
-    __slots__ = ("index", "flags", "positions")
-
-    def __init__(self, index: FmIndex):
-        self.index = index
-        self.flags = self.positions = None
-
-
 def build_fm(text: Text, sample_rate: int = SAMPLE_RATE, sa: SuffixArray | None = None,
              separators: bytes = b"") -> FmIndex:
     """FM-index of the text, built from its suffix array.
@@ -647,14 +630,11 @@ class IndexPair(_PairFields):
         """The pair that `write_index_pair` saved at a path prefix."""
         return cls(*map(FmIndex.load, index_paths(prefix)))
 
-    def locate(self, mem: MemRecord, memo: LocateMemo | None = None) -> list[int]:
+    def locate(self, mem: MemRecord) -> list[int]:
         """The 0-based text positions of a MEM, ascending: the reverse index
-        finds the reversed MEM at p, so the MEM is at n - length - p.  A
-        command that locates many MEMs passes each the one memo it made by
-        `LocateMemo(pair.rev)`, which makes them faster and changes no
-        answer."""
+        finds the reversed MEM at p, so the MEM is at n - length - p."""
         last = self.rev.n - mem.length
-        return [last - p for p in reversed(self.rev.locate_all(mem.bwt_interval, memo))]
+        return [last - p for p in reversed(self.rev.locate_all(mem.bwt_interval))]
 
 
 def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = SAMPLE_RATE,

@@ -162,24 +162,27 @@ def test_mems_locate_positions_are_one_based(demo_files, capsys):
 
 
 def test_a_locate_command_shares_one_memo(demo_files, tmp_path, capsys, monkeypatch):
-    # every MEM of every pattern is located through the one memo that the
-    # command made from the reverse index
+    # the command loads one pair, and every MEM of every pattern is located
+    # through its reverse index, which keeps every row those locates found
     _, _, prefix = demo_files
     patterns = tmp_path / "patterns.fa"
     patterns.write_bytes(b">p1\n" + DEMO_PATTERN + b"\n>p2\n" + DEMO_TEXT + b"\n")
-    seen, locate = [], memlight.IndexPair.locate
+    loaded, load = [], memlight.IndexPair.load
 
-    def spy(pair, mem, memo=None):
-        seen.append((pair, memo))
-        return locate(pair, mem, memo)
-    monkeypatch.setattr(memlight.IndexPair, "locate", spy)
+    def spy(prefix):
+        loaded.append(load(prefix))
+        return loaded[-1]
+    monkeypatch.setattr(memlight.IndexPair, "load", spy)
     capsys.readouterr()
-    code, rows = run_lines(capsys, ["mems", prefix, str(patterns), "-L", "4", "--locate"])
+    code, rows = run_lines(capsys, ["mems", prefix, str(patterns), "-L", "4", "--locate",
+                                    "--intervals"])
     assert code == 0
-    assert [r[5:] for r in rows] == [["8"], ["4"], ["1"], ["1"]]
-    pair, memo = seen[0]
-    assert isinstance(memo, memlight.LocateMemo) and memo.index is pair.rev
-    assert seen == [(pair, memo)] * 4
+    assert [r[6:] for r in rows] == [["8"], ["4"], ["1"], ["1"]]
+    [pair] = loaded
+    flags, _ = pair.rev._sampled
+    located = {row for r in rows for row in range(*map(int, r[5].split(":")))}
+    kept = located - set(pair.rev._sample_rows)
+    assert kept and {row for row, flag in enumerate(flags) if flag > 1} == kept
 
 
 def test_mems_intervals_column(demo_files, capsys):
@@ -853,7 +856,7 @@ def test_query_children_skips_a_tree_it_cannot_drive_in_process(demo_files, tmp_
 
 
 def test_query_children_skips_a_locate_it_cannot_drive_in_process(demo_files, tmp_path):
-    assert_the_launcher_drives_a_copy_without("LocateMemo", demo_files, tmp_path)
+    assert_the_launcher_drives_a_copy_without("locate_all", demo_files, tmp_path)
 
 
 def test_query_children_compares_index_files_within_each_tree(demo_files, tmp_path):

@@ -1,7 +1,10 @@
 import random
 import re
 import struct
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import accumulate
 from types import SimpleNamespace
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from memlight import fm
 from memlight import (Alphabet, BwtInterval, FingerprintLce, FmIndex, IndexFormatError,
-                      IndexPair, LocateMemo, NaiveLce, Pattern, QueryStats, SuffixArray, Text,
+                      IndexPair, NaiveLce, Pattern, QueryStats, SuffixArray, Text,
                       brute_force_mems, build_fm, build_suffix_structures,
                       compute_match_pointers, find_all_mems, find_in_raw, find_long_mems_fm,
                       find_long_mems_lce, invert_bwt)
@@ -562,12 +565,19 @@ def outcome(locate, iv):
         return str(exc)
 
 
+def fresh(index):
+    """A new index parsed from the same bytes: one whose locates have found
+    no row yet."""
+    return FmIndex.from_bytes(index.to_bytes())
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_a_memo_shared_by_a_commands_locates_changes_no_answer(data):
-    # a command's locates share one memo: the rows of nested, overlapping
-    # and repeated intervals of a repeat-rich text, across separators, stop
-    # at rows that earlier intervals found, and answer as without a memo
+    # an index keeps the rows its locates found: the rows of nested,
+    # overlapping and repeated intervals of a repeat-rich text, across
+    # separators, stop at rows that earlier intervals found, and answer as
+    # a fresh index does
     unit = data.draw(st.binary(min_size=1, max_size=10), label="unit")
     raw = bytearray(bytes(b"ACGT"[x & 3] for x in unit) * data.draw(st.integers(2, 40)))
     for at in data.draw(st.lists(st.integers(0, len(raw) - 1), max_size=3), label="edits"):
@@ -600,19 +610,19 @@ def test_a_memo_shared_by_a_commands_locates_changes_no_answer(data):
         else:
             iv = data.draw(st.sampled_from(intervals))
         intervals.append(iv)
-    memo = LocateMemo(index)
     for iv in intervals:
-        assert index.locate_all(iv, memo) == index.locate_all(iv)
-    # the memo holds the samples at flag 1 and every start row found in
+        assert index.locate_all(iv) == fresh(index).locate_all(iv)
+    # the index holds the samples at flag 1 and every start row found in
     # fewer than 255 steps at 1 plus its walk, which from position p is
     # p % rate, beside the position of the sample it reached
     sa = naive_suffix_array(text.code_bytes)
     found = {row for iv in intervals for row in range(iv.lo, iv.hi) if 0 < sa[row] % rate < 255}
-    assert {row for row, flag in enumerate(memo.flags) if flag > 1} == found
-    assert all(memo.flags[row] == sa[row] % rate + 1
-               and memo.positions[row] == sa[row] - sa[row] % rate for row in found)
-    assert [row for row, flag in enumerate(memo.flags) if flag == 1] == sorted(index._sample_rows)
-    assert sorted(memo.positions) == sorted([*index._sample_rows, *found])
+    flags, positions = index._sampled
+    assert {row for row, flag in enumerate(flags) if flag > 1} == found
+    assert all(flags[row] == sa[row] % rate + 1
+               and positions[row] == sa[row] - sa[row] % rate for row in found)
+    assert [row for row, flag in enumerate(flags) if flag == 1] == sorted(index._sample_rows)
+    assert sorted(positions) == sorted([*index._sample_rows, *found])
 
 
 def test_a_memo_row_charges_its_own_walk(demo_index):
@@ -620,24 +630,24 @@ def test_a_memo_row_charges_its_own_walk(demo_index):
     # row of position 4, whose sample was moved to position 5's row, walks
     # one step to the row of position 3, which walks 3 steps to the sample
     # of position 0; found first, that row must not spare the walk from
-    # position 4 its fourth step, so the memo's answer is still an error
+    # position 4 its fourth step, so the answer is still an error
     _, index = demo_index
     row_of = row_of_position(index)
 
     def edit(planes, rows):
         rows[1] = row_of[5]
     broken = FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
-    memo = LocateMemo(broken)
-    assert broken.locate_all(BwtInterval(row_of[3], row_of[3] + 1), memo) == [3]
-    assert [(row, flag) for row, flag in enumerate(memo.flags) if flag > 1] == [(row_of[3], 4)]
+    assert broken.locate_all(BwtInterval(row_of[3], row_of[3] + 1)) == [3]
+    assert [(row, flag) for row, flag in enumerate(broken._sampled[0]) if flag > 1] == [
+        (row_of[3], 4)]
     sym = broken._bwt[row_of[4]]
     assert broken._c[sym] + broken.rank(sym, row_of[4]) == row_of[3]
     for interval in (BwtInterval(row_of[4], row_of[4] + 1), BwtInterval(0, index.n + 1)):
         with pytest.raises(IndexFormatError, match="^suffix-array samples are unreachable$"):
-            broken.locate_all(interval, memo)
+            broken.locate_all(interval)
     # the rows whose walks the file leaves short enough answer as they do
-    # without the memo, the row of position 6 at 5 included
-    assert broken.locate_all(BwtInterval(row_of[6], row_of[6] + 1), memo) == [5]
+    # on a fresh index, the row of position 6 at 5 included
+    assert broken.locate_all(BwtInterval(row_of[6], row_of[6] + 1)) == [5]
 
 
 def test_a_memo_keeps_no_row_found_in_255_steps_or_more():
@@ -646,12 +656,12 @@ def test_a_memo_keeps_no_row_found_in_255_steps_or_more():
     # kept, since their walks do not fit in a flag byte
     text = Text.from_bytes(bytes(b"ACGT"[i * i % 7 & 3] for i in range(300)))
     index = build_fm(text, sample_rate=text.n + 1)
-    row_of = row_of_position(index)
-    memo = LocateMemo(index)
+    row_of = row_of_position(fresh(index))
     for pos in (254, 255, 299):
-        assert index.locate_all(BwtInterval(row_of[pos], row_of[pos] + 1), memo) == [pos]
-    assert [memo.flags[row_of[pos]] for pos in (254, 255, 299)] == [255, 0, 0]
-    assert memo.positions == {row_of[0]: 0, row_of[254]: 0}
+        assert index.locate_all(BwtInterval(row_of[pos], row_of[pos] + 1)) == [pos]
+    flags, positions = index._sampled
+    assert [flags[row_of[pos]] for pos in (254, 255, 299)] == [255, 0, 0]
+    assert positions == {row_of[0]: 0, row_of[254]: 0}
 
 
 def resealed_files():
@@ -685,8 +695,8 @@ def resealed_files():
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "wide first"])
 def test_a_memo_keeps_every_error_of_a_resealed_file(order):
-    # one memo through every row alone and every interval of a few rows,
-    # in three orders: each locate answers, or raises, as without the memo
+    # one index through every row alone and every interval of a few rows,
+    # in three orders: each locate answers, or raises, as on a fresh index
     for broken in resealed_files():
         rows = range(broken.n + 1)
         intervals = [BwtInterval(lo, min(lo + width, broken.n + 1))
@@ -695,17 +705,65 @@ def test_a_memo_keeps_every_error_of_a_resealed_file(order):
             intervals.reverse()
         elif order == "wide first":
             intervals = [BwtInterval(0, broken.n + 1), *intervals[::-1]]
-        memo = LocateMemo(broken)
-        answers = [outcome(partial(broken.locate_all, memo=memo), iv) for iv in intervals]
-        assert answers == [outcome(broken.locate_all, iv) for iv in intervals]
+        answers = [outcome(broken.locate_all, iv) for iv in intervals]
+        assert answers == [outcome(fresh(broken).locate_all, iv) for iv in intervals]
         assert any(isinstance(answer, str) for answer in answers)
 
 
-def test_a_memo_serves_only_its_own_index(demo_index):
-    text, index = demo_index
-    other = build_fm(text, sample_rate=4)
-    with pytest.raises(ValueError, match="only the index it was made from"):
-        other.locate_all(BwtInterval(0, 3), LocateMemo(index))
+def test_concurrent_locates_answer_as_a_fresh_index():
+    # 4 threads locate shuffled, overlapping intervals on one index, whose
+    # first locates race to build the kept rows and then to add to them:
+    # every answer is a fresh index's, and every kept row locates right
+    rng = random.Random(5)
+    unit = bytes(rng.choice(b"ACGT") for _ in range(60))
+    raw = b"".join(unit[: rng.randrange(20, 60)] + b"G" for _ in range(40))
+    text = Text.from_bytes(raw)
+    sa = naive_suffix_array(text.code_bytes)
+    reference = build_fm(text, sample_rate=16)
+    intervals = [BwtInterval(0, text.n + 1)]
+    for start in range(0, text.n - 8, 5):
+        size = rng.randrange(3, 9)
+        intervals.append(reference.backward_search_prefix(
+            text.code_bytes[start : start + size], size)[1])
+    expected = {iv: fresh(reference).locate_all(iv) for iv in set(intervals)}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for attempt in range(3):
+            index, barrier = fresh(reference), threading.Barrier(4)
+
+            def locate_shuffled(seed):
+                order = random.Random(seed).sample(intervals, len(intervals))
+                barrier.wait()
+                return [(iv, index.locate_all(iv)) for iv in order]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = list(pool.map(locate_shuffled, range(4 * attempt, 4 * attempt + 4)))
+            assert all(answer == expected[iv] for run in runs for iv, answer in run)
+            flags, positions = index._sampled
+            kept = [row for row, flag in enumerate(flags) if flag]
+            assert len(kept) > len(index._sample_rows)
+            assert all(positions[row] + flags[row] - 1 == sa[row] for row in kept)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_locate_rejects_an_interval_outside_the_rows():
+    # an interval outside rows 0 to n raises before it walks: a row below
+    # 0 would read the flags from their end, and a row it kept would
+    # mislead every later locate of the index
+    index = build_fm(Text.from_bytes(DEMO_TEXT), sample_rate=4)
+    n = index.n
+    bad = [*(BwtInterval(lo, lo + 1) for lo in range(-10, 0)), BwtInterval(-3, 2),
+           BwtInterval(0, n + 2), BwtInterval(0, n + 3), BwtInterval(n + 1, n + 2),
+           BwtInterval(5, 3)]
+    for iv in bad:
+        with pytest.raises(ValueError, match="^interval out of range$"):
+            index.locate_all(iv)
+    assert not [row for row, flag in enumerate(index._sampled[0]) if flag > 1]
+    for row in range(n + 1):
+        iv = BwtInterval(row, row + 1)
+        assert index.locate_all(iv) == fresh(index).locate_all(iv)
+    assert index.locate_all(BwtInterval(0, n + 1)) == list(range(n))
 
 
 # -- serialization -------------------------------------------------------------------
