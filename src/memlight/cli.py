@@ -37,8 +37,9 @@ def _print_mems(args) -> int:
     `lcs` is `mems -L 1` that keeps one longest MEM per pattern.
 
     Each pattern's rows go out in one write: on an unbuffered stdout, one
-    print per row would cost two system calls.  The command loads its pair
-    once, so every `--locate` stops at the rows that earlier ones found.
+    print per row would cost two system calls.  Every pattern is searched
+    first, and `--locate` then locates the whole command's MEMs in one
+    batch, whose walks stop at each other's start rows.
     """
     # checked here too: a patterns file with no records never reaches
     # find_in_raw, which checks it for library callers
@@ -53,16 +54,20 @@ def _print_mems(args) -> int:
         raise ValueError(f"the index at {args.index} holds lower-case letters, which FASTA "
                          "patterns never hold (a-z is folded to A-Z); read the patterns "
                          "with --raw")
-    for rid, raw in patterns:
+    found = [(rid, find_in_raw(raw, pair, args.min_len, args.longest).mems)
+             for rid, raw in patterns]
+    if args.locate:
+        located = iter(pair.locate_many([mem for _, mems in found for mem in mems]))
+    for rid, mems in found:
         rows = []
-        for mem in find_in_raw(raw, pair, args.min_len, args.longest).mems:
+        for mem in mems:
             iv = mem.bwt_interval
             fields = [rid, str(mem.start + 1), str(mem.end), str(mem.length),
                       str(iv.width)]
             if args.intervals:
                 fields.append(f"{iv.lo}:{iv.hi}")
             if args.locate:
-                fields.extend(str(p + 1) for p in pair.locate(mem))
+                fields.extend(str(p + 1) for p in next(located))
             rows.append("\t".join(fields) + "\n")
         sys.stdout.write("".join(rows))
     return EXIT_OK

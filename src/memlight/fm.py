@@ -28,8 +28,9 @@ that starts at C[c] (Jacobson's rank), so that a backward step or an LF
 step is a count read plus one popcount for each end of the interval.
 The sentinel's row is in no bitmap and needs no correction.
 Locating reads one code byte and one sample flag per row, both derived on
-first locate, and every row that a locate finds becomes a sample for the
-index's later locates.
+first locate.  A batch of intervals walks each start row once, and a walk
+stops at a sample or at another start row of the batch, whose walk it is
+then charged; a locate writes nothing into the index.
 Backward search reports how many characters of a query prefix matched,
 which is the single primitive the deterministic MEM finder needs.
 It starts from a table, also built on first search, of the interval of
@@ -62,7 +63,7 @@ if TYPE_CHECKING:
 # older format, and one whose eighth byte is higher in a newer one
 MAGIC = b"MEMLIDXB"
 # the default sample rate of the index that locates
-SAMPLE_RATE = 80
+SAMPLE_RATE = 128
 # n, alphabet size, sample rate, separator count
 _HEADER = struct.Struct("<4Q")
 # _BELOW[i] keeps the bits of a 256-row word's rows before row i
@@ -80,6 +81,9 @@ _ONEHOT = tuple(bytes(c) + b"\1" + bytes(255 - c) for c in range(256))
 # a locate group's first mask bytes, and the translation of every nonzero
 # byte to 1
 _OFFSETS, _NONZERO = bytes(range(1, 256)), b"\0" + b"\1" * 255
+# a batch's stop flags: _BATCH flags a start row 2 unless it is a sample (1),
+# and _SAMPLES translates a sample's flag to 1 and every other to 0
+_BATCH, _SAMPLES = b"\2\1" + bytes(254), b"\0\1" + bytes(254)
 
 
 class IndexFormatError(ValueError):
@@ -173,10 +177,9 @@ def _inflate(stream, size: int) -> bytes:
 class FmIndex:
     """Backward-search index; concurrent queries are safe.
 
-    Once parsed, an index changes only by what it builds on first use and
-    by the rows its locates find, whose values depend on the row alone.
-    Query stats are owned by the caller and passed in explicitly.  An index
-    exists only as `from_bytes` parsed it from saved bytes, which
+    Once parsed, an index changes only by what it builds on first use; a
+    locate writes nothing into it.  Query stats are owned by the caller and
+    passed in explicitly.  An index exists only as `from_bytes` parsed it from saved bytes, which
     `build_fm` writes and `load` reads, so every index has passed the load
     checks and cannot locate outside the text; `to_bytes` and `save` give
     back the bytes parsed.
@@ -276,14 +279,9 @@ class FmIndex:
 
     @cached_property
     def _sampled(self) -> tuple[bytearray, dict[int, int]]:
-        """The rows where a walk stops, which every locate reads and extends.
-
-        One flag byte per row: 0 where a walk goes on, else 1 plus the steps
-        charged to a walk stopping there (0 at a sample, the row's own walk
-        at a row a locate found); and, per flagged row, the position of the
-        sample its walk reaches, so that row r is at positions[r] +
-        flags[r] - 1.  Built by the first locate, after the BWT bytes, whose
-        build peaks higher than it ends.
+        """The samples: one flag byte per row, 1 at a sample and 0 elsewhere,
+        and the text position of each sampled row.  Built by the first
+        locate, after the BWT bytes, whose build peaks higher than it ends.
         """
         flags = bytearray(self.n + 1)
         for row in self._sample_rows:
@@ -296,7 +294,7 @@ class FmIndex:
         """Occurrences of symbol in the first prefix_len BWT rows.
 
         The single-step reference for the loops in backward_search_prefix
-        and locate_all.
+        and locate_many.
         """
         words, cols = self._rank
         word = prefix_len >> 8
@@ -355,45 +353,63 @@ class FmIndex:
         return matched, BwtInterval(lo, hi)
 
     def locate_all(self, iv: BwtInterval) -> list[int]:
-        """Text positions of every row in the interval, ascending; an
-        interval outside rows 0 to n raises ValueError.
+        """Text positions of every row in the interval, ascending: the
+        locate_many of that one interval, which copies no flags."""
+        return self.locate_many([iv])[0]
 
-        The rows walk LF steps to sampled rows in groups: a run of rows from
-        lo, one mask byte per row, a base row and the steps taken.  A
-        walking row's mask byte is 1 plus the offset of its start row from
-        the base, a finished row's is 0, so that a group carries the start
-        rows of its rows, split and trimmed as its mask is; an interval of
-        more than 255 rows starts as one group per 255.  LF keeps the order
-        of the rows holding c, the k-th landing on C[c] + rank(c, lo) + k,
-        so a run of one symbol steps by one rank and any other splits by the
-        symbols its walking rows hold.  Finished rows stay in a group,
-        unreported, and are trimmed from its ends.  A group of one walking
-        row, or whose run holds the sentinel's row (in no bitmap, but
-        sampled, so no walk passes it), walks row by row.  No row walks more
-        than min(sample_rate, n + 1) - 1 steps, since the samples are in
-        text order; one that would raises.  Row 0, the empty suffix,
-        resolves to position n and is excluded.
+    def locate_many(self, intervals: list[BwtInterval]) -> list[list[int]]:
+        """The text positions of every row of each interval, ascending, one
+        list per interval; an interval outside rows 0 to n raises ValueError.
 
-        `_sampled` flags the rows that earlier locates found as well as the
-        samples: a walk stops at either, and is charged the found row's own
-        walk too, so that the answer, or the error raised, is the one a
-        fresh index gives.  Every start row this locate finds in fewer than
-        255 steps goes into it, where it stays as long as the index: about
-        65 bytes per kept row, at most n + 1 rows.  A kept row's values
-        depend on the row alone, so locates that race write the same ones,
-        and its position is written before its flag.
+        The batch's start rows are the union of its intervals, each row
+        walked once.  They walk LF steps in groups: a run of rows from lo,
+        one mask byte per row, a base row and the steps taken.  A walking
+        row's mask byte is 1 plus the offset of its start row from the base,
+        a finished row's is 0, so that a group carries the start rows of its
+        rows, split and trimmed as its mask is; a run of more than 255 rows
+        starts as one group per 255.  LF keeps the order of the rows holding
+        c, the k-th landing on C[c] + rank(c, lo) + k, so a run of one
+        symbol steps by one rank and any other splits by the symbols its
+        walking rows hold.  Finished rows stay in a group, unreported, and
+        are trimmed from its ends.  A group of one walking row, or whose run
+        holds the sentinel's row (in no bitmap, but sampled, so no walk
+        passes it), walks row by row.  Row 0, the empty suffix, resolves to
+        position n and is excluded.
+
+        A walk stops at a sample or, after at least one step, at another
+        start row of the batch, which a copy of the sample flags marks; a
+        batch of one interval makes no copy and stops at samples only.  A
+        walk that stops at a start row is at that row's position plus its
+        own steps, and is charged that row's walk, whose LF path it shares
+        from there.  No row is charged more than min(sample_rate, n + 1) - 1
+        steps, since the samples are in text order: one that would, or a
+        chain of start rows that meets no sample, raises, as does a position
+        past the text.  The first interval that raises alone raises here,
+        with its message, so every answer and every error is the one each
+        interval gets alone on a fresh index.
         """
-        if not 0 <= iv.lo <= iv.hi <= self.n + 1:
+        n, walk, sentinel = self.n, min(self.s, self.n + 1), self.sentinel_row
+        if not all(0 <= lo <= hi <= n + 1 for lo, hi in intervals):
             raise ValueError("interval out of range")
         # LF(r) = C[sym] + rank(sym, r), inlined as in backward_search_prefix
         bwt, (words, cols), below = self._bwt, self._rank, _BELOW
         flags, positions = self._sampled
-        n, walk, sentinel = self.n, min(self.s, self.n + 1), self.sentinel_row
-        # per row found: its start row, the position of the sample its walk
-        # reached and the steps to it, its own and those charged at the row
-        # where it stopped; the row's position is their sum
-        found = []
-        groups = [(lo, _OFFSETS[: iv.hi - lo], lo, 0) for lo in range(iv.lo, iv.hi, 255)]
+        runs = []
+        for lo, hi in sorted(intervals):
+            if runs and lo <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], hi)
+            elif lo < hi:
+                runs.append([lo, hi])
+        if len(intervals) > 1:
+            flags = bytearray(flags)
+            for lo, hi in runs:
+                flags[lo:hi] = flags[lo:hi].translate(_BATCH)
+        # per start row whose walk reached a sample: the sample's position
+        # and the steps to it, walk where it meets none in time; and per
+        # start row whose walk stopped at another: that row and the steps
+        done, links = {}, {}
+        groups = [(lo, _OFFSETS[: end - lo], lo, 0)
+                  for first, end in runs for lo in range(first, end, 255)]
         while groups:
             lo, mask, base, steps = groups.pop()
             while True:  # a turn per LF step while the group's run holds one symbol
@@ -405,26 +421,35 @@ class FmIndex:
                     for i in (0,) if span == 1 else compress(range(span), mask):
                         r = lo + i
                         for step in range(steps, walk):
-                            if flags[r]:
+                            if flags[r] and (step or flags[r] == 1):
                                 break
                             sym, w = bwt[r], r >> 8
                             r = cols[sym][w] + (words[sym][w] & below[r & 255]).bit_count()
                         else:
-                            raise IndexFormatError("suffix-array samples are unreachable")
-                        found.append((base + mask[i] - 1, positions[r], step + flags[r] - 1))
+                            done[base + mask[i] - 1] = 0, walk
+                            continue
+                        if flags[r] == 1:
+                            done[base + mask[i] - 1] = positions[r], step
+                        else:
+                            links[base + mask[i] - 1] = r, step
                     break
                 walking = int.from_bytes(mask.translate(_NONZERO), "little")
-                hits = int.from_bytes(flags[lo : lo + span].translate(_NONZERO), "little") & walking
+                hits = int.from_bytes(flags[lo : lo + span].translate(
+                    _NONZERO if steps else _SAMPLES), "little") & walking
                 if hits:
                     for i in compress(range(span), hits.to_bytes(span, "little")):
-                        found.append((base + mask[i] - 1, positions[lo + i],
-                                      steps + flags[lo + i] - 1))
+                        if flags[lo + i] == 1:
+                            done[base + mask[i] - 1] = positions[lo + i], steps
+                        else:
+                            links[base + mask[i] - 1] = lo + i, steps
                     if hits == walking:
                         break
                     # 255 times a hit's 1 clears its whole byte
                     mask = (int.from_bytes(mask, "little") & ~(hits * 255)).to_bytes(span, "little")
                 if steps + 1 == walk:
-                    raise IndexFormatError("suffix-array samples are unreachable")
+                    for i in compress(range(span), mask):
+                        done[base + mask[i] - 1] = 0, walk
+                    break
                 run, w, steps = bwt[lo : lo + span], lo >> 8, steps + 1
                 sym = run[0]
                 if run.count(sym) == span:
@@ -435,20 +460,29 @@ class FmIndex:
                                    bytes(compress(mask, run.translate(_ONEHOT[sym]))), base,
                                    steps))
                 break
-        # a walk that stopped at a found row is charged that row's walk too,
-        # which can take it past the steps a walk to a sample allows
-        if any(total >= walk for _, _, total in found):
-            raise IndexFormatError("suffix-array samples are unreachable")
-        out = sorted([sample + total for _, sample, total in found])
-        if out and out[-1] > n:
-            raise IndexFormatError("suffix-array samples point past the text")
-        for start, sample, total in found:
-            if not flags[start] and total < 255:
-                positions[start] = sample
-                flags[start] = total + 1
-        while out and out[-1] == n:
-            out.pop()
-        return out
+        # a chain of stops ends at a row that reached a sample, or meets no
+        # sample at all when it comes back to one of its own rows
+        for row in links:
+            chain = {}
+            while row not in done and row not in chain:
+                chain[row] = None
+                row = links[row][0]
+            sample, total = done.get(row, (0, walk))
+            for link in reversed(chain):
+                total += links[link][1]
+                done[link] = sample, total
+        answers = []
+        for lo, hi in intervals:
+            found = [done[row] for row in range(lo, hi)]
+            if any(total >= walk for _, total in found):
+                raise IndexFormatError("suffix-array samples are unreachable")
+            out = sorted([sample + total for sample, total in found])
+            if out and out[-1] > n:
+                raise IndexFormatError("suffix-array samples point past the text")
+            while out and out[-1] == n:
+                out.pop()
+            answers.append(out)
+        return answers
 
     # -- serialization -------------------------------------------------------
 
@@ -631,10 +665,16 @@ class IndexPair(_PairFields):
         return cls(*map(FmIndex.load, index_paths(prefix)))
 
     def locate(self, mem: MemRecord) -> list[int]:
-        """The 0-based text positions of a MEM, ascending: the reverse index
-        finds the reversed MEM at p, so the MEM is at n - length - p."""
-        last = self.rev.n - mem.length
-        return [last - p for p in reversed(self.rev.locate_all(mem.bwt_interval))]
+        """The 0-based text positions of a MEM, ascending: the batch of one."""
+        return self.locate_many([mem])[0]
+
+    def locate_many(self, mems: list[MemRecord]) -> list[list[int]]:
+        """The 0-based text positions of each MEM, ascending, from one batch
+        of the reverse index: it finds the reversed MEM at p, so the MEM is
+        at n - length - p."""
+        located = self.rev.locate_many([mem.bwt_interval for mem in mems])
+        return [[self.rev.n - mem.length - p for p in reversed(found)]
+                for mem, found in zip(mems, located)]
 
 
 def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = SAMPLE_RATE,

@@ -68,7 +68,7 @@ GOLDEN_INDEX_FILES = {
                         "41434754" "" "00030201",
                         "d50a4000" "00000001"),
         ".rev.memidx": ("4d454d4c49445842"
-                        "0c00000000000000" "0400000000000000" "5000000000000000" "0000000000000000"
+                        "0c00000000000000" "0400000000000000" "8000000000000000" "0000000000000000"
                         "41434754" "" "00030201",
                         "560b1000" "01000001"),
     },
@@ -162,27 +162,33 @@ def test_mems_locate_positions_are_one_based(demo_files, capsys):
 
 
 def test_a_locate_command_shares_one_memo(demo_files, tmp_path, capsys, monkeypatch):
-    # the command loads one pair, and every MEM of every pattern is located
-    # through its reverse index, which keeps every row those locates found
+    # the command loads one pair and locates every MEM of every pattern in
+    # one batch, which leaves the samples as a fresh index holds them
     _, _, prefix = demo_files
     patterns = tmp_path / "patterns.fa"
     patterns.write_bytes(b">p1\n" + DEMO_PATTERN + b"\n>p2\n" + DEMO_TEXT + b"\n")
-    loaded, load = [], memlight.IndexPair.load
+    loaded, batches = [], []
+    load, locate_many = memlight.IndexPair.load, memlight.IndexPair.locate_many
 
-    def spy(prefix):
+    def spy_load(prefix):
         loaded.append(load(prefix))
         return loaded[-1]
-    monkeypatch.setattr(memlight.IndexPair, "load", spy)
+
+    def spy_locate_many(pair, mems):
+        batches.append(mems)
+        return locate_many(pair, mems)
+    monkeypatch.setattr(memlight.IndexPair, "load", spy_load)
+    monkeypatch.setattr(memlight.IndexPair, "locate_many", spy_locate_many)
     capsys.readouterr()
     code, rows = run_lines(capsys, ["mems", prefix, str(patterns), "-L", "4", "--locate",
                                     "--intervals"])
     assert code == 0
     assert [r[6:] for r in rows] == [["8"], ["4"], ["1"], ["1"]]
     [pair] = loaded
-    flags, _ = pair.rev._sampled
-    located = {row for r in rows for row in range(*map(int, r[5].split(":")))}
-    kept = located - set(pair.rev._sample_rows)
-    assert kept and {row for row, flag in enumerate(flags) if flag > 1} == kept
+    [batch] = batches
+    assert [f"{mem.bwt_interval.lo}:{mem.bwt_interval.hi}" for mem in batch] == [
+        r[5] for r in rows]
+    assert pair.rev._sampled == memlight.FmIndex.from_bytes(pair.rev.to_bytes())._sampled
 
 
 def test_mems_intervals_column(demo_files, capsys):
@@ -856,7 +862,7 @@ def test_query_children_skips_a_tree_it_cannot_drive_in_process(demo_files, tmp_
 
 
 def test_query_children_skips_a_locate_it_cannot_drive_in_process(demo_files, tmp_path):
-    assert_the_launcher_drives_a_copy_without("locate_all", demo_files, tmp_path)
+    assert_the_launcher_drives_a_copy_without("locate_many", demo_files, tmp_path)
 
 
 def test_query_children_compares_index_files_within_each_tree(demo_files, tmp_path):
@@ -1056,3 +1062,36 @@ def test_locate_across_records_prints_the_brute_force_rows(tmp_path, rate):
     # the repeated piece occurs twice, so some row locates two positions
     assert any(int(row[4]) == 2 for row in rows)
     assert rows == expected_rows(b"\0".join(records), reads, "mems", 12, b"\0")
+
+
+@pytest.mark.parametrize("rate", [None, 5], ids=["default", "5"])
+def test_a_locate_batch_across_records_prints_each_records_rows(tmp_path, rate):
+    # reads from repeat copies of a genome, each read a record of one
+    # patterns file: one command locates them all in one batch, whose walks
+    # stop at other reads' rows, and prints what one command per read prints
+    rng = random.Random(11)
+    unit = bytes(rng.choice(b"ACGT") for _ in range(400))
+    genome = [unit[:300] + bytes(rng.choice(b"ACGT") for _ in range(200)) + unit[100:]
+              for _ in range(2)]
+    (tmp_path / "genome.fa").write_bytes(as_fasta([(f"r{i}", r) for i, r in enumerate(genome)],
+                                                  False, 70))
+    reads = []
+    for i in range(6):
+        record = genome[i % 2]
+        start = rng.randrange(0, len(record) - 60)
+        reads.append((f"q{i}", record[start : start + 60]))
+    rate_flags = [] if rate is None else ["--sample-rate", str(rate)]
+    assert main_output(["index", str(tmp_path / "genome.fa"), "--concat-sep", *rate_flags,
+                        "-o", str(tmp_path / "genome")])[0] == 0
+    query = ["mems", "-L", "10", "--locate", str(tmp_path / "genome")]
+    (tmp_path / "reads.fa").write_bytes(as_fasta(reads, False, 60))
+    code, out = main_output([*query, str(tmp_path / "reads.fa")])
+    assert code == 0
+    alone = []
+    for i, read in enumerate(reads):
+        (tmp_path / f"read{i}.fa").write_bytes(as_fasta([read], False, 60))
+        code, rows = main_output([*query, str(tmp_path / f"read{i}.fa")])
+        assert code == 0
+        alone.append(rows)
+    assert out == "".join(alone)
+    assert sum(int(line.split("\t")[4]) > 1 for line in out.splitlines()) >= 3

@@ -574,10 +574,10 @@ def fresh(index):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_a_memo_shared_by_a_commands_locates_changes_no_answer(data):
-    # an index keeps the rows its locates found: the rows of nested,
-    # overlapping and repeated intervals of a repeat-rich text, across
-    # separators, stop at rows that earlier intervals found, and answer as
-    # a fresh index does
+    # one batch holds the nested, overlapping and repeated intervals of a
+    # repeat-rich text, across separators: its walks stop at each other's
+    # start rows, yet each interval answers as it does alone on a fresh
+    # index, and the batch writes nothing into the index
     unit = data.draw(st.binary(min_size=1, max_size=10), label="unit")
     raw = bytearray(bytes(b"ACGT"[x & 3] for x in unit) * data.draw(st.integers(2, 40)))
     for at in data.draw(st.lists(st.integers(0, len(raw) - 1), max_size=3), label="edits"):
@@ -610,58 +610,84 @@ def test_a_memo_shared_by_a_commands_locates_changes_no_answer(data):
         else:
             iv = data.draw(st.sampled_from(intervals))
         intervals.append(iv)
-    for iv in intervals:
-        assert index.locate_all(iv) == fresh(index).locate_all(iv)
-    # the index holds the samples at flag 1 and every start row found in
-    # fewer than 255 steps at 1 plus its walk, which from position p is
-    # p % rate, beside the position of the sample it reached
-    sa = naive_suffix_array(text.code_bytes)
-    found = {row for iv in intervals for row in range(iv.lo, iv.hi) if 0 < sa[row] % rate < 255}
-    flags, positions = index._sampled
-    assert {row for row, flag in enumerate(flags) if flag > 1} == found
-    assert all(flags[row] == sa[row] % rate + 1
-               and positions[row] == sa[row] - sa[row] % rate for row in found)
-    assert [row for row, flag in enumerate(flags) if flag == 1] == sorted(index._sample_rows)
-    assert sorted(positions) == sorted([*index._sample_rows, *found])
+    assert index.locate_many(intervals) == [fresh(index).locate_all(iv) for iv in intervals]
+    assert index._sampled == fresh(index)._sampled
+
+
+class CountedBytes(bytes):
+    """BWT bytes that count the reads of an LF step: one per row walked
+    alone and one per run of a group."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        CountedBytes.reads += 1
+        return super().__getitem__(key)
+
+
+def test_a_batch_walks_only_its_start_rows_and_stops_at_them():
+    # the reads of a repeat-rich text: its start rows, walked once in one
+    # batch, stop at each other's rows and take fewer LF steps than the
+    # intervals located one at a time, which take as many as each alone
+    rng = random.Random(3)
+    unit = bytes(rng.choice(b"ACGT") for _ in range(300))
+    text = Text.from_bytes(b"".join(unit[: rng.randrange(150, 300)] for _ in range(8)))
+    index = build_fm(text, sample_rate=64)
+    intervals = []
+    for start in range(0, text.n - 20, 37):
+        intervals.append(index.backward_search_prefix(
+            text.code_bytes[start : start + 12], 12)[1])
+    index.__dict__["_bwt"] = CountedBytes(index._bwt)
+
+    def reads(locate, *args):
+        CountedBytes.reads = 0
+        answer = locate(*args)
+        return answer, CountedBytes.reads
+    batch, in_batch = reads(index.locate_many, intervals)
+    alone = [reads(index.locate_all, iv) for iv in intervals]
+    assert batch == [answer for answer, _ in alone]
+    assert in_batch < sum(count for _, count in alone) / 2
+    assert reads(index.locate_many, intervals + intervals)[1] == in_batch
 
 
 def test_a_memo_row_charges_its_own_walk(demo_index):
     # the file of test_locate_stops_within_the_sample_rate, at s = 4: the
     # row of position 4, whose sample was moved to position 5's row, walks
     # one step to the row of position 3, which walks 3 steps to the sample
-    # of position 0; found first, that row must not spare the walk from
-    # position 4 its fourth step, so the answer is still an error
+    # of position 0; in a batch holding both rows, the walk from position 4
+    # stops at the row of position 3 and is charged its walk, so the batch
+    # raises as position 4's row does alone
     _, index = demo_index
     row_of = row_of_position(index)
 
     def edit(planes, rows):
         rows[1] = row_of[5]
     broken = FmIndex.from_bytes(reseal_payload(index.to_bytes(), edit))
-    assert broken.locate_all(BwtInterval(row_of[3], row_of[3] + 1)) == [3]
-    assert [(row, flag) for row, flag in enumerate(broken._sampled[0]) if flag > 1] == [
-        (row_of[3], 4)]
+    three, four, six = (BwtInterval(row_of[pos], row_of[pos] + 1) for pos in (3, 4, 6))
+    assert broken.locate_all(three) == [3]
     sym = broken._bwt[row_of[4]]
     assert broken._c[sym] + broken.rank(sym, row_of[4]) == row_of[3]
-    for interval in (BwtInterval(row_of[4], row_of[4] + 1), BwtInterval(0, index.n + 1)):
+    for batch in ([three, four], [four, three], [three, BwtInterval(0, index.n + 1)]):
         with pytest.raises(IndexFormatError, match="^suffix-array samples are unreachable$"):
-            broken.locate_all(interval)
+            broken.locate_many(batch)
     # the rows whose walks the file leaves short enough answer as they do
-    # on a fresh index, the row of position 6 at 5 included
-    assert broken.locate_all(BwtInterval(row_of[6], row_of[6] + 1)) == [5]
+    # alone, the row of position 6 at 5 included
+    assert broken.locate_many([three, six]) == [[3], [5]]
 
 
 def test_a_memo_keeps_no_row_found_in_255_steps_or_more():
     # at a rate past the text, position 0 is the one sample, and the row of
-    # position p walks p steps: rows past position 254 are located, but not
-    # kept, since their walks do not fit in a flag byte
+    # position p walks p steps: in one batch, the walk from position 299
+    # stops at the row of 255 and the walk from 255 at the row of 254, and
+    # each is charged past what a byte holds; the index keeps no row
     text = Text.from_bytes(bytes(b"ACGT"[i * i % 7 & 3] for i in range(300)))
     index = build_fm(text, sample_rate=text.n + 1)
     row_of = row_of_position(fresh(index))
-    for pos in (254, 255, 299):
-        assert index.locate_all(BwtInterval(row_of[pos], row_of[pos] + 1)) == [pos]
+    batch = [BwtInterval(row_of[pos], row_of[pos] + 1) for pos in (299, 255, 254, 0)]
+    assert index.locate_many(batch) == [[299], [255], [254], [0]]
     flags, positions = index._sampled
-    assert [flags[row_of[pos]] for pos in (254, 255, 299)] == [255, 0, 0]
-    assert positions == {row_of[0]: 0, row_of[254]: 0}
+    assert [row for row, flag in enumerate(flags) if flag] == [row_of[0]]
+    assert positions == {row_of[0]: 0}
 
 
 def resealed_files():
@@ -695,8 +721,10 @@ def resealed_files():
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "wide first"])
 def test_a_memo_keeps_every_error_of_a_resealed_file(order):
-    # one index through every row alone and every interval of a few rows,
-    # in three orders: each locate answers, or raises, as on a fresh index
+    # batches of consecutive intervals, every row alone and every interval
+    # of a few rows in three orders: a batch raises exactly when one of its
+    # intervals raises alone, with the message of the first that does, and
+    # otherwise answers each interval as it does alone
     for broken in resealed_files():
         rows = range(broken.n + 1)
         intervals = [BwtInterval(lo, min(lo + width, broken.n + 1))
@@ -705,20 +733,29 @@ def test_a_memo_keeps_every_error_of_a_resealed_file(order):
             intervals.reverse()
         elif order == "wide first":
             intervals = [BwtInterval(0, broken.n + 1), *intervals[::-1]]
-        answers = [outcome(broken.locate_all, iv) for iv in intervals]
-        assert answers == [outcome(fresh(broken).locate_all, iv) for iv in intervals]
-        assert any(isinstance(answer, str) for answer in answers)
+        alone = [outcome(fresh(broken).locate_all, iv) for iv in intervals]
+        assert any(isinstance(answer, str) for answer in alone)
+        raised = set()
+        for size in (1, 2, 5, len(intervals)):
+            for at in range(0, len(intervals), size):
+                answers = alone[at : at + size]
+                errors = [answer for answer in answers if isinstance(answer, str)]
+                expected = errors[0] if errors else answers
+                assert outcome(broken.locate_many, intervals[at : at + size]) == expected
+                raised.add(bool(errors))
+        assert raised == {False, True}
+        assert broken._sampled == fresh(broken)._sampled
 
 
 def test_concurrent_locates_answer_as_a_fresh_index():
-    # 4 threads locate shuffled, overlapping intervals on one index, whose
-    # first locates race to build the kept rows and then to add to them:
-    # every answer is a fresh index's, and every kept row locates right
+    # 4 threads locate shuffled, overlapping batches on one index, whose
+    # first locates race to build the BWT bytes, the rank words and the
+    # samples: every answer is a fresh index's, and the samples stay as a
+    # fresh index holds them
     rng = random.Random(5)
     unit = bytes(rng.choice(b"ACGT") for _ in range(60))
     raw = b"".join(unit[: rng.randrange(20, 60)] + b"G" for _ in range(40))
     text = Text.from_bytes(raw)
-    sa = naive_suffix_array(text.code_bytes)
     reference = build_fm(text, sample_rate=16)
     intervals = [BwtInterval(0, text.n + 1)]
     for start in range(0, text.n - 8, 5):
@@ -735,31 +772,31 @@ def test_concurrent_locates_answer_as_a_fresh_index():
             def locate_shuffled(seed):
                 order = random.Random(seed).sample(intervals, len(intervals))
                 barrier.wait()
-                return [(iv, index.locate_all(iv)) for iv in order]
+                return [*zip(order[:8], map(index.locate_all, order[:8])),
+                        *zip(order[8:], index.locate_many(order[8:]))]
             with ThreadPoolExecutor(max_workers=4) as pool:
                 runs = list(pool.map(locate_shuffled, range(4 * attempt, 4 * attempt + 4)))
             assert all(answer == expected[iv] for run in runs for iv, answer in run)
-            flags, positions = index._sampled
-            kept = [row for row, flag in enumerate(flags) if flag]
-            assert len(kept) > len(index._sample_rows)
-            assert all(positions[row] + flags[row] - 1 == sa[row] for row in kept)
+            assert index._sampled == fresh(reference)._sampled
     finally:
         sys.setswitchinterval(switch)
 
 
 def test_locate_rejects_an_interval_outside_the_rows():
-    # an interval outside rows 0 to n raises before it walks: a row below
-    # 0 would read the flags from their end, and a row it kept would
-    # mislead every later locate of the index
+    # an interval outside rows 0 to n raises before it walks, alone or in a
+    # batch: a row below 0 would read the flags from their end
     index = build_fm(Text.from_bytes(DEMO_TEXT), sample_rate=4)
     n = index.n
     bad = [*(BwtInterval(lo, lo + 1) for lo in range(-10, 0)), BwtInterval(-3, 2),
            BwtInterval(0, n + 2), BwtInterval(0, n + 3), BwtInterval(n + 1, n + 2),
            BwtInterval(5, 3)]
     for iv in bad:
+        for batch in ([iv], [BwtInterval(0, 3), iv]):
+            with pytest.raises(ValueError, match="^interval out of range$"):
+                index.locate_many(batch)
         with pytest.raises(ValueError, match="^interval out of range$"):
             index.locate_all(iv)
-    assert not [row for row, flag in enumerate(index._sampled[0]) if flag > 1]
+    assert index._sampled == fresh(index)._sampled
     for row in range(n + 1):
         iv = BwtInterval(row, row + 1)
         assert index.locate_all(iv) == fresh(index).locate_all(iv)
