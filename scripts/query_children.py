@@ -33,7 +33,9 @@ rounds the second tree was faster.  A query's runs, children and in process,
 must agree under both trees.  The output of `index -o PREFIX` is the two
 files it wrote, since its stdout holds timings, and its runs must agree only
 under the same tree: two trees may write different files on purpose, at
-another sample rate or in another format.
+another sample rate or in another format.  Its two files are removed before
+each run, as children and in process alike, outside the timed span, so that
+no run pays for replacing the files of the run before.
 
 Every child, `--setup` included, exits before either tree is imported: a
 child's `ru_maxrss` keeps its parent's high-water mark through exec, so a
@@ -67,6 +69,17 @@ def index_files(args: list[str]) -> list[str]:
     return [prefix + suffix for suffix in (".fwd.memidx", ".rev.memidx")]
 
 
+def remove_index_files(args: list[str]) -> None:
+    """Remove the two files that `index -o PREFIX` is about to write, so
+    that every run writes new files: rewriting a file in place can wait on
+    the writeback of the file it replaces."""
+    for path in index_files(args):
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+
+
 def output_digest(args: list[str], stdout: bytes) -> int:
     """The CRC-32 of a run's output: for `index -o PREFIX`, whose stdout
     holds timings, the two index files it wrote; else its stdout."""
@@ -89,6 +102,7 @@ def run_child(src: str, args: list[str], out) -> tuple[float, float, int]:
     """Wall seconds, peak RSS in MB and the output digest of one child."""
     out.seek(0)
     out.truncate()
+    remove_index_files(args)
     env = dict(os.environ, PYTHONPATH=src)
     started = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "memlight.cli", *args],
@@ -159,6 +173,7 @@ def time_in_process(trees: list[str], commands: list[list[list[str]]], rounds: i
 
     def run(t, c):
         out = io.StringIO()
+        remove_index_files(commands[t][c])
         gc.collect()
         started = time.perf_counter()
         with contextlib.redirect_stdout(out):

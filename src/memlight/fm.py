@@ -492,8 +492,12 @@ class FmIndex:
         return self._saved
 
     def save(self, destination) -> None:
-        """Write the bytes of to_bytes to the destination."""
-        Path(destination).write_bytes(self.to_bytes())
+        """Write the bytes of to_bytes to the destination, removing the file
+        there first: a rewrite in place can wait on the writeback of the old
+        file, and a symlink at the destination is replaced by a plain file."""
+        path = Path(destination)
+        path.unlink(missing_ok=True)
+        path.write_bytes(self.to_bytes())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FmIndex":
@@ -580,6 +584,11 @@ class FmIndex:
         return cls.from_bytes(Path(source).read_bytes())
 
 
+def _check_sample_rate(sample_rate: int) -> None:
+    if not 1 <= sample_rate < 1 << 63:
+        raise ValueError("sample rate must be at least 1 and below 2**63")
+
+
 def build_fm(text: Text, sample_rate: int = SAMPLE_RATE, sa: SuffixArray | None = None,
              separators: bytes = b"") -> FmIndex:
     """FM-index of the text, built from its suffix array.
@@ -592,8 +601,7 @@ def build_fm(text: Text, sample_rate: int = SAMPLE_RATE, sa: SuffixArray | None 
 
     from .suffixes import build_suffix_structures
 
-    if not 1 <= sample_rate < 1 << 63:
-        raise ValueError("sample rate must be at least 1 and below 2**63")
+    _check_sample_rate(sample_rate)
     if sa is None:
         sa = build_suffix_structures(text)
     # a rate past n samples text position 0 alone (the forward index's
@@ -613,9 +621,10 @@ def build_fm(text: Text, sample_rate: int = SAMPLE_RATE, sa: SuffixArray | None 
     # numbers behind a filler 0, gathered once by the suffix array; the
     # sentinel's row and the rows past n that fill the last bytes hold 0
     shifted = np.zeros(text.n + 1, dtype=np.uint8)
-    np.take(numbers, text.data, out=shifted[1:])
+    # gathers by indexing, where np.take would copy the indices as int64
+    shifted[1:] = numbers[text.data]
     bwt = np.zeros(8 * ((text.n >> 3) + 1), dtype=np.uint8)
-    np.take(shifted, sa.sa, out=bwt[: text.n + 1])
+    bwt[: text.n + 1] = shifted[sa.sa]
     payload, count = [], _plane_count(sigma)
     for j in range(0, count - 1, 2):
         d = (bwt >> j & 3).reshape(-1, 4)
@@ -681,35 +690,60 @@ def write_index_pair(text_bytes: bytes, prefix: str, sample_rate: int = SAMPLE_R
                      separators: bytes = b"") -> tuple[int, int, dict[str, float]]:
     """Build and save a text's index pair; n, sigma and the seconds per phase.
 
-    The phases (sort, fm, write) are summed over the two directions, built
-    one at a time, each one's suffix array and index dropped before the
-    other's are built.  The reverse index goes first, so a bad sample rate
-    writes no file; only it locates.  The forward one keeps one sample (rate
-    n + 1), the row of text position 0, which is its sentinel row.  A text
-    of 2**31 symbols or more raises ValueError before anything is built.
+    The two directions are built at the same time, the reverse one in a
+    worker thread and the forward one in this thread, since numpy's sorts
+    and gathers and zlib release the GIL.  Only the reverse index locates;
+    the forward one keeps one sample (rate n + 1), the row of text position
+    0, which is its sentinel row.  Both files are written only after both
+    builds succeed: an error in either direction is raised as it is, and
+    writes no file.  A bad sample rate, or a text of 2**31 symbols or more,
+    raises ValueError before either build starts.  Each file is saved as
+    FmIndex.save saves it, so a symlink at an index path is replaced by a
+    plain file.
+
+    `build` is the wall time of the whole; `sort` (the text's encoding and
+    both suffix arrays) and `fm` are summed over the two directions, so
+    together they can exceed it; `write` is the two files.
     """
     check_text_length(len(text_bytes))
+    _check_sample_rate(sample_rate)
+    import threading
+
     from .suffixes import build_suffix_structures
 
-    fwd_path, rev_path = index_paths(prefix)
-    seconds = dict.fromkeys(("build", "sort", "fm", "write"), 0.0)
-    started = clock = time.perf_counter()
-    text = Text.from_bytes(text_bytes)
-    for path, rate in ((rev_path, sample_rate), (fwd_path, text.n + 1)):
-        text = text.reversed()
+    def build(text: Text, rate: int) -> tuple[FmIndex, float, float]:
+        """One direction's index, and the seconds of its sort and of its
+        fm phase; its suffix array is dropped once the index is built."""
+        clock = time.perf_counter()
         sa = build_suffix_structures(text)
         sorted_at = time.perf_counter()
         fm = build_fm(text, rate, sa=sa, separators=separators)
-        del sa
-        built_at = time.perf_counter()
+        return fm, sorted_at - clock, time.perf_counter() - sorted_at
+
+    def build_reverse():
+        try:
+            reverse.append(build(text.reversed(), sample_rate))
+        except BaseException as error:  # raised again in this thread
+            reverse.append(error)
+
+    started = time.perf_counter()
+    text = Text.from_bytes(text_bytes)
+    encoded, reverse = time.perf_counter() - started, []
+    worker = threading.Thread(target=build_reverse)
+    worker.start()
+    try:
+        forward = build(text, text.n + 1)
+    finally:
+        worker.join()
+    if isinstance(reverse[0], BaseException):
+        raise reverse[0]
+    (fwd, fwd_sort, fwd_fm), (rev, rev_sort, rev_fm) = forward, reverse[0]
+    built_at = time.perf_counter()
+    for fm, path in zip((fwd, rev), index_paths(prefix)):
         fm.save(path)
-        del fm
-        done_at = time.perf_counter()
-        seconds["sort"] += sorted_at - clock
-        seconds["fm"] += built_at - sorted_at
-        seconds["write"] += done_at - built_at
-        clock = done_at
-    seconds["build"] = clock - started
+    done_at = time.perf_counter()
+    seconds = {"build": done_at - started, "sort": encoded + fwd_sort + rev_sort,
+               "fm": fwd_fm + rev_fm, "write": done_at - built_at}
     return text.n, text.alphabet.size, seconds
 
 

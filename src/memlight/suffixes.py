@@ -14,6 +14,10 @@ import numpy as np
 from .sequence import MemRecord, Pattern, Text, check_text_length
 
 
+# the rows of the packed key that one doubling step rewrites at a time
+_CHUNK = 1 << 16
+
+
 def _packed_prefix_key(ext: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Each suffix's first h symbols and its position packed into one int64;
     h, and the width w of the position.
@@ -23,9 +27,11 @@ def _packed_prefix_key(ext: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, i
     byte text), h as many as fit in the other 63 - w bits, so h >= min(n, 3)
     below 2**31 symbols; packing in base b rather than in whole bits per
     symbol fits, for a binary text, 27 symbols beside a 20-bit position.
-    The number is built in O(log h) passes by doubling, two int64 buffers
-    taking turns.  The zero padding past the end cannot cause a tie, since
-    the sentinel, the only other 0, is unique.  `rows` is 0 ... n - 1.
+    The number is built in O(log h) passes by doubling in place: a pass
+    rewrites the key in ascending chunks of _CHUNK rows, each computed from
+    the old values before it is stored, so the only buffer beside the key is
+    one chunk.  The zero padding past the end cannot cause a tie, since the
+    sentinel, the only other 0, is unique.  `rows` is 0 ... n - 1.
     """
     n = ext.size
     base = int(ext.max()) + 1
@@ -33,20 +39,33 @@ def _packed_prefix_key(ext: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, i
     h = 1
     while h < n and base ** (h + 1) <= 1 << (63 - width):
         h += 1
-    key, spare = ext.astype(np.int64), np.empty(n, dtype=np.int64)
+    key, head = ext.astype(np.int64), np.empty(min(n, _CHUNK), dtype=np.int64)
     span = 1  # key holds each suffix's first `span` symbols
     for bit in bin(h)[3:]:
-        np.multiply(key, base ** span, out=spare)
-        spare[: n - span] += key[span:]
-        key, spare, span = spare, key, 2 * span
+        for a in range(0, n, _CHUNK):
+            part = head[: min(n - a, _CHUNK)]
+            np.multiply(key[a : a + _CHUNK], base ** span, out=part)
+            tail = key[a + span : a + span + _CHUNK]
+            part[: tail.size] += tail
+            key[a : a + part.size] = part
+        span *= 2
         if bit == "1":
             key *= base
             key[: n - span] += ext[span:]
             span += 1
-    del spare
     key <<= width
     key |= rows
     return key, h, width
+
+
+def _sort_low_bits(key: np.ndarray, width: int) -> np.ndarray:
+    """Sort a packed key in place and split it: return its low `width` bits
+    as int32, and leave the bits above them in the key."""
+    key.sort()
+    low = np.empty(key.size, dtype=np.int32)
+    np.bitwise_and(key, (1 << width) - 1, out=low, casting="unsafe")
+    key >>= width
+    return low
 
 
 def _suffix_sort(ext: np.ndarray) -> np.ndarray:
@@ -64,29 +83,40 @@ def _suffix_sort(ext: np.ndarray) -> np.ndarray:
     resolved are never sorted again (Larsson & Sadakane, "Faster suffix
     sorting", TCS 2007).  So the cost depends on the longest repeat: about
     log2(longest repeat / h) rounds, each over only the suffixes whose
-    k-prefix still repeats.  Ranks, rows and the working suffix array are
-    int32, a text having fewer than 2**31 symbols, and each round's keys are
-    dropped once its groups are found; the result is int64.
+    k-prefix still repeats.  A round's key, rank of p * n + rank of p + k,
+    is below n**2; when n**2 * 2**w <= 2**63, w the bit length of the
+    round's largest row index, the row's index within the round goes in
+    the low w bits and one in-place `np.sort` orders the round, ties in
+    row order; which always holds below 2**21 symbols.  A longer text's
+    rounds over more rows sort by a stable `np.argsort` instead.  Ranks,
+    rows and the working suffix array are int32, a text having fewer than
+    2**31 symbols, and each round's keys are dropped once its groups are
+    found; the result is int64.
     """
     n = ext.size
     rows = np.arange(n, dtype=np.int32)
     key, h, width = _packed_prefix_key(ext, rows)
-    key.sort()
-    sa = np.empty(n, dtype=np.int32)
-    np.bitwise_and(key, (1 << width) - 1, out=sa, casting="unsafe")
-    key >>= width
+    sa = _sort_low_bits(key, width)
+    starts = _group_starts(key)
+    del key
     rank = np.empty(n, dtype=np.int32)
     p, k = sa, h
     while True:
-        # rows: unresolved rows, ascending; p = sa[rows]; key: their sort keys
-        starts = np.ones(rows.size + 1, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=starts[1:-1])
-        del key
-        # the row each group starts at, carried forward over the group
+        # rows: unresolved rows, ascending; p = sa[rows]; starts: whether
+        # each starts a group, and a last True; the row each group starts
+        # at, carried forward over the group, is the rank of its suffixes
         heads = np.where(starts[:-1], rows, 0)
         rank[p] = np.maximum.accumulate(heads, out=heads)
-        rows = rows[~(starts[:-1] & starts[1:])]
+        # each array is dropped once it is dead, here and below: the index
+        # build runs two sorts at once, whose working sets add up
+        del heads
+        # a row alone in its group is resolved
+        alone = np.logical_and(starts[:-1], starts[1:])
+        del starts
+        rows = rows[np.logical_not(alone, out=alone)]
+        del alone
         if rows.size == 0:
+            del rank
             return sa.astype(np.int64)
         # an unresolved suffix shares its first k symbols with another one,
         # and the sentinel is unique, so p + k stays inside the text; sorting
@@ -94,10 +124,26 @@ def _suffix_sort(ext: np.ndarray) -> np.ndarray:
         p = sa[rows]
         key = np.multiply(rank[p], n, dtype=np.int64)
         key += rank[p + k]
-        order = np.argsort(key, kind="stable")
-        p, key = p[order], key[order]
+        width = (rows.size - 1).bit_length()
+        if n * n << width <= 1 << 63:
+            key <<= width
+            key |= np.arange(rows.size, dtype=np.int32)
+            p = p[_sort_low_bits(key, width)]
+        else:
+            order = np.argsort(key, kind="stable")
+            p, key = p[order], key[order]
         sa[rows] = p
+        starts = _group_starts(key)
+        del key
         k *= 2
+
+
+def _group_starts(key: np.ndarray) -> np.ndarray:
+    """Over sorted keys, whether each starts a run of equal keys, and one
+    more True past the end."""
+    starts = np.ones(key.size + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:-1])
+    return starts
 
 
 def first_mismatch(a: np.ndarray, b: np.ndarray) -> int:

@@ -121,6 +121,48 @@ def test_index_reports_build_phases(tmp_path, capsys):
         assert float(fields[name]) >= 0
 
 
+def test_a_rebuild_at_an_existing_prefix_writes_the_same_files(tmp_path):
+    # each file is removed before it is written, so a symlink at an index
+    # path becomes a plain file, and the file it pointed to is left alone
+    text = tmp_path / "t.txt"
+    text.write_bytes(DEMO_TEXT)
+    prefix = str(tmp_path / "x")
+    argv = ["index", str(text), "--raw", "-o", prefix, "--sample-rate", "4"]
+    assert main(argv) == 0
+    first = [path.read_bytes() for path in index_paths(prefix)]
+    assert main(argv) == 0
+    assert [path.read_bytes() for path in index_paths(prefix)] == first
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.write_bytes(b"kept")
+    for path in index_paths(prefix):
+        path.unlink()
+        path.symlink_to(elsewhere)
+    assert main(argv) == 0
+    assert [path.read_bytes() for path in index_paths(prefix)] == first
+    assert not any(path.is_symlink() for path in index_paths(prefix))
+    assert elsewhere.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("failing", ["forward", "reverse"])
+def test_a_failed_direction_is_a_usage_error_that_writes_no_file(tmp_path, monkeypatch,
+                                                                  capsys, failing):
+    # the error of the direction that failed, in either thread, and no file
+    from memlight import fm
+    build = fm.build_fm
+
+    def build_or_fail(text, sample_rate, **kwargs):
+        if failing == ("forward" if sample_rate == text.n + 1 else "reverse"):
+            raise ValueError(f"the {failing} build failed")
+        return build(text, sample_rate, **kwargs)
+
+    monkeypatch.setattr(fm, "build_fm", build_or_fail)
+    text = tmp_path / "t.txt"
+    text.write_bytes(DEMO_TEXT)
+    assert main(["index", str(text), "--raw", "-o", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"memlight: the {failing} build failed\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_mems_threshold_four(demo_files, capsys):
     _, pattern, prefix = demo_files
     capsys.readouterr()
@@ -882,6 +924,31 @@ def test_query_children_compares_index_files_within_each_tree(demo_files, tmp_pa
     assert outputs(rows, command) == ["same"] * 4
     written = [Path(prefix.format(tree=t) + ".rev.memidx").read_bytes() for t in (1, 2)]
     assert written[0] != written[1]
+
+
+def test_query_children_removes_an_index_commands_files_before_each_run(demo_files,
+                                                                        tmp_path):
+    # a copy of this tree whose writer rewrites a file in place: a hard link
+    # to the old file would see the rewrite, unless the launcher removed the
+    # file before the run, as it must before each run, children and in
+    # process alike, so that no run waits on replacing the run before's files
+    text, _, _ = demo_files
+    fm = copy_of_this_tree(tmp_path) / "fm.py"
+    source = fm.read_text()
+    assert source.count("path.unlink(missing_ok=True)\n") == 1
+    fm.write_text(source.replace("path.unlink(missing_ok=True)\n", "pass\n"))
+    prefix = str(tmp_path / "ix{tree}")
+    links = []
+    for suffix in (".fwd.memidx", ".rev.memidx"):
+        path = Path(prefix.format(tree=1) + suffix)
+        path.write_bytes(b"stale")
+        links.append(tmp_path / ("link" + suffix))
+        os.link(path, links[-1])
+    command = shlex.join(["index", str(text), "--raw", "-o", prefix])
+    code, rows, err = run_query_children(*commands_of(command), first=str(fm.parents[1]))
+    assert code == 0, err
+    assert outputs(rows, command) == ["same"] * 4
+    assert [link.read_bytes() for link in links] == [b"stale", b"stale"]
 
 
 def test_unknown_arguments_exit_two():

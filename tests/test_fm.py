@@ -1323,6 +1323,73 @@ def test_load_rejects_old_format(demo_index):
             FmIndex.from_bytes(magic + index.to_bytes()[8:])
 
 
+# -- the index pair -------------------------------------------------------------------
+
+@pytest.mark.parametrize("rate", [1, 4, fm.SAMPLE_RATE])
+def test_the_pair_holds_each_direction_built_alone(tmp_path, rate):
+    # the two directions, built at once, write the bytes that build_fm
+    # gives for each: the reverse at the rate, the forward at n + 1
+    separator = b"\n"
+    raw = separator.join([DEMO_TEXT * 30, DEMO_PATTERN * 20, DEMO_TEXT[::-1] * 25])
+    prefix = str(tmp_path / "x")
+    fm.write_index_pair(raw, prefix, rate, separator)
+    text = Text.from_bytes(raw)
+    fwd, rev = fm.index_paths(prefix)
+    assert fwd.read_bytes() == build_fm(text, text.n + 1, separators=separator).to_bytes()
+    assert rev.read_bytes() == build_fm(text.reversed(), rate, separators=separator).to_bytes()
+
+
+def test_pairs_written_by_several_callers_at_once_are_each_callers_alone(tmp_path):
+    # four callers at once, each build beside its own worker thread: every
+    # pair holds the bytes that its caller alone writes
+    texts = [DEMO_TEXT * (20 + 7 * t) + DEMO_PATTERN[: t + 1] for t in range(4)]
+    for t, raw in enumerate(texts):
+        fm.write_index_pair(raw, str(tmp_path / f"alone{t}"), 4)
+    barrier = threading.Barrier(4)
+
+    def write(t):
+        barrier.wait(timeout=30)
+        fm.write_index_pair(texts[t], str(tmp_path / f"together{t}"), 4)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(write, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for t in range(4):
+        assert ([path.read_bytes() for path in fm.index_paths(str(tmp_path / f"together{t}"))]
+                == [path.read_bytes() for path in fm.index_paths(str(tmp_path / f"alone{t}"))])
+
+
+class ForwardFailed(Exception):
+    pass
+
+
+class ReverseFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing,error", [("forward", ForwardFailed),
+                                           ("reverse", ReverseFailed)])
+def test_a_failed_direction_raises_its_error_and_writes_no_file(tmp_path, monkeypatch,
+                                                                failing, error):
+    # the other direction's build succeeds, but neither file is written
+    n = len(DEMO_TEXT)
+    build = fm.build_fm
+
+    def build_or_fail(text, sample_rate, **kwargs):
+        if failing == ("forward" if sample_rate == n + 1 else "reverse"):
+            raise error(f"the {failing} build failed")
+        return build(text, sample_rate, **kwargs)
+
+    monkeypatch.setattr(fm, "build_fm", build_or_fail)
+    with pytest.raises(error, match=f"^the {failing} build failed$"):
+        fm.write_index_pair(DEMO_TEXT, str(tmp_path / "x"), 4)
+    assert not list(tmp_path.iterdir())
+
+
 # -- the paired planes ------------------------------------------------------------------
 
 @given(st.data())

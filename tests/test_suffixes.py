@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlight import suffixes
 from memlight import (Alphabet, Pattern, SuffixArray, Text, brute_force_mems, build_fm,
                       build_suffix_structures, compute_match_pointers)
 
@@ -134,6 +135,41 @@ def test_suffix_array_long_internal_copy():
     # as sentinel-terminated strings, a proper prefix sorts first
     codes = text.code_bytes
     assert all(codes[a:] < codes[b:] for a, b in zip(sa, sa[1:]))
+
+
+
+def test_suffix_array_past_the_packed_rounds_budget(monkeypatch):
+    # a round's key packs its row index beside two ranks only while
+    # n**2 * 2**w <= 2**63, w the bit length of its largest row index: at
+    # 2**21 + 5 symbols, the first rounds of a periodic text hold more than
+    # 2**20 rows and sort by argsort, and its last round is packed
+    n = 2**21 + 5
+    rows = {"argsort": [], "packed": []}
+
+    def spy(path, sort):
+        def counted(key, *args, **kwargs):
+            rows[path].append(key.size)
+            return sort(key, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np, "argsort", spy("argsort", np.argsort))
+    monkeypatch.setattr(suffixes, "_sort_low_bits", spy("packed", suffixes._sort_low_bits))
+    text = Text.from_bytes((b"ACA" * n)[:n])
+    sa = build_suffix_structures(text).sa
+    # the first packed sort is of every suffix's first symbols
+    assert rows["packed"][0] == n + 1
+    assert rows["argsort"] and min(rows["argsort"]) > 2**20
+    assert rows["packed"][1:] and max(rows["packed"][1:]) <= 2**20
+    # sa is a suffix array if it is a permutation and every two adjacent
+    # rows are ordered by (first symbol, rank of the rest), O(n) in all
+    assert sa.size == n + 1
+    isa = np.full(n + 2, -1, dtype=np.int64)
+    isa[sa] = np.arange(n + 1)
+    assert (isa[: n + 1] >= 0).all()
+    first = np.append(text.data.astype(np.int64) + 1, 0)[sa]
+    rest = isa[sa + 1]
+    assert ((first[:-1] < first[1:])
+            | ((first[:-1] == first[1:]) & (rest[:-1] < rest[1:]))).all()
 
 
 # -- searches over suffix order ----------------------------------------------------
