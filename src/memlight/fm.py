@@ -605,10 +605,11 @@ def build_fm(text: Text, sample_rate: int = SAMPLE_RATE, sa: SuffixArray | None 
     if sa is None:
         sa = build_suffix_structures(text)
     # a rate past n samples text position 0 alone (the forward index's
-    # rate n + 1), which one comparison per row finds
+    # rate n + 1), which one comparison per row finds, into rows[0]:
+    # dividing by n, not by the rate, keeps the int32 arithmetic in range
     sampled = np.flatnonzero(sa.sa == 0 if sample_rate > text.n else sa.sa % sample_rate == 0)
     rows = np.empty(text.n // sample_rate + 1, dtype="<u4")
-    rows[sa.sa[sampled] // sample_rate] = sampled
+    rows[sa.sa[sampled] // min(sample_rate, text.n)] = sampled
     # number the symbols by descending count, ties by code, so that the top
     # plane holds only the rarest symbols' rows; the BWT holds the text's
     # symbols and one filler, so the text's counts give the same order
@@ -672,10 +673,6 @@ class IndexPair(_PairFields):
     def load(cls, prefix: str) -> "IndexPair":
         """The pair that `write_index_pair` saved at a path prefix."""
         return cls(*map(FmIndex.load, index_paths(prefix)))
-
-    def locate(self, mem: MemRecord) -> list[int]:
-        """The 0-based text positions of a MEM, ascending: the batch of one."""
-        return self.locate_many([mem])[0]
 
     def locate_many(self, mems: list[MemRecord]) -> list[list[int]]:
         """The 0-based text positions of each MEM, ascending, from one batch

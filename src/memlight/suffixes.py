@@ -89,9 +89,8 @@ def _suffix_sort(ext: np.ndarray) -> np.ndarray:
     the low w bits and one in-place `np.sort` orders the round, ties in
     row order; which always holds below 2**21 symbols.  A longer text's
     rounds over more rows sort by a stable `np.argsort` instead.  Ranks,
-    rows and the working suffix array are int32, a text having fewer than
-    2**31 symbols, and each round's keys are dropped once its groups are
-    found; the result is int64.
+    rows and the suffix array are int32, a text having fewer than 2**31
+    symbols, and each round's keys are dropped once its groups are found.
     """
     n = ext.size
     rows = np.arange(n, dtype=np.int32)
@@ -117,7 +116,7 @@ def _suffix_sort(ext: np.ndarray) -> np.ndarray:
         del alone
         if rows.size == 0:
             del rank
-            return sa.astype(np.int64)
+            return sa
         # an unresolved suffix shares its first k symbols with another one,
         # and the sentinel is unique, so p + k stays inside the text; sorting
         # by rank first keeps each group in its own rows
@@ -162,7 +161,8 @@ class SuffixArray:
 
     Suffix order includes the empty sentinel suffix at rank 0.  The sentinel
     is a value below every alphabet code and takes no part in matching.  A
-    text of 2**31 symbols or more raises ValueError before anything is sorted.
+    text of 2**31 symbols or more raises ValueError before anything is sorted,
+    so `sa` holds int32 rows, whether sorted here or given.
     """
 
     def __init__(self, text: Text, sa: np.ndarray | None = None):
@@ -174,7 +174,7 @@ class SuffixArray:
             np.add(text.data, 1, out=ext[: text.n], dtype=np.uint16)
             sa = _suffix_sort(ext)
         else:
-            sa = np.ascontiguousarray(sa, dtype=np.int64)
+            sa = np.ascontiguousarray(sa, dtype=np.int32)
             if sa.size != text.n + 1:
                 raise ValueError("suffix array length does not match the text")
         self.sa = sa
@@ -189,13 +189,15 @@ class SuffixArray:
 
     def _prefix_range(self, q: bytes) -> tuple[int, int]:
         """Rows whose suffix starts with q, as a half-open range."""
-        tb, nq = self._tb, len(q)
-        first = bisect_left(self.sa, q, key=lambda p: tb[p : p + nq])
-        return first, bisect_right(self.sa, q, first, key=lambda p: tb[p : p + nq])
+        # the searches bisect over the memoryview, whose items are Python
+        # ints: p + nq on an int32 row would wrap past 2**31
+        rows, tb, nq = self.sa.data, self._tb, len(q)
+        first = bisect_left(rows, q, key=lambda p: tb[p : p + nq])
+        return first, bisect_right(rows, q, first, key=lambda p: tb[p : p + nq])
 
     def longest_prefix_match(self, q: bytes) -> int:
         """Length of the longest prefix of q occurring anywhere in the text."""
-        sa, tb, nq = self.sa, self._tb, len(q)
+        sa, tb, nq = self.sa.data, self._tb, len(q)
         row = bisect_left(sa, q, key=lambda p: tb[p : p + nq])
         # a longest match starts at one of the suffixes sorting next to q
         t, qd = self.text.data, np.frombuffer(q, dtype=np.uint8)

@@ -203,7 +203,7 @@ def test_mems_locate_positions_are_one_based(demo_files, capsys):
     assert [r[4] for r in rows] == ["1", "1", "1"]
 
 
-def test_a_locate_command_shares_one_memo(demo_files, tmp_path, capsys, monkeypatch):
+def test_a_locate_command_locates_in_one_batch(demo_files, tmp_path, capsys, monkeypatch):
     # the command loads one pair and locates every MEM of every pattern in
     # one batch, which leaves the samples as a fresh index holds them
     _, _, prefix = demo_files

@@ -152,10 +152,10 @@ def test_pair_locates_every_mem_where_a_naive_scan_finds_it(records, concat_sep,
     mems = find_in_raw(p_raw, pair, min_len, longest).mems
     for mem in mems:
         sub = p_raw[mem.start : mem.end]
-        assert pair.locate(mem) == [s for s in range(len(t_raw) - mem.length + 1)
-                                    if t_raw[s : s + mem.length] == sub]
+        assert pair.locate_many([mem])[0] == [s for s in range(len(t_raw) - mem.length + 1)
+                                              if t_raw[s : s + mem.length] == sub]
     # one batch of every MEM answers as the MEMs do one at a time
-    assert pair.locate_many(mems) == [pair.locate(mem) for mem in mems]
+    assert pair.locate_many(mems) == [pair.locate_many([mem])[0] for mem in mems]
 
 
 def test_split_results_use_original_coordinates(demo_bench):

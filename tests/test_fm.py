@@ -573,7 +573,7 @@ def fresh(index):
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
-def test_a_memo_shared_by_a_commands_locates_changes_no_answer(data):
+def test_a_batch_answers_each_interval_as_it_does_alone(data):
     # one batch holds the nested, overlapping and repeated intervals of a
     # repeat-rich text, across separators: its walks stop at each other's
     # start rows, yet each interval answers as it does alone on a fresh
@@ -650,7 +650,35 @@ def test_a_batch_walks_only_its_start_rows_and_stops_at_them():
     assert reads(index.locate_many, intervals + intervals)[1] == in_batch
 
 
-def test_a_memo_row_charges_its_own_walk(demo_index):
+def test_a_group_walks_its_rows_together():
+    # 16 copies of a unit, each with 2 substitutions, at s = 64: the rows of
+    # a 20-mer in every copy walk as one group, each row leaving it at its
+    # sample, and read the BWT bytes 56 times, against 512 when located one
+    # at a time (the pangenome case: many copies of one sequence)
+    rng = random.Random(7)
+    unit = bytes(rng.choice(b"ACGT") for _ in range(2000))
+    copies = []
+    for _ in range(16):
+        copy = bytearray(unit)
+        for at in rng.sample(range(100, 900), 2):
+            copy[at] = b"CGTA"[b"ACGT".index(copy[at])]
+        copies.append(bytes(copy))
+    text = Text.from_bytes(b"".join(copies))
+    index = build_fm(text, sample_rate=64)
+    group = interval_of(index, text, unit[1000:1020])
+    assert group.hi - group.lo == 16
+    index.__dict__["_bwt"] = CountedBytes(index._bwt)
+    CountedBytes.reads = 0
+    together = index.locate_all(group)
+    grouped = CountedBytes.reads
+    CountedBytes.reads = 0
+    alone = [p for row in range(group.lo, group.hi)
+             for p in index.locate_all(BwtInterval(row, row + 1))]
+    assert together == sorted(alone) == list(range(1000, 32000, 2000))
+    assert grouped < CountedBytes.reads / 4
+
+
+def test_a_walk_stopped_at_a_start_row_is_charged_its_steps(demo_index):
     # the file of test_locate_stops_within_the_sample_rate, at s = 4: the
     # row of position 4, whose sample was moved to position 5's row, walks
     # one step to the row of position 3, which walks 3 steps to the sample
@@ -675,7 +703,7 @@ def test_a_memo_row_charges_its_own_walk(demo_index):
     assert broken.locate_many([three, six]) == [[3], [5]]
 
 
-def test_a_memo_keeps_no_row_found_in_255_steps_or_more():
+def test_a_batch_of_walks_of_255_steps_or_more_keeps_no_row():
     # at a rate past the text, position 0 is the one sample, and the row of
     # position p walks p steps: in one batch, the walk from position 299
     # stops at the row of 255 and the walk from 255 at the row of 254, and
@@ -720,7 +748,7 @@ def resealed_files():
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "wide first"])
-def test_a_memo_keeps_every_error_of_a_resealed_file(order):
+def test_a_batch_raises_every_error_of_a_resealed_file(order):
     # batches of consecutive intervals, every row alone and every interval
     # of a few rows in three orders: a batch raises exactly when one of its
     # intervals raises alone, with the message of the first that does, and

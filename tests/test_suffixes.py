@@ -35,6 +35,18 @@ def test_suffix_array_known_values(raw, expected_sa):
     assert sa.sa.tolist() == expected_sa
 
 
+def test_a_suffix_array_holds_int32_rows_sorted_or_given():
+    # a text has fewer than 2**31 symbols, so its rows are int32 whether the
+    # sort built them or a caller gave them, as int64 or as a list
+    text = Text.from_bytes(b"banana")
+    built = build_suffix_structures(text)
+    for sa in (built, SuffixArray(text, built.sa.astype(np.int64)),
+               SuffixArray(text, [6, 5, 3, 1, 0, 4, 2])):
+        assert sa.sa.dtype == np.int32
+        assert sa.sa.tolist() == [6, 5, 3, 1, 0, 4, 2]
+        assert sa.occurrences(text.alphabet.encode_bytes(b"an")) == [1, 3]
+
+
 LIMIT_MESSAGE = "^a text of {} symbols is too long: memlight indexes fewer than 2\\*\\*31$"
 
 
